@@ -1,7 +1,8 @@
 //! Criterion ablation: substrate costs — group exponentiation on both
 //! backends (fixed-base comb/table, variable-base wNAF/sliding-window,
 //! Straus double exponentiation, and the naive double-and-add baselines
-//! they replaced), Pippenger multi-scalar multiplication, Pedersen
+//! they replaced), Pippenger multi-scalar multiplication, the
+//! shared-scalar and shared-base list primitives, Pedersen
 //! commitments, Schnorr verification (individual and batched RLC),
 //! hashing and AES-CTR throughput.
 //!
@@ -131,6 +132,37 @@ fn bench_msm_and_batch_verify(c: &mut Criterion) {
                     .iter()
                     .fold(g.identity(), |acc, (base, k)| g.op(&acc, &g.exp(base, k)))
             })
+        });
+    }
+    // The list primitives behind bitwise OCBE at ℓ = 48 vs the per-element
+    // exp/op composition they replace (the trait defaults).
+    {
+        let k = g.random_scalar(&mut rng);
+        let shift = g.exp_g(&g.random_scalar(&mut rng));
+        let bases: Vec<_> = (0..48)
+            .map(|_| g.exp_g(&g.random_scalar(&mut rng)))
+            .collect();
+        let ks: Vec<_> = (0..48).map(|_| g.random_scalar(&mut rng)).collect();
+        group.bench_function("p256_exp_shared_scalar_48", |b| {
+            b.iter(|| g.exp_shared_scalar_shifted(&bases, &k, &shift))
+        });
+        group.bench_function("p256_exp_shared_scalar_48_naive", |b| {
+            b.iter(|| {
+                bases
+                    .iter()
+                    .map(|base| {
+                        let p = g.exp(base, &k);
+                        let shifted = g.op(&p, &shift);
+                        (p, shifted)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        group.bench_function("p256_exp_shared_base_48", |b| {
+            b.iter(|| g.exp_shared_base(&shift, &ks))
+        });
+        group.bench_function("p256_exp_shared_base_48_naive", |b| {
+            b.iter(|| ks.iter().map(|k| g.exp(&shift, k)).collect::<Vec<_>>())
         });
     }
     // One random-linear-combination Schnorr check over a cohort vs n

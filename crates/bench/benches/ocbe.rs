@@ -31,7 +31,10 @@ fn bench_eq_ocbe(c: &mut Criterion) {
 fn bench_ge_ocbe(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2_ge_ocbe");
     group.sample_size(10);
-    for ell in [5u32, 20, 40] {
+    // ℓ = 48 is the end-to-end benchmark's width (`register_ge`);
+    // `reproduce bench-json` records its compose and open points as
+    // `ocbe_ge_l48_compose_ns` / `ocbe_ge_l48_open_ns`.
+    for ell in [5u32, 20, 40, 48] {
         let mut rng = bench_rng();
         let round = ge_round(ell, &mut rng);
         let ped = round.sys.pedersen();

@@ -11,8 +11,10 @@
 //! 1000, 25%–100% fills).
 //!
 //! `bench-json` measures the group-arithmetic substrate (fixed-base,
-//! wNAF/window, Straus, Pippenger MSM, Pedersen, Schnorr incl. batched
-//! RLC verification — optimized *and* naive baselines) and writes
+//! wNAF/window, Straus, Pippenger MSM, the shared-scalar and shared-base
+//! list primitives, Pedersen, Schnorr incl. batched RLC verification —
+//! optimized *and* naive baselines — and GE-OCBE compose/open at ℓ = 48)
+//! and writes
 //! `BENCH_group_ops.json` (`op → ns/iter`) to the current directory, so
 //! the perf trajectory is tracked in-repo per PR — and the network plane
 //! (broker fan-out publish latency incl. a stalled subscriber, serialized
@@ -869,6 +871,48 @@ fn bench_json(opts: &Opts) {
                 time_avg(msm_rounds, per_element),
             );
         }
+        // The list primitives behind bitwise OCBE at ℓ = 48, each beside
+        // the per-element composition it replaces (the trait defaults).
+        {
+            let bases: Vec<_> = (0..48)
+                .map(|_| p256.exp_g(&p256.random_scalar(&mut rng)))
+                .collect();
+            let ks: Vec<_> = (0..48).map(|_| p256.random_scalar(&mut rng)).collect();
+            let list_rounds = if opts.quick { 1 } else { 40 };
+            push(
+                &mut ops,
+                "p256_exp_shared_scalar_48",
+                time_avg(list_rounds, || {
+                    p256.exp_shared_scalar_shifted(&bases, &k, &base)
+                }),
+            );
+            push(
+                &mut ops,
+                "p256_exp_shared_scalar_48_naive",
+                time_avg(list_rounds, || {
+                    bases
+                        .iter()
+                        .map(|b| {
+                            let p = p256.exp(b, &k);
+                            let shifted = p256.op(&p, &base);
+                            (p, shifted)
+                        })
+                        .collect::<Vec<_>>()
+                }),
+            );
+            push(
+                &mut ops,
+                "p256_exp_shared_base_48",
+                time_avg(list_rounds, || p256.exp_shared_base(&base, &ks)),
+            );
+            push(
+                &mut ops,
+                "p256_exp_shared_base_48_naive",
+                time_avg(list_rounds, || {
+                    ks.iter().map(|k| p256.exp(&base, k)).collect::<Vec<_>>()
+                }),
+            );
+        }
         // Batch Schnorr verification (one RLC collapsed to one MSM) vs n
         // individual double-exponentiation verifies.
         for n in [16usize, 64] {
@@ -968,6 +1012,22 @@ fn bench_json(opts: &Opts) {
         );
     }
 
+    // GE-OCBE at the benchmark's ℓ = 48: what the two list primitives buy
+    // one layer up, hashing and the AEAD included.
+    {
+        let mut rng = bench_rng();
+        let round = ge_round(48, &mut rng);
+        let ocbe_rounds = if opts.quick { 1 } else { 40 };
+        let (mut compose, mut open) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..ocbe_rounds {
+            let (_, c, o) = ge_steps(&round, b"a 128-bit conditional secret", &mut rng);
+            compose += c;
+            open += o;
+        }
+        push(&mut ops, "ocbe_ge_l48_compose_ns", compose / ocbe_rounds);
+        push(&mut ops, "ocbe_ge_l48_open_ns", open / ocbe_rounds);
+    }
+
     // Derived speedups: naive / optimized for each paired entry.
     let lookup = |ops: &[(String, f64)], name: &str| -> Option<f64> {
         ops.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
@@ -989,6 +1049,16 @@ fn bench_json(opts: &Opts) {
         ("p256_msm_8", "p256_msm_8", "p256_msm_8_naive"),
         ("p256_msm_64", "p256_msm_64", "p256_msm_64_naive"),
         ("p256_msm_256", "p256_msm_256", "p256_msm_256_naive"),
+        (
+            "p256_exp_shared_scalar_48",
+            "p256_exp_shared_scalar_48",
+            "p256_exp_shared_scalar_48_naive",
+        ),
+        (
+            "p256_exp_shared_base_48",
+            "p256_exp_shared_base_48",
+            "p256_exp_shared_base_48_naive",
+        ),
         (
             "schnorr_verify_batch_16",
             "p256_schnorr_verify_batch_16",

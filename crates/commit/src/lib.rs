@@ -113,6 +113,14 @@ impl<G: CyclicGroup> Pedersen<G> {
         }
     }
 
+    /// [`Pedersen::commit_with`] over a list of `(value, randomness)` pairs,
+    /// normalised together by the backend
+    /// ([`CyclicGroup::pedersen_gh_many`]).
+    pub fn commit_many_with(&self, pairs: &[(Scalar, Scalar)]) -> Vec<Commitment<G>> {
+        let elems = self.group.pedersen_gh_many(pairs);
+        elems.into_iter().map(|elem| Commitment { elem }).collect()
+    }
+
     /// Verifies an opening: `c == g^x · h^r`.
     pub fn verify_open(&self, c: &Commitment<G>, opening: &Opening) -> bool {
         self.commit_with(&opening.value, &opening.randomness) == *c

@@ -109,11 +109,18 @@ impl AcvBgkm {
         (self.field.modulus_bits() as usize).div_ceil(8)
     }
 
-    /// Effective nonce width for a given `N`.
+    /// Effective nonce width for a given `N`: at least the configured τ,
+    /// raised until `τ·N > 160` bits and until `N` distinct nonces fill at
+    /// most half the nonce space (so drawing them by rejection terminates
+    /// after two draws per nonce on average, at worst).
     fn effective_tau(&self, n: usize) -> usize {
         let min_total_bits = 161usize;
         let needed = min_total_bits.div_ceil(8 * n.max(1));
-        self.tau_bytes.max(needed)
+        let mut tau = self.tau_bytes.max(needed);
+        while 8 * tau < usize::BITS as usize && n > 1 << (8 * tau - 1) {
+            tau += 1;
+        }
+        tau
     }
 
     /// Publisher: generates a fresh key `K` and the public info for the
@@ -205,18 +212,26 @@ impl AcvBgkm {
             .collect()
     }
 
-    /// `N ≥ Σ_k #U_k` nonces; at least one so the encoding stays
-    /// well-formed even for empty configurations.
+    /// `N ≥ Σ_k #U_k` pairwise distinct nonces; at least one so the
+    /// encoding stays well-formed even for empty configurations.
+    ///
+    /// Distinctness is a security requirement: `zⱼ = z_k` makes columns `j`
+    /// and `k` of `A` equal for *every* CSS, the null space gains
+    /// `eⱼ − e_k`, and an ACV drawn along it yields `K` to any CSS holder,
+    /// revoked ones included. Repeats are therefore redrawn.
     fn fresh_nonces<R: RngCore + ?Sized>(&self, rows: usize, rng: &mut R) -> Vec<Vec<u8>> {
         let n = (rows + self.extra_slots).max(1);
         let tau = self.effective_tau(n);
-        (0..n)
-            .map(|_| {
-                let mut z = vec![0u8; tau];
-                rng.fill_bytes(&mut z);
-                z
-            })
-            .collect()
+        let mut seen = std::collections::HashSet::with_capacity(n);
+        let mut zs = Vec::with_capacity(n);
+        while zs.len() < n {
+            let mut z = vec![0u8; tau];
+            rng.fill_bytes(&mut z);
+            if seen.insert(z.clone()) {
+                zs.push(z);
+            }
+        }
+        zs
     }
 
     /// Matrix `A`: one row `[1, a_{i,1}, …, a_{i,N}]` per access row.
@@ -581,6 +596,37 @@ mod tests {
         let n = info.zs.len();
         let tau = info.zs[0].len();
         assert!(tau * n * 8 > 160, "τ·N = {} bits", tau * n * 8);
+    }
+
+    #[test]
+    fn nonces_are_distinct_so_a_revoked_css_derives_a_wrong_key() {
+        // With independent 2-byte draws this seed repeats one of the 96
+        // nonces, and the ACV built on the repeat gave the key to the
+        // revoked row (and to any other CSS).
+        let s = scheme();
+        let mut r = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rows = random_rows(&mut r, 97, 16);
+        let revoked = rows.pop().expect("97 rows");
+        let (key, info) = s.rekey(&rows, &mut r);
+        let distinct: std::collections::HashSet<_> = info.zs.iter().collect();
+        assert_eq!(distinct.len(), info.zs.len());
+        assert_eq!(info.zs[0].len(), 2, "τ unchanged at this size");
+        assert_ne!(s.derive_key(&info, &revoked.css_concat), key);
+        for row in &rows {
+            assert_eq!(s.derive_key(&info, &row.css_concat), key);
+        }
+    }
+
+    #[test]
+    fn tau_widens_when_rows_outgrow_the_nonce_space() {
+        // 1-byte nonces cannot give 200 distinct values by rejection with a
+        // bounded expected number of draws; τ goes to 2.
+        let s = AcvBgkm::new(FpCtx::new(pbcd_math::gkm_q80()), 1, 0);
+        assert_eq!(s.effective_tau(128), 1);
+        assert_eq!(s.effective_tau(129), 2);
+        assert_eq!(s.fresh_nonces(200, &mut rng())[0].len(), 2);
+        assert_eq!(scheme().effective_tau(1 << 15), 2);
+        assert_eq!(scheme().effective_tau((1 << 15) + 1), 3);
     }
 
     #[test]

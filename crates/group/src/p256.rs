@@ -14,7 +14,11 @@
 //!   (64 windows × 15 affine points ≈ 60 KiB per base), reducing `g^k` to
 //!   ~60 mixed additions with no doublings at all;
 //! * `a^x · b^y` runs as a Straus interleaving with one shared doubling
-//!   chain.
+//!   chain;
+//! * lists share what they have in common: one wNAF recoding and one
+//!   table normalisation for many bases under one scalar, one one-off
+//!   comb for many scalars under one base, and a single inversion for
+//!   every list's results.
 
 use crate::p256_field as pf;
 use crate::traits::{CyclicGroup, Scalar, ScalarCtx};
@@ -63,6 +67,24 @@ struct AffinePt {
 const WNAF_WINDOW: u32 = 5;
 /// Window width of the fixed-base comb tables for `g` and `h`.
 const COMB_WINDOW: u32 = 4;
+
+/// Field multiplications (squarings included) in one Jacobian doubling.
+const DOUBLE_COST: usize = 8;
+/// Field multiplications (squarings included) in one general Jacobian
+/// addition.
+const ADD_COST: usize = 16;
+/// Shortest scalar list for which [`CyclicGroup::exp_shared_base`] builds
+/// a one-off comb table; shorter lists run wNAF per scalar.
+///
+/// Operation model: the table costs `2^w` general additions in each of
+/// its `⌈256/w⌉` windows. A comb lookup then makes about as many mixed
+/// additions as a wNAF run makes for its digits and its own table, so
+/// what the comb saves per scalar is the 256 doublings. The table pays
+/// off from `⌈64·16·16 / (256·8)⌉ = 8` scalars on, which is also where
+/// the two routes cross on the 2-vCPU reference host.
+const SHARED_BASE_TABLE_MIN: usize = ((256usize.div_ceil(COMB_WINDOW as usize) << COMB_WINDOW)
+    * ADD_COST)
+    .div_ceil(256 * DOUBLE_COST);
 
 /// Fixed-base comb: `tables[i][d − 1] = (d · 2^(w·i)) · B` as affine
 /// points, one row per `w`-bit window of the 256-bit scalar.
@@ -430,6 +452,23 @@ impl P256Group {
         out
     }
 
+    /// Normalizes a batch of Jacobian points, identities included, with one
+    /// shared field inversion.
+    fn batch_to_points(&self, pts: &[Jacobian]) -> Vec<P256Point> {
+        let nonzero: Vec<Jacobian> = pts.iter().filter(|p| !p.z.is_zero()).copied().collect();
+        let mut affine = self.batch_to_affine(&nonzero).into_iter();
+        pts.iter()
+            .map(|p| {
+                if p.z.is_zero() {
+                    P256Point::Identity
+                } else {
+                    let a = affine.next().expect("one per nonzero point");
+                    P256Point::Affine { x: a.x, y: a.y }
+                }
+            })
+            .collect()
+    }
+
     /// Width-`w` NAF recoding into a caller-provided buffer: signed odd
     /// digits in `±{1, 3, …, 2^(w−1)−1}` with at least `w − 1` zeros
     /// between nonzero digits, lsb first. Returns the digit count.
@@ -458,15 +497,35 @@ impl P256Group {
         len
     }
 
-    /// Builds the wNAF table of odd multiples `1P, 3P, …, (2N − 1)P` as
-    /// batch-normalized affine points, allocation-free.
-    fn wnaf_table<const N: usize>(&self, p: &Jacobian) -> [AffinePt; N] {
+    /// The odd multiples `1P, 3P, …, (2N − 1)P` of a nonzero point, still
+    /// in Jacobian form.
+    fn odd_multiples<const N: usize>(&self, p: &Jacobian) -> [Jacobian; N] {
         let mut jac_table = [*p; N];
         let twop = self.jac_double(p);
         for i in 1..N {
             jac_table[i] = self.jac_add(&jac_table[i - 1], &twop);
         }
-        self.batch_to_affine_n(&jac_table)
+        jac_table
+    }
+
+    /// Builds the wNAF table of odd multiples `1P, 3P, …, (2N − 1)P` as
+    /// batch-normalized affine points, allocation-free.
+    fn wnaf_table<const N: usize>(&self, p: &Jacobian) -> [AffinePt; N] {
+        self.batch_to_affine_n(&self.odd_multiples(p))
+    }
+
+    /// The table entry `d·P` for a nonzero signed odd wNAF digit `d`, from
+    /// a table of odd multiples.
+    fn wnaf_entry(table: &[AffinePt], d: i8) -> AffinePt {
+        let entry = table[(d.unsigned_abs() as usize) >> 1];
+        if d > 0 {
+            entry
+        } else {
+            AffinePt {
+                x: entry.x,
+                y: pf::neg(&entry.y),
+            }
+        }
     }
 
     /// Variable-base scalar multiplication: wNAF over a batch-normalized
@@ -486,16 +545,7 @@ impl P256Group {
         for &d in digits[..len].iter().rev() {
             acc = self.jac_double(&acc);
             if d != 0 {
-                let entry = table[(d.unsigned_abs() as usize) >> 1];
-                let entry = if d > 0 {
-                    entry
-                } else {
-                    AffinePt {
-                        x: entry.x,
-                        y: pf::neg(&entry.y),
-                    }
-                };
-                acc = self.jac_add_affine(&acc, &entry);
+                acc = self.jac_add_affine(&acc, &Self::wnaf_entry(&table, d));
             }
         }
         acc
@@ -617,16 +667,7 @@ impl P256Group {
             for (digits, tbl) in [(&da, ta), (&db, tb)] {
                 let d = digits[i];
                 if d != 0 {
-                    let entry = tbl[(d.unsigned_abs() as usize) >> 1];
-                    let entry = if d > 0 {
-                        entry
-                    } else {
-                        AffinePt {
-                            x: entry.x,
-                            y: pf::neg(&entry.y),
-                        }
-                    };
-                    acc = self.jac_add_affine(&acc, &entry);
+                    acc = self.jac_add_affine(&acc, &Self::wnaf_entry(tbl, d));
                 }
             }
         }
@@ -800,6 +841,81 @@ impl CyclicGroup for P256Group {
         let gm = self.comb_mul(self.g_comb(), &m.to_uint());
         let hr = self.comb_mul(self.h_comb(), &r.to_uint());
         self.to_affine(&self.jac_add(&gm, &hr))
+    }
+
+    fn pedersen_gh_many(&self, pairs: &[(Scalar, Scalar)]) -> Vec<P256Point> {
+        crate::ops::count_exp(2 * pairs.len() as u64);
+        let (g_comb, h_comb) = (self.g_comb(), self.h_comb());
+        let sums: Vec<Jacobian> = pairs
+            .iter()
+            .map(|(m, r)| {
+                let gm = self.comb_mul(g_comb, &m.to_uint());
+                self.jac_add(&gm, &self.comb_mul(h_comb, &r.to_uint()))
+            })
+            .collect();
+        self.batch_to_points(&sums)
+    }
+
+    fn exp_shared_scalar_shifted(
+        &self,
+        bases: &[P256Point],
+        k: &Scalar,
+        shift: &P256Point,
+    ) -> Vec<(P256Point, P256Point)> {
+        const TABLE_LEN: usize = 1 << (WNAF_WINDOW - 2);
+        crate::ops::count_exp(bases.len() as u64);
+        let mut digits = [0i8; 257];
+        let len = Self::wnaf_into(&k.to_uint(), WNAF_WINDOW, &mut digits);
+        // One table of odd multiples per non-identity base, all of them
+        // normalised by one inversion, then stepped through the one
+        // recoding of `k` in lockstep. Identity bases keep an identity
+        // accumulator and need no table.
+        let mut accs = vec![self.jac_identity(); bases.len()];
+        let mut live = Vec::with_capacity(bases.len());
+        let mut multiples = Vec::with_capacity(bases.len() * TABLE_LEN);
+        for (i, base) in bases.iter().enumerate() {
+            if let P256Point::Affine { x, y } = base {
+                live.push(i);
+                let p = self.jac_from_affine(&AffinePt { x: *x, y: *y });
+                multiples.extend_from_slice(&self.odd_multiples::<TABLE_LEN>(&p));
+            }
+        }
+        let tables = self.batch_to_affine(&multiples);
+        for &d in digits[..len].iter().rev() {
+            for (&i, table) in live.iter().zip(tables.chunks_exact(TABLE_LEN)) {
+                accs[i] = self.jac_double(&accs[i]);
+                if d != 0 {
+                    accs[i] = self.jac_add_affine(&accs[i], &Self::wnaf_entry(table, d));
+                }
+            }
+        }
+        let mut both = Vec::with_capacity(2 * accs.len());
+        for acc in &accs {
+            both.push(*acc);
+            both.push(match shift {
+                P256Point::Identity => *acc,
+                P256Point::Affine { x, y } => self.jac_add_affine(acc, &AffinePt { x: *x, y: *y }),
+            });
+        }
+        let mut points = self.batch_to_points(&both).into_iter();
+        std::iter::from_fn(|| Some((points.next()?, points.next()?))).collect()
+    }
+
+    fn exp_shared_base(&self, base: &P256Point, ks: &[Scalar]) -> Vec<P256Point> {
+        crate::ops::count_exp(ks.len() as u64);
+        if *base == P256Point::Identity {
+            return vec![P256Point::Identity; ks.len()];
+        }
+        let powers: Vec<Jacobian> = if ks.len() < SHARED_BASE_TABLE_MIN {
+            let p = self.to_jacobian(base);
+            ks.iter().map(|k| self.jac_mul(&p, &k.to_uint())).collect()
+        } else {
+            let comb = self.build_comb(base);
+            ks.iter()
+                .map(|k| self.comb_mul(&comb, &k.to_uint()))
+                .collect()
+        };
+        self.batch_to_points(&powers)
     }
 
     fn msm(&self, terms: &[(P256Point, Scalar)]) -> P256Point {

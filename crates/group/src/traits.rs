@@ -114,6 +114,49 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
         self.op(&self.exp_g(m), &self.exp_h(r))
     }
 
+    /// [`CyclicGroup::pedersen_gh`] over a list of `(m, r)` pairs.
+    ///
+    /// The bitwise OCBE receiver commits to ℓ digits at once; projective
+    /// backends override this to normalise the whole list with one shared
+    /// inversion. Counts as two exponentiations per pair either way.
+    fn pedersen_gh_many(&self, pairs: &[(Scalar, Scalar)]) -> Vec<Self::Elem> {
+        pairs.iter().map(|(m, r)| self.pedersen_gh(m, r)).collect()
+    }
+
+    /// `(bᵢ^k, bᵢ^k · shift)` for every base `bᵢ` under one shared scalar.
+    ///
+    /// The bitwise OCBE sender masks two key shares per digit commitment
+    /// with `cᵢ^y` and `(cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}`: one exponentiation and
+    /// one group operation per digit instead of two exponentiations.
+    /// Backends override this to recode `k` once and normalise every
+    /// result together; the default composes [`CyclicGroup::exp`] and
+    /// [`CyclicGroup::op`].
+    fn exp_shared_scalar_shifted(
+        &self,
+        bases: &[Self::Elem],
+        k: &Scalar,
+        shift: &Self::Elem,
+    ) -> Vec<(Self::Elem, Self::Elem)> {
+        bases
+            .iter()
+            .map(|b| {
+                let p = self.exp(b, k);
+                let shifted = self.op(&p, shift);
+                (p, shifted)
+            })
+            .collect()
+    }
+
+    /// `base^{kᵢ}` for every scalar `kᵢ` under one shared base.
+    ///
+    /// The bitwise OCBE receiver raises the envelope's `η` to each digit's
+    /// randomness. Backends override this to build one fixed-base table
+    /// for `base` and serve every scalar from it; the default composes
+    /// [`CyclicGroup::exp`].
+    fn exp_shared_base(&self, base: &Self::Elem, ks: &[Scalar]) -> Vec<Self::Elem> {
+        ks.iter().map(|k| self.exp(base, k)).collect()
+    }
+
     /// Multi-scalar multiplication `Π basesᵢ^{kᵢ}` over (element, scalar)
     /// pairs.
     ///

@@ -1,6 +1,8 @@
 //! Equivalence suite for the fast exponentiation paths: every optimized
 //! route (sliding-window/wNAF `exp`, fixed-base `exp_g`/`exp_h`, Straus
-//! `exp2`, `pedersen_gh`, `prod_pow2`) must agree **bit-identically** with
+//! `exp2`, `pedersen_gh`, `prod_pow2`, and the list primitives
+//! `exp_shared_scalar_shifted`, `exp_shared_base`, `pedersen_gh_many`)
+//! must agree **bit-identically** with
 //! the naive double-and-add reference ladder, on both backends, for
 //! random scalars and the edge exponents `0, 1, 2, q−1`. Also pins down
 //! table-rebuild behaviour across clones/fresh instances and
@@ -154,6 +156,87 @@ fn p256_msm_matches_naive_composition() {
 #[test]
 fn modp_msm_matches_naive_composition() {
     check_msm(&ModpGroup::new(), 0x3532);
+}
+
+/// The shared-scalar, shared-base and batched-commitment primitives
+/// against per-element `exp`/`op`: scalars `0, 1, 2, q−1` and random, an
+/// identity base mid-list, `shift` ∈ {identity, `g`}, a base whose shifted
+/// power is the identity, and list lengths on both sides of the backends'
+/// table fall-back threshold.
+fn check_shared_paths<G: NaiveExp>(group: &G, seed: u64) {
+    let sc = group.scalar_ctx().clone();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let g = group.generator();
+    let cases = scalar_cases(group, seed, 2);
+    for len in [0usize, 1, 7, 8, 48] {
+        let bases: Vec<G::Elem> = (0..len)
+            .map(|i| match i {
+                2 => group.identity(),
+                _ => group.exp_g(&group.random_scalar(&mut rng)),
+            })
+            .collect();
+        for k in &cases {
+            for shift in [group.identity(), g.clone()] {
+                let mut bases = bases.clone();
+                if len > 3 && !k.is_zero() {
+                    // b₃^k = shift⁻¹, so the shifted half is the identity.
+                    let k_inv = k.inv().expect("nonzero scalar");
+                    bases[3] = group.exp(&group.inv(&shift), &k_inv);
+                }
+                let expect: Vec<_> = bases
+                    .iter()
+                    .map(|b| {
+                        let p = group.reference_exp(b, &k.to_uint());
+                        let shifted = group.op(&p, &shift);
+                        (p, shifted)
+                    })
+                    .collect();
+                if len > 3 && !k.is_zero() {
+                    assert_eq!(expect[3].1, group.identity());
+                }
+                let got = group.exp_shared_scalar_shifted(&bases, k, &shift);
+                assert_eq!(got, expect, "exp_shared_scalar_shifted len={len}");
+            }
+        }
+        // `len` scalars drawn from the edge cases and fresh random ones.
+        let ks: Vec<Scalar> = (0..len)
+            .map(|i| match cases.get(i) {
+                Some(k) => k.clone(),
+                None => group.random_scalar(&mut rng),
+            })
+            .collect();
+        let h3 = group.reference_exp(&group.pedersen_h(), &U256::from_u64(3));
+        for base in [group.identity(), g.clone(), h3] {
+            let expect: Vec<_> = ks
+                .iter()
+                .map(|k| group.reference_exp(&base, &k.to_uint()))
+                .collect();
+            assert_eq!(
+                group.exp_shared_base(&base, &ks),
+                expect,
+                "exp_shared_base len={len}"
+            );
+        }
+        // The all-zero pair commits to the identity.
+        let pairs: Vec<(Scalar, Scalar)> = ks
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (k.clone(), ks[(i + 1) % len].clone()))
+            .chain([(sc.zero(), sc.zero())])
+            .collect();
+        let expect: Vec<_> = pairs.iter().map(|(m, r)| group.pedersen_gh(m, r)).collect();
+        assert_eq!(group.pedersen_gh_many(&pairs), expect, "len={len}");
+    }
+}
+
+#[test]
+fn p256_shared_paths_match_per_element() {
+    check_shared_paths(&P256Group::new(), 0x5A4E);
+}
+
+#[test]
+fn modp_shared_paths_match_per_element() {
+    check_shared_paths(&ModpGroup::new(), 0x5A4F);
 }
 
 /// Batch Schnorr verification: all-valid accepts, one forged member

@@ -218,6 +218,15 @@ fn thousand_subscribers_pool_threads_and_misbehaving_peer_isolation() {
     drain.store(true, Ordering::Relaxed);
     trickler.join().unwrap();
 
+    // The eight healthy sockets are closed by now, but the broker notices
+    // a closed peer only on its next reaper sweep: wait for the count to
+    // settle on the herd, which must not shrink below it either.
+    let reap_deadline = Instant::now() + Duration::from_secs(20);
+    assert!(
+        wait_until(reap_deadline, || broker.subscriber_count() <= IDLE_SUBS),
+        "closed healthy sockets never reaped: {} subscribers",
+        broker.subscriber_count(),
+    );
     assert_eq!(broker.subscriber_count(), IDLE_SUBS, "idle herd untouched");
     drop(idle);
     drop(stalled);

@@ -5,6 +5,7 @@
 
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
 use pbcd_net::{Broker, BrokerClient, BrokerConfig, FsyncPolicy, PeerRole, TraceKind};
+use std::time::{Duration, Instant};
 
 fn container(name: &str, epoch: u64, marker: &[u8]) -> BroadcastContainer {
     BroadcastContainer {
@@ -59,8 +60,26 @@ fn live_broker_scrape_contains_full_metric_set() {
     }
 
     // Scrape over the socket, from a fresh connection (any peer may ask).
+    // The writer shard accounts a delivery after its socket write, so the
+    // subscriber can hold frame 5 before the broker has counted it:
+    // re-scrape until all five are counted and traced.
     let mut scraper = BrokerClient::connect(addr, PeerRole::Publisher).unwrap();
-    let text = scraper.stats().unwrap();
+    let delivers_traced = || {
+        let events = broker.trace_events();
+        events
+            .iter()
+            .filter(|e| e.kind == TraceKind::Deliver)
+            .count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let text = loop {
+        let text = scraper.stats().unwrap();
+        let counted = text.contains("broker_deliveries_total 5") && delivers_traced() == 5;
+        if counted || Instant::now() >= deadline {
+            break text;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
 
     // Counters and gauges the acceptance criteria name.
     assert!(text.contains("broker_publishes_total 5"), "{text}");

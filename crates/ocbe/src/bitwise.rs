@@ -8,6 +8,12 @@
 //! payload encrypted under `k = H(k₀‖…‖k_{ℓ−1})`. A receiver whose digits
 //! are all bits recovers every `kᵢ`; an unqualified receiver's digit `d₀`
 //! is a non-bit field element and its share cannot be unmasked.
+//!
+//! Each stage is one list operation of the group backend: the receiver
+//! commits to its ℓ digits together, the sender raises the ℓ commitments
+//! to the one `y` and gets the `j = 1` twins from the one shift `g^{−y}`
+//! (`(cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}`), and the receiver raises the one `η` to
+//! its ℓ digit randomnesses.
 
 use crate::error::OcbeError;
 use pbcd_commit::{Commitment, Opening, Pedersen};
@@ -166,11 +172,11 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
         // as the non-bit it almost surely is.
     }
 
-    let commitments = digit_scalars
-        .iter()
-        .zip(&randomness)
-        .map(|(d, r)| ped.commit_with(d, r))
+    let pairs: Vec<(Scalar, Scalar)> = digit_scalars
+        .into_iter()
+        .zip(randomness.iter().cloned())
         .collect();
+    let commitments = ped.commit_many_with(&pairs);
     Ok((
         BitProof { commitments },
         BitSecrets {
@@ -224,17 +230,20 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
 
     let y = group.random_nonzero_scalar(rng);
     let eta = group.exp_h(&y);
-    let g_inv = group.inv(&group.generator());
-    let mut shares = Vec::with_capacity(ell);
-    for (ci, ki) in proof.commitments.iter().zip(&key_shares) {
-        let sigma0 = group.exp(ci.element(), &y);
-        let shifted = group.op(ci.element(), &g_inv);
-        let sigma1 = group.exp(&shifted, &y);
-        shares.push([
-            xor32(&sha256(&group.serialize(&sigma0)), ki),
-            xor32(&sha256(&group.serialize(&sigma1)), ki),
-        ]);
-    }
+    // (cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}: one exponentiation per digit and one
+    // fixed-base shift for the whole envelope.
+    let g_neg_y = group.exp_g(&-&y);
+    let digits: Vec<G::Elem> = proof
+        .commitments
+        .iter()
+        .map(|c| c.element().clone())
+        .collect();
+    let shares = group
+        .exp_shared_scalar_shifted(&digits, &y, &g_neg_y)
+        .iter()
+        .zip(&key_shares)
+        .map(|((sigma0, sigma1), ki)| [mask(group, sigma0, ki), mask(group, sigma1, ki)])
+        .collect();
     let ciphertext = AuthKey::from_master(&master).encrypt(rng, payload);
     Ok(BitwiseEnvelope {
         eta,
@@ -254,26 +263,28 @@ pub fn open<G: CyclicGroup>(
     if env.shares.len() != secrets.digit_bits.len() {
         return None;
     }
-    let mut concat = Vec::with_capacity(32 * env.shares.len());
-    for ((share, bit), r) in env
-        .shares
+    // A digit that is not a bit has no share to unmask: an unqualified
+    // receiver stops here, before any exponentiation.
+    let bits: Vec<usize> = secrets
+        .digit_bits
         .iter()
-        .zip(&secrets.digit_bits)
-        .zip(&secrets.randomness)
-    {
-        let j = (*bit)? as usize;
-        let sigma = group.exp(&env.eta, r);
-        let k = xor32(&sha256(&group.serialize(&sigma)), &share[j]);
-        concat.extend_from_slice(&k);
+        .map(|bit| bit.map(usize::from))
+        .collect::<Option<_>>()?;
+    // σᵢ = η^{rᵢ}: ℓ scalars under the one base η.
+    let sigmas = group.exp_shared_base(&env.eta, &secrets.randomness);
+    let mut concat = Vec::with_capacity(32 * env.shares.len());
+    for ((share, j), sigma) in env.shares.iter().zip(bits).zip(&sigmas) {
+        concat.extend_from_slice(&mask(group, sigma, &share[j]));
     }
     let master = sha256(&concat);
     AuthKey::from_master(&master).decrypt(&env.ciphertext).ok()
 }
 
-fn xor32(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
-    let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = a[i] ^ b[i];
+/// `H(σ) ⊕ k`: masks a key share under `σ`, or unmasks it again.
+fn mask<G: CyclicGroup>(group: &G, sigma: &G::Elem, k: &[u8; 32]) -> [u8; 32] {
+    let mut out = sha256(&group.serialize(sigma));
+    for (o, b) in out.iter_mut().zip(k) {
+        *o ^= b;
     }
     out
 }

@@ -138,6 +138,16 @@ impl<G: CyclicGroup> Envelope<G> {
     }
 }
 
+/// How a predicate maps onto the EQ/GE/LE primitives.
+enum Route {
+    /// EQ-OCBE on the threshold itself.
+    Eq,
+    /// One bitwise envelope.
+    Bits(Direction, u64),
+    /// `≠`: the GE and LE thresholds, each absent at its edge of the range.
+    Dual { ge: Option<u64>, le: Option<u64> },
+}
+
 impl<G: CyclicGroup> OcbeSystem<G> {
     /// Creates a deployment with attribute width `ell` bits.
     pub fn new(group: G, ell: u32) -> Self {
@@ -163,6 +173,24 @@ impl<G: CyclicGroup> OcbeSystem<G> {
         self.ell
     }
 
+    /// The bitwise envelopes `predicate` runs on (module docs): each is a
+    /// direction and a threshold, `>`/`<` moving the threshold by one and
+    /// `≠` taking both strict sides. Only for satisfiable predicates.
+    fn route(&self, predicate: &Predicate) -> Route {
+        let t = predicate.threshold;
+        match predicate.op {
+            ComparisonOp::Eq => Route::Eq,
+            ComparisonOp::Ge => Route::Bits(Direction::Ge, t),
+            ComparisonOp::Gt => Route::Bits(Direction::Ge, t + 1),
+            ComparisonOp::Le => Route::Bits(Direction::Le, t),
+            ComparisonOp::Lt => Route::Bits(Direction::Le, t - 1),
+            ComparisonOp::Neq => Route::Dual {
+                ge: (t < max_value(self.ell)).then(|| t + 1),
+                le: (t > 0).then(|| t - 1),
+            },
+        }
+    }
+
     /// Receiver phase 1: builds the proof message for `predicate` given the
     /// receiver's attribute value `x` and its commitment opening.
     ///
@@ -178,91 +206,24 @@ impl<G: CyclicGroup> OcbeSystem<G> {
         if !predicate.satisfiable(self.ell) {
             return Err(OcbeError::UnsatisfiablePredicate);
         }
-        match predicate.op {
-            ComparisonOp::Eq => Ok((ProofMessage::Empty, ProofSecrets::Empty)),
-            ComparisonOp::Ge => {
-                let (p, s) = bitwise::prepare(
-                    &self.ped,
-                    x,
-                    opening,
-                    predicate.threshold,
-                    self.ell,
-                    Direction::Ge,
-                    rng,
-                )?;
-                Ok((ProofMessage::Bits(p), ProofSecrets::Bits(s)))
+        let mut prepare =
+            |dir, x0| bitwise::prepare(&self.ped, x, opening, x0, self.ell, dir, &mut *rng);
+        Ok(match self.route(predicate) {
+            Route::Eq => (ProofMessage::Empty, ProofSecrets::Empty),
+            Route::Bits(dir, x0) => {
+                let (p, s) = prepare(dir, x0)?;
+                (ProofMessage::Bits(p), ProofSecrets::Bits(s))
             }
-            ComparisonOp::Gt => {
-                let (p, s) = bitwise::prepare(
-                    &self.ped,
-                    x,
-                    opening,
-                    predicate.threshold + 1,
-                    self.ell,
-                    Direction::Ge,
-                    rng,
-                )?;
-                Ok((ProofMessage::Bits(p), ProofSecrets::Bits(s)))
-            }
-            ComparisonOp::Le => {
-                let (p, s) = bitwise::prepare(
-                    &self.ped,
-                    x,
-                    opening,
-                    predicate.threshold,
-                    self.ell,
-                    Direction::Le,
-                    rng,
-                )?;
-                Ok((ProofMessage::Bits(p), ProofSecrets::Bits(s)))
-            }
-            ComparisonOp::Lt => {
-                let (p, s) = bitwise::prepare(
-                    &self.ped,
-                    x,
-                    opening,
-                    predicate.threshold - 1,
-                    self.ell,
-                    Direction::Le,
-                    rng,
-                )?;
-                Ok((ProofMessage::Bits(p), ProofSecrets::Bits(s)))
-            }
-            ComparisonOp::Neq => {
-                let (ge, ge_s) = if predicate.threshold < max_value(self.ell) {
-                    let (p, s) = bitwise::prepare(
-                        &self.ped,
-                        x,
-                        opening,
-                        predicate.threshold + 1,
-                        self.ell,
-                        Direction::Ge,
-                        rng,
-                    )?;
-                    (Some(p), Some(s))
-                } else {
-                    (None, None)
-                };
-                let (le, le_s) = if predicate.threshold > 0 {
-                    let (p, s) = bitwise::prepare(
-                        &self.ped,
-                        x,
-                        opening,
-                        predicate.threshold - 1,
-                        self.ell,
-                        Direction::Le,
-                        rng,
-                    )?;
-                    (Some(p), Some(s))
-                } else {
-                    (None, None)
-                };
-                Ok((
+            Route::Dual { ge, le } => {
+                let ge = ge.map(|x0| prepare(Direction::Ge, x0)).transpose()?;
+                let le = le.map(|x0| prepare(Direction::Le, x0)).transpose()?;
+                let ((ge, ge_s), (le, le_s)) = (ge.unzip(), le.unzip());
+                (
                     ProofMessage::Dual { ge, le },
                     ProofSecrets::Dual { ge: ge_s, le: le_s },
-                ))
+                )
             }
-        }
+        })
     }
 
     /// Sender phase: validates the proof message against the receiver's
@@ -278,86 +239,37 @@ impl<G: CyclicGroup> OcbeSystem<G> {
         if !predicate.satisfiable(self.ell) {
             return Err(OcbeError::UnsatisfiablePredicate);
         }
-        match (predicate.op, proof) {
-            (ComparisonOp::Eq, ProofMessage::Empty) => {
+        let mut compose = |dir, x0, p: &BitProof<G>| {
+            bitwise::compose(&self.ped, c, x0, self.ell, dir, p, payload, &mut *rng)
+        };
+        match (self.route(predicate), proof) {
+            (Route::Eq, ProofMessage::Empty) => {
                 let x0 = self.group().scalar_ctx().from_u64(predicate.threshold);
                 Ok(Envelope::Eq(eq::compose(&self.ped, c, &x0, payload, rng)))
             }
-            (ComparisonOp::Ge, ProofMessage::Bits(p)) => Ok(Envelope::Ge(bitwise::compose(
-                &self.ped,
-                c,
-                predicate.threshold,
-                self.ell,
-                Direction::Ge,
-                p,
-                payload,
-                rng,
-            )?)),
-            (ComparisonOp::Gt, ProofMessage::Bits(p)) => Ok(Envelope::Ge(bitwise::compose(
-                &self.ped,
-                c,
-                predicate.threshold + 1,
-                self.ell,
-                Direction::Ge,
-                p,
-                payload,
-                rng,
-            )?)),
-            (ComparisonOp::Le, ProofMessage::Bits(p)) => Ok(Envelope::Le(bitwise::compose(
-                &self.ped,
-                c,
-                predicate.threshold,
-                self.ell,
-                Direction::Le,
-                p,
-                payload,
-                rng,
-            )?)),
-            (ComparisonOp::Lt, ProofMessage::Bits(p)) => Ok(Envelope::Le(bitwise::compose(
-                &self.ped,
-                c,
-                predicate.threshold - 1,
-                self.ell,
-                Direction::Le,
-                p,
-                payload,
-                rng,
-            )?)),
-            (ComparisonOp::Neq, ProofMessage::Dual { ge, le }) => {
-                let want_ge = predicate.threshold < max_value(self.ell);
-                let want_le = predicate.threshold > 0;
-                if want_ge != ge.is_some() || want_le != le.is_some() {
-                    return Err(OcbeError::ProofShapeMismatch);
-                }
-                let ge_env = match ge {
-                    Some(p) => Some(bitwise::compose(
-                        &self.ped,
-                        c,
-                        predicate.threshold + 1,
-                        self.ell,
-                        Direction::Ge,
-                        p,
-                        payload,
-                        rng,
-                    )?),
-                    None => None,
-                };
-                let le_env = match le {
-                    Some(p) => Some(bitwise::compose(
-                        &self.ped,
-                        c,
-                        predicate.threshold - 1,
-                        self.ell,
-                        Direction::Le,
-                        p,
-                        payload,
-                        rng,
-                    )?),
-                    None => None,
-                };
+            (Route::Bits(dir, x0), ProofMessage::Bits(p)) => {
+                let env = compose(dir, x0, p)?;
+                Ok(match dir {
+                    Direction::Ge => Envelope::Ge(env),
+                    Direction::Le => Envelope::Le(env),
+                })
+            }
+            (
+                Route::Dual {
+                    ge: ge_x0,
+                    le: le_x0,
+                },
+                ProofMessage::Dual { ge, le },
+            ) if ge_x0.is_some() == ge.is_some() && le_x0.is_some() == le.is_some() => {
+                let ge = ge_x0.zip(ge.as_ref());
+                let le = le_x0.zip(le.as_ref());
                 Ok(Envelope::Dual {
-                    ge: ge_env,
-                    le: le_env,
+                    ge: ge
+                        .map(|(x0, p)| compose(Direction::Ge, x0, p))
+                        .transpose()?,
+                    le: le
+                        .map(|(x0, p)| compose(Direction::Le, x0, p))
+                        .transpose()?,
                 })
             }
             _ => Err(OcbeError::ProofShapeMismatch),
