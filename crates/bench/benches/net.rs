@@ -9,19 +9,11 @@
 //!   the event-driven broker I/O plane, with the subscribers multiplexed
 //!   onto a few client-side sweep threads (`pbcd_bench::FanoutHerd`) so
 //!   the measuring process does not itself pay a thread per subscriber.
-//! * `net_registration_concurrency` — full oblivious registration
-//!   round-trips through `pbcd_net::direct`, serialized handler
-//!   (`RegistrationServer::bind`, one service mutex) vs. concurrent
-//!   handler (`bind_concurrent` + `SharedPublisherService`, sharded CSS
-//!   table) as the connection count grows: the concurrent path's
-//!   throughput should scale with connections, the serialized one
-//!   plateaus.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pbcd_bench::{fanout_container, registration_workload, run_registration_clients, FanoutHerd};
-use pbcd_core::SharedPublisherService;
-use pbcd_net::{Broker, BrokerClient, BrokerConfig, PeerRole, RegistrationServer};
-use std::sync::{mpsc, Arc, Mutex};
+use pbcd_bench::{fanout_container, FanoutHerd};
+use pbcd_net::{Broker, BrokerClient, BrokerConfig, PeerRole};
+use std::sync::mpsc;
 use std::time::Duration;
 
 fn bench_fanout(c: &mut Criterion) {
@@ -121,50 +113,5 @@ fn bench_fanout_pooled(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_registration_concurrency(c: &mut Criterion) {
-    let mut group = c.benchmark_group("net_registration_concurrency");
-    group.sample_size(10);
-    const CALLS: usize = 4;
-
-    for conns in [1usize, 2, 4, 8] {
-        // Serialized: every request takes the single service mutex.
-        let (service, requests) = registration_workload(conns);
-        let shared = Arc::new(Mutex::new(service));
-        let handler = Arc::clone(&shared);
-        let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| {
-            handler.lock().expect("service lock").handle(req)
-        })
-        .expect("bind serialized");
-        let addr = server.addr();
-        group.throughput(Throughput::Elements((conns * CALLS) as u64));
-        group.bench_with_input(BenchmarkId::new("serialized", conns), &conns, |b, _| {
-            b.iter(|| run_registration_clients(addr, &requests, CALLS))
-        });
-        server.shutdown();
-
-        // Concurrent: the sharded service, no handler lock.
-        let (service, requests) = registration_workload(conns);
-        let shared = Arc::new(SharedPublisherService::new(service));
-        shared.reseed(1);
-        let handler = Arc::clone(&shared);
-        let server = RegistrationServer::bind_concurrent("127.0.0.1:0", move |req: &[u8]| {
-            handler.handle(req)
-        })
-        .expect("bind concurrent");
-        let addr = server.addr();
-        group.throughput(Throughput::Elements((conns * CALLS) as u64));
-        group.bench_with_input(BenchmarkId::new("concurrent", conns), &conns, |b, _| {
-            b.iter(|| run_registration_clients(addr, &requests, CALLS))
-        });
-        server.shutdown();
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_fanout,
-    bench_fanout_pooled,
-    bench_registration_concurrency
-);
+criterion_group!(benches, bench_fanout, bench_fanout_pooled);
 criterion_main!(benches);

@@ -17,9 +17,9 @@
 //! and writes
 //! `BENCH_group_ops.json` (`op → ns/iter`) to the current directory, so
 //! the perf trajectory is tracked in-repo per PR — and the network plane
-//! (broker fan-out publish latency incl. a stalled subscriber, serialized
-//! vs concurrent vs batched registration throughput, first-request
-//! latency) into `BENCH_net.json`. It is **not** part of `all`: the JSONs are committed
+//! (broker fan-out publish latency incl. a stalled subscriber, batched
+//! vs sequential registration throughput, first-request latency) into
+//! `BENCH_net.json`. It is **not** part of `all`: the JSONs are committed
 //! deliberately, from a full (non-quick) run.
 
 use pbcd_bench::{bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, print_row, time_avg};
@@ -116,25 +116,19 @@ fn os_thread_count() -> Option<usize> {
 /// * the same fan-out with the durable retention log enabled (fsync off)
 ///   — the `persist_*` entries — plus the raw per-record append cost and
 ///   the startup recovery scan over the full log;
-/// * full oblivious EQ-registration throughput through
-///   `pbcd_net::direct`, serialized single-mutex handler vs the
-///   concurrent sharded service, across connection counts;
+/// * full oblivious EQ-registration through `pbcd_net::direct`: one
+///   `RegisterBatch` frame vs the same items as single round-trips, and
+///   the first request on a fresh connection;
 /// * the relay overlay: publish → all-edge-delivery latency through a
 ///   1-origin/4-edge tree at the same total subscriber count as the flat
 ///   fan-out (the delta is the cost of one relay hop), and the
 ///   log-backed cold-start rate (records/s) for a late-attached edge.
-///
-/// Caveat recorded in the JSON: on a single-vCPU container the
-/// serialized/concurrent pair is expected to be at parity (there is no
-/// second core to scale onto); the structural claim there is the removed
-/// lock, asserted by `direct::tests::concurrent_handler_really_runs_in_parallel`.
 fn bench_net_json(opts: &Opts) {
-    use pbcd_core::SharedPublisherService;
     use pbcd_net::{
         Broker, BrokerClient, BrokerConfig, ConfigSummary, FsyncPolicy, PeerRole,
         RegistrationServer, RetentionStore,
     };
-    use std::sync::{mpsc, Arc, Mutex};
+    use std::sync::{mpsc, Arc};
 
     let rounds = if opts.quick { 3 } else { 50 };
     println!("== bench-json: network plane (avg over {rounds} rounds) ==");
@@ -447,66 +441,15 @@ fn bench_net_json(opts: &Opts) {
         ));
     }
 
-    // --- registration throughput: serialized vs concurrent handler ---
-    // (workload shared with `benches/net.rs` via the pbcd_bench library,
-    // so the two measurements cannot silently diverge)
-    let calls = if opts.quick { 2 } else { 8 };
-    let conn_counts: &[usize] = if opts.quick { &[2] } else { &[1, 4, 8] };
-    for &conns in conn_counts {
-        let (service, requests) = pbcd_bench::registration_workload(conns);
-        let shared = Arc::new(Mutex::new(service));
-        let handler = Arc::clone(&shared);
-        let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| {
-            handler.lock().expect("service lock").handle(req)
-        })
-        .expect("bind serialized");
-        let t = Instant::now();
-        pbcd_bench::run_registration_clients(server.addr(), &requests, calls);
-        let serialized = t.elapsed();
-        server.shutdown();
-
-        let (service, requests) = pbcd_bench::registration_workload(conns);
-        let shared = Arc::new(SharedPublisherService::new(service));
-        shared.reseed(1);
-        let handler = Arc::clone(&shared);
-        let server = RegistrationServer::bind_concurrent("127.0.0.1:0", move |req: &[u8]| {
-            handler.handle(req)
-        })
-        .expect("bind concurrent");
-        let t = Instant::now();
-        pbcd_bench::run_registration_clients(server.addr(), &requests, calls);
-        let concurrent = t.elapsed();
-        server.shutdown();
-
-        let ops = (conns * calls) as f64;
-        let ser_rps = ops / serialized.as_secs_f64();
-        let con_rps = ops / concurrent.as_secs_f64();
-        println!(
-            "registration conns={conns}: serialized {ser_rps:>8.0} ops/s, concurrent {con_rps:>8.0} ops/s"
-        );
-        entries.push((
-            format!("registration_serialized_c{conns}_ops_per_s"),
-            ser_rps,
-        ));
-        entries.push((
-            format!("registration_concurrent_c{conns}_ops_per_s"),
-            con_rps,
-        ));
-    }
-
     // --- batched registration: one RegisterBatch frame vs n single
     // round-trips over the same connection, same service, same proofs ---
     {
         let batch_n = 16usize;
         let rounds = if opts.quick { 1 } else { 6 };
         let (service, batch_req, singles) = pbcd_bench::registration_batch_workload(batch_n);
-        let shared = Arc::new(SharedPublisherService::new(service));
-        shared.reseed(1);
-        let handler = Arc::clone(&shared);
-        let server = RegistrationServer::bind_concurrent("127.0.0.1:0", move |req: &[u8]| {
-            handler.handle(req)
-        })
-        .expect("bind concurrent");
+        service.reseed(1);
+        let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| service.handle(req))
+            .expect("bind registration");
         let mut client =
             pbcd_net::RegistrationClient::connect(server.addr()).expect("connect batch client");
         // First response end-to-end from a fresh connection: with the
@@ -715,8 +658,8 @@ fn bench_net_json(opts: &Opts) {
         if opts.quick { "quick" } else { "full" }
     ));
     if cores == 1 {
-        // The pooled writer/reader planes and the concurrent registration
-        // handler exist to scale across cores; on a single-vCPU host the
+        // The pooled writer/reader planes and the registration handler
+        // threads exist to scale across cores; on a single-vCPU host the
         // numbers can only show the structural claims (enqueue-bounded
         // latency, O(pool) threads), never parallel speedup. Flag it so a
         // reader of the committed JSON knows a multicore rerun is owed.
@@ -729,9 +672,8 @@ fn bench_net_json(opts: &Opts) {
          herd; os_threads_at_1k_subs is the process thread count with 1024 live \
          subscriptions (O(pool), not O(subscribers)). persist_* repeats the fan-out \
          with the durable retention log on (fsync off); the append is one buffered \
-         write before Ack and must keep publish_ack within 2x of in-memory. On a \
-         1-core host the serialized/concurrent registration pair is expected at \
-         parity; scaling shows on multicore (see multicore_pending). relay_tree_* is \
+         write before Ack and must keep publish_ack within 2x of in-memory. \
+         relay_tree_* is \
          the same all-delivered measurement through a 1-origin/4-edge overlay at equal \
          total subscribers (compare fanout_N_all_delivered_ns); relay_catch_up is the \
          log-backed cold-start stream rate for a late-attached edge.\",\n",

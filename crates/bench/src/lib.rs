@@ -365,8 +365,8 @@ impl FanoutHerd {
     }
 }
 
-/// The two-condition ward policy set used by the registration benches.
-pub fn registration_policies() -> pbcd_policy::PolicySet {
+/// The two-condition ward policy set of the registration workload.
+fn registration_policies() -> pbcd_policy::PolicySet {
     use pbcd_policy::{AccessControlPolicy, AttributeCondition, ComparisonOp, PolicySet};
     let mut set = PolicySet::new();
     set.add(AccessControlPolicy::new(
@@ -382,18 +382,29 @@ pub fn registration_policies() -> pbcd_policy::PolicySet {
     set
 }
 
-/// A registration-throughput workload: the publisher service plus one
-/// pre-encoded EQ `RegisterRequest` per connection. Distinct subscribers,
-/// so concurrent issues land in different CSS-table rows; a replayed
+/// A batched-registration workload: the publisher service plus `n`
+/// distinct-subscriber EQ registrations, returned both as one
+/// `RegisterBatch` frame and as the `n` individual `Register` frames, so a
+/// bench can price the round-trip amortization directly (same service,
+/// same proofs, same verification work — only the framing differs).
+/// Distinct subscribers land in different CSS-table rows; a replayed
 /// request is re-served by design (credential-update semantics), which
-/// makes each request an ideal repeatable unit of work.
-pub fn registration_workload(n: usize) -> (pbcd_core::PublisherService<P256Group>, Vec<Vec<u8>>) {
+/// makes each request a repeatable unit of work.
+pub fn registration_batch_workload(
+    n: usize,
+) -> (
+    pbcd_core::PublisherService<P256Group>,
+    Vec<u8>,
+    Vec<Vec<u8>>,
+) {
+    use pbcd_core::proto::Request;
     use pbcd_core::{PublisherService, RegistrationSession, SystemHarness};
     use pbcd_policy::{AttributeCondition, AttributeSet};
     let mut sys = SystemHarness::new_p256(registration_policies(), 0xBE7C);
     let group = P256Group::new();
     let cond = AttributeCondition::eq_str("role", "doctor");
-    let mut requests = Vec::new();
+    let mut singles = Vec::new();
+    let mut items = Vec::new();
     for i in 0..n {
         let mut sub = sys.onboard(
             &format!("bench-subject-{i}"),
@@ -404,56 +415,17 @@ pub fn registration_workload(n: usize) -> (pbcd_core::PublisherService<P256Group
         let mut rng = StdRng::seed_from_u64(100 + i as u64);
         let session = RegistrationSession::new(&mut sub, group.clone(), 48);
         let (request, _pending) = session.start(&cond, &mut rng).expect("start");
-        requests.push(request);
+        match Request::decode(&group, &request).expect("single decodes") {
+            Request::Register(item) => items.push(item),
+            other => panic!("expected Register, got {other:?}"),
+        }
+        singles.push(request);
     }
-    let SystemHarness { publisher, .. } = sys;
-    (PublisherService::new(publisher, 1), requests)
-}
-
-/// A batched-registration workload: the same `n` distinct-subscriber EQ
-/// registrations as [`registration_workload`], returned both as one
-/// `RegisterBatch` frame and as the `n` individual `Register` frames, so a
-/// bench can price the round-trip amortization directly (same service,
-/// same proofs, same verification work — only the framing differs).
-pub fn registration_batch_workload(
-    n: usize,
-) -> (
-    pbcd_core::PublisherService<P256Group>,
-    Vec<u8>,
-    Vec<Vec<u8>>,
-) {
-    use pbcd_core::proto::Request;
-    let (service, singles) = registration_workload(n);
-    let group = P256Group::new();
-    let items = singles
-        .iter()
-        .map(
-            |bytes| match Request::decode(&group, bytes).expect("single decodes") {
-                Request::Register(item) => item,
-                other => panic!("expected Register, got {other:?}"),
-            },
-        )
-        .collect();
     let batch = Request::RegisterBatch(items)
         .encode(&group)
         .expect("batch encodes");
-    (service, batch, singles)
-}
-
-/// Drives one client thread per request against a registration endpoint,
-/// `calls` round-trips each, all connections in flight at once.
-pub fn run_registration_clients(addr: std::net::SocketAddr, requests: &[Vec<u8>], calls: usize) {
-    std::thread::scope(|scope| {
-        for request in requests {
-            scope.spawn(move || {
-                let mut client = pbcd_net::RegistrationClient::connect(addr).expect("connect");
-                for _ in 0..calls {
-                    let response = client.call(request).expect("call");
-                    assert!(!response.is_empty());
-                }
-            });
-        }
-    });
+    let SystemHarness { publisher, .. } = sys;
+    (PublisherService::new(publisher, 1), batch, singles)
 }
 
 /// Pretty-prints one row of a report table.

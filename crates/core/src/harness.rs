@@ -104,7 +104,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> SystemHarness<G, K> {
         let query = Request::<G>::ConditionsQuery { attribute: None }
             .encode(&group)
             .expect("query encodes");
-        let reply = service::dispatch(&mut self.publisher, &query, &mut self.rng);
+        let reply = service::dispatch(&self.publisher, &query, &mut self.rng);
         let Ok(Response::Conditions(info)) = Response::decode(&group, &reply) else {
             panic!("publisher answered the conditions query with an error");
         };
@@ -117,7 +117,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> SystemHarness<G, K> {
             let (request, pending) = session
                 .start(cond, &mut self.rng)
                 .expect("token presence checked above");
-            let response = service::dispatch(&mut self.publisher, &request, &mut self.rng);
+            let response = service::dispatch(&self.publisher, &request, &mut self.rng);
             if pending
                 .complete(&response)
                 .expect("harness registrations are well-formed")

@@ -49,10 +49,7 @@ pub use idp::{AttributeAssertion, IdentityProvider};
 pub use net::{NetPublisher, NetSubscriber};
 pub use publisher::Registrar;
 pub use publisher::{Publisher, PublisherConfig};
-pub use service::{
-    ConditionsSnapshot, IssueVerifier, IssuerService, PublisherService, ServiceStats,
-    SharedPublisherService,
-};
+pub use service::{IssueVerifier, IssuerService, PublisherService, ServiceStats};
 pub use session::{
     BatchRegistrationSession, PendingBatchRegistration, PendingRegistration, RegistrationSession,
 };

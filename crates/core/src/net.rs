@@ -14,7 +14,7 @@
 
 use crate::error::PbcdError;
 use crate::publisher::Publisher;
-use crate::service::{PublisherService, ServiceStats, SharedPublisherService};
+use crate::service::{PublisherService, ServiceStats};
 use crate::session;
 use crate::subscriber::Subscriber;
 use pbcd_docs::{BroadcastContainer, Element};
@@ -33,12 +33,12 @@ use std::time::Duration;
 /// authentication), and (optionally) a direct registration endpoint
 /// serves the oblivious CSS flow on a separate socket.
 ///
-/// The publisher lives inside a [`SharedPublisherService`] so the
-/// registration server's **concurrent** connection handlers and the
-/// broadcasting caller can all reach it; access it through
+/// The publisher lives inside an `Arc`-shared [`PublisherService`] so the
+/// registration server's connection handlers and the broadcasting caller
+/// can all reach it; access it through
 /// [`Self::with_publisher`]/[`Self::with_publisher_mut`].
 pub struct NetPublisher<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
-    shared: Arc<SharedPublisherService<G, K>>,
+    service: Arc<PublisherService<G, K>>,
     group: G,
     client: BrokerClient,
     registration: Option<RegistrationServer>,
@@ -60,10 +60,10 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
         service: PublisherService<G, K>,
         addr: impl ToSocketAddrs,
     ) -> Result<Self, NetError> {
-        let group = service.publisher().ocbe().group().clone();
+        let group = service.with_publisher(|p| p.ocbe().group().clone());
         let client = BrokerClient::connect(addr, PeerRole::Publisher)?;
         Ok(Self {
-            shared: Arc::new(SharedPublisherService::new(service)),
+            service: Arc::new(service),
             group,
             client,
             registration: None,
@@ -85,12 +85,11 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
     /// Subscribers point [`NetSubscriber::register_via`] (or
     /// [`crate::session::register_all_via`]) at the returned address.
     ///
-    /// The endpoint runs **concurrently**: connection handlers call
-    /// [`SharedPublisherService::handle`] in parallel, so the full
-    /// conditions query is served from a lock-free snapshot and
+    /// Connection handlers call [`PublisherService::handle`] in parallel:
+    /// the full conditions query is served from pre-encoded bytes and
     /// registrations run against the `Arc`-shared registrar + sharded CSS
-    /// table — no request class serializes on a single service mutex.
-    /// Snapshot-served conditions queries are counted in
+    /// table, so neither waits on the publisher lock (a broadcast, an
+    /// audit). Full conditions queries served that way are counted in
     /// [`ServiceStats::conditions_cache_hits`] (also exposed by
     /// [`Self::conditions_cache_hits`]), not in `requests`.
     pub fn serve_registration(
@@ -101,11 +100,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
     where
         K: 'static,
     {
-        self.shared.reseed(seed);
-        let shared = Arc::clone(&self.shared);
-        let server = RegistrationServer::bind_concurrent(addr, move |request: &[u8]| {
-            shared.handle(request)
-        })?;
+        self.service.reseed(seed);
+        let service = Arc::clone(&self.service);
+        let server = RegistrationServer::bind(addr, move |request: &[u8]| service.handle(request))?;
         let bound = server.addr();
         self.registration = Some(server);
         Ok(bound)
@@ -119,24 +116,24 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
     /// Runs `f` against the wrapped publisher (policy inspection, table
     /// audits).
     pub fn with_publisher<T>(&self, f: impl FnOnce(&Publisher<G, K>) -> T) -> T {
-        self.shared.with_publisher(f)
+        self.service.with_publisher(f)
     }
 
     /// Runs `f` against the wrapped publisher mutably (revocation and
     /// other publisher-local actions). Invalidates the pre-encoded
     /// conditions snapshot and the registration-material snapshot — an
     /// arbitrary mutation may change what either should serve; both
-    /// repopulate lazily, serialized against the service lock so stale
+    /// repopulate lazily, serialized against the publisher lock so stale
     /// material can never be re-installed.
     pub fn with_publisher_mut<T>(&self, f: impl FnOnce(&mut Publisher<G, K>) -> T) -> T {
-        self.shared.with_publisher_mut(f)
+        self.service.with_publisher_mut(f)
     }
 
     /// How many full-conditions queries the registration endpoint served
-    /// straight from the snapshot (without the service mutex). Also
+    /// straight from the snapshot (without the publisher lock). Also
     /// reported as [`ServiceStats::conditions_cache_hits`].
     pub fn conditions_cache_hits(&self) -> u64 {
-        self.shared.conditions_cache_hits()
+        self.service.stats().conditions_cache_hits
     }
 
     /// A clone of the public policy set.
@@ -155,10 +152,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
         self.with_publisher_mut(|p| p.revoke_credential(nym, cond))
     }
 
-    /// Registration-service traffic counters (both service paths plus the
-    /// conditions-snapshot hit count).
+    /// Registration-service traffic counters.
     pub fn service_stats(&self) -> ServiceStats {
-        self.shared.stats()
+        self.service.stats()
     }
 
     /// Segments, rekeys and encrypts `doc` exactly like
@@ -175,7 +171,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
         rng: &mut R,
     ) -> Result<PublishReceipt, PbcdError> {
         let container = self
-            .shared
+            .service
             .with_publisher_broadcast(|p| p.broadcast(doc, doc_name, rng));
         let receipt = match &self.signing {
             Some((key_id, key)) => {
@@ -199,9 +195,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
             server.shutdown();
         }
         self.client.bye()?;
-        let shared = Arc::try_unwrap(self.shared)
+        let service = Arc::try_unwrap(self.service)
             .map_err(|_| NetError::protocol("registration handler still alive after shutdown"))?;
-        Ok(shared.into_service().into_inner())
+        Ok(service.into_inner())
     }
 }
 

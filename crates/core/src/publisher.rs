@@ -164,46 +164,16 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         self.policies.conditions_on_attribute(attribute)
     }
 
-    /// Registration (paper §V-B): verifies the token, generates a fresh
-    /// CSS for `(nym, cond)`, records it in `T`, and returns the OCBE
-    /// envelope that delivers the CSS iff the committed value satisfies
-    /// the condition. The publisher never learns whether it did.
+    /// Registration (paper §V-B) against the current policy set — see
+    /// [`Registrar::register`], which this goes through.
     pub fn register<R: RngCore + ?Sized>(
-        &mut self,
+        &self,
         token: &IdentityToken<G>,
         cond: &AttributeCondition,
         proof: &ProofMessage<G>,
         rng: &mut R,
     ) -> Result<Envelope<G>, PbcdError> {
-        register_inner(
-            &self.ocbe,
-            &self.idmgr_key,
-            &self.policies.distinct_conditions(),
-            &self.table,
-            token,
-            cond,
-            proof,
-            rng,
-        )
-    }
-
-    /// Cohort registration: like [`Self::register`] for every item of the
-    /// batch, but token authentication costs **one** batched Schnorr check
-    /// for the whole cohort instead of one double exponentiation per item.
-    /// Outcomes are per item: a bad item costs only itself.
-    pub fn register_batch<R: RngCore + ?Sized>(
-        &mut self,
-        items: &[(IdentityToken<G>, AttributeCondition, ProofMessage<G>)],
-        rng: &mut R,
-    ) -> Vec<Result<Envelope<G>, PbcdError>> {
-        register_batch_inner(
-            &self.ocbe,
-            &self.idmgr_key,
-            &self.policies.distinct_conditions(),
-            &self.table,
-            items,
-            rng,
-        )
+        self.registrar().register(token, cond, proof, rng)
     }
 
     /// Credential revocation: deletes one `(nym, cond)` record. The next
@@ -392,8 +362,10 @@ impl<G: CyclicGroup> Registrar<G> {
         &self.ocbe
     }
 
-    /// Registration, identical in behaviour to [`Publisher::register`] but
-    /// callable from concurrent handler threads.
+    /// Registration (paper §V-B): verifies the token, generates a fresh
+    /// CSS for `(nym, cond)`, records it in `T`, and returns the OCBE
+    /// envelope that delivers the CSS iff the committed value satisfies
+    /// the condition. The publisher never learns whether it did.
     pub fn register<R: RngCore + ?Sized>(
         &self,
         token: &IdentityToken<G>,
@@ -401,123 +373,77 @@ impl<G: CyclicGroup> Registrar<G> {
         proof: &ProofMessage<G>,
         rng: &mut R,
     ) -> Result<Envelope<G>, PbcdError> {
-        register_inner(
-            &self.ocbe,
-            &self.idmgr_key,
-            &self.conditions,
-            &self.table,
-            token,
-            cond,
-            proof,
-            rng,
-        )
+        token.verify(self.ocbe.pedersen(), &self.idmgr_key)?;
+        self.register_verified(token, cond, proof, rng)
     }
 
-    /// Cohort registration, identical in behaviour to
-    /// [`Publisher::register_batch`] but callable from concurrent handler
-    /// threads: one batched Schnorr check authenticates the whole cohort.
+    /// Registration *after* token authentication: the tag/condition checks,
+    /// CSS issuance and envelope composition. Split out so the batch path can
+    /// substitute one batched Schnorr check for per-item verification.
+    fn register_verified<R: RngCore + ?Sized>(
+        &self,
+        token: &IdentityToken<G>,
+        cond: &AttributeCondition,
+        proof: &ProofMessage<G>,
+        rng: &mut R,
+    ) -> Result<Envelope<G>, PbcdError> {
+        if token.id_tag != cond.attribute {
+            return Err(PbcdError::TagMismatch {
+                token_tag: token.id_tag.clone(),
+                condition_attribute: cond.attribute.clone(),
+            });
+        }
+        if !self.conditions.iter().any(|c| c == cond) {
+            return Err(PbcdError::UnknownCondition);
+        }
+        // Fresh CSS, recorded unconditionally: `T` over-approximates — only
+        // qualified subscribers can actually open the envelope.
+        let css = self.table.issue(&Nym::new(&token.nym), cond, rng);
+        let envelope =
+            self.ocbe
+                .sender_compose(&token.commitment, &cond.predicate(), proof, &css, rng)?;
+        Ok(envelope)
+    }
+
+    /// Cohort registration: authenticates every token of the batch with **one**
+    /// random-linear-combination Schnorr check ([`pbcd_group::verify_batch`], a
+    /// single multi-scalar multiplication — and since all tokens carry the same
+    /// IdMgr key, its generator and key terms collapse) before issuing CSSs and
+    /// composing envelopes per item. Outcomes are per item and independent: a
+    /// forged token in the cohort costs only that item (the combined check
+    /// fails, and per-item verification attributes the failure), the rest
+    /// register normally.
     pub fn register_batch<R: RngCore + ?Sized>(
         &self,
         items: &[(IdentityToken<G>, AttributeCondition, ProofMessage<G>)],
         rng: &mut R,
     ) -> Vec<Result<Envelope<G>, PbcdError>> {
-        register_batch_inner(
-            &self.ocbe,
-            &self.idmgr_key,
-            &self.conditions,
-            &self.table,
-            items,
-            rng,
-        )
+        let pedersen = self.ocbe.pedersen();
+        let payloads: Vec<Vec<u8>> = items
+            .iter()
+            .map(|(token, _, _)| {
+                crate::token::token_signing_payload(
+                    pedersen,
+                    &token.nym,
+                    &token.id_tag,
+                    &token.commitment,
+                )
+            })
+            .collect();
+        let batch: Vec<(&VerifyingKey<G>, &[u8], &Signature<G>)> = items
+            .iter()
+            .zip(&payloads)
+            .map(|((token, _, _), payload)| (&self.idmgr_key, payload.as_slice(), &token.signature))
+            .collect();
+        let all_valid = verify_batch(self.ocbe.group(), &batch);
+        items
+            .iter()
+            .map(|(token, cond, proof)| {
+                if !all_valid {
+                    token.verify(pedersen, &self.idmgr_key)?;
+                }
+                self.register_verified(token, cond, proof, rng)
+            })
+            .collect()
     }
-}
-
-/// The single source of truth for registration (paper §V-B), shared by
-/// the exclusive [`Publisher::register`] and the concurrent
-/// [`Registrar::register`].
-#[allow(clippy::too_many_arguments)]
-fn register_inner<G: CyclicGroup, R: RngCore + ?Sized>(
-    ocbe: &OcbeSystem<G>,
-    idmgr_key: &VerifyingKey<G>,
-    conditions: &[AttributeCondition],
-    table: &ShardedCssTable,
-    token: &IdentityToken<G>,
-    cond: &AttributeCondition,
-    proof: &ProofMessage<G>,
-    rng: &mut R,
-) -> Result<Envelope<G>, PbcdError> {
-    token.verify(ocbe.pedersen(), idmgr_key)?;
-    register_verified_inner(ocbe, conditions, table, token, cond, proof, rng)
-}
-
-/// Registration *after* token authentication: the tag/condition checks,
-/// CSS issuance and envelope composition. Split out so the batch path can
-/// substitute one batched Schnorr check for per-item verification.
-fn register_verified_inner<G: CyclicGroup, R: RngCore + ?Sized>(
-    ocbe: &OcbeSystem<G>,
-    conditions: &[AttributeCondition],
-    table: &ShardedCssTable,
-    token: &IdentityToken<G>,
-    cond: &AttributeCondition,
-    proof: &ProofMessage<G>,
-    rng: &mut R,
-) -> Result<Envelope<G>, PbcdError> {
-    if token.id_tag != cond.attribute {
-        return Err(PbcdError::TagMismatch {
-            token_tag: token.id_tag.clone(),
-            condition_attribute: cond.attribute.clone(),
-        });
-    }
-    if !conditions.iter().any(|c| c == cond) {
-        return Err(PbcdError::UnknownCondition);
-    }
-    // Fresh CSS, recorded unconditionally: `T` over-approximates — only
-    // qualified subscribers can actually open the envelope.
-    let css = table.issue(&Nym::new(&token.nym), cond, rng);
-    let envelope = ocbe.sender_compose(&token.commitment, &cond.predicate(), proof, &css, rng)?;
-    Ok(envelope)
-}
-
-/// Cohort registration: authenticates every token of the batch with **one**
-/// random-linear-combination Schnorr check ([`pbcd_group::verify_batch`], a
-/// single multi-scalar multiplication — and since all tokens carry the same
-/// IdMgr key, its generator and key terms collapse) before issuing CSSs and
-/// composing envelopes per item. Outcomes are per item and independent: a
-/// forged token in the cohort costs only that item (the combined check
-/// fails, and per-item verification attributes the failure), the rest
-/// register normally.
-fn register_batch_inner<G: CyclicGroup, R: RngCore + ?Sized>(
-    ocbe: &OcbeSystem<G>,
-    idmgr_key: &VerifyingKey<G>,
-    conditions: &[AttributeCondition],
-    table: &ShardedCssTable,
-    items: &[(IdentityToken<G>, AttributeCondition, ProofMessage<G>)],
-    rng: &mut R,
-) -> Vec<Result<Envelope<G>, PbcdError>> {
-    let payloads: Vec<Vec<u8>> = items
-        .iter()
-        .map(|(token, _, _)| {
-            crate::token::token_signing_payload(
-                ocbe.pedersen(),
-                &token.nym,
-                &token.id_tag,
-                &token.commitment,
-            )
-        })
-        .collect();
-    let batch: Vec<(&VerifyingKey<G>, &[u8], &Signature<G>)> = items
-        .iter()
-        .zip(&payloads)
-        .map(|((token, _, _), payload)| (idmgr_key, payload.as_slice(), &token.signature))
-        .collect();
-    let all_valid = verify_batch(ocbe.group(), &batch);
-    items
-        .iter()
-        .map(|(token, cond, proof)| {
-            if !all_valid {
-                token.verify(ocbe.pedersen(), idmgr_key)?;
-            }
-            register_verified_inner(ocbe, conditions, table, token, cond, proof, rng)
-        })
-        .collect()
 }

@@ -2,14 +2,16 @@
 //! bytes-in/bytes-out entry points over the [`crate::proto`] messages.
 //!
 //! A service owns its actor and a deterministic RNG, and exposes exactly
-//! one method — `handle(request_bytes) -> response_bytes` — that is
+//! one method — `handle(&self, request_bytes) -> response_bytes` — that is
 //! **total**: malformed, hostile or out-of-protocol input yields an
 //! encoded [`proto::ErrorResponse`], never a panic, and the service keeps
-//! serving. Because the surface is pure bytes it is trivially
-//! rate-limitable, fuzzable, and transportable: pass `handle` as the
-//! handler of a [`pbcd_net::direct::RegistrationServer`] and the whole
-//! registration flow crosses real sockets with no shared `OcbeSystem`
-//! references between the endpoints.
+//! serving. It is also callable from any number of threads at once: each
+//! service guards its own state, so the transport holds no lock around
+//! it. Because the surface is pure bytes it is trivially rate-limitable,
+//! fuzzable, and transportable: pass `handle` as the handler of a
+//! [`pbcd_net::direct::RegistrationServer`] and the whole registration
+//! flow crosses real sockets with no shared `OcbeSystem` references
+//! between the endpoints.
 
 use crate::error::PbcdError;
 use crate::idmgr::IdentityManager;
@@ -35,17 +37,15 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests handled (including rejected ones). Does **not** include
-    /// snapshot-served conditions queries — see
+    /// full conditions queries answered from the pre-encoded bytes — see
     /// [`Self::conditions_cache_hits`].
     pub requests: u64,
     /// Registrations that produced an envelope.
     pub registrations: u64,
     /// Requests answered with a typed error response.
     pub errors: u64,
-    /// Full conditions queries answered from the pre-encoded snapshot,
-    /// i.e. without touching the service at all. Always 0 for a bare
-    /// [`PublisherService`] (which has no snapshot); populated by
-    /// [`SharedPublisherService::stats`].
+    /// Full conditions queries answered from the pre-encoded bytes, i.e.
+    /// without touching the publisher at all.
     pub conditions_cache_hits: u64,
 }
 
@@ -91,11 +91,7 @@ fn code_for(err: &PbcdError) -> ErrorCode {
     }
 }
 
-/// Pre-resolved registry handles for the service-plane metrics. Clonable:
-/// [`SharedPublisherService`] keeps a clone whose handles point at the
-/// same underlying atomics as the wrapped service's, so both request
-/// paths feed one registry.
-#[derive(Clone)]
+/// Pre-resolved registry handles for the service-plane metrics.
 struct ServiceTelemetry {
     registry: Arc<Registry>,
     requests: Counter,
@@ -194,6 +190,24 @@ impl ServiceTelemetry {
     }
 }
 
+/// The encoded answer to a conditions query (`None` = every condition).
+fn conditions_response<G: CyclicGroup, K: BroadcastGkm>(
+    publisher: &Publisher<G, K>,
+    attribute: Option<&str>,
+) -> Vec<u8> {
+    let group = publisher.ocbe().group();
+    Response::Conditions(ConditionsInfo {
+        ell: publisher.ocbe().ell(),
+        kappa_bits: publisher.shared_css_table().kappa_bits(),
+        conditions: match attribute {
+            Some(a) => publisher.conditions_for_attribute(a),
+            None => publisher.policies().distinct_conditions(),
+        },
+    })
+    .encode(group)
+    .unwrap_or_else(|e| error_bytes(group, ErrorCode::Internal, &e.to_string()))
+}
+
 /// The publisher-side protocol handler as a free function: decodes one
 /// request, serves it against `publisher`, encodes the response. Total —
 /// every failure becomes a typed error response.
@@ -202,35 +216,50 @@ impl ServiceTelemetry {
 /// calls it directly so the in-process flow exercises the very same
 /// byte-level protocol as the socket deployment.
 pub fn dispatch<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
-    publisher: &mut Publisher<G, K>,
+    publisher: &Publisher<G, K>,
     request: &[u8],
     rng: &mut R,
 ) -> Vec<u8> {
-    let group = publisher.ocbe().group().clone();
-    let req = match Request::decode(&group, request) {
-        Ok(r) => r,
-        Err(e) => return error_bytes(&group, ErrorCode::Malformed, &e.to_string()),
-    };
-    let resp = match req {
-        Request::ConditionsQuery { attribute } => Response::Conditions(ConditionsInfo {
-            ell: publisher.ocbe().ell(),
-            kappa_bits: publisher.shared_css_table().kappa_bits(),
-            conditions: match attribute {
-                Some(a) => publisher.conditions_for_attribute(&a),
-                None => publisher.policies().distinct_conditions(),
-            },
-        }),
-        Request::Register(r) => match publisher.register(&r.token, &r.cond, &r.proof, rng) {
+    if proto::is_register_request(request) {
+        return registration_response(&publisher.registrar(), request, rng);
+    }
+    let group = publisher.ocbe().group();
+    let unsupported = |message| error_bytes(group, ErrorCode::Unsupported, message);
+    match Request::decode(group, request) {
+        Err(e) => error_bytes(group, ErrorCode::Malformed, &e.to_string()),
+        Ok(Request::ConditionsQuery { attribute }) => {
+            conditions_response(publisher, attribute.as_deref())
+        }
+        Ok(Request::Stats) => {
+            unsupported("stats are served by the owning service, not the bare dispatcher")
+        }
+        // Registrations were routed above; what is left is issuance.
+        Ok(_) => unsupported("publishers do not issue tokens; speak to the identity manager"),
+    }
+}
+
+/// Register and RegisterBatch (paper §V-B), served from a [`Registrar`]:
+/// decode, register, encode. The one composer of registration responses —
+/// [`dispatch`] and [`PublisherService::handle`] both end here, so the
+/// wire behaviour cannot depend on who held the request.
+fn registration_response<G: CyclicGroup, R: RngCore + ?Sized>(
+    registrar: &Registrar<G>,
+    request: &[u8],
+    rng: &mut R,
+) -> Vec<u8> {
+    let group = registrar.ocbe().group();
+    let resp = match Request::decode(group, request) {
+        Ok(Request::Register(r)) => match registrar.register(&r.token, &r.cond, &r.proof, rng) {
             Ok(envelope) => Response::Register(RegisterResponse { envelope }),
-            Err(e) => return error_bytes(&group, code_for(&e), &e.to_string()),
+            Err(e) => return error_bytes(group, code_for(&e), &e.to_string()),
         },
-        Request::RegisterBatch(items) => {
+        Ok(Request::RegisterBatch(items)) => {
             let items: Vec<_> = items
                 .into_iter()
                 .map(|r| (r.token, r.cond, r.proof))
                 .collect();
             Response::RegisterBatch(
-                publisher
+                registrar
                     .register_batch(&items, rng)
                     .into_iter()
                     .map(|r| match r {
@@ -240,97 +269,219 @@ pub fn dispatch<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
                     .collect(),
             )
         }
-        Request::IssueBatch(_) | Request::Issue(_) => {
-            return error_bytes(
-                &group,
-                ErrorCode::Unsupported,
-                "publishers do not issue tokens; speak to the identity manager",
-            )
-        }
-        Request::Stats => {
-            return error_bytes(
-                &group,
-                ErrorCode::Unsupported,
-                "stats are served by the owning service, not the bare dispatcher",
-            )
-        }
+        // Callers route here on `is_register_request`; stay total anyway.
+        Ok(_) => return error_bytes(group, ErrorCode::Unsupported, "not a registration request"),
+        Err(e) => return error_bytes(group, ErrorCode::Malformed, &e.to_string()),
     };
-    resp.encode(&group)
-        .unwrap_or_else(|e| error_bytes(&group, ErrorCode::Internal, &e.to_string()))
+    resp.encode(group)
+        .unwrap_or_else(|e| error_bytes(group, ErrorCode::Internal, &e.to_string()))
 }
 
-/// The publisher's registration endpoint: owns the [`Publisher`] and an
-/// RNG, and answers [`crate::proto`] requests as opaque bytes.
+/// Recovers a lock whose holder panicked. For state a panic cannot leave
+/// half-applied: slots that are only ever replaced whole, RNGs, and an
+/// issuer whose handler is bytes-in/bytes-out by contract.
+fn unpoisoned<T>(guard: Result<T, std::sync::PoisonError<T>>) -> T {
+    guard.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The publisher's registration endpoint: owns the [`Publisher`] and
+/// answers [`crate::proto`] requests as opaque bytes. `handle` takes
+/// `&self` and may be called from any number of connection threads at
+/// once; each request class takes the cheapest synchronization that
+/// serves it:
+///
+/// * **Full conditions query** → pre-encoded response bytes, no lock
+///   beyond a read of the slot holding them;
+/// * **Registration** → an `Arc`-shared read-mostly [`Registrar`] (OCBE
+///   parameters, IdMgr key, condition list) plus the sharded CSS table —
+///   concurrent registrations contend only on their subscriber's table
+///   shard, never on the publisher;
+/// * **everything else** (filtered conditions queries, unsupported kinds,
+///   malformed bytes) → the publisher mutex, which is also the gateway for
+///   every publisher mutation, broadcast and audit.
+///
+/// Locking discipline: the publisher mutex is taken first, the registrar
+/// and conditions slots only under it or alone. [`Self::with_publisher_mut`]
+/// clears both slots while holding the mutex, and rebuild-on-miss runs
+/// under it too, so stale material can never be re-installed after a
+/// mutation.
 pub struct PublisherService<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
-    publisher: Publisher<G, K>,
-    rng: StdRng,
+    publisher: Mutex<Publisher<G, K>>,
+    group: G,
+    /// Read-mostly registration material; `None` = stale, rebuild on use.
+    registrar: RwLock<Option<Arc<Registrar<G>>>>,
+    /// The encoded answer to the full conditions query; `None` = stale.
+    conditions: RwLock<Option<Vec<u8>>>,
+    /// Seed source for the per-thread request RNGs: held only long enough
+    /// to draw 8 bytes, never across an envelope composition.
+    rng: Mutex<StdRng>,
+    /// Identity of this service instance for the thread-local RNG cache.
+    serial: u64,
+    /// Bumped by [`Self::reseed`]; invalidates every cached per-thread RNG.
+    rng_epoch: AtomicU64,
     telemetry: ServiceTelemetry,
 }
 
 impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
-    /// Wraps `publisher` with a deterministically seeded RNG (matching the
-    /// repository-wide reproducibility convention).
+    /// Wraps `publisher`; every CSS the service issues derives from `seed`
+    /// (matching the repository-wide reproducibility convention).
     pub fn new(publisher: Publisher<G, K>, seed: u64) -> Self {
+        static SERIAL: AtomicU64 = AtomicU64::new(0);
         Self {
-            publisher,
-            rng: StdRng::seed_from_u64(seed),
+            group: publisher.ocbe().group().clone(),
+            publisher: Mutex::new(publisher),
+            registrar: RwLock::new(None),
+            conditions: RwLock::new(None),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            serial: SERIAL.fetch_add(1, Ordering::Relaxed),
+            rng_epoch: AtomicU64::new(0),
             telemetry: ServiceTelemetry::new(),
         }
     }
 
-    /// Handles one request; total, never panics on hostile bytes. A
-    /// [`proto::Request::Stats`] query is answered from the service's own
-    /// registry; everything else goes through [`dispatch`], with the
-    /// per-kind latency and OCBE envelope flavour booked from the byte
-    /// classifiers.
-    pub fn handle(&mut self, request: &[u8]) -> Vec<u8> {
+    /// Reseeds the request RNGs (e.g. before exposing the service on a
+    /// socket), and eagerly (re)builds the conditions bytes and the
+    /// registrar so the first requests already take the fast paths.
+    pub fn reseed(&self, seed: u64) {
+        let publisher = self.lock_publisher();
+        *unpoisoned(self.rng.lock()) = StdRng::seed_from_u64(seed);
+        self.rng_epoch.fetch_add(1, Ordering::Release);
+        self.install_conditions(conditions_response(&publisher, None));
+        *unpoisoned(self.registrar.write()) = Some(Arc::new(publisher.registrar()));
+    }
+
+    /// Not recovered when poisoned: a mutation that panicked may be
+    /// half-applied, and its invalidation never ran.
+    fn lock_publisher(&self) -> std::sync::MutexGuard<'_, Publisher<G, K>> {
+        self.publisher.lock().expect("publisher service poisoned")
+    }
+
+    /// Handles one request; total, never panics on hostile bytes, and safe
+    /// to call from any number of threads at once. A full conditions query
+    /// answered from the pre-encoded bytes is counted in
+    /// [`ServiceStats::conditions_cache_hits`] only; every other request
+    /// is counted in `requests`, with the per-kind latency and OCBE
+    /// envelope flavour booked from the byte classifiers.
+    pub fn handle(&self, request: &[u8]) -> Vec<u8> {
+        let full_conditions = proto::is_full_conditions_query(request);
+        if full_conditions {
+            if let Some(bytes) = unpoisoned(self.conditions.read()).clone() {
+                self.telemetry.snapshot_hits.add(1);
+                return bytes;
+            }
+        }
         let start = Instant::now();
         self.telemetry.requests.inc();
-        let response = if proto::is_stats_query(request) {
-            let group = self.publisher.ocbe().group().clone();
-            Response::<G>::Stats {
-                text: self.telemetry.snapshot().render_text(),
-            }
-            .encode(&group)
-            .unwrap_or_else(|e| error_bytes(&group, ErrorCode::Internal, &e.to_string()))
+        let response = if proto::is_register_request(request) {
+            let registrar = self.registrar_handle();
+            self.with_request_rng(|rng| registration_response(&registrar, request, rng))
+        } else if proto::is_stats_query(request) {
+            self.stats_response()
         } else {
-            dispatch(&mut self.publisher, request, &mut self.rng)
+            let publisher = self.lock_publisher();
+            let response = self.with_request_rng(|rng| dispatch(&publisher, request, rng));
+            // A missed full conditions query repopulates the slot *under
+            // the publisher lock*, so a concurrent `with_publisher_mut`
+            // (which clears it under the same lock) cannot interleave and
+            // leave pre-mutation bytes installed.
+            if full_conditions {
+                self.install_conditions(response.clone());
+            }
+            response
         };
         self.telemetry.record(request, &response, start);
         response
     }
 
-    /// Pre-encodes the response to the **full** conditions query
-    /// (`attribute: None`) — byte-identical to what [`Self::handle`]
-    /// would return — so read-mostly endpoints can serve it from a
-    /// [`ConditionsSnapshot`] without locking this service. `None` only
-    /// if the policy data fails to encode (oversized fields).
-    pub fn encode_conditions(&self) -> Option<Vec<u8>> {
-        let group = self.publisher.ocbe().group().clone();
-        Response::<G>::Conditions(ConditionsInfo {
-            ell: self.publisher.ocbe().ell(),
-            kappa_bits: self.publisher.shared_css_table().kappa_bits(),
-            conditions: self.publisher.policies().distinct_conditions(),
+    /// Installs the encoded full-conditions answer; the caller holds the
+    /// publisher lock. An error response (oversized policy data) is never
+    /// cached.
+    fn install_conditions(&self, response: Vec<u8>) {
+        if !proto::is_error_response(&response) {
+            *unpoisoned(self.conditions.write()) = Some(response);
+        }
+    }
+
+    /// The answer to a [`proto::Request::Stats`] query: the text
+    /// exposition of the service's own registry.
+    fn stats_response(&self) -> Vec<u8> {
+        Response::<G>::Stats {
+            text: self.telemetry.snapshot().render_text(),
+        }
+        .encode(&self.group)
+        .unwrap_or_else(|e| error_bytes(&self.group, ErrorCode::Internal, &e.to_string()))
+    }
+
+    /// Runs `f` with this thread's cached request RNG, seeding it from the
+    /// shared seed source on first use (and again after every
+    /// [`Self::reseed`], which bumps the epoch). Steady-state requests
+    /// therefore touch no RNG lock and construct no RNG.
+    fn with_request_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
+        thread_local! {
+            /// One cached `(service serial, reseed epoch, rng)` slot per
+            /// thread; a thread bouncing between services reseeds on each
+            /// switch, which is correct just slower.
+            static REQUEST_RNG: std::cell::RefCell<Option<(u64, u64, StdRng)>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let epoch = self.rng_epoch.load(Ordering::Acquire);
+        REQUEST_RNG.with(|slot| {
+            let mut slot = slot.borrow_mut();
+            let stale = !matches!(&*slot, Some((s, e, _)) if *s == self.serial && *e == epoch);
+            if stale {
+                let seed = unpoisoned(self.rng.lock()).next_u64();
+                *slot = Some((self.serial, epoch, StdRng::seed_from_u64(seed)));
+            }
+            let (_, _, rng) = slot.as_mut().expect("slot just populated");
+            f(rng)
         })
-        .encode(&group)
-        .ok()
     }
 
-    /// The wrapped publisher (e.g. for broadcasting and policy queries).
-    pub fn publisher(&self) -> &Publisher<G, K> {
-        &self.publisher
+    /// The current registrar, rebuilt under the publisher lock on
+    /// staleness.
+    fn registrar_handle(&self) -> Arc<Registrar<G>> {
+        if let Some(r) = unpoisoned(self.registrar.read()).as_ref() {
+            return Arc::clone(r);
+        }
+        // Publisher first, then the slot — the order `with_publisher_mut`
+        // takes for invalidation, so a mutation either completes before
+        // the rebuild (we capture fresh material) or waits for it (and
+        // invalidates what we installed).
+        let publisher = self.lock_publisher();
+        let mut slot = unpoisoned(self.registrar.write());
+        if let Some(r) = slot.as_ref() {
+            return Arc::clone(r);
+        }
+        let rebuilt = Arc::new(publisher.registrar());
+        *slot = Some(Arc::clone(&rebuilt));
+        rebuilt
     }
 
-    /// Mutable access (broadcast, revocation — publisher-local actions
-    /// that are not protocol requests).
-    pub fn publisher_mut(&mut self) -> &mut Publisher<G, K> {
-        &mut self.publisher
+    /// Runs `f` against the wrapped publisher (policy inspection, audits).
+    pub fn with_publisher<T>(&self, f: impl FnOnce(&Publisher<G, K>) -> T) -> T {
+        f(&self.lock_publisher())
     }
 
-    /// Reseeds the envelope RNG (e.g. before exposing the service on a
-    /// socket).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
+    /// Runs `f` against the wrapped publisher mutably (revocation, policy
+    /// edits). Invalidates the conditions bytes **and** the registrar
+    /// while the publisher lock is held — an arbitrary mutation may change
+    /// the policy/OCBE material both depend on; each rebuilds lazily.
+    pub fn with_publisher_mut<T>(&self, f: impl FnOnce(&mut Publisher<G, K>) -> T) -> T {
+        let mut publisher = self.lock_publisher();
+        let out = f(&mut publisher);
+        *unpoisoned(self.conditions.write()) = None;
+        *unpoisoned(self.registrar.write()) = None;
+        out
+    }
+
+    /// Exclusive publisher access *without* invalidation — solely for
+    /// broadcast, which bumps the epoch and rekeys but cannot change the
+    /// conditions or registration material.
+    pub(crate) fn with_publisher_broadcast<T>(
+        &self,
+        f: impl FnOnce(&mut Publisher<G, K>) -> T,
+    ) -> T {
+        f(&mut self.lock_publisher())
     }
 
     /// Traffic counters — a fixed-shape view over [`Self::metrics`].
@@ -352,368 +503,8 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
 
     /// Unwraps the publisher.
     pub fn into_inner(self) -> Publisher<G, K> {
-        self.publisher
+        unpoisoned(self.publisher.into_inner())
     }
-}
-
-/// A shared, pre-encoded copy of the full-conditions response that
-/// read-mostly endpoints serve **without taking the publisher-service
-/// mutex** — under many concurrent subscribers, conditions queries no
-/// longer serialize behind registrations (which hold the service lock for
-/// a full OCBE envelope composition each).
-///
-/// Lifecycle: populate with [`Self::set`] (from
-/// [`PublisherService::encode_conditions`] or a fresh `handle` response),
-/// serve with [`Self::get`], and [`Self::invalidate`] on **any**
-/// publisher mutation — the policy set, ℓ or κ may have changed; the next
-/// query repopulates lazily. Snapshot-served requests bypass
-/// [`ServiceStats`]; they are counted in [`Self::hits`] instead.
-#[derive(Debug, Default)]
-pub struct ConditionsSnapshot {
-    bytes: RwLock<Option<Arc<Vec<u8>>>>,
-    hits: AtomicU64,
-}
-
-impl ConditionsSnapshot {
-    /// An empty (unpopulated) snapshot.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The snapshot bytes, if populated. Counts a hit when it is.
-    pub fn get(&self) -> Option<Arc<Vec<u8>>> {
-        let bytes = self
-            .bytes
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        if bytes.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        bytes
-    }
-
-    /// Installs fresh pre-encoded response bytes.
-    pub fn set(&self, bytes: Vec<u8>) {
-        *self
-            .bytes
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(Arc::new(bytes));
-    }
-
-    /// Drops the snapshot; the next query goes to the service and
-    /// repopulates.
-    pub fn invalidate(&self) {
-        *self
-            .bytes
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-    }
-
-    /// How many queries were answered from the snapshot (i.e. without the
-    /// service mutex).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-}
-
-/// The publisher service sharded for concurrency: a total
-/// `handle(bytes) -> bytes` that any number of connection threads may call
-/// **simultaneously** (`&self`), routing each request class to the
-/// cheapest synchronization that serves it:
-///
-/// * **Full conditions query** → the pre-encoded [`ConditionsSnapshot`],
-///   no lock at all (PR 4's fast path, now folded in here);
-/// * **Registration** → an `Arc`-shared read-mostly [`Registrar`] (OCBE
-///   parameters, IdMgr key, condition list) plus the sharded CSS table —
-///   concurrent registrations contend only on their subscriber's table
-///   shard and a momentary RNG reseed;
-/// * **everything else** (filtered conditions queries, unsupported kinds,
-///   malformed bytes) → the exclusive inner [`PublisherService`] mutex,
-///   which also remains the gateway for every publisher mutation.
-///
-/// Snapshot discipline: [`Self::with_publisher_mut`] invalidates both the
-/// conditions snapshot and the registrar while holding the inner lock;
-/// rebuild-on-miss also runs under that lock, so stale material can never
-/// be re-installed after a mutation.
-pub struct SharedPublisherService<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
-    inner: Mutex<PublisherService<G, K>>,
-    /// Read-mostly registration material; `None` = stale, rebuild on use.
-    registrar: RwLock<Option<Arc<Registrar<G>>>>,
-    conditions: ConditionsSnapshot,
-    /// Seed source for the per-thread registration RNGs: held only long
-    /// enough to draw 8 bytes, never across an envelope composition.
-    rng: Mutex<StdRng>,
-    /// Identity of this service instance for the thread-local RNG cache.
-    serial: u64,
-    /// Bumped by [`Self::reseed`]; invalidates every cached per-thread RNG.
-    rng_epoch: AtomicU64,
-    /// A clone of the wrapped service's telemetry: the concurrent
-    /// registration path books into the same registry atomics as the
-    /// exclusive path, so there is exactly one set of service counters.
-    telemetry: ServiceTelemetry,
-}
-
-impl<G: CyclicGroup, K: BroadcastGkm> SharedPublisherService<G, K> {
-    /// Wraps an exclusive service for concurrent serving. The
-    /// concurrent-path seed source is drawn from the wrapped service's own
-    /// RNG, so the caller-chosen service seed governs every CSS the
-    /// concurrent path issues too — never a hardcoded constant.
-    pub fn new(mut service: PublisherService<G, K>) -> Self {
-        let seed = service.rng.next_u64();
-        let telemetry = service.telemetry.clone();
-        static SERIAL: AtomicU64 = AtomicU64::new(0);
-        Self {
-            inner: Mutex::new(service),
-            registrar: RwLock::new(None),
-            conditions: ConditionsSnapshot::new(),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            serial: SERIAL.fetch_add(1, Ordering::Relaxed),
-            rng_epoch: AtomicU64::new(0),
-            telemetry,
-        }
-    }
-
-    /// Reseeds both the inner service RNG and the concurrent-path seed
-    /// source, and eagerly (re)builds the conditions snapshot and the
-    /// registrar so the first requests already take the fast paths.
-    pub fn reseed(&self, seed: u64) {
-        let mut service = self.lock_inner();
-        service.reseed(seed);
-        *self
-            .rng
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-            StdRng::seed_from_u64(seed.wrapping_add(1));
-        self.rng_epoch.fetch_add(1, Ordering::Release);
-        if let Some(bytes) = service.encode_conditions() {
-            self.conditions.set(bytes);
-        }
-        *self
-            .registrar
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some(Arc::new(service.publisher().registrar()));
-    }
-
-    fn lock_inner(&self) -> std::sync::MutexGuard<'_, PublisherService<G, K>> {
-        self.inner.lock().expect("publisher service poisoned")
-    }
-
-    /// Handles one request; total, never panics on hostile bytes, and safe
-    /// to call from any number of threads at once.
-    pub fn handle(&self, request: &[u8]) -> Vec<u8> {
-        // Fast path 1: the full conditions query, served lock-free from
-        // the snapshot (counted in `conditions_cache_hits`, not
-        // `requests` — it never touches the service).
-        if proto::is_full_conditions_query(request) {
-            if let Some(bytes) = self.conditions.get() {
-                return bytes.as_ref().clone();
-            }
-            // Miss: compute *and repopulate* under the service lock, so a
-            // concurrent `with_publisher_mut` (which invalidates while
-            // holding the same lock) cannot interleave between the two and
-            // leave stale pre-mutation bytes installed.
-            let mut service = self.lock_inner();
-            let response = service.handle(request);
-            if !proto::is_error_response(&response) {
-                self.conditions.set(response.clone());
-            }
-            return response;
-        }
-        // Fast path 2: registration through the shared registrar — the
-        // stateful hot path, no service mutex. Booked into the same
-        // registry handles the exclusive path uses.
-        if proto::is_register_request(request) {
-            let start = Instant::now();
-            let registrar = self.registrar_handle();
-            let response = self.with_request_rng(|rng| dispatch_register(&registrar, request, rng));
-            self.telemetry.requests.inc();
-            self.telemetry.record(request, &response, start);
-            return response;
-        }
-        // Stats query: refresh the snapshot-hit gauge (the one counter
-        // living outside the registry), then render via the exclusive
-        // service — the registry is shared, so the exposition covers both
-        // request paths.
-        if proto::is_stats_query(request) {
-            self.telemetry.snapshot_hits.set(self.conditions.hits());
-            return self.lock_inner().handle(request);
-        }
-        // Everything else (filtered conditions queries, unsupported kinds,
-        // garbage): the exclusive path, which counts its own stats.
-        self.lock_inner().handle(request)
-    }
-
-    /// Runs `f` with this thread's cached registration RNG, seeding it
-    /// from the shared seed source on first use (and again after every
-    /// [`Self::reseed`], which bumps the epoch). Steady-state concurrent
-    /// registrations therefore touch no lock and construct no RNG — the
-    /// two per-request constants the serialized path never paid.
-    fn with_request_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        thread_local! {
-            /// One cached `(service serial, reseed epoch, rng)` slot per
-            /// thread; a thread bouncing between services reseeds on each
-            /// switch, which is correct just slower.
-            static REG_RNG: std::cell::RefCell<Option<(u64, u64, StdRng)>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        let epoch = self.rng_epoch.load(Ordering::Acquire);
-        REG_RNG.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let stale = !matches!(&*slot, Some((s, e, _)) if *s == self.serial && *e == epoch);
-            if stale {
-                let seed = self
-                    .rng
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next_u64();
-                *slot = Some((self.serial, epoch, StdRng::seed_from_u64(seed)));
-            }
-            let (_, _, rng) = slot.as_mut().expect("slot just populated");
-            f(rng)
-        })
-    }
-
-    /// The current registrar, rebuilt under the service lock on staleness.
-    fn registrar_handle(&self) -> Arc<Registrar<G>> {
-        if let Some(r) = self
-            .registrar
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .as_ref()
-        {
-            return Arc::clone(r);
-        }
-        // Lock order everywhere: inner service, then registrar slot — the
-        // same order `with_publisher_mut` takes for invalidation, so a
-        // mutation either completes before the rebuild (we capture fresh
-        // material) or waits for it (and invalidates what we installed).
-        let service = self.lock_inner();
-        let mut slot = self
-            .registrar
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(r) = slot.as_ref() {
-            return Arc::clone(r);
-        }
-        let rebuilt = Arc::new(service.publisher().registrar());
-        *slot = Some(Arc::clone(&rebuilt));
-        rebuilt
-    }
-
-    /// Runs `f` against the wrapped publisher (policy inspection, audits).
-    pub fn with_publisher<T>(&self, f: impl FnOnce(&Publisher<G, K>) -> T) -> T {
-        f(self.lock_inner().publisher())
-    }
-
-    /// Runs `f` against the wrapped publisher mutably (revocation, policy
-    /// edits). Invalidates the conditions snapshot **and** the registrar
-    /// while the service lock is held — an arbitrary mutation may change
-    /// the policy/OCBE material both depend on; each rebuilds lazily.
-    pub fn with_publisher_mut<T>(&self, f: impl FnOnce(&mut Publisher<G, K>) -> T) -> T {
-        let mut service = self.lock_inner();
-        let out = f(service.publisher_mut());
-        self.conditions.invalidate();
-        *self
-            .registrar
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
-        drop(service);
-        out
-    }
-
-    /// Exclusive publisher access *without* snapshot/registrar
-    /// invalidation — solely for broadcast, which bumps the epoch and
-    /// rekeys but cannot change the conditions or registration material.
-    pub(crate) fn with_publisher_broadcast<T>(
-        &self,
-        f: impl FnOnce(&mut Publisher<G, K>) -> T,
-    ) -> T {
-        let mut service = self.lock_inner();
-        f(service.publisher_mut())
-    }
-
-    /// Aggregated traffic counters: both request paths book into one
-    /// shared registry, so this is a plain read — no service lock.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            requests: self.telemetry.requests.get(),
-            registrations: self.telemetry.registrations.get(),
-            errors: self.telemetry.errors.get(),
-            conditions_cache_hits: self.conditions.hits(),
-        }
-    }
-
-    /// Full metrics snapshot over both request paths (see
-    /// [`PublisherService::metrics`]).
-    pub fn metrics(&self) -> Snapshot {
-        self.telemetry.snapshot_hits.set(self.conditions.hits());
-        self.telemetry.snapshot()
-    }
-
-    /// Full conditions queries served straight from the snapshot.
-    pub fn conditions_cache_hits(&self) -> u64 {
-        self.conditions.hits()
-    }
-
-    /// Unwraps the exclusive service (fails if handler threads still hold
-    /// clones of the `Arc` this is typically wrapped in — callers go
-    /// through `Arc::try_unwrap` first).
-    pub fn into_service(self) -> PublisherService<G, K> {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// The concurrent registration dispatcher: decode, register through the
-/// shared [`Registrar`], encode — with exactly [`dispatch`]'s error
-/// surface, so the wire behaviour is independent of which path served a
-/// request.
-fn dispatch_register<G: CyclicGroup, R: RngCore + ?Sized>(
-    registrar: &Registrar<G>,
-    request: &[u8],
-    rng: &mut R,
-) -> Vec<u8> {
-    let group = registrar.ocbe().group().clone();
-    let req = match Request::decode(&group, request) {
-        Ok(r) => r,
-        Err(e) => return error_bytes(&group, ErrorCode::Malformed, &e.to_string()),
-    };
-    let resp = match req {
-        Request::Register(r) => match registrar.register(&r.token, &r.cond, &r.proof, rng) {
-            Ok(envelope) => Response::Register(RegisterResponse { envelope }),
-            Err(e) => return error_bytes(&group, code_for(&e), &e.to_string()),
-        },
-        Request::RegisterBatch(items) => {
-            let items: Vec<_> = items
-                .into_iter()
-                .map(|r| (r.token, r.cond, r.proof))
-                .collect();
-            Response::RegisterBatch(
-                registrar
-                    .register_batch(&items, rng)
-                    .into_iter()
-                    .map(|r| match r {
-                        Ok(envelope) => Ok(RegisterResponse { envelope }),
-                        Err(e) => Err(error_item(&e)),
-                    })
-                    .collect(),
-            )
-        }
-        // Unreachable behind `is_register_request`, but keep the function
-        // total on its own terms.
-        _ => {
-            return error_bytes(
-                &group,
-                ErrorCode::Unsupported,
-                "concurrent path serves registrations only",
-            )
-        }
-    };
-    resp.encode(&group)
-        .unwrap_or_else(|e| error_bytes(&group, ErrorCode::Internal, &e.to_string()))
 }
 
 /// A subject-authentication hook for [`IssuerService`]: given an incoming
@@ -737,7 +528,17 @@ pub type IssueVerifier = Box<dyn FnMut(&proto::IssueRequest) -> bool + Send>;
 /// rejected claim gets a typed [`ErrorCode::BadToken`] response, and a
 /// network peer can then no longer mint qualifying tokens (or tokens
 /// bound to someone else's nym) by just asking.
+///
+/// `handle` takes `&self`: issuance mutates the IdMgr's nym map, the RNG
+/// and whatever the verifier closes over, so all of it sits behind one
+/// lock, taken per request. A verifier that panics costs its own
+/// connection only — the lock is recovered, not left poisoned.
 pub struct IssuerService<G: CyclicGroup> {
+    group: G,
+    issuer: Mutex<Issuer<G>>,
+}
+
+struct Issuer<G: CyclicGroup> {
     idp: IdentityProvider<G>,
     idmgr: IdentityManager<G>,
     rng: StdRng,
@@ -748,13 +549,7 @@ impl<G: CyclicGroup> IssuerService<G> {
     /// Wraps an IdP/IdMgr pair that vouches for every claim it receives —
     /// see the trust caveat on the type.
     pub fn new(idp: IdentityProvider<G>, idmgr: IdentityManager<G>, seed: u64) -> Self {
-        idmgr.pedersen().group().warm_up();
-        Self {
-            idp,
-            idmgr,
-            rng: StdRng::seed_from_u64(seed),
-            verifier: None,
-        }
+        Self::build(idp, idmgr, seed, None)
     }
 
     /// Like [`Self::new`], but every issuance claim must pass `verifier`
@@ -765,65 +560,59 @@ impl<G: CyclicGroup> IssuerService<G> {
         seed: u64,
         verifier: impl FnMut(&proto::IssueRequest) -> bool + Send + 'static,
     ) -> Self {
-        idmgr.pedersen().group().warm_up();
+        Self::build(idp, idmgr, seed, Some(Box::new(verifier)))
+    }
+
+    fn build(
+        idp: IdentityProvider<G>,
+        idmgr: IdentityManager<G>,
+        seed: u64,
+        verifier: Option<IssueVerifier>,
+    ) -> Self {
+        let group = idmgr.pedersen().group().clone();
+        group.warm_up();
         Self {
-            idp,
-            idmgr,
-            rng: StdRng::seed_from_u64(seed),
-            verifier: Some(Box::new(verifier)),
+            group,
+            issuer: Mutex::new(Issuer {
+                idp,
+                idmgr,
+                rng: StdRng::seed_from_u64(seed),
+                verifier,
+            }),
         }
     }
 
-    /// Handles one request; total, never panics on hostile bytes.
-    pub fn handle(&mut self, request: &[u8]) -> Vec<u8> {
-        let group = self.idmgr.pedersen().group().clone();
-        let req = match Request::decode(&group, request) {
-            Ok(r) => r,
-            Err(e) => return error_bytes(&group, ErrorCode::Malformed, &e.to_string()),
-        };
-        let resp = match req {
-            Request::Issue(r) => {
-                if let Some(verifier) = &mut self.verifier {
-                    if !verifier(&r) {
-                        return error_bytes(
-                            &group,
-                            ErrorCode::BadToken,
-                            "the identity provider does not vouch for this claim",
-                        );
-                    }
-                }
-                let assertion =
-                    self.idp
-                        .assert_attribute(&r.subject, &r.attribute, r.value, &mut self.rng);
-                match self
-                    .idmgr
-                    .issue_token(&assertion, &self.idp.verifying_key(), &mut self.rng)
-                {
-                    Ok((token, opening)) => Response::Issue(IssueResponse { token, opening }),
-                    Err(e) => return error_bytes(&group, code_for(&e), &e.to_string()),
-                }
+    /// Handles one request; total, never panics on hostile bytes, and safe
+    /// to call from any number of threads at once.
+    pub fn handle(&self, request: &[u8]) -> Vec<u8> {
+        let group = &self.group;
+        let resp = match Request::decode(group, request) {
+            Err(e) => return error_bytes(group, ErrorCode::Malformed, &e.to_string()),
+            Ok(Request::Issue(r)) => match unpoisoned(self.issuer.lock()).issue_one(&r) {
+                Ok(issued) => Response::Issue(issued),
+                Err(e) => Response::Error(e),
+            },
+            Ok(Request::IssueBatch(items)) => {
+                let mut issuer = unpoisoned(self.issuer.lock());
+                Response::IssueBatch(items.iter().map(|r| issuer.issue_one(r)).collect())
             }
-            Request::IssueBatch(items) => {
-                Response::IssueBatch(items.iter().map(|r| self.issue_one(r)).collect())
-            }
-            Request::ConditionsQuery { .. }
-            | Request::Register(_)
-            | Request::RegisterBatch(_)
-            | Request::Stats => {
+            Ok(_) => {
                 return error_bytes(
-                    &group,
+                    group,
                     ErrorCode::Unsupported,
                     "the issuer only serves token issuance",
                 )
             }
         };
-        resp.encode(&group)
-            .unwrap_or_else(|e| error_bytes(&group, ErrorCode::Internal, &e.to_string()))
+        resp.encode(group)
+            .unwrap_or_else(|e| error_bytes(group, ErrorCode::Internal, &e.to_string()))
     }
+}
 
-    /// One issuance as a batch item: the same verifier gate and error
-    /// codes as the single-request path, but failures stay per-item so
-    /// one rejected claim cannot sink its cohort.
+impl<G: CyclicGroup> Issuer<G> {
+    /// One issuance: the verifier gate, then assertion and token. The
+    /// error is a value, so a batch keeps failures per item — one rejected
+    /// claim cannot sink its cohort.
     fn issue_one(&mut self, r: &proto::IssueRequest) -> Result<IssueResponse<G>, ErrorResponse> {
         if let Some(verifier) = &mut self.verifier {
             if !verifier(r) {
@@ -840,11 +629,5 @@ impl<G: CyclicGroup> IssuerService<G> {
             .issue_token(&assertion, &self.idp.verifying_key(), &mut self.rng)
             .map(|(token, opening)| IssueResponse { token, opening })
             .map_err(|e| error_item(&e))
-    }
-
-    /// The identity manager (e.g. for its verifying key, which publishers
-    /// need at setup).
-    pub fn idmgr(&self) -> &IdentityManager<G> {
-        &self.idmgr
     }
 }

@@ -5,6 +5,7 @@
 use pbcd_core::proto::{self, ErrorCode, Request, Response};
 use pbcd_core::{IssuerService, PublisherService, RegistrationSession, Subscriber, SystemHarness};
 use pbcd_group::P256Group;
+use pbcd_net::{RegistrationClient, RegistrationServer};
 use pbcd_ocbe::ProofMessage;
 use pbcd_policy::{AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet};
 use rand::rngs::StdRng;
@@ -51,7 +52,7 @@ fn expect_error(group: &P256Group, response: &[u8], code: ErrorCode) {
 /// succeed — "the service keeps serving".
 fn assert_still_serving(
     group: &P256Group,
-    service: &mut PublisherService<P256Group>,
+    service: &PublisherService<P256Group>,
     sub: &mut Subscriber<P256Group>,
     rng: &mut StdRng,
 ) {
@@ -64,38 +65,50 @@ fn assert_still_serving(
 
 #[test]
 fn garbage_bytes_get_typed_error_and_service_survives() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
+    // A well-formed Register request cut off mid-payload: the header
+    // still classifies it as a registration, so it takes the registrar
+    // path — the one a socket serves — and must fail as typed there too.
+    let truncated = {
+        let cond = AttributeCondition::new("age", ComparisonOp::Ge, 18);
+        let session = RegistrationSession::new(&mut sub, group.clone(), 48);
+        let (mut request, _pending) = session.start(&cond, &mut rng).expect("start");
+        request.truncate(request.len() / 2);
+        assert!(proto::is_register_request(&request));
+        request
+    };
     for garbage in [
         Vec::new(),
         vec![0u8; 3],
         b"not a protocol message at all".to_vec(),
         vec![0x50, 0x50, 9, 1, 0], // wrong version
         vec![0x50, 0x50, 1, 77],   // unknown kind
+        truncated,
     ] {
         let response = service.handle(&garbage);
         expect_error(&group, &response, ErrorCode::Malformed);
     }
-    assert_still_serving(&group, &mut service, &mut sub, &mut rng);
+    assert_still_serving(&group, &service, &mut sub, &mut rng);
     let stats = service.stats();
-    assert_eq!(stats.errors, 5);
+    assert_eq!(stats.errors, 6);
     assert_eq!(stats.registrations, 1);
-    assert_eq!(stats.requests, 6);
+    assert_eq!(stats.requests, 7);
 }
 
 #[test]
 fn unknown_condition_rejected_with_typed_error() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     let rogue = AttributeCondition::new("age", ComparisonOp::Ge, 99);
     let session = RegistrationSession::new(&mut sub, group.clone(), 48);
     let (request, _pending) = session.start(&rogue, &mut rng).expect("start");
     let response = service.handle(&request);
     expect_error(&group, &response, ErrorCode::UnknownCondition);
-    assert_still_serving(&group, &mut service, &mut sub, &mut rng);
+    assert_still_serving(&group, &service, &mut sub, &mut rng);
 }
 
 #[test]
 fn wrong_tag_token_rejected_with_typed_error() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     // Hand-build a request whose token (for "age") claims a condition on
     // a different attribute.
     let token = sub.token_for("age").expect("token").clone();
@@ -108,12 +121,12 @@ fn wrong_tag_token_rejected_with_typed_error() {
     .expect("encodes");
     let response = service.handle(&request);
     expect_error(&group, &response, ErrorCode::TagMismatch);
-    assert_still_serving(&group, &mut service, &mut sub, &mut rng);
+    assert_still_serving(&group, &service, &mut sub, &mut rng);
 }
 
 #[test]
 fn forged_token_rejected_with_typed_error() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     let mut token = sub.token_for("age").expect("token").clone();
     token.nym = "pn-spoofed".into(); // breaks the signature binding
     let cond = AttributeCondition::new("age", ComparisonOp::Ge, 18);
@@ -129,12 +142,12 @@ fn forged_token_rejected_with_typed_error() {
         .expect("encodes");
     let response = service.handle(&request);
     expect_error(&group, &response, ErrorCode::BadToken);
-    assert_still_serving(&group, &mut service, &mut sub, &mut rng);
+    assert_still_serving(&group, &service, &mut sub, &mut rng);
 }
 
 #[test]
 fn wrong_proof_shape_rejected_with_typed_error() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     let token = sub.token_for("age").expect("token").clone();
     // GE condition with an EQ-shaped (empty) proof.
     let request = Request::Register(pbcd_core::proto::RegisterRequest {
@@ -146,12 +159,12 @@ fn wrong_proof_shape_rejected_with_typed_error() {
     .expect("encodes");
     let response = service.handle(&request);
     expect_error(&group, &response, ErrorCode::BadProof);
-    assert_still_serving(&group, &mut service, &mut sub, &mut rng);
+    assert_still_serving(&group, &service, &mut sub, &mut rng);
 }
 
 #[test]
 fn replayed_register_request_reissues_without_growing_the_table() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     let cond = AttributeCondition::new("age", ComparisonOp::Ge, 18);
     let session = RegistrationSession::new(&mut sub, group.clone(), 48);
     let (request, pending) = session.start(&cond, &mut rng).expect("start");
@@ -160,7 +173,7 @@ fn replayed_register_request_reissues_without_growing_the_table() {
     assert!(!proto::is_error_response(&first));
     assert!(!proto::is_error_response(&replay));
     assert_eq!(
-        service.publisher().css_table().record_count(),
+        service.with_publisher(|p| p.css_table().record_count()),
         1,
         "replay overrides (credential-update semantics), it does not append"
     );
@@ -171,7 +184,7 @@ fn replayed_register_request_reissues_without_growing_the_table() {
 
 #[test]
 fn publisher_refuses_issuance_requests() {
-    let (group, mut service, _sub, _rng) = setup();
+    let (group, service, _sub, _rng) = setup();
     let request = Request::<P256Group>::Issue(pbcd_core::proto::IssueRequest {
         subject: "mallory".into(),
         attribute: "age".into(),
@@ -185,7 +198,7 @@ fn publisher_refuses_issuance_requests() {
 
 #[test]
 fn conditions_query_filters_by_attribute() {
-    let (group, mut service, _sub, _rng) = setup();
+    let (group, service, _sub, _rng) = setup();
     for (attr, expected) in [(Some("age"), 1usize), (Some("level"), 0), (None, 1)] {
         let request = Request::<P256Group>::ConditionsQuery {
             attribute: attr.map(String::from),
@@ -211,7 +224,7 @@ fn issuer_verifier_blocks_unvouched_claims() {
     let idp = pbcd_core::IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = pbcd_core::IdentityManager::new(group.clone(), &mut rng);
     // The deployment's ground truth: only alice, and only clearance 3.
-    let mut issuer = IssuerService::with_verifier(idp, idmgr, 0x2F, |req| {
+    let issuer = IssuerService::with_verifier(idp, idmgr, 0x2F, |req| {
         req.subject == "alice" && req.attribute == "clearance" && req.value == 3
     });
     let issue = |subject: &str, value: u64| {
@@ -237,6 +250,48 @@ fn issuer_verifier_blocks_unvouched_claims() {
     ));
 }
 
+/// Panic isolation lives with the lock: the issuer guards its own state,
+/// so a verifier that panics on one subject costs that connection its
+/// reply and nothing else — the poisoned lock is recovered, and a fresh
+/// connection is issued a token.
+#[test]
+fn panicking_issue_verifier_costs_one_connection_only() {
+    let group = P256Group::new();
+    let mut rng = StdRng::seed_from_u64(0xB00);
+    let idp = pbcd_core::IdentityProvider::new(group.clone(), "hr", &mut rng);
+    let idmgr = pbcd_core::IdentityManager::new(group.clone(), &mut rng);
+    let issuer = IssuerService::with_verifier(idp, idmgr, 0x30, |req| {
+        assert!(
+            req.subject != "boom",
+            "hostile subject tripped a verifier bug"
+        );
+        true
+    });
+    let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
+        .expect("bind issuer");
+    let issue = |subject: &str| {
+        Request::<P256Group>::Issue(pbcd_core::proto::IssueRequest {
+            subject: subject.into(),
+            attribute: "age".into(),
+            value: 30,
+        })
+        .encode(&group)
+        .expect("encodes")
+    };
+    let mut victim = RegistrationClient::connect(server.addr()).expect("connect");
+    assert!(
+        victim.call(&issue("boom")).is_err(),
+        "no reply after the panic"
+    );
+    let mut fresh = RegistrationClient::connect(server.addr()).expect("connect");
+    let response = fresh.call(&issue("alice")).expect("served after the panic");
+    assert!(matches!(
+        Response::<P256Group>::decode(&group, &response).expect("decodes"),
+        Response::Issue(_)
+    ));
+    server.shutdown();
+}
+
 #[test]
 fn issuer_service_is_total_and_scoped() {
     let group = P256Group::new();
@@ -244,7 +299,8 @@ fn issuer_service_is_total_and_scoped() {
     let idp = pbcd_core::IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = pbcd_core::IdentityManager::new(group.clone(), &mut rng);
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 0x2E);
+    let issuer = IssuerService::new(idp, idmgr, 0x2E);
+    let pedersen = pbcd_commit::Pedersen::new(group.clone());
 
     // Garbage → Malformed.
     let response = issuer.handle(b"\xff\xff\xff\xff");
@@ -272,12 +328,9 @@ fn issuer_service_is_total_and_scoped() {
     match Response::<P256Group>::decode(&group, &response).expect("decodes") {
         Response::Issue(r) => {
             r.token
-                .verify(issuer.idmgr().pedersen(), &idmgr_key)
+                .verify(&pedersen, &idmgr_key)
                 .expect("token verifies");
-            assert!(issuer
-                .idmgr()
-                .pedersen()
-                .verify_open(&r.token.commitment, &r.opening));
+            assert!(pedersen.verify_open(&r.token.commitment, &r.opening));
             assert_eq!(r.token.id_tag, "age");
         }
         other => panic!("expected issue response, got {other:?}"),

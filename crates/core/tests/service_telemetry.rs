@@ -4,15 +4,12 @@
 //! envelope flavours are booked, and the direct transport times requests.
 
 use pbcd_core::proto::{self, Request, Response};
-use pbcd_core::{
-    PublisherService, RegistrationSession, SharedPublisherService, Subscriber, SystemHarness,
-};
+use pbcd_core::{PublisherService, RegistrationSession, Subscriber, SystemHarness};
 use pbcd_group::P256Group;
 use pbcd_net::{RegistrationClient, RegistrationServer};
 use pbcd_policy::{AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 fn policies() -> PolicySet {
     let mut set = PolicySet::new();
@@ -57,11 +54,15 @@ fn register_once(
 /// A `Stats` request is answered from the service's own registry: request
 /// counters, per-kind handler latency and the OCBE envelope flavour of the
 /// registration that just ran, with no plaintext attribute values leaked.
+/// The registrar path (registration) and the publisher-lock path (garbage)
+/// book into that one registry.
 #[test]
 fn stats_query_returns_registry_exposition() {
-    let (group, mut service, mut sub, mut rng) = setup();
+    let (group, service, mut sub, mut rng) = setup();
     let exp_before = pbcd_group::ops::exp_total();
     register_once(&group, &mut sub, &mut rng, |req| service.handle(req));
+    let garbage = service.handle(b"not a protocol message");
+    assert!(proto::is_error_response(&garbage));
 
     let query = Request::<P256Group>::Stats.encode(&group).expect("encode");
     assert!(proto::is_stats_query(&query));
@@ -71,10 +72,15 @@ fn stats_query_returns_registry_exposition() {
         other => panic!("expected Stats, got {other:?}"),
     };
 
-    // One registration, then the stats query itself (counted as served).
-    assert!(text.contains("service_requests_total 2"), "{text}");
+    // One registration, one rejected request, then the stats query
+    // itself (counted as served).
+    assert!(text.contains("service_requests_total 3"), "{text}");
     assert!(text.contains("service_registrations_total 1"), "{text}");
-    assert!(text.contains("service_errors_total 0"), "{text}");
+    assert!(text.contains("service_errors_total 1"), "{text}");
+    assert!(
+        text.contains("service_handle_ns_count{kind=\"malformed\"} 1"),
+        "{text}"
+    );
     // GE condition → one GE envelope.
     assert!(
         text.contains("ocbe_envelopes_total{kind=\"ge\"} 1"),
@@ -108,47 +114,12 @@ fn stats_query_returns_registry_exposition() {
 
     // The fixed-shape view reads the same registry.
     let stats = service.stats();
-    assert_eq!(stats.requests, 2);
-    assert_eq!(stats.registrations, 1);
-    assert_eq!(stats.errors, 0);
-    assert_eq!(service.metrics().counter("service_requests_total"), Some(2));
-}
-
-/// Both `SharedPublisherService` request paths (concurrent registration
-/// and the exclusive fallback) book into one registry, and a stats query
-/// through the shared service reflects the merged totals.
-#[test]
-fn shared_service_paths_feed_one_registry() {
-    let (group, service, mut sub, mut rng) = setup();
-    let shared = Arc::new(SharedPublisherService::new(service));
-
-    // Concurrent fast path: registration.
-    register_once(&group, &mut sub, &mut rng, |req| shared.handle(req));
-    // Exclusive path: garbage → malformed error.
-    let garbage = shared.handle(b"not a protocol message");
-    assert!(proto::is_error_response(&garbage));
-
-    let stats = shared.stats();
-    assert_eq!(stats.requests, 2);
+    assert_eq!(stats.requests, 3);
     assert_eq!(stats.registrations, 1);
     assert_eq!(stats.errors, 1);
-
-    let query = Request::<P256Group>::Stats.encode(&group).expect("encode");
-    let response = shared.handle(&query);
-    let text = match Response::<P256Group>::decode(&group, &response).expect("decode") {
-        Response::Stats { text } => text,
-        other => panic!("expected Stats, got {other:?}"),
-    };
-    assert!(text.contains("service_registrations_total 1"), "{text}");
-    assert!(text.contains("service_errors_total 1"), "{text}");
-    assert!(
-        text.contains("service_handle_ns_count{kind=\"malformed\"} 1"),
-        "{text}"
-    );
-    assert_eq!(
-        shared.metrics().counter("service_registrations_total"),
-        Some(1)
-    );
+    let metrics = service.metrics();
+    assert_eq!(metrics.counter("service_requests_total"), Some(3));
+    assert_eq!(metrics.counter("service_registrations_total"), Some(1));
 }
 
 /// The byte classifiers the telemetry layer keys on.
@@ -170,11 +141,8 @@ fn request_kind_labels_classify_wire_bytes() {
 #[test]
 fn stats_query_over_direct_transport() {
     let (group, service, mut sub, mut rng) = setup();
-    let shared = Arc::new(SharedPublisherService::new(service));
-    let handler = Arc::clone(&shared);
-    let server =
-        RegistrationServer::bind_concurrent("127.0.0.1:0", move |req: &[u8]| handler.handle(req))
-            .expect("bind");
+    let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| service.handle(req))
+        .expect("bind");
     let mut client = RegistrationClient::connect(server.addr()).expect("connect");
 
     register_once(&group, &mut sub, &mut rng, |req| {

@@ -20,16 +20,11 @@
 //! framing, goes silent past the idle timeout, or even panics the handler
 //! loses its own connection and nothing else.
 //!
-//! Two handler disciplines:
-//!
-//! * [`RegistrationServer::bind`] takes `FnMut` and serializes every
-//!   request through one mutex — the right semantics for an exclusive
-//!   stateful endpoint (e.g. an issuer owning its RNG).
-//! * [`RegistrationServer::bind_concurrent`] takes `Fn + Sync` and calls
-//!   it from every connection thread **in parallel** — for handlers that
-//!   manage their own interior sharding (e.g. the publisher's concurrent
-//!   registration service), so N connections no longer serialize on a
-//!   single service lock.
+//! The handler is `Fn + Sync` and is called from every connection thread
+//! **in parallel**, with no server-side lock around it: what a handler
+//! must serialize (an issuer's RNG, a publisher's policy set) it guards
+//! itself, so N connections wait on exactly the state they share and no
+//! more.
 
 use crate::error::NetError;
 use crate::frame::{read_body_bounded, write_body, MAX_FRAME_LEN};
@@ -94,63 +89,26 @@ impl RegistrationServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
     /// serving `handler` with the default [`DirectConfig`].
     ///
-    /// The handler runs under a mutex — requests from concurrent
-    /// connections are serialized through it, which is exactly the
-    /// semantics an exclusive stateful endpoint (e.g. an `IssuerService`
-    /// owning its RNG) needs. Handlers that shard their own state should
-    /// use [`Self::bind_concurrent`] instead.
+    /// `handler` is called from every connection thread in parallel, with
+    /// no server-side lock around it; it is responsible for its own
+    /// synchronization.
     pub fn bind<F>(addr: impl ToSocketAddrs, handler: F) -> Result<Self, NetError>
     where
-        F: FnMut(&[u8]) -> Vec<u8> + Send + 'static,
+        F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
     {
         Self::bind_with(addr, DirectConfig::default(), handler)
     }
 
-    /// Binds with explicit configuration (serialized handler).
+    /// [`Self::bind`] with explicit configuration.
     pub fn bind_with<F>(
         addr: impl ToSocketAddrs,
         config: DirectConfig,
         handler: F,
     ) -> Result<Self, NetError>
     where
-        F: FnMut(&[u8]) -> Vec<u8> + Send + 'static,
-    {
-        Self::bind_handler(
-            addr,
-            config,
-            SharedHandler::Serialized(Arc::new(Mutex::new(handler))),
-        )
-    }
-
-    /// Binds a **concurrent** handler: `handler` is called from every
-    /// connection thread in parallel, with no server-side lock around it.
-    /// The handler is responsible for its own synchronization — this is
-    /// the entry point for sharded services whose hot path must not
-    /// serialize on a single mutex.
-    pub fn bind_concurrent<F>(addr: impl ToSocketAddrs, handler: F) -> Result<Self, NetError>
-    where
         F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
     {
-        Self::bind_concurrent_with(addr, DirectConfig::default(), handler)
-    }
-
-    /// [`Self::bind_concurrent`] with explicit configuration.
-    pub fn bind_concurrent_with<F>(
-        addr: impl ToSocketAddrs,
-        config: DirectConfig,
-        handler: F,
-    ) -> Result<Self, NetError>
-    where
-        F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
-    {
-        Self::bind_handler(addr, config, SharedHandler::Concurrent(Arc::new(handler)))
-    }
-
-    fn bind_handler(
-        addr: impl ToSocketAddrs,
-        config: DirectConfig,
-        handler: SharedHandler,
-    ) -> Result<Self, NetError> {
+        let handler: Handler = Arc::new(handler);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let registry = Registry::new();
@@ -165,7 +123,9 @@ impl RegistrationServer {
         });
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(listener, shared, config, handler))
+            std::thread::Builder::new()
+                .name("pbcd-direct-accept".into())
+                .spawn(move || accept_loop(listener, shared, config, handler))?
         };
         Ok(Self {
             addr,
@@ -245,46 +205,14 @@ impl Drop for RegistrationServer {
     }
 }
 
-/// A serialized (mutex-guarded `FnMut`) handler.
-type SerializedHandler = Arc<Mutex<dyn FnMut(&[u8]) -> Vec<u8> + Send>>;
-/// A concurrent (`Fn + Sync`, self-synchronizing) handler.
-type ConcurrentHandler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
-
-/// The two handler disciplines a server can run. Cloned per connection
-/// (both variants are `Arc`s).
-enum SharedHandler {
-    /// Requests from all connections serialize through one mutex.
-    Serialized(SerializedHandler),
-    /// Requests run concurrently; the handler synchronizes itself.
-    Concurrent(ConcurrentHandler),
-}
-
-impl Clone for SharedHandler {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Serialized(h) => Self::Serialized(Arc::clone(h)),
-            Self::Concurrent(h) => Self::Concurrent(Arc::clone(h)),
-        }
-    }
-}
-
-impl SharedHandler {
-    fn call(&self, request: &[u8]) -> Vec<u8> {
-        match self {
-            Self::Serialized(h) => {
-                let mut h = h.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                h(request)
-            }
-            Self::Concurrent(h) => h(request),
-        }
-    }
-}
+/// The handler, shared by every connection thread.
+type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 fn accept_loop(
     listener: TcpListener,
     shared: Arc<ServerShared>,
     config: DirectConfig,
-    handler: SharedHandler,
+    handler: Handler,
 ) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     let mut next_id: u64 = 0;
@@ -334,27 +262,39 @@ fn accept_loop(
             }
         }
         let shared_conn = Arc::clone(&shared);
-        let handler = handler.clone();
+        let handler = Arc::clone(&handler);
         let conn_config = config.clone();
-        workers.push(std::thread::spawn(move || {
-            serve_connection(stream, &shared_conn, &conn_config, handler);
-            shared_conn
-                .connections
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(&id);
-        }));
+        let spawned = std::thread::Builder::new()
+            .name(format!("pbcd-direct-conn-{id}"))
+            .spawn(move || {
+                serve_connection(stream, &shared_conn, &conn_config, &*handler);
+                forget_connection(&shared_conn, id);
+            });
+        match spawned {
+            Ok(worker) => workers.push(worker),
+            // No thread to be had: the stream died with the closure; drop
+            // its registered clone too, so the peer sees the close.
+            Err(_) => forget_connection(&shared, id),
+        }
     }
     for w in workers {
         let _ = w.join();
     }
 }
 
+fn forget_connection(shared: &ServerShared, id: u64) {
+    shared
+        .connections
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .remove(&id);
+}
+
 fn serve_connection(
     mut stream: TcpStream,
     shared: &ServerShared,
     config: &DirectConfig,
-    handler: SharedHandler,
+    handler: &(dyn Fn(&[u8]) -> Vec<u8> + Send + Sync),
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(config.read_timeout);
@@ -364,14 +304,12 @@ fn serve_connection(
     // broker-frame minimum does not apply to this raw byte pipe).
     while let Ok(request) = read_body_bounded(&mut stream, 0, config.max_request_len) {
         // A panicking handler costs the *triggering* connection its reply
-        // and nothing else: the panic is contained here, and (in the
-        // serialized discipline) a mutex poisoned by it is recovered by
-        // every later lock — the handler owns no invariant that
-        // half-applied state could break; it is bytes-in/bytes-out by
-        // contract.
+        // and nothing else: the panic is contained here. What it does to
+        // the handler's own locks is the handler's business — a
+        // bytes-in/bytes-out service whose state a panic cannot leave
+        // half-applied recovers the poisoned lock (`IssuerService` does).
         let start = Instant::now();
-        let response =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler.call(&request)));
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request)));
         let Ok(response) = response else {
             break;
         };
@@ -453,7 +391,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_clients_are_serialized_through_the_handler() {
+    fn concurrent_clients_all_reach_the_handler() {
         let counter = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&counter);
         let server = RegistrationServer::bind("127.0.0.1:0", move |_req: &[u8]| {
@@ -562,8 +500,8 @@ mod tests {
         .expect("bind");
         let mut victim = RegistrationClient::connect(server.addr()).expect("connect");
         assert!(victim.call(b"boom").is_err(), "no reply after the panic");
-        // A fresh connection is served normally — the poisoned handler
-        // mutex is recovered, per-connection isolation holds.
+        // A fresh connection is served normally — per-connection
+        // isolation holds.
         let mut good = RegistrationClient::connect(server.addr()).expect("connect");
         assert_eq!(good.call(b"calm").expect("call"), b"calm");
         server.shutdown();
@@ -573,11 +511,12 @@ mod tests {
     fn concurrent_handler_really_runs_in_parallel() {
         // Two connections must sit inside the handler *at the same time*:
         // a 2-party barrier inside the handler only clears if the second
-        // request is served while the first is still in flight. Under the
-        // serialized discipline this would deadlock (and time out).
+        // request is served while the first is still in flight. A server
+        // that held a lock around the handler would deadlock (and time
+        // out).
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let b = Arc::clone(&barrier);
-        let server = RegistrationServer::bind_concurrent("127.0.0.1:0", move |req: &[u8]| {
+        let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| {
             b.wait();
             req.to_vec()
         })

@@ -3,7 +3,7 @@
 //! and that misbehaving consumers are isolated individually, plus a
 //! shutdown-accounting test proving the broker joins exactly its pool
 //! threads and releases every file descriptor. Both tests read
-//! `/proc/self/{status,fd}`, so they are Linux-specific — like the rest
+//! `/proc/self/{task,fd}`, so they are Linux-specific — like the rest
 //! of the CI environment.
 
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// `/proc/self/status` and `/proc/self/fd` are process-global, so the two
+/// `/proc/self/task` and `/proc/self/fd` are process-global, so the two
 /// tests in this file must not overlap even when the harness runs tests
 /// in parallel.
 static PROC_SERIAL: Mutex<()> = Mutex::new(());
@@ -35,16 +35,17 @@ fn container(doc: &str, epoch: u64, payload: usize) -> BroadcastContainer {
     }
 }
 
-/// Live OS threads in this process, per the kernel's own accounting.
+/// Live broker threads in this process, per the kernel's own accounting:
+/// the tasks whose `comm` carries the `pbcd-` prefix the net crate gives
+/// every thread it spawns. Counting by name keeps libtest's own threads
+/// out — the other test's thread may start, and park on `PROC_SERIAL`,
+/// at any point after a baseline was read.
 fn os_threads() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("read /proc/self/status")
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .expect("Threads: line")
-        .trim()
-        .parse()
-        .expect("thread count")
+    std::fs::read_dir("/proc/self/task")
+        .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("pbcd-"))
+        .count()
 }
 
 /// Open file descriptors in this process (including the readdir's own fd,

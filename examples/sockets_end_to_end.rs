@@ -56,7 +56,7 @@ fn main() {
     let mut idmgr = IdentityManager::new(group.clone(), &mut rng);
     let doctor_nym = idmgr.nym_for("dora");
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 11);
+    let issuer = IssuerService::new(idp, idmgr, 11);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer endpoint");

@@ -1,8 +1,8 @@
 //! Concurrent stateful registration through `pbcd_net::direct`: N
 //! subscriber threads drive the full oblivious OCBE registration against
 //! one publisher endpoint **simultaneously**, and the resulting CSS-table
-//! state is identical to a sequential run — the sharded service replaced
-//! the single service mutex without changing semantics.
+//! state is identical to a sequential run — and no registration waits on
+//! the publisher lock.
 //!
 //! Also covers the typed publish-rejection surface of `NetPublisher`
 //! against a keyed broker (satellite: `PbcdError::PublishRejected`, not a
@@ -55,7 +55,7 @@ fn onboard_all(
     let idp = IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = IdentityManager::new(group.clone(), &mut rng);
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, seed ^ 0x15);
+    let issuer = IssuerService::new(idp, idmgr, seed ^ 0x15);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer");
@@ -229,6 +229,39 @@ fn mutation_invalidates_concurrent_registration_material() {
     client.close().expect("close");
     net_pub.disconnect().expect("disconnect");
     broker.shutdown();
+}
+
+/// Registrations never wait on a broadcast or an audit: with the registrar
+/// warm, a Register request handled on a second thread completes while
+/// this thread sits inside `with_publisher`, holding the publisher lock.
+#[test]
+fn registration_completes_while_the_publisher_lock_is_held() {
+    let group = P256Group::new();
+    let (mut subs, idmgr_key) = onboard_all(&group, 0xC3);
+    let publisher = Publisher::new(group.clone(), idmgr_key, policies());
+    let service = Arc::new(PublisherService::new(publisher, 0));
+    service.reseed(5); // builds the registrar
+
+    let mut sub = subs.remove(0); // s0: a doctor
+    let mut rng = StdRng::seed_from_u64(13);
+    let cond = AttributeCondition::eq_str("role", "doctor");
+    let session = pbcd::core::RegistrationSession::new(&mut sub, group.clone(), 48);
+    let (request, pending) = session.start(&cond, &mut rng).expect("start");
+
+    let response = service.with_publisher(|_locked| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handler = Arc::clone(&service);
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(handler.handle(&request));
+        });
+        let response = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a registration waited on the publisher lock");
+        worker.join().expect("handler thread");
+        response
+    });
+    assert!(pending.complete(&response).expect("complete"), "CSS opens");
+    assert_eq!(service.with_publisher(record_set).len(), 1);
 }
 
 /// Satellite: a broker refusal of a signed publish surfaces from

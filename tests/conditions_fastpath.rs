@@ -1,10 +1,10 @@
 //! The conditions-query fast path: the full (`attribute: None`)
-//! conditions query is answered from a pre-encoded `Arc` snapshot without
-//! taking the `PublisherService` mutex, is invalidated by publisher
-//! mutations, and returns bytes identical to the slow path.
+//! conditions query is answered from a pre-encoded snapshot without
+//! taking the publisher lock, is invalidated by publisher mutations, and
+//! returns bytes identical to the slow path.
 
 use pbcd::core::proto::{self, Request, Response};
-use pbcd::core::{NetPublisher, Publisher, PublisherService, SystemHarness};
+use pbcd::core::{service, NetPublisher, Publisher, PublisherService, SystemHarness};
 use pbcd::group::P256Group;
 use pbcd::net::{Broker, RegistrationClient};
 use pbcd::policy::{
@@ -120,13 +120,20 @@ fn full_conditions_query_served_from_snapshot_without_service_lock() {
 
 #[test]
 fn snapshot_matches_service_dispatch_bytes() {
-    // encode_conditions must be byte-identical to what handle() answers.
-    let mut service = PublisherService::new(deployed_publisher(), 3);
+    // The pre-encoded bytes must be identical to what dispatch answers.
     let group = P256Group::new();
     let query = Request::<P256Group>::ConditionsQuery { attribute: None }
         .encode(&group)
         .expect("encode");
-    let via_handle = service.handle(&query);
-    let via_snapshot = service.encode_conditions().expect("encode_conditions");
-    assert_eq!(via_handle, via_snapshot);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(3);
+    let via_dispatch = service::dispatch(&deployed_publisher(), &query, &mut rng);
+    let service = PublisherService::new(deployed_publisher(), 3);
+    service.reseed(3);
+    let via_snapshot = service.handle(&query);
+    assert_eq!(
+        service.stats().conditions_cache_hits,
+        1,
+        "served pre-encoded"
+    );
+    assert_eq!(via_dispatch, via_snapshot);
 }

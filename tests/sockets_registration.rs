@@ -88,7 +88,7 @@ fn full_paper_flow_every_leg_over_loopback_tcp() {
     let doctor_nym = idmgr.nym_for("dora");
     let clerk_nym = idmgr.nym_for("carl");
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 0x15);
+    let issuer = IssuerService::new(idp, idmgr, 0x15);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer endpoint");
@@ -216,13 +216,13 @@ fn registration_responses_indistinguishable_over_the_wire() {
     let idp = IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = IdentityManager::new(group.clone(), &mut rng);
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 7);
+    let issuer = IssuerService::new(idp, idmgr, 7);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer");
 
     let publisher = Publisher::new(group.clone(), idmgr_key, policies());
-    let mut service = PublisherService::new(publisher, 0xAB);
+    let service = PublisherService::new(publisher, 0xAB);
     let reg_server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| service.handle(req))
         .expect("bind registration");
 
@@ -266,13 +266,13 @@ fn garbage_on_the_registration_socket_yields_typed_errors_and_service_survives()
     let idp = IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = IdentityManager::new(group.clone(), &mut rng);
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 3);
+    let issuer = IssuerService::new(idp, idmgr, 3);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer");
 
     let publisher = Publisher::new(group.clone(), idmgr_key, policies());
-    let mut service = PublisherService::new(publisher, 5);
+    let service = PublisherService::new(publisher, 5);
     let reg_server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| service.handle(req))
         .expect("bind registration");
 
@@ -334,17 +334,14 @@ fn batch_registration_over_tcp_matches_sequential_and_isolates_bad_items() {
     let idp = IdentityProvider::new(group.clone(), "hr", &mut rng);
     let idmgr = IdentityManager::new(group.clone(), &mut rng);
     let idmgr_key = idmgr.verifying_key();
-    let mut issuer = IssuerService::new(idp, idmgr, 21);
+    let issuer = IssuerService::new(idp, idmgr, 21);
     let issuer_server =
         RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| issuer.handle(req))
             .expect("bind issuer");
 
-    // The *shared* service behind the socket, so the batch frame takes the
-    // same concurrent registration path the brokers deploy.
+    // Shared with the handler, so the test can read the service's stats.
     let publisher = Publisher::new(group.clone(), idmgr_key, policies());
-    let shared = std::sync::Arc::new(pbcd::core::SharedPublisherService::new(
-        PublisherService::new(publisher, 0xCC),
-    ));
+    let shared = std::sync::Arc::new(PublisherService::new(publisher, 0xCC));
     let handler = std::sync::Arc::clone(&shared);
     let reg_server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| handler.handle(req))
         .expect("bind registration");
@@ -418,7 +415,7 @@ fn session_surfaces_typed_peer_errors() {
     sub.install_token(token, opening).expect("first token");
 
     let publisher = Publisher::new(group.clone(), idmgr_key, policies());
-    let mut service = PublisherService::new(publisher, 1);
+    let service = PublisherService::new(publisher, 1);
 
     // A condition outside the policy set → typed UnknownCondition error.
     let rogue = AttributeCondition::new("clearance", ComparisonOp::Ge, 99);
