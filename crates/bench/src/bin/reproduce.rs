@@ -4,7 +4,9 @@
 //! Usage:
 //!   reproduce [--quick] [table2|fig2|fig3|fig4|fig5|fig6|
 //!              ablation-gkm|ablation-group|ablation-shard|ablation-batch|
-//!              bench-json|all]
+//!              ablation-dominance|bench-json|all]
+//!
+//! Anything else on the command line is an error (exit status 2).
 //!
 //! `--quick` shrinks round counts and sweep ranges for smoke runs; the
 //! default settings mirror the paper's parameters (50 OCBE rounds, N up to
@@ -32,8 +34,35 @@ struct Opts {
     quick: bool,
 }
 
+/// Every target `main` knows how to run.
+const TARGETS: [&str; 13] = [
+    "table2",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "ablation-gkm",
+    "ablation-group",
+    "ablation-shard",
+    "ablation-batch",
+    "ablation-dominance",
+    "bench-json",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| *a != "--quick" && !TARGETS.contains(&a.as_str()))
+    {
+        eprintln!(
+            "reproduce: unknown argument {unknown:?}\nusage: reproduce [--quick] [{}]",
+            TARGETS.join("|")
+        );
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let opts = Opts { quick };
     let targets: Vec<&str> = args
@@ -1032,9 +1061,10 @@ fn bench_json(opts: &Opts) {
 
     // Hand-rolled JSON (no serde in the workspace); numbers as integers
     // of nanoseconds / hundredths for stable, diff-friendly output.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n  \"schema\": \"pbcd-bench-group-ops/v1\",\n");
     json.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
+        "  \"mode\": \"{}\",\n  \"host_cores\": {cores},\n",
         if opts.quick { "quick" } else { "full" }
     ));
     json.push_str("  \"ops_ns\": {\n");

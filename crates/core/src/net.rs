@@ -233,7 +233,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetSubscriber<G, K> {
         addr: impl ToSocketAddrs,
         documents: &[&str],
     ) -> Result<Self, NetError> {
-        Self::connect_inner(subscriber, addr, documents, 1)
+        Self::connect_with_history(subscriber, addr, documents, 1)
     }
 
     /// Like [`Self::connect`], but asks the broker to replay up to the
@@ -248,22 +248,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetSubscriber<G, K> {
         documents: &[&str],
         depth: u32,
     ) -> Result<Self, NetError> {
-        Self::connect_inner(subscriber, addr, documents, depth)
-    }
-
-    fn connect_inner(
-        subscriber: Subscriber<G, K>,
-        addr: impl ToSocketAddrs,
-        documents: &[&str],
-        depth: u32,
-    ) -> Result<Self, NetError> {
         let mut client = BrokerClient::connect(addr, PeerRole::Subscriber)?;
         client.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
-        if depth <= 1 {
-            client.subscribe(documents)?;
-        } else {
-            client.subscribe_with_history(documents, depth)?;
-        }
+        client.subscribe_with_history(documents, depth)?;
         client.set_read_timeout(None)?;
         Ok(Self {
             subscriber,

@@ -1,5 +1,6 @@
 //! Publisher authentication for the broker: Schnorr verification of
-//! signed `Publish` frames against a configured map of authorized keys.
+//! `PublishSigned` frames against a configured map of authorized keys,
+//! one verification per frame.
 //!
 //! This is an **availability** mechanism, not a confidentiality one: the
 //! paper's construction already guarantees that containers reveal nothing
@@ -15,7 +16,7 @@
 //! still yields exactly an eavesdropper's view.
 
 use crate::error::RejectReason;
-use pbcd_group::{verify_batch, CyclicGroup, Signature, VerifyingKey};
+use pbcd_group::{CyclicGroup, Signature, VerifyingKey};
 use std::collections::BTreeMap;
 
 /// Verdict of a [`PublishAuth`] check, mapped straight onto the typed
@@ -47,48 +48,19 @@ impl AuthOutcome {
 /// external key stores can plug in their own.
 pub trait PublishAuth: Send + Sync {
     /// Whether signed publishes are *required*. An empty directory
-    /// reports `false` — legacy open mode, where unsigned publishes pass
-    /// (the pre-authentication behaviour).
+    /// reports `false` — open mode, where unsigned publishes pass.
     fn is_required(&self) -> bool;
 
     /// Checks `signature` (encoded `R ‖ s`) over `message` under the key
     /// registered as `key_id`.
     fn check(&self, key_id: &str, message: &[u8], signature: &[u8]) -> AuthOutcome;
-
-    /// Checks a burst of pending signed publishes at once, returning one
-    /// outcome per item (same order).
-    ///
-    /// The default delegates to [`PublishAuth::check`] per item;
-    /// [`PublisherDirectory`] overrides it with one
-    /// random-linear-combination Schnorr check
-    /// ([`pbcd_group::verify_batch`]) over the whole burst — a single
-    /// width-`2n+1` multi-scalar multiplication instead of `n` double
-    /// exponentiations — falling back to per-item verification only when
-    /// the combined check fails, to attribute the rejection.
-    fn check_batch(&self, items: &[BatchCheckItem<'_>]) -> Vec<AuthOutcome> {
-        items
-            .iter()
-            .map(|it| self.check(it.key_id, it.message, it.signature))
-            .collect()
-    }
-}
-
-/// One pending signed publish inside a [`PublishAuth::check_batch`] burst.
-#[derive(Clone, Copy)]
-pub struct BatchCheckItem<'a> {
-    /// The claimed publisher key id.
-    pub key_id: &'a str,
-    /// The canonical auth message ([`crate::frame::publish_auth_message`]).
-    pub message: &'a [u8],
-    /// The encoded signature from the frame.
-    pub signature: &'a [u8],
 }
 
 /// A static map of authorized publisher keys over one group backend.
 ///
-/// Empty directory = legacy open mode ([`PublishAuth::is_required`] is
-/// `false`): unsigned publishes keep working, so existing deployments
-/// upgrade the broker first and turn on keys when every publisher signs.
+/// Empty directory = open mode ([`PublishAuth::is_required`] is `false`):
+/// unsigned publishes are admitted, so a deployment turns keys on once
+/// every publisher signs.
 pub struct PublisherDirectory<G: CyclicGroup> {
     group: G,
     keys: BTreeMap<String, VerifyingKey<G>>,
@@ -149,39 +121,6 @@ impl<G: CyclicGroup> PublishAuth for PublisherDirectory<G> {
             AuthOutcome::BadSignature
         }
     }
-
-    fn check_batch(&self, items: &[BatchCheckItem<'_>]) -> Vec<AuthOutcome> {
-        // Resolve keys and parse signatures first; items that fail here get
-        // their verdict immediately and stay out of the combined check.
-        let mut outcomes = vec![AuthOutcome::Accepted; items.len()];
-        let mut parsed = Vec::with_capacity(items.len());
-        for (i, it) in items.iter().enumerate() {
-            let Some(key) = self.keys.get(it.key_id) else {
-                outcomes[i] = AuthOutcome::UnknownKey;
-                continue;
-            };
-            let Some(sig) = Signature::from_bytes(&self.group, it.signature) else {
-                outcomes[i] = AuthOutcome::BadSignature;
-                continue;
-            };
-            parsed.push((i, key, sig));
-        }
-        let batch: Vec<(&VerifyingKey<G>, &[u8], &Signature<G>)> = parsed
-            .iter()
-            .map(|(i, key, sig)| (*key, items[*i].message, sig))
-            .collect();
-        if !verify_batch(&self.group, &batch) {
-            // Someone in the burst is forged: fall back to per-item
-            // verification so the verdict names the culprit(s) and honest
-            // publishers in the same burst still land.
-            for (i, key, sig) in &parsed {
-                if !key.verify(&self.group, items[*i].message, sig) {
-                    outcomes[*i] = AuthOutcome::BadSignature;
-                }
-            }
-        }
-        outcomes
-    }
 }
 
 #[cfg(test)]
@@ -215,54 +154,6 @@ mod tests {
         assert_eq!(
             dir.check("pub-1", &msg, &sig[..sig.len() - 1]),
             AuthOutcome::BadSignature
-        );
-    }
-
-    #[test]
-    fn batch_check_attributes_failures() {
-        let group = P256Group::new();
-        let mut rng = StdRng::seed_from_u64(91);
-        let key = SigningKey::generate(&group, &mut rng);
-        let other = SigningKey::generate(&group, &mut rng);
-        let dir = PublisherDirectory::new(group.clone()).with_key("pub-1", key.verifying_key());
-
-        let msgs: Vec<Vec<u8>> = (0..4)
-            .map(|i| publish_auth_message("ward.xml", i, b"body"))
-            .collect();
-        let sigs: Vec<Vec<u8>> = msgs
-            .iter()
-            .map(|m| key.sign(&group, &mut rng, m).to_bytes(&group))
-            .collect();
-        let items: Vec<BatchCheckItem<'_>> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| BatchCheckItem {
-                key_id: "pub-1",
-                message: m,
-                signature: s,
-            })
-            .collect();
-        assert_eq!(
-            dir.check_batch(&items),
-            vec![AuthOutcome::Accepted; 4],
-            "all-valid burst"
-        );
-        assert!(dir.check_batch(&[]).is_empty(), "empty burst");
-
-        // Forge one signature, break one key id: only those two fail.
-        let forged = other.sign(&group, &mut rng, &msgs[2]).to_bytes(&group);
-        let mut bad = items.clone();
-        bad[2].signature = &forged;
-        bad[1].key_id = "pub-9";
-        let outcomes = dir.check_batch(&bad);
-        assert_eq!(
-            outcomes,
-            vec![
-                AuthOutcome::Accepted,
-                AuthOutcome::UnknownKey,
-                AuthOutcome::BadSignature,
-                AuthOutcome::Accepted,
-            ]
         );
     }
 

@@ -36,14 +36,28 @@
 //! a subscribed connection travel through its queue, so a control reply
 //! can never interleave mid-`Deliver` on the socket.
 //!
+//! # Admission
+//!
+//! A container has one way in. Whatever frame carried it — `Publish`,
+//! `PublishSigned`, `Relay` — and whichever thread read it (a
+//! connection's handler thread or a reader shard), `dispatch_frame` hands
+//! it to one `ingest` step: admit it (open mode, a verified signature, or
+//! an accepted peer link past the loop guards), carve the canonical
+//! container bytes off the frame body, retain and fan out under the state
+//! lock, and answer `Ack` or a typed [`Frame::Reject`]. A refusal is never
+//! fatal: the sender may correct — sign, bump the epoch — and retry on
+//! the same connection. What differs per source (who may send it, strict
+//! or idempotent epochs, which counter a refusal lands in) is data, not a
+//! second code path.
+//!
 //! # Semantics
 //!
 //! * **Retained history**: the newest [`BrokerConfig::history_depth`]
 //!   epochs per document are kept and replayed to late subscribers
 //!   oldest-first (at-least-once: a subscriber racing a publish may see
-//!   the same epoch twice; epochs make that detectable). A plain
-//!   `Subscribe` replays only the newest; [`Frame::SubscribeHistory`]
-//!   requests up to the retained depth.
+//!   the same epoch twice; epochs make that detectable).
+//!   [`Frame::Subscribe`] names the depth it wants, up to the retained
+//!   one; depth 1 replays only the newest.
 //! * **Durability** (optional): with [`BrokerConfig::store_path`] set,
 //!   every accepted publish is appended to a checksummed log before it is
 //!   acknowledged ([`crate::store`]); a restarted broker recovers its
@@ -54,20 +68,18 @@
 //!   OCBE registration flow, exactly as the paper separates the Pub/Sub
 //!   registration phase from dissemination.
 
-use crate::auth::{AuthOutcome, BatchCheckItem, PublishAuth};
+use crate::auth::PublishAuth;
 use crate::error::{NetError, RejectReason};
 use crate::frame::{
-    deliver_body, is_publish_signed_body, publish_auth_message, read_frame_body, relay_body,
-    relay_container_offset, signed_container_offset, ConfigSummary, Frame, PeerRole,
-    CONTAINER_OFFSET, MAX_FRAME_LEN,
+    deliver_body, publish_auth_message, read_frame_body, relay_body, relay_container_offset,
+    signed_container_offset, ConfigSummary, Frame, PeerRole, CONTAINER_OFFSET,
 };
 use crate::io_pool::{FrameAccum, PoolJob, ReaderConn, ReaderPool, SlotKind, WriterPool};
-use crate::relay::{self, relay_verdict, RelayConfig, RelaySource, RelayVerdict};
+use crate::relay::{self, relay_verdict, RelayConfig, RelayVerdict};
 use crate::store::{FsyncPolicy, RecoveryReport, RetentionStore, StoreTelemetry};
 use pbcd_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::io;
-use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -79,8 +91,6 @@ use std::time::{Duration, Instant};
 /// Broker tuning knobs.
 #[derive(Clone)]
 pub struct BrokerConfig {
-    /// Replay the retained container to matching new subscribers.
-    pub replay_retained: bool,
     /// Per-subscriber write deadline applied by that subscriber's writer
     /// thread; a consumer stalled past this is dropped. Never blocks a
     /// publisher — publish latency is bounded by enqueue time regardless.
@@ -107,10 +117,10 @@ pub struct BrokerConfig {
     pub subscriber_queue: usize,
     /// Authorized publisher keys. `None` — or an authenticator reporting
     /// [`PublishAuth::is_required`] `false` (e.g. an empty
-    /// [`crate::auth::PublisherDirectory`]) — is legacy open mode: any
-    /// peer may publish, exactly the pre-authentication behaviour. With
-    /// keys configured, unsigned publishes are refused and signed ones
-    /// must verify and carry a strictly increasing epoch.
+    /// [`crate::auth::PublisherDirectory`]) — is open mode: any peer may
+    /// publish. With keys configured, unsigned publishes are refused
+    /// (`AuthRequired`) and signed ones must verify and carry a strictly
+    /// increasing epoch.
     pub publisher_auth: Option<Arc<dyn PublishAuth>>,
     /// Path of the durable retention log. `None` (the default) keeps
     /// retention purely in memory — the pre-durability behaviour. With a
@@ -122,16 +132,15 @@ pub struct BrokerConfig {
     /// [`Self::store_path`]. See [`FsyncPolicy`] for the trade-offs.
     pub fsync: FsyncPolicy,
     /// How many epochs per document are retained for history replay
-    /// (clamped to ≥ 1). Depth 1 is exactly the old newest-epoch-wins
-    /// retention.
+    /// (clamped to ≥ 1). Depth 1 is newest-epoch-wins retention.
     pub history_depth: usize,
     /// Log-size cap: once the log outgrows this, live records are
     /// compacted into a fresh file. Irrelevant without
     /// [`Self::store_path`].
     pub max_log_bytes: u64,
     /// Broker-overlay peering plane. `None` (the default) is a standalone
-    /// broker: v5 overlay frames are refused like any other unexpected
-    /// frame and nothing else changes. With a [`RelayConfig`], the broker
+    /// broker: overlay frames draw a non-fatal `NotAPeer` refusal and
+    /// nothing else changes. With a [`RelayConfig`], the broker
     /// dials its configured downstream peers (forwarding every accepted
     /// publish one hop on) and — when
     /// [`RelayConfig::accept_peers`] — accepts inbound peer links,
@@ -174,7 +183,6 @@ impl BrokerConfig {
 impl core::fmt::Debug for BrokerConfig {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("BrokerConfig")
-            .field("replay_retained", &self.replay_retained)
             .field("write_timeout", &self.write_timeout)
             .field("handshake_timeout", &self.handshake_timeout)
             .field("max_connections", &self.max_connections)
@@ -199,7 +207,6 @@ impl core::fmt::Debug for BrokerConfig {
 impl Default for BrokerConfig {
     fn default() -> Self {
         Self {
-            replay_retained: true,
             write_timeout: Some(Duration::from_secs(5)),
             handshake_timeout: Some(Duration::from_secs(10)),
             max_connections: 1024,
@@ -285,7 +292,7 @@ pub struct BrokerStats {
 enum DropCause {
     /// Live fan-out or a control reply found the subscriber's queue full.
     QueueOverflow,
-    /// The subscriber's writer thread hit a failed or timed-out write.
+    /// The subscriber's writer-pool slot hit a failed or timed-out write.
     WriteFailed,
     /// A (re-)subscribe could not even enqueue its Ack + retained replay.
     ReplayOverflow,
@@ -372,20 +379,6 @@ impl BrokerTelemetry {
         }
     }
 
-    /// Counts a suppressed relay under both the total and its cause
-    /// label. `RelayLoop`/`StaleHop`/`NotAPeer` are the only reasons the
-    /// overlay guards emit; anything else is a plain publish reject.
-    fn count_suppressed(&self, reason: RejectReason, conn_id: u64, epoch: u64) {
-        self.relays_suppressed.inc();
-        match reason {
-            RejectReason::RelayLoop => self.suppressed_loop.inc(),
-            RejectReason::StaleHop => self.suppressed_stale.inc(),
-            RejectReason::NotAPeer => self.suppressed_not_peer.inc(),
-            _ => {}
-        }
-        self.trace(TraceKind::Reject, conn_id, epoch, 0);
-    }
-
     /// Counts a subscriber drop under both the total and its cause label.
     fn count_drop(&self, cause: DropCause, conn_id: u64) {
         self.subscribers_dropped.inc();
@@ -424,7 +417,7 @@ impl BrokerTelemetry {
     }
 
     /// Counts one connection terminated for malformed input (the reader
-    /// pool's equivalent of the handler loop's reject accounting).
+    /// pool's share of the accounting [`ConnWriter::fatal`] does).
     pub(crate) fn count_rejected_connection(&self) {
         self.connections_rejected.inc();
     }
@@ -432,8 +425,8 @@ impl BrokerTelemetry {
 
 /// One registered subscriber: its depth gauge and document filter. The
 /// queue itself lives in the subscriber's writer-pool slot (keyed by the
-/// same connection id); `depth` is shared with that slot so the
-/// aggregate queue-depth gauge reads identically to the old design.
+/// same connection id); `depth` is shared with that slot, which keeps
+/// it current, so the aggregate queue-depth gauge sums these.
 struct SubEntry {
     depth: Arc<AtomicU64>,
     /// Empty set = subscribed to every document.
@@ -899,19 +892,21 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 /// Where a connection's outbound frames go. Every connection starts
-/// `Direct` (the handler thread writes replies itself); the first
-/// `Subscribe` registers a writer-pool slot under the connection id and
-/// all further frames — deliveries and replies alike — travel its queue.
+/// `Direct`: its handler thread writes replies to the socket itself. The
+/// first `Subscribe` registers a writer-pool slot under the connection id
+/// and the connection becomes `Queued`: every further frame — deliveries
+/// and replies alike — travels that slot's queue, so nothing interleaves
+/// mid-frame on the socket.
 pub(crate) enum ConnWriter {
     Direct(TcpStream),
     Queued,
 }
 
 impl ConnWriter {
-    /// Sends one reply frame. For queued connections this is a
-    /// non-blocking enqueue; failure drops the subscriber (accounted in
-    /// `subscribers_dropped`, like every other drop path) and the caller
-    /// must terminate the connection.
+    /// Sends one reply frame; an `Err` means the connection is beyond
+    /// serving and the caller closes it. For queued connections this is a
+    /// non-blocking enqueue, and a full queue drops the subscriber
+    /// (counted under `cause="queue_overflow"`, like every other drop).
     fn reply(&mut self, shared: &Shared, id: u64, frame: &Frame) -> Result<(), NetError> {
         let body = frame.encode()?;
         match self {
@@ -920,35 +915,45 @@ impl ConnWriter {
                 write_body_deadline(stream, &body, deadline)
             }
             Self::Queued => {
-                if shared
-                    .io()
-                    .writer
-                    .enqueue(shared, id, PoolJob::Control(Arc::new(body)))
-                {
-                    Ok(())
-                } else {
-                    drop_subscriber(shared, id, DropCause::QueueOverflow);
-                    Err(NetError::protocol("subscriber queue overflow"))
+                let job = PoolJob::Control(Arc::new(body));
+                if shared.io().writer.enqueue(shared, id, job) {
+                    return Ok(());
                 }
+                let mut state = shared.state.lock().expect("broker state");
+                remove_subscriber(shared, &mut state, id, Some(DropCause::QueueOverflow));
+                Err(NetError::protocol("subscriber queue overflow"))
             }
         }
     }
+
+    /// Counts the connection as rejected, reports `message` in a fatal
+    /// `Error` frame (best effort) and returns the error that closes it:
+    /// the answer to malformed or protocol-violating input.
+    fn fatal(&mut self, shared: &Shared, id: u64, message: String) -> NetError {
+        shared.telemetry.connections_rejected.inc();
+        let error = Frame::Error {
+            message: message.clone(),
+        };
+        let _ = self.reply(shared, id, &error);
+        NetError::Protocol(message)
+    }
 }
 
-/// Removes a subscriber that can no longer be served, counting the drop
-/// exactly once, deregistering its writer-pool slot and closing its
-/// socket so every thread of the connection unwinds. Shared by the
-/// pool's write-failure path and the control-reply overflow path
-/// (publish-time overflow does the same inline under its already-held
-/// lock).
-fn drop_subscriber(shared: &Shared, id: u64, cause: DropCause) {
-    let mut state = shared.state.lock().expect("broker state");
-    if state.subscribers.remove(&id).is_some() {
-        shared.telemetry.count_drop(cause, id);
-    }
+/// The one way a subscriber leaves [`State`], under the already-held
+/// lock: its registration and its writer-pool slot go together. With a
+/// `cause` this is a *drop* — counted exactly once (only if the
+/// subscription was still registered) and the socket closed, so every
+/// holder of the connection unwinds; without one it is the quiet half of
+/// a connection teardown.
+fn remove_subscriber(shared: &Shared, state: &mut State, id: u64, cause: Option<DropCause>) {
+    let was_registered = state.subscribers.remove(&id).is_some();
     // state → shard is the sanctioned lock order; idempotent if the pool
     // already dropped the slot itself.
     shared.io().writer.remove(id);
+    let Some(cause) = cause else { return };
+    if was_registered {
+        shared.telemetry.count_drop(cause, id);
+    }
     if let Some(conn) = state.connections.get(&id) {
         let _ = conn.shutdown(Shutdown::Both);
     }
@@ -958,14 +963,16 @@ fn drop_subscriber(shared: &Shared, id: u64, cause: DropCause) {
 /// expired (the slot itself is already gone and its socket dup closed).
 /// Runs with no shard lock held.
 pub(crate) fn on_pool_write_failure(shared: &Shared, id: u64, kind: SlotKind) {
+    let mut state = shared.state.lock().expect("broker state");
     match kind {
-        SlotKind::Subscriber => drop_subscriber(shared, id, DropCause::WriteFailed),
+        SlotKind::Subscriber => {
+            remove_subscriber(shared, &mut state, id, Some(DropCause::WriteFailed))
+        }
         SlotKind::RelayLink => {
             // Close the link's registered socket so its (reader) thread
             // observes the dead connection promptly and reconnects with
             // backoff + log resync; `run_link_once` owns the rest of the
             // cleanup.
-            let state = shared.state.lock().expect("broker state");
             if let Some(conn) = state.connections.get(&id) {
                 let _ = conn.shutdown(Shutdown::Both);
             }
@@ -973,51 +980,50 @@ pub(crate) fn on_pool_write_failure(shared: &Shared, id: u64, kind: SlotKind) {
     }
 }
 
-/// Reader-pool callback: an adopted connection closed (EOF, error or a
-/// fatal frame). Mirrors the handler thread's teardown.
-pub(crate) fn reader_conn_teardown(shared: &Shared, id: u64) {
+/// Connection teardown, shared by the handler thread and the reader pool
+/// (EOF, error or a fatal frame): deregistering the subscription and its
+/// pool slot stops further enqueues, and the socket is closed for every
+/// other holder of a dup.
+pub(crate) fn close_connection(shared: &Shared, id: u64) {
     let mut state = shared.state.lock().expect("broker state");
-    state.subscribers.remove(&id);
-    shared.io().writer.remove(id);
+    remove_subscriber(shared, &mut state, id, None);
     if let Some(conn) = state.connections.remove(&id) {
         let _ = conn.shutdown(Shutdown::Both);
     }
 }
 
-/// What [`dispatch_frame`] tells its caller to do next.
+/// What a served frame asks of the loop that read it. (A connection that
+/// has served its last frame is an `Err` from [`dispatch_frame`].)
 pub(crate) enum FrameFlow {
     /// Keep serving this connection.
     Continue,
-    /// Terminate this connection (error accounting already done).
-    Close,
     /// First `Subscribe` completed on a `Direct` connection: the write
-    /// half is now a writer-pool slot and the read half should move to
-    /// the reader pool (the handler thread exits).
+    /// half is now a writer-pool slot and the read half moves to the
+    /// reader pool (the handler thread exits).
     HandOff,
 }
 
-/// Per-connection service loop. Every error path here terminates *this*
-/// connection only: decode errors, protocol violations and write failures
-/// are contained, and the loop itself never panics on peer input.
-/// Publishers and peer links stay on this thread for their whole life
-/// (their latency is syscall-direct); a connection that subscribes is
-/// handed off to the I/O pools and this thread exits.
+/// The blocking half of a connection's life, on its own handler thread.
+/// Every error path here terminates *this* connection only: decode
+/// errors, protocol violations and write failures are contained, and the
+/// loop itself never panics on peer input. Publishers and inbound peer
+/// links stay on this thread for their whole life (their latency is
+/// syscall-direct); a connection that subscribes is handed off to the I/O
+/// pools — reads to a reader shard, writes to its writer-pool slot — and
+/// this thread exits. Both halves serve frames through the same
+/// [`dispatch_frame`].
 fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
     let shared = &shared;
     let mut writer = match stream.try_clone() {
         Ok(w) => ConnWriter::Direct(w),
-        Err(_) => {
-            let mut state = shared.state.lock().expect("broker state");
-            state.connections.remove(&id);
-            return;
-        }
+        Err(_) => return close_connection(shared, id),
     };
     let _ = stream.set_nodelay(true);
     shared.telemetry.trace(TraceKind::Connect, id, 0, 0);
     // Until the peer has produced one complete frame, reads are bounded by
     // the handshake timeout: a connect-and-say-nothing peer cannot pin this
     // thread forever. Once it speaks, blocking indefinitely is legitimate
-    // (idle subscribers wait for deliveries).
+    // (a publisher idles between broadcasts).
     let mut handshaken = false;
     let _ = stream.set_read_timeout(shared.config.handshake_timeout);
     // Set once this connection completes a `PeerHello` exchange: only then
@@ -1031,14 +1037,7 @@ fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
             Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
             Err(e) => {
                 // Hostile length prefix: report, count, drop the peer.
-                shared.telemetry.connections_rejected.inc();
-                let _ = writer.reply(
-                    shared,
-                    id,
-                    &Frame::Error {
-                        message: format!("malformed frame: {e}"),
-                    },
-                );
+                writer.fatal(shared, id, format!("malformed frame: {e}"));
                 break;
             }
         };
@@ -1046,20 +1045,9 @@ fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
             handshaken = true;
             let _ = stream.set_read_timeout(None);
         }
-        // Pipelined signed publishes coalesce into one burst here, so the
-        // broker pays a single batched Schnorr check for the lot instead
-        // of one double exponentiation per frame.
-        let flow = if is_publish_signed_body(&body) {
-            let mut bodies = vec![body];
-            drain_signed_burst(&mut stream, &mut bodies);
-            dispatch_signed_burst(shared, id, &mut writer, &mut peer_id, bodies)
-        } else {
-            dispatch_frame(shared, id, &mut writer, &mut peer_id, body)
-        };
-        match flow {
-            FrameFlow::Continue => {}
-            FrameFlow::Close => break,
-            FrameFlow::HandOff => {
+        match dispatch_frame(shared, id, &mut writer, &mut peer_id, body) {
+            Ok(FrameFlow::Continue) => {}
+            Ok(FrameFlow::HandOff) => {
                 // The write half is a pool slot and the fd is already
                 // non-blocking (shared with the write half); the read
                 // half joins the reader pool, which owns teardown from
@@ -1077,161 +1065,77 @@ fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
                 // Shutdown raced the handoff: tear down normally.
                 break;
             }
+            // Served its last frame; the accounting is already done.
+            Err(_) => break,
         }
     }
-
-    // Teardown: deregistering the subscription (and its pool slot, when
-    // queued) stops further enqueues; the connection-map removal closes
-    // the socket for every other holder of a dup.
-    let mut state = shared.state.lock().expect("broker state");
-    state.subscribers.remove(&id);
-    shared.io().writer.remove(id);
-    state.connections.remove(&id);
+    close_connection(shared, id);
 }
 
-/// Serves one decoded frame for `id`, replying through `writer`. Shared
-/// verbatim between the handler-thread loop (blocking reads, `Direct`
-/// replies until the first subscribe) and the reader pool (non-blocking
-/// reads, queued replies) — the protocol semantics cannot drift between
-/// the two planes.
+/// Serves one frame for connection `id`, replying through `writer` — the
+/// single entry point for inbound frames, called with nothing in front of
+/// it by both the handler-thread loop (blocking reads, `Direct` replies
+/// until the first subscribe) and the reader pool (non-blocking reads,
+/// queued replies), so the protocol semantics cannot drift between the
+/// two. `Err` means the connection has served its last frame (`Bye`, a
+/// fatal violation, or a reply that could not be sent) and the caller
+/// closes it; every counter and trace event is already recorded.
 pub(crate) fn dispatch_frame(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
     writer: &mut ConnWriter,
     peer_id: &mut Option<String>,
-    mut body: Vec<u8>,
-) -> FrameFlow {
+    body: Vec<u8>,
+) -> Result<FrameFlow, NetError> {
     let frame = match Frame::decode(&body) {
         Ok(f) => f,
-        Err(_) if shared.shutdown.load(Ordering::SeqCst) => return FrameFlow::Close,
-        Err(e) => {
-            // Malformed input: report, count, drop the peer.
-            shared.telemetry.connections_rejected.inc();
-            let _ = writer.reply(
-                shared,
-                id,
-                &Frame::Error {
-                    message: format!("malformed frame: {e}"),
-                },
-            );
-            return FrameFlow::Close;
-        }
+        Err(e) if shared.shutdown.load(Ordering::SeqCst) => return Err(e.into()),
+        // Malformed input: report, count, drop the peer.
+        Err(e) => return Err(writer.fatal(shared, id, format!("malformed frame: {e}"))),
     };
     match frame {
         Frame::Hello { role: _ } => {
             let hello = Frame::Hello {
                 role: PeerRole::Broker,
             };
-            if writer.reply(shared, id, &hello).is_err() {
-                return FrameFlow::Close;
-            }
+            writer.reply(shared, id, &hello)?;
         }
+        // Every container-bearing frame is the same admission sequence;
+        // what differs per kind is data on the `Source`.
         Frame::Publish(container) => {
-            let publish_start = Instant::now();
-            // Keyed broker: unsigned publishes are refused outright —
-            // the legacy Error path, since a v1 peer cannot decode a
-            // `Reject` frame.
-            if auth_required(shared) {
-                shared.telemetry.publishes_rejected.inc();
-                shared
-                    .telemetry
-                    .trace(TraceKind::Reject, id, container.epoch, 0);
-                let _ = writer.reply(
-                    shared,
-                    id,
-                    &Frame::Error {
-                        message: "publish rejected: publisher authentication required".into(),
-                    },
-                );
-                return FrameFlow::Close;
-            }
-            let epoch = container.epoch;
-            // The strict decode guarantees the body tail *is* the
-            // canonical container encoding; retain it instead of
-            // re-encoding megabytes on the hot path.
-            let mut container_bytes = std::mem::take(&mut body);
-            container_bytes.drain(..CONTAINER_OFFSET);
-            match handle_publish(
-                shared,
-                &container,
-                container_bytes,
-                false,
-                RelaySource::Local,
-            ) {
-                Ok(fanout) => {
-                    if writer
-                        .reply(shared, id, &Frame::Ack { epoch, fanout })
-                        .is_err()
-                    {
-                        return FrameFlow::Close;
-                    }
-                    record_publish_ack(shared, id, epoch, publish_start);
-                }
-                Err(reject) => {
-                    shared.telemetry.publishes_rejected.inc();
-                    shared.telemetry.trace(TraceKind::Reject, id, epoch, 0);
-                    let _ = writer.reply(
-                        shared,
-                        id,
-                        &Frame::Error {
-                            message: format!("publish rejected: {}", reject.detail),
-                        },
-                    );
-                    return FrameFlow::Close;
-                }
-            }
+            let source = Source::Unsigned;
+            ingest(shared, id, writer, peer_id, source, &container, body)?;
         }
         Frame::PublishSigned {
             key_id,
             signature,
             container,
         } => {
-            let publish_start = Instant::now();
-            let mut container_bytes = std::mem::take(&mut body);
-            container_bytes.drain(..signed_container_offset(&key_id, signature.len()));
-            // Verify *before* the state lock: signature checks are the
-            // expensive part and must not serialize the broker.
-            let verdict = match shared.config.publisher_auth.as_ref() {
-                Some(auth) if auth.is_required() => {
-                    let msg = publish_auth_message(
-                        &container.document_name,
-                        container.epoch,
-                        &container_bytes,
-                    );
-                    auth.check(&key_id, &msg, &signature)
-                }
-                _ => AuthOutcome::Accepted,
+            let source = Source::Signed {
+                key_id: &key_id,
+                signature: &signature,
             };
-            return serve_publish_signed(
-                shared,
-                id,
-                writer,
-                verdict,
-                &container,
-                container_bytes,
-                publish_start,
-            );
+            ingest(shared, id, writer, peer_id, source, &container, body)?;
         }
-        Frame::Subscribe { documents } => {
-            let was_direct = matches!(writer, ConnWriter::Direct(_));
-            if handle_subscribe(shared, id, writer, documents, 1).is_err() {
-                return FrameFlow::Close;
-            }
-            shared.telemetry.trace(TraceKind::Subscribe, id, 0, 0);
-            if was_direct {
-                return FrameFlow::HandOff;
-            }
+        Frame::Relay {
+            origin,
+            hops,
+            container,
+        } => {
+            let source = Source::Peer {
+                origin: &origin,
+                hops,
+            };
+            ingest(shared, id, writer, peer_id, source, &container, body)?;
         }
-        Frame::SubscribeHistory { documents, depth } => {
+        Frame::Subscribe { documents, depth } => {
             // Depth is a request, not a demand: the broker replays at
             // most what it retains (its configured history depth).
             let was_direct = matches!(writer, ConnWriter::Direct(_));
-            if handle_subscribe(shared, id, writer, documents, depth.max(1) as usize).is_err() {
-                return FrameFlow::Close;
-            }
+            handle_subscribe(shared, id, writer, documents, depth.max(1) as usize)?;
             shared.telemetry.trace(TraceKind::Subscribe, id, 0, 0);
             if was_direct {
-                return FrameFlow::HandOff;
+                return Ok(FrameFlow::HandOff);
             }
         }
         Frame::ListConfigs => {
@@ -1239,9 +1143,7 @@ pub(crate) fn dispatch_frame(
                 let state = shared.state.lock().expect("broker state");
                 state.store.summaries()
             };
-            if writer.reply(shared, id, &Frame::Configs(entries)).is_err() {
-                return FrameFlow::Close;
-            }
+            writer.reply(shared, id, &Frame::Configs(entries))?;
         }
         Frame::StatsRequest => {
             // Aggregates only: the exposition carries counters, gauges
@@ -1249,12 +1151,7 @@ pub(crate) fn dispatch_frame(
             // plaintext or subscriber identities (see the module-level
             // threat model).
             let text = telemetry_snapshot(shared).render_text();
-            if writer
-                .reply(shared, id, &Frame::StatsResponse { text })
-                .is_err()
-            {
-                return FrameFlow::Close;
-            }
+            writer.reply(shared, id, &Frame::StatsResponse { text })?;
         }
         Frame::PeerHello { broker_id } => {
             // An inbound peer link opening. Refusal is typed and
@@ -1262,17 +1159,12 @@ pub(crate) fn dispatch_frame(
             // a perfectly good broker for this connection's other
             // traffic (and the dialer's backoff handles the rest).
             let Some(relay_config) = shared.config.relay.as_ref().filter(|r| r.accept_peers) else {
-                shared
-                    .telemetry
-                    .count_suppressed(RejectReason::NotAPeer, id, 0);
-                let reject = Frame::Reject {
-                    reason: RejectReason::NotAPeer,
-                    message: "this broker does not accept relay peers".into(),
-                };
-                if writer.reply(shared, id, &reject).is_err() {
-                    return FrameFlow::Close;
-                }
-                return FrameFlow::Continue;
+                let reject = PublishReject::new(
+                    RejectReason::NotAPeer,
+                    "this broker does not accept relay peers",
+                );
+                refuse(shared, id, writer, true, 0, reject)?;
+                return Ok(FrameFlow::Continue);
             };
             let hello = Frame::PeerHello {
                 broker_id: relay_config.broker_id.clone(),
@@ -1286,123 +1178,12 @@ pub(crate) fn dispatch_frame(
                 state.store.newest_epochs()
             };
             *peer_id = Some(broker_id);
-            if writer.reply(shared, id, &hello).is_err()
-                || writer
-                    .reply(shared, id, &Frame::RelayCatchUp { known })
-                    .is_err()
-            {
-                return FrameFlow::Close;
-            }
-        }
-        Frame::Relay {
-            origin,
-            hops,
-            container,
-        } => {
-            let epoch = container.epoch;
-            // Only accepted peers may relay. The peer link itself is
-            // the authorization: signatures were verified where the
-            // container entered the overlay (origin-only), and the
-            // container's own authenticated encryption — the paper's
-            // core property — is what a hostile edge cannot forge.
-            if peer_id.is_none() {
-                shared
-                    .telemetry
-                    .count_suppressed(RejectReason::NotAPeer, id, epoch);
-                let reject = Frame::Reject {
-                    reason: RejectReason::NotAPeer,
-                    message: "relay from a non-peer connection".into(),
-                };
-                if writer.reply(shared, id, &reject).is_err() {
-                    return FrameFlow::Close;
-                }
-                return FrameFlow::Continue;
-            }
-            let relay_config = shared
-                .config
-                .relay
-                .as_ref()
-                .expect("peer link accepted without relay config");
-            let retained = {
-                let state = shared.state.lock().expect("broker state");
-                state.store.newest_epoch(&container.document_name)
-            };
-            let verdict = relay_verdict(
-                &relay_config.broker_id,
-                retained,
-                &origin,
-                hops,
-                epoch,
-                relay_config.max_hops,
-            );
-            let reject_reason = match verdict {
-                RelayVerdict::Loop => Some(RejectReason::RelayLoop),
-                RelayVerdict::Stale => Some(RejectReason::StaleHop),
-                RelayVerdict::Accept => None,
-            };
-            if let Some(reason) = reject_reason {
-                shared.telemetry.count_suppressed(reason, id, epoch);
-                let reject = Frame::Reject {
-                    reason,
-                    message: reason.to_string(),
-                };
-                if writer.reply(shared, id, &reject).is_err() {
-                    return FrameFlow::Close;
-                }
-                return FrameFlow::Continue;
-            }
-            let mut container_bytes = std::mem::take(&mut body);
-            container_bytes.drain(..relay_container_offset(&origin));
-            match handle_publish(
-                shared,
-                &container,
-                container_bytes,
-                true,
-                RelaySource::Peer {
-                    origin: &origin,
-                    hops,
-                },
-            ) {
-                Ok(fanout) => {
-                    shared.telemetry.relays_accepted.inc();
-                    shared.telemetry.trace(TraceKind::Publish, id, epoch, 0);
-                    if writer
-                        .reply(shared, id, &Frame::Ack { epoch, fanout })
-                        .is_err()
-                    {
-                        return FrameFlow::Close;
-                    }
-                }
-                Err(reject) => {
-                    // The verdict above ran outside the state lock; a
-                    // racing publish can still make this epoch stale
-                    // at retention time — that in-lock recheck is the
-                    // real guard, surfaced under the relay taxonomy.
-                    let reason = if reject.reason == RejectReason::StaleEpoch {
-                        RejectReason::StaleHop
-                    } else {
-                        reject.reason
-                    };
-                    shared.telemetry.count_suppressed(reason, id, epoch);
-                    if writer
-                        .reply(
-                            shared,
-                            id,
-                            &Frame::Reject {
-                                reason,
-                                message: reject.detail,
-                            },
-                        )
-                        .is_err()
-                    {
-                        return FrameFlow::Close;
-                    }
-                }
-            }
+            writer.reply(shared, id, &hello)?;
+            writer.reply(shared, id, &Frame::RelayCatchUp { known })?;
         }
         Frame::Bye => {
             let _ = writer.reply(shared, id, &Frame::Bye);
-            return FrameFlow::Close;
+            return Err(NetError::Closed);
         }
         // Frames only the broker may send: a client speaking them is
         // confused or hostile — cut it off (in isolation).
@@ -1416,218 +1197,184 @@ pub(crate) fn dispatch_frame(
         | Frame::Reject { .. }
         | Frame::StatsResponse { .. }
         | Frame::RelayCatchUp { .. } => {
-            shared.telemetry.connections_rejected.inc();
-            let _ = writer.reply(
-                shared,
-                id,
-                &Frame::Error {
-                    message: "unexpected broker-only frame from client".into(),
-                },
-            );
-            return FrameFlow::Close;
+            let message = "unexpected broker-only frame from client".to_string();
+            return Err(writer.fatal(shared, id, message));
         }
     }
-    FrameFlow::Continue
+    Ok(FrameFlow::Continue)
 }
 
-fn auth_required(shared: &Shared) -> bool {
-    shared
+/// Who handed the broker a container: everything the one admission
+/// sequence ([`ingest`]) needs to know that differs per frame kind.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// `Publish`: no credentials. Admitted in open mode only; an equal
+    /// epoch passes, so a publisher may idempotently retry a lost `Ack`.
+    Unsigned,
+    /// `PublishSigned`: admitted once the signature verifies under an
+    /// authorized key (unchecked in open mode); epochs strictly increase,
+    /// so a captured frame cannot be replayed even at its own epoch.
+    Signed {
+        key_id: &'a str,
+        signature: &'a [u8],
+    },
+    /// `Relay`: admitted from an accepted peer link past the loop guards.
+    /// The link itself is the authorization: signatures were verified
+    /// where the container entered the overlay (origin-only), and the
+    /// container's own authenticated encryption — the paper's core
+    /// property — is what a hostile edge cannot forge. Epochs strictly
+    /// increase; refusals are counted as overlay suppressions.
+    Peer { origin: &'a str, hops: u8 },
+}
+
+impl Source<'_> {
+    /// Where the canonical container encoding starts in the frame body.
+    fn container_offset(&self) -> usize {
+        match self {
+            Self::Unsigned => CONTAINER_OFFSET,
+            Self::Signed { key_id, signature } => signed_container_offset(key_id, signature.len()),
+            Self::Peer { origin, .. } => relay_container_offset(origin),
+        }
+    }
+
+    fn is_peer(&self) -> bool {
+        matches!(self, Self::Peer { .. })
+    }
+}
+
+/// The one way a container enters the broker, whatever frame carried it:
+/// (1) admit it, (2) carve the canonical container bytes off the frame
+/// body, (3) retain and fan out ([`handle_publish`]), (4) answer `Ack` or
+/// a typed, non-fatal `Reject` — the sender may correct and retry on the
+/// same connection. Steps 1–2 run outside the state lock.
+fn ingest(
+    shared: &Shared,
+    id: u64,
+    writer: &mut ConnWriter,
+    peer_id: &Option<String>,
+    source: Source<'_>,
+    container: &pbcd_docs::BroadcastContainer,
+    mut body: Vec<u8>,
+) -> Result<(), NetError> {
+    let start = Instant::now();
+    let epoch = container.epoch;
+    // The strict decode guarantees the body tail from this offset *is* the
+    // canonical container encoding: verify it and retain it as received
+    // instead of re-encoding megabytes on the hot path.
+    let offset = source.container_offset();
+    let verdict = admit(shared, peer_id, source, container, &body[offset..]).and_then(|()| {
+        body.drain(..offset);
+        handle_publish(shared, container, body, source)
+    });
+    match verdict {
+        Ok(fanout) => {
+            writer.reply(shared, id, &Frame::Ack { epoch, fanout })?;
+            // Publish→ack latency is the local publisher's metric,
+            // recorded once the Ack is written (Direct) or enqueued
+            // (Queued); a forwarding peer times its own enqueue→ack lag.
+            let elapsed = if source.is_peer() {
+                0
+            } else {
+                let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+                shared.telemetry.publish_ack_ns.record(ns);
+                ns
+            };
+            shared
+                .telemetry
+                .trace(TraceKind::Publish, id, epoch, elapsed);
+            Ok(())
+        }
+        Err(reject) => refuse(shared, id, writer, source.is_peer(), epoch, reject),
+    }
+}
+
+/// Step 1 of [`ingest`]: may this connection hand the broker this
+/// container at all? Runs before the state lock is taken — signature
+/// checks are the expensive part and must not serialize the broker.
+fn admit(
+    shared: &Shared,
+    peer_id: &Option<String>,
+    source: Source<'_>,
+    container: &pbcd_docs::BroadcastContainer,
+    container_bytes: &[u8],
+) -> Result<(), PublishReject> {
+    let auth = shared
         .config
         .publisher_auth
         .as_ref()
-        .is_some_and(|a| a.is_required())
-}
-
-/// Applies one authenticated (or auth-exempt) signed publish and replies
-/// `Ack`/`Reject`. Shared by the single-frame path in [`dispatch_frame`]
-/// and the pipelined burst path in [`dispatch_signed_burst`]; `verdict`
-/// carries the already-computed authentication outcome so the burst path
-/// can substitute one batched check for per-frame verification. A refusal
-/// is typed and *non-fatal* — the publisher may correct and retry on this
-/// connection.
-#[allow(clippy::too_many_arguments)]
-fn serve_publish_signed(
-    shared: &Arc<Shared>,
-    id: u64,
-    writer: &mut ConnWriter,
-    verdict: AuthOutcome,
-    container: &pbcd_docs::BroadcastContainer,
-    container_bytes: Vec<u8>,
-    publish_start: Instant,
-) -> FrameFlow {
-    let epoch = container.epoch;
-    if let Some(reason) = verdict.reject_reason() {
-        shared.telemetry.publishes_rejected.inc();
-        shared.telemetry.trace(TraceKind::Reject, id, epoch, 0);
-        if writer
-            .reply(
-                shared,
-                id,
-                &Frame::Reject {
-                    reason,
-                    message: reason.to_string(),
-                },
-            )
-            .is_err()
-        {
-            return FrameFlow::Close;
-        }
-        return FrameFlow::Continue;
-    }
-    match handle_publish(shared, container, container_bytes, true, RelaySource::Local) {
-        Ok(fanout) => {
-            if writer
-                .reply(shared, id, &Frame::Ack { epoch, fanout })
-                .is_err()
-            {
-                return FrameFlow::Close;
-            }
-            record_publish_ack(shared, id, epoch, publish_start);
-        }
-        Err(reject) => {
-            shared.telemetry.publishes_rejected.inc();
-            shared.telemetry.trace(TraceKind::Reject, id, epoch, 0);
-            if writer
-                .reply(
-                    shared,
-                    id,
-                    &Frame::Reject {
-                        reason: reject.reason,
-                        message: reject.detail,
-                    },
-                )
-                .is_err()
-            {
-                return FrameFlow::Close;
+        .filter(|a| a.is_required());
+    let refusal = match source {
+        Source::Unsigned => auth.map(|_| RejectReason::AuthRequired),
+        Source::Signed { key_id, signature } => auth.and_then(|auth| {
+            let msg =
+                publish_auth_message(&container.document_name, container.epoch, container_bytes);
+            auth.check(key_id, &msg, signature).reject_reason()
+        }),
+        Source::Peer { .. } if peer_id.is_none() => Some(RejectReason::NotAPeer),
+        Source::Peer { origin, hops } => {
+            let relay_config = shared
+                .config
+                .relay
+                .as_ref()
+                .expect("peer link accepted without relay config");
+            let retained = {
+                let state = shared.state.lock().expect("broker state");
+                state.store.newest_epoch(&container.document_name)
+            };
+            // This verdict runs outside the state lock; a racing publish
+            // can still make the epoch stale at retention time — the
+            // in-lock recheck in `handle_publish` is the real guard.
+            match relay_verdict(
+                &relay_config.broker_id,
+                retained,
+                origin,
+                hops,
+                container.epoch,
+                relay_config.max_hops,
+            ) {
+                RelayVerdict::Loop => Some(RejectReason::RelayLoop),
+                RelayVerdict::Stale => Some(RejectReason::StaleHop),
+                RelayVerdict::Accept => None,
             }
         }
-    }
-    FrameFlow::Continue
-}
-
-/// Serves a read burst of pipelined `PublishSigned` frames: one batched
-/// Schnorr check ([`PublishAuth::check_batch`], a single multi-scalar
-/// multiplication) authenticates the whole burst, then each publish is
-/// applied and acknowledged in arrival order. Any body that fails the
-/// strict decode sends the entire burst back through [`dispatch_frame`]
-/// one frame at a time, so malformed input keeps its exact single-frame
-/// semantics (typed error, connection drop).
-fn dispatch_signed_burst(
-    shared: &Arc<Shared>,
-    id: u64,
-    writer: &mut ConnWriter,
-    peer_id: &mut Option<String>,
-    bodies: Vec<Vec<u8>>,
-) -> FrameFlow {
-    let publish_start = Instant::now();
-    let mut decoded = Vec::with_capacity(bodies.len());
-    for body in &bodies {
-        match Frame::decode(body) {
-            Ok(Frame::PublishSigned {
-                key_id,
-                signature,
-                container,
-            }) => decoded.push((key_id, signature, container)),
-            _ => {
-                for body in bodies {
-                    match dispatch_frame(shared, id, writer, peer_id, body) {
-                        FrameFlow::Continue => {}
-                        flow => return flow,
-                    }
-                }
-                return FrameFlow::Continue;
-            }
-        }
-    }
-    let entries: Vec<_> = bodies
-        .into_iter()
-        .zip(decoded)
-        .map(|(body, (key_id, signature, container))| {
-            let mut container_bytes = body;
-            container_bytes.drain(..signed_container_offset(&key_id, signature.len()));
-            (key_id, signature, container, container_bytes)
-        })
-        .collect();
-    let verdicts = match shared.config.publisher_auth.as_ref() {
-        Some(auth) if auth.is_required() => {
-            let msgs: Vec<Vec<u8>> = entries
-                .iter()
-                .map(|(_, _, container, container_bytes)| {
-                    publish_auth_message(&container.document_name, container.epoch, container_bytes)
-                })
-                .collect();
-            let items: Vec<BatchCheckItem<'_>> = entries
-                .iter()
-                .zip(&msgs)
-                .map(|((key_id, signature, _, _), msg)| BatchCheckItem {
-                    key_id,
-                    message: msg,
-                    signature,
-                })
-                .collect();
-            auth.check_batch(&items)
-        }
-        _ => vec![AuthOutcome::Accepted; entries.len()],
     };
-    for ((_, _, container, container_bytes), verdict) in entries.into_iter().zip(verdicts) {
-        match serve_publish_signed(
-            shared,
-            id,
-            writer,
-            verdict,
-            &container,
-            container_bytes,
-            publish_start,
-        ) {
-            FrameFlow::Continue => {}
-            flow => return flow,
-        }
+    match refusal {
+        Some(reason) => Err(PublishReject::new(reason, reason.to_string())),
+        None => Ok(()),
     }
-    FrameFlow::Continue
 }
 
-/// Most pipelined signed publishes coalesced into one verification burst.
-const MAX_SIGNED_BURST: usize = 64;
-
-/// Kernel-buffer window inspected when coalescing a burst.
-const SIGNED_BURST_PEEK: usize = 256 * 1024;
-
-/// Collects already-buffered pipelined `PublishSigned` frames following
-/// one just read, without blocking: peeks the kernel receive buffer,
-/// carves complete signed-publish frames off the front, and consumes
-/// exactly those bytes. A partial trailing frame — and anything that is
-/// not a signed publish — stays buffered for the normal blocking read,
-/// so this can only reorder nothing and lose nothing. Errors (including
-/// `WouldBlock` on an empty buffer) simply end the burst.
-fn drain_signed_burst(stream: &mut TcpStream, bodies: &mut Vec<Vec<u8>>) {
-    if stream.set_nonblocking(true).is_err() {
-        return;
-    }
-    let mut buf = vec![0u8; SIGNED_BURST_PEEK];
-    if let Ok(n) = stream.peek(&mut buf) {
-        let mut off = 0;
-        let mut take = Vec::new();
-        while bodies.len() + take.len() < MAX_SIGNED_BURST && off + 4 <= n {
-            let len =
-                u32::from_be_bytes(buf[off..off + 4].try_into().expect("4-byte slice")) as usize;
-            // Malformed lengths end the burst here; the blocking path
-            // reports them with its usual typed error.
-            if !(4..=MAX_FRAME_LEN).contains(&len) || off + 4 + len > n {
-                break;
-            }
-            let body = &buf[off + 4..off + 4 + len];
-            if !is_publish_signed_body(body) {
-                break;
-            }
-            take.push(body.to_vec());
-            off += 4 + len;
+/// The one place a refusal is counted, traced and answered: a typed
+/// `Reject` that leaves the connection usable. `overlay` refusals (a
+/// relayed container, a `PeerHello`) land in the relay-suppression
+/// counters — the loop/idempotency machinery showing up as a number —
+/// and everything else in `publishes_rejected`.
+fn refuse(
+    shared: &Shared,
+    id: u64,
+    writer: &mut ConnWriter,
+    overlay: bool,
+    epoch: u64,
+    reject: PublishReject,
+) -> Result<(), NetError> {
+    let t = &shared.telemetry;
+    if overlay {
+        t.relays_suppressed.inc();
+        match reject.reason {
+            RejectReason::RelayLoop => t.suppressed_loop.inc(),
+            RejectReason::StaleHop => t.suppressed_stale.inc(),
+            RejectReason::NotAPeer => t.suppressed_not_peer.inc(),
+            _ => {}
         }
-        // Consume exactly the carved bytes (peek left them buffered).
-        if off > 0 && stream.read_exact(&mut buf[..off]).is_ok() {
-            bodies.append(&mut take);
-        }
+    } else {
+        t.publishes_rejected.inc();
     }
-    let _ = stream.set_nonblocking(false);
+    t.trace(TraceKind::Reject, id, epoch, 0);
+    let reject = Frame::Reject {
+        reason: reject.reason,
+        message: reject.detail,
+    };
+    writer.reply(shared, id, &reject)
 }
 
 /// A refused publish: the typed reason plus human-readable detail.
@@ -1656,8 +1403,7 @@ fn handle_publish(
     shared: &Shared,
     container: &pbcd_docs::BroadcastContainer,
     container_bytes: Vec<u8>,
-    authenticated: bool,
-    source: RelaySource<'_>,
+    source: Source<'_>,
 ) -> Result<u32, PublishReject> {
     let container_len = container_bytes.len();
     let deliver = Arc::new(deliver_body(&container_bytes));
@@ -1687,22 +1433,28 @@ fn handle_publish(
             ));
         }
         // Newest-epoch wins: replaying an older (e.g. pre-revocation)
-        // container must not roll the retained state back. In open mode an
-        // equal epoch passes so a publisher may idempotently retry a lost
-        // Ack; in authenticated mode epochs must be strictly increasing, so
-        // a captured signed publish cannot even be replayed at its own
-        // epoch. After a restart the comparison runs against the epochs
-        // recovered from the log, so a durable broker's monotonicity guard
-        // survives the crash.
+        // container must not roll the retained state back. An unsigned
+        // publish may repeat the retained epoch, so a publisher can
+        // idempotently retry a lost Ack; signed and relayed epochs must be
+        // strictly increasing, so a captured signed publish cannot even be
+        // replayed at its own epoch. After a restart the comparison runs
+        // against the epochs recovered from the log, so a durable broker's
+        // monotonicity guard survives the crash.
         if let Some(existing) = state.store.newest_epoch(&container.document_name) {
-            let stale = if authenticated {
-                container.epoch <= existing
-            } else {
-                container.epoch < existing
+            let stale = match source {
+                Source::Unsigned => container.epoch < existing,
+                Source::Signed { .. } | Source::Peer { .. } => container.epoch <= existing,
             };
             if stale {
+                // For a peer this is the recheck of `relay_verdict`'s
+                // staleness guard, surfaced under the relay taxonomy.
+                let reason = if source.is_peer() {
+                    RejectReason::StaleHop
+                } else {
+                    RejectReason::StaleEpoch
+                };
                 return Err(PublishReject::new(
-                    RejectReason::StaleEpoch,
+                    reason,
                     format!(
                         "stale epoch {} (retained epoch is {})",
                         container.epoch, existing
@@ -1754,18 +1506,9 @@ fn handle_publish(
         );
         // A full queue marks a consumer that cannot keep up: drop it here
         // (slow-consumer backpressure becomes disconnection, not publisher
-        // latency), deregister its pool slot and close its socket so the
-        // connection unwinds.
+        // latency).
         for sub_id in overflowed {
-            if state.subscribers.remove(&sub_id).is_some() {
-                shared
-                    .telemetry
-                    .count_drop(DropCause::QueueOverflow, sub_id);
-            }
-            io.writer.remove(sub_id);
-            if let Some(conn) = state.connections.get(&sub_id) {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
+            remove_subscriber(shared, &mut state, sub_id, Some(DropCause::QueueOverflow));
         }
         // Overlay forwarding: advance the hop count and push the same
         // container bytes — verbatim — onto every live outbound peer
@@ -1777,18 +1520,18 @@ fn handle_publish(
         // reconnects + resyncs from the log, which replays everything
         // the drop skipped.
         if let Some(relay_config) = shared.config.relay.as_ref() {
-            if let RelaySource::Peer { origin, hops } = source {
-                state.relay_meta.insert(
-                    container.document_name.clone(),
-                    RelayMeta {
-                        origin: origin.to_string(),
-                        hops,
-                    },
-                );
-            }
             let (origin, hops_out) = match source {
-                RelaySource::Local => (relay_config.broker_id.as_str(), 1),
-                RelaySource::Peer { origin, hops } => (origin, hops.saturating_add(1)),
+                Source::Peer { origin, hops } => {
+                    state.relay_meta.insert(
+                        container.document_name.clone(),
+                        RelayMeta {
+                            origin: origin.to_string(),
+                            hops,
+                        },
+                    );
+                    (origin, hops.saturating_add(1))
+                }
+                _ => (relay_config.broker_id.as_str(), 1),
             };
             if !state.relay_links.is_empty() && hops_out <= relay_config.max_hops {
                 let rbody = Arc::new(relay_body(origin, hops_out, &container_bytes));
@@ -1828,154 +1571,96 @@ fn handle_publish(
         // under this lock) can never see the retained bytes of a publish
         // without its `publishes` increment — the consistency contract.
         shared.telemetry.publishes.inc();
+        if source.is_peer() {
+            shared.telemetry.relays_accepted.inc();
+        }
     }
     Ok(fanout)
 }
 
-/// Records the publish→ack latency histogram point and its trace event.
-/// Called after the Ack is written (Direct) or enqueued (Queued).
-fn record_publish_ack(shared: &Shared, conn_id: u64, epoch: u64, start: Instant) {
-    let elapsed = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    shared.telemetry.publish_ack_ns.record(elapsed);
-    shared
-        .telemetry
-        .trace(TraceKind::Publish, conn_id, epoch, elapsed);
-}
-
-/// Registers the subscription, spawns the subscriber's writer thread (on
-/// first subscribe), and enqueues the `Ack` plus retained replays — the
-/// newest `depth` epochs per matching document, oldest-first, so
-/// epoch-monotonic receivers accept the whole history.
+/// Registers (or, on a live subscription, replaces) the document filter
+/// and enqueues the `Ack` plus retained replays — the newest `depth`
+/// epochs per matching document, oldest-first, so epoch-monotonic
+/// receivers accept the whole history. A first subscribe and a
+/// re-subscribe replay the same bodies in the same order.
 ///
 /// Lock discipline: registration, the replay snapshot and the replay
-/// enqueues all happen inside one state-lock critical section — and
-/// publishes enqueue under the same lock — so a subscriber can never see a
-/// stale retained container after a fresher fan-out. No socket write
-/// happens under the lock; enqueues are non-blocking pushes.
+/// enqueues all happen inside ONE state-lock critical section — and
+/// publishes enqueue under the same lock — so no publish can interleave
+/// and a subscriber can never see a stale retained container after a
+/// fresher fan-out. No socket write happens under the lock; enqueues are
+/// non-blocking pushes (state → writer-shard is the one sanctioned lock
+/// order).
 fn handle_subscribe(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     id: u64,
     writer: &mut ConnWriter,
     documents: Vec<String>,
     depth: usize,
 ) -> Result<(), NetError> {
-    let ack = Arc::new(
-        Frame::Ack {
-            epoch: 0,
-            fanout: 0,
+    let ack = Frame::Ack {
+        epoch: 0,
+        fanout: 0,
+    };
+    let ack = PoolJob::Control(Arc::new(ack.encode()?));
+    // First subscribe: the write half leaves the handler thread and
+    // becomes a writer-pool slot (all further replies travel its queue).
+    // Non-blocking from here on: O_NONBLOCK lives on the shared open file
+    // description, so the read half the handler still holds flips too —
+    // exactly what the reader pool expects at handoff.
+    let first = match std::mem::replace(writer, ConnWriter::Queued) {
+        ConnWriter::Direct(stream) => {
+            stream.set_nonblocking(true)?;
+            Some(stream)
         }
-        .encode()?,
-    );
-    // First subscribe: the write half leaves this thread and becomes a
-    // writer-pool slot (all further replies travel its queue).
-    if let ConnWriter::Direct(_) = writer {
-        let ConnWriter::Direct(stream) = std::mem::replace(writer, ConnWriter::Queued) else {
-            unreachable!("checked Direct above");
-        };
-        // Non-blocking from here on: O_NONBLOCK lives on the shared open
-        // file description, so the read half the handler still holds
-        // flips too — exactly what the reader pool expects at handoff.
-        stream.set_nonblocking(true).map_err(|e| NetError::Io {
-            kind: e.kind(),
-            detail: format!("set_nonblocking: {e}"),
-        })?;
-        // Registration, the replay snapshot and the replay enqueues all
-        // run inside ONE state-lock critical section so no publish can
-        // interleave (the ordering guarantee) — and the slot is sized to
-        // hold the Ack plus the *entire* matching retained set on top of
-        // the configured live-queue budget, so a broad subscriber can
-        // always take its replay however many documents are retained.
-        // `subscriber_queue` remains the backpressure bound for live
-        // fan-out on top of that. (State → writer-shard is the one
-        // sanctioned lock order.)
-        let mut state = shared.state.lock().expect("broker state");
-        let queue_depth = Arc::new(AtomicU64::new(0));
-        let entry = SubEntry {
-            depth: Arc::clone(&queue_depth),
-            documents,
-        };
-        let replay: Vec<Arc<Vec<u8>>> = if shared.config.replay_retained {
-            state.store.replay(|doc| entry.matches(doc), depth)
-        } else {
-            Vec::new()
-        };
-        let capacity = shared.config.subscriber_queue + replay.len() + 1;
-        let io = shared.io();
-        if !io
-            .writer
-            .register(id, stream, SlotKind::Subscriber, capacity, queue_depth)
-        {
-            return Err(NetError::protocol("broker shutting down"));
-        }
-        // Fits by construction; `enqueue` still guards the invariant.
-        let enqueued_ns = shared.telemetry.registry.now_ns();
-        for job in std::iter::once(PoolJob::Control(Arc::clone(&ack))).chain(
-            replay.into_iter().map(|body| PoolJob::Deliver {
-                body,
-                epoch: 0,
-                enqueued_ns,
-            }),
-        ) {
-            if !io.writer.enqueue(shared, id, job) {
-                io.writer.remove(id);
-                return Err(NetError::protocol("subscriber queue overflow on replay"));
+        ConnWriter::Queued => None,
+    };
+    let io = shared.io();
+    let mut state = shared.state.lock().expect("broker state");
+    let mut entry = SubEntry {
+        depth: Arc::new(AtomicU64::new(0)),
+        documents,
+    };
+    let replay = state.store.replay(|doc| entry.matches(doc), depth);
+    match first {
+        Some(stream) => {
+            // The slot is sized to hold the Ack plus the *entire* matching
+            // retained set on top of the configured live-queue budget, so
+            // a broad subscriber can always take its replay however many
+            // documents are retained. `subscriber_queue` remains the
+            // backpressure bound for live fan-out on top of that.
+            let capacity = shared.config.subscriber_queue + replay.len() + 1;
+            let depth = Arc::clone(&entry.depth);
+            if !io
+                .writer
+                .register(id, stream, SlotKind::Subscriber, capacity, depth)
+            {
+                return Err(NetError::protocol("broker shutting down"));
             }
         }
-        state.subscribers.insert(id, entry);
-        Ok(())
-    } else {
         // Re-subscription on a live connection: swap the filter and replay
-        // through the existing pool slot. The slot's capacity was sized at
-        // first subscribe; a re-subscribe whose *new* replay no longer
-        // fits is dropped (reconnecting fresh always works).
-        let mut state = shared.state.lock().expect("broker state");
-        let Some(existing) = state.subscribers.get(&id) else {
+        // through the existing pool slot, whose capacity was sized at
+        // first subscribe.
+        None => match state.subscribers.get(&id) {
+            Some(existing) => entry.depth = Arc::clone(&existing.depth),
             // The subscription was dropped (overflow/write failure) while
             // this frame was in flight; the socket is already closing.
-            return Err(NetError::protocol("subscription already dropped"));
-        };
-        let entry = SubEntry {
-            depth: Arc::clone(&existing.depth),
-            documents,
-        };
-        register_and_replay(shared, &mut state, id, entry, &ack, depth)
+            None => return Err(NetError::protocol("subscription already dropped")),
+        },
     }
-}
-
-/// Inserts the subscription and enqueues `Ack` + matching retained
-/// replays (newest `depth` epochs per document, oldest-first), all under
-/// the already-held state lock.
-fn register_and_replay(
-    shared: &Shared,
-    state: &mut State,
-    id: u64,
-    entry: SubEntry,
-    ack: &Arc<Vec<u8>>,
-    depth: usize,
-) -> Result<(), NetError> {
-    let mut jobs: Vec<PoolJob> = vec![PoolJob::Control(Arc::clone(ack))];
-    if shared.config.replay_retained {
-        let enqueued_ns = shared.telemetry.registry.now_ns();
-        jobs.extend(
-            state
-                .store
-                .replay(|doc| entry.matches(doc), depth)
-                .into_iter()
-                .map(|body| PoolJob::Deliver {
-                    body,
-                    epoch: 0,
-                    enqueued_ns,
-                }),
-        );
-    }
-    let io = shared.io();
-    for job in jobs {
+    let enqueued_ns = shared.telemetry.registry.now_ns();
+    let replay = replay.into_iter().map(|body| PoolJob::Deliver {
+        body,
+        epoch: 0,
+        enqueued_ns,
+    });
+    for job in std::iter::once(ack).chain(replay) {
         if !io.writer.enqueue(shared, id, job) {
-            // Cannot even hold the Ack + retained set: this subscriber is
-            // not viable (it can reconnect with a narrower filter).
-            state.subscribers.remove(&id);
-            io.writer.remove(id);
-            shared.telemetry.count_drop(DropCause::ReplayOverflow, id);
+            // Cannot even hold the Ack + retained set: a re-subscribe
+            // whose *new* replay no longer fits its slot (a first one fits
+            // by construction, short of a racing shutdown). Dropped;
+            // reconnecting fresh, or with a narrower filter, always works.
+            remove_subscriber(shared, &mut state, id, Some(DropCause::ReplayOverflow));
             return Err(NetError::protocol("subscriber queue overflow on replay"));
         }
     }

@@ -15,7 +15,6 @@ use pbcd_docs::BroadcastContainer;
 use pbcd_group::{CyclicGroup, SigningKey};
 use rand::RngCore;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -100,8 +99,11 @@ impl BrokerClient {
         }
     }
 
-    /// Publishes a container; blocks until the broker acknowledges it.
-    /// Encodes the container in place — no deep copy on the hot path.
+    /// Publishes a container unsigned; blocks until the broker
+    /// acknowledges it. Admitted by an open-mode broker only: a keyed one
+    /// answers [`NetError::Rejected`] (`AuthRequired`) and the connection
+    /// stays usable. Encodes the container in place — no deep copy on the
+    /// hot path.
     pub fn publish(&mut self, container: &BroadcastContainer) -> Result<PublishReceipt, NetError> {
         let body = publish_body(&container.encode()?);
         self.send_body(&body)?;
@@ -130,48 +132,6 @@ impl BrokerClient {
         self.await_publish_ack()
     }
 
-    /// Publishes a cohort of containers in one pipelined burst: every
-    /// signed frame is written before any acknowledgement is read, so a
-    /// keyed broker receives the cohort in one read burst and verifies
-    /// it with a single batched Schnorr check instead of per-frame
-    /// double exponentiations. Returns one outcome per container in
-    /// order; a typed broker refusal ([`NetError::Rejected`]) of one
-    /// container does not abort the rest and leaves the connection
-    /// usable. Transport-level failures abort the whole call.
-    pub fn publish_signed_burst<G: CyclicGroup, R: RngCore + ?Sized>(
-        &mut self,
-        group: &G,
-        key_id: &str,
-        key: &SigningKey<G>,
-        containers: &[BroadcastContainer],
-        rng: &mut R,
-    ) -> Result<Vec<Result<PublishReceipt, NetError>>, NetError> {
-        // One buffered write for the whole cohort: the frames land
-        // back-to-back in the broker's receive buffer, which is what its
-        // burst drain coalesces on.
-        let mut wire = Vec::new();
-        for container in containers {
-            let container_bytes = container.encode()?;
-            let msg =
-                publish_auth_message(&container.document_name, container.epoch, &container_bytes);
-            let signature = key.sign(group, rng, &msg).to_bytes(group);
-            let body = signed_publish_body(key_id, &signature, &container_bytes);
-            wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-            wire.extend_from_slice(&body);
-        }
-        self.stream.write_all(&wire)?;
-        self.stream.flush()?;
-        let mut outcomes = Vec::with_capacity(containers.len());
-        for _ in containers {
-            outcomes.push(match self.await_publish_ack() {
-                Ok(receipt) => Ok(receipt),
-                Err(e @ NetError::Rejected { .. }) => Err(e),
-                Err(e) => return Err(e),
-            });
-        }
-        Ok(outcomes)
-    }
-
     fn await_publish_ack(&mut self) -> Result<PublishReceipt, NetError> {
         match self.wait_skipping_deliveries()? {
             Frame::Ack { epoch, fanout } => Ok(PublishReceipt { epoch, fanout }),
@@ -181,32 +141,25 @@ impl BrokerClient {
         }
     }
 
-    /// Subscribes to `documents` (empty = every document); blocks until
-    /// acknowledged. Retained containers arrive as ordinary deliveries.
+    /// Subscribes to `documents` (empty = every document) with the newest
+    /// retained epoch of each replayed; blocks until acknowledged.
+    /// Retained containers arrive as ordinary deliveries.
     pub fn subscribe<S: AsRef<str>>(&mut self, documents: &[S]) -> Result<(), NetError> {
-        let documents = documents.iter().map(|s| s.as_ref().to_string()).collect();
-        self.send(&Frame::Subscribe { documents })?;
-        match self.wait_skipping_deliveries()? {
-            Frame::Ack { .. } => Ok(()),
-            other => Err(NetError::protocol(format!(
-                "expected subscribe Ack, got {other:?}"
-            ))),
-        }
+        self.subscribe_with_history(documents, 1)
     }
 
     /// Subscribes to `documents` (empty = every document) and asks the
     /// broker to replay up to the last `depth` retained epochs of each —
     /// delivered oldest-first, so consumers that drop non-increasing
     /// epochs accept the whole history. The broker replays at most what it
-    /// retains (its configured history depth); a plain [`Self::subscribe`]
-    /// is equivalent to depth 1.
+    /// retains (its configured history depth).
     pub fn subscribe_with_history<S: AsRef<str>>(
         &mut self,
         documents: &[S],
         depth: u32,
     ) -> Result<(), NetError> {
         let documents = documents.iter().map(|s| s.as_ref().to_string()).collect();
-        self.send(&Frame::SubscribeHistory { documents, depth })?;
+        self.send(&Frame::Subscribe { documents, depth })?;
         match self.wait_skipping_deliveries()? {
             Frame::Ack { .. } => Ok(()),
             other => Err(NetError::protocol(format!(
@@ -228,7 +181,7 @@ impl BrokerClient {
 
     /// Scrapes the broker's live metrics: the text exposition (counters,
     /// gauges, latency quantiles) produced from one consistent registry
-    /// snapshot. Requires a stats-capable (v4+) broker.
+    /// snapshot.
     pub fn stats(&mut self) -> Result<String, NetError> {
         self.send(&Frame::StatsRequest)?;
         match self.wait_skipping_deliveries()? {

@@ -6,10 +6,10 @@
 
 use pbcd_docs::WireError;
 
-/// Why a broker refused a publish — the typed payload of a
-/// [`crate::frame::Frame::Reject`] reply to a signed publish. Machine-
-/// readable so publishers can react (re-key, bump the epoch, shrink the
-/// container) instead of parsing error strings.
+/// Why a broker refused a publish, a relayed container or a peering
+/// request — the typed payload of a [`crate::frame::Frame::Reject`]
+/// reply. Machine-readable so publishers can react (sign, re-key, bump
+/// the epoch, shrink the container) instead of parsing error strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The broker requires signed publishes and this one was unsigned.

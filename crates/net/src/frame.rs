@@ -3,13 +3,16 @@
 //! Every frame travels as `length u32 ‖ body` on the socket; the body is
 //! `magic "PN" ‖ version u8 ‖ kind u8 ‖ payload` with all integers
 //! big-endian and every variable-length field length-prefixed via
-//! [`pbcd_docs::wire`]. Decoding is strict and total: truncated, oversized
-//! or trailing bytes yield [`WireError`], never a panic — a hostile peer
-//! cannot take down a broker thread with a malformed frame.
+//! [`pbcd_docs::wire`]. Every kind carries the one [`PROTOCOL_VERSION`].
+//! Decoding is strict and total: truncated, oversized or trailing bytes
+//! yield [`WireError`], never a panic — a hostile peer cannot take down a
+//! broker thread with a malformed frame.
 //!
-//! Containers ride inside [`Frame::Publish`]/[`Frame::Deliver`] in their
-//! own wire format ([`BroadcastContainer::encode`]); the broker forwards
-//! them without ever holding a decryption key.
+//! Containers ride inside [`Frame::Publish`], [`Frame::PublishSigned`],
+//! [`Frame::Relay`] and [`Frame::Deliver`] in their own wire format
+//! ([`BroadcastContainer::encode`]), always as the tail of the body, so
+//! the broker retains and forwards the bytes it received without
+//! re-encoding them and without ever holding a decryption key.
 
 use crate::error::{NetError, RejectReason};
 use bytes::{Buf, BufMut, BytesMut};
@@ -19,32 +22,9 @@ use std::io::{Read, Write};
 
 /// Leading bytes of every frame body.
 pub const FRAME_MAGIC: &[u8; 2] = b"PN";
-/// Baseline protocol version: every frame kind that existed before
-/// authenticated publishes. New-style frames ([`Frame::PublishSigned`],
-/// [`Frame::Reject`]) are encoded under [`PROTOCOL_VERSION_SIGNED`];
-/// everything else keeps the v1 header, so a peer that never uses signed
-/// publishes interoperates with both old and new brokers unchanged —
-/// version negotiation by construction, not by handshake.
+/// The protocol version: the header byte every frame kind carries.
+/// Decoders refuse any other value, whatever the kind.
 pub const PROTOCOL_VERSION: u8 = 1;
-/// Protocol version introducing `PublishSigned`/`Reject`. Decoders accept
-/// both versions; encoders emit the lowest version that can express the
-/// frame.
-pub const PROTOCOL_VERSION_SIGNED: u8 = 2;
-/// Protocol version introducing [`Frame::SubscribeHistory`] (multi-epoch
-/// replay from the broker's durable retention store). Same negotiation
-/// rule: only peers that request history ever emit a v3 header.
-pub const PROTOCOL_VERSION_HISTORY: u8 = 3;
-/// Protocol version introducing the telemetry scrape pair
-/// ([`Frame::StatsRequest`]/[`Frame::StatsResponse`]). Same negotiation
-/// rule: only peers that scrape stats ever emit a v4 header.
-pub const PROTOCOL_VERSION_STATS: u8 = 4;
-/// Protocol version introducing the broker-overlay relay family
-/// ([`Frame::PeerHello`]/[`Frame::Relay`]/[`Frame::RelayCatchUp`]): broker
-/// → broker peering links that forward containers one hop at a time. Same
-/// negotiation rule as every prior extension: only peering brokers ever
-/// emit a v5 header, so v1–v4 publishers, subscribers and operators
-/// interoperate with a relay-enabled broker byte-for-byte unchanged.
-pub const PROTOCOL_VERSION_RELAY: u8 = 5;
 /// Upper bound on a frame body (64 MiB) — a sanity bound against corrupt
 /// or hostile length prefixes, comfortably above the 16 MiB field limit.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
@@ -104,13 +84,19 @@ pub enum Frame {
     /// Publisher → broker: a fresh broadcast container.
     Publish(BroadcastContainer),
     /// Subscriber → broker: subscribe to the named documents (empty list =
-    /// every document).
+    /// every document) and replay up to the last `depth` retained epochs
+    /// of each. Replay arrives **oldest-first** through the same
+    /// per-subscriber queue as live traffic, so epoch-monotonic receivers
+    /// accept every epoch.
     Subscribe {
         /// Document names to receive; empty subscribes to everything.
         documents: Vec<String>,
+        /// How many retained epochs per document to replay (0 is treated
+        /// as 1; the broker caps this at its configured history depth).
+        depth: u32,
     },
     /// Broker → subscriber: a broadcast container (live fan-out or replay
-    /// of the retained latest).
+    /// of a retained epoch).
     Deliver(BroadcastContainer),
     /// Ask the broker what it currently retains.
     ListConfigs,
@@ -131,7 +117,7 @@ pub enum Frame {
         /// What went wrong.
         message: String,
     },
-    /// Publisher → broker (v2): a broadcast container with a Schnorr
+    /// Publisher → broker: a broadcast container with a Schnorr
     /// signature over [`publish_auth_message`] under the named publisher
     /// key. The broker verifies against its configured key map; it never
     /// holds the signing half.
@@ -145,31 +131,19 @@ pub enum Frame {
         /// The container being published.
         container: BroadcastContainer,
     },
-    /// Broker → publisher (v2): typed refusal of a signed publish. Unlike
-    /// [`Frame::Error`] this is **not** fatal — the connection stays
-    /// usable, so a publisher can correct (e.g. bump a stale epoch) and
-    /// retry.
+    /// Broker → publisher or peer: typed refusal of a publish, signed or
+    /// not, or of an overlay frame. Unlike [`Frame::Error`] this is
+    /// **not** fatal — the connection stays usable, so a publisher can
+    /// correct (e.g. sign, or bump a stale epoch) and retry.
     Reject {
         /// The machine-readable reason.
         reason: RejectReason,
         /// Human-readable detail.
         message: String,
     },
-    /// Subscriber → broker (v3): subscribe to the named documents and
-    /// replay up to the last `depth` retained epochs of each (instead of
-    /// only the newest). Replay arrives **oldest-first** through the same
-    /// per-subscriber queue as live traffic, so epoch-monotonic receivers
-    /// accept every epoch.
-    SubscribeHistory {
-        /// Document names to receive; empty subscribes to everything.
-        documents: Vec<String>,
-        /// How many retained epochs per document to replay (0 is treated
-        /// as 1; the broker caps this at its configured history depth).
-        depth: u32,
-    },
-    /// Operator → broker (v4): scrape the broker's telemetry registry.
+    /// Operator → broker: scrape the broker's telemetry registry.
     StatsRequest,
-    /// Broker → operator (v4): the registry snapshot rendered in the
+    /// Broker → operator: the registry snapshot rendered in the
     /// Prometheus-style text exposition format (`name{label} value`
     /// lines). Carries only aggregate counters, gauges and latency
     /// quantiles — never container bytes, document plaintext or
@@ -178,7 +152,7 @@ pub enum Frame {
         /// The rendered text exposition.
         text: String,
     },
-    /// Broker ↔ broker (v5): opens a relay peering link. The dialing
+    /// Broker ↔ broker: opens a relay peering link. The dialing
     /// (upstream) broker sends its id; the accepting (downstream) broker
     /// replies with its own `PeerHello` followed by a
     /// [`Frame::RelayCatchUp`] describing what it already retains.
@@ -188,7 +162,7 @@ pub enum Frame {
         /// origin-id loop-suppression check.
         broker_id: String,
     },
-    /// Broker → broker (v5): a container forwarded over a peering link.
+    /// Broker → broker: a container forwarded over a peering link.
     /// The container bytes are the **origin's signed body verbatim** — an
     /// edge re-frames but never re-encodes, so subscriber-visible bytes
     /// are identical at every tier and the origin's signature check covers
@@ -204,7 +178,7 @@ pub enum Frame {
         /// The container, byte-identical to the origin's encoding.
         container: BroadcastContainer,
     },
-    /// Broker → broker (v5): the downstream's retained high-water marks,
+    /// Broker → broker: the downstream's retained high-water marks,
     /// sent right after its `PeerHello` reply. The upstream streams every
     /// retained record strictly newer than these (depth-K per document,
     /// oldest-first, straight off its [`crate::store::RetentionStore`])
@@ -228,25 +202,11 @@ const KIND_BYE: u8 = 8;
 const KIND_ERROR: u8 = 9;
 const KIND_PUBLISH_SIGNED: u8 = 10;
 const KIND_REJECT: u8 = 11;
-const KIND_SUBSCRIBE_HISTORY: u8 = 12;
 const KIND_STATS_REQUEST: u8 = 13;
 const KIND_STATS_RESPONSE: u8 = 14;
 const KIND_PEER_HELLO: u8 = 15;
 const KIND_RELAY: u8 = 16;
 const KIND_RELAY_CATCH_UP: u8 = 17;
-
-/// Lowest protocol version whose decoder understands `kind` — the header
-/// version a frame of that kind must carry (per-kind negotiation: encoders
-/// emit exactly this, decoders reject anything else).
-fn required_version(kind: u8) -> u8 {
-    match kind {
-        KIND_PUBLISH_SIGNED | KIND_REJECT => PROTOCOL_VERSION_SIGNED,
-        KIND_SUBSCRIBE_HISTORY => PROTOCOL_VERSION_HISTORY,
-        KIND_STATS_REQUEST | KIND_STATS_RESPONSE => PROTOCOL_VERSION_STATS,
-        KIND_PEER_HELLO | KIND_RELAY | KIND_RELAY_CATCH_UP => PROTOCOL_VERSION_RELAY,
-        _ => PROTOCOL_VERSION,
-    }
-}
 
 /// Upper bound on the length-prefixed Schnorr signature carried by
 /// [`Frame::PublishSigned`] (`R ‖ s` — 97 bytes on P-256, 161 on the modp
@@ -260,17 +220,7 @@ impl Frame {
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
         let mut buf = BytesMut::new();
         buf.put_slice(FRAME_MAGIC);
-        // Lowest version that can express the frame: legacy peers never
-        // see a v2 header unless they took part in a signed publish.
-        buf.put_u8(match self {
-            Self::PublishSigned { .. } | Self::Reject { .. } => PROTOCOL_VERSION_SIGNED,
-            Self::SubscribeHistory { .. } => PROTOCOL_VERSION_HISTORY,
-            Self::StatsRequest | Self::StatsResponse { .. } => PROTOCOL_VERSION_STATS,
-            Self::PeerHello { .. } | Self::Relay { .. } | Self::RelayCatchUp { .. } => {
-                PROTOCOL_VERSION_RELAY
-            }
-            _ => PROTOCOL_VERSION,
-        });
+        buf.put_u8(PROTOCOL_VERSION);
         match self {
             Self::Hello { role } => {
                 buf.put_u8(KIND_HELLO);
@@ -280,8 +230,9 @@ impl Frame {
                 buf.put_u8(KIND_PUBLISH);
                 buf.put_slice(&container.encode()?);
             }
-            Self::Subscribe { documents } => {
+            Self::Subscribe { documents, depth } => {
                 buf.put_u8(KIND_SUBSCRIBE);
+                buf.put_u32(*depth);
                 buf.put_u32(documents.len() as u32);
                 for d in documents {
                     put_str(&mut buf, d)?;
@@ -334,14 +285,6 @@ impl Frame {
                 buf.put_u8(reason.code());
                 put_str(&mut buf, message)?;
             }
-            Self::SubscribeHistory { documents, depth } => {
-                buf.put_u8(KIND_SUBSCRIBE_HISTORY);
-                buf.put_u32(*depth);
-                buf.put_u32(documents.len() as u32);
-                for d in documents {
-                    put_str(&mut buf, d)?;
-                }
-            }
             Self::StatsRequest => buf.put_u8(KIND_STATS_REQUEST),
             Self::StatsResponse { text } => {
                 buf.put_u8(KIND_STATS_RESPONSE);
@@ -373,8 +316,9 @@ impl Frame {
         Ok(buf.to_vec())
     }
 
-    /// Strict parse of a frame body. Any deviation — bad magic, unknown
-    /// version or kind, truncation, trailing bytes — is a [`WireError`].
+    /// Strict parse of a frame body. Any deviation — bad magic, a version
+    /// other than [`PROTOCOL_VERSION`], unknown kind, truncation, trailing
+    /// bytes — is a [`WireError`].
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
         let mut buf = data;
         if buf.remaining() < 4 {
@@ -385,16 +329,10 @@ impl Frame {
         if &magic != FRAME_MAGIC {
             return Err(WireError::BadHeader);
         }
-        let version = buf.get_u8();
-        if !(PROTOCOL_VERSION..=PROTOCOL_VERSION_RELAY).contains(&version) {
+        if buf.get_u8() != PROTOCOL_VERSION {
             return Err(WireError::BadHeader);
         }
-        let kind = buf.get_u8();
-        // Each kind rides exactly the version that introduced it.
-        if version != required_version(kind) {
-            return Err(WireError::BadHeader);
-        }
-        let frame = match kind {
+        let frame = match buf.get_u8() {
             KIND_HELLO => {
                 if buf.remaining() < 1 {
                     return Err(WireError::Truncated);
@@ -408,6 +346,7 @@ impl Frame {
                 Self::Publish(container)
             }
             KIND_SUBSCRIBE => {
+                let depth = get_u32(&mut buf)?;
                 let count = get_u32(&mut buf)? as usize;
                 // Each document name costs ≥ 4 bytes on the wire.
                 if count > data.len() / 4 + 1 {
@@ -417,7 +356,7 @@ impl Frame {
                 for _ in 0..count {
                     documents.push(get_str(&mut buf)?);
                 }
-                Self::Subscribe { documents }
+                Self::Subscribe { documents, depth }
             }
             KIND_DELIVER => {
                 let container = BroadcastContainer::decode(buf)?;
@@ -495,19 +434,6 @@ impl Frame {
                     message: get_str(&mut buf)?,
                 }
             }
-            KIND_SUBSCRIBE_HISTORY => {
-                let depth = get_u32(&mut buf)?;
-                let count = get_u32(&mut buf)? as usize;
-                // Each document name costs ≥ 4 bytes on the wire.
-                if count > data.len() / 4 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut documents = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    documents.push(get_str(&mut buf)?);
-                }
-                Self::SubscribeHistory { documents, depth }
-            }
             KIND_STATS_REQUEST => Self::StatsRequest,
             KIND_STATS_RESPONSE => Self::StatsResponse {
                 text: get_str(&mut buf)?,
@@ -552,11 +478,18 @@ impl Frame {
     }
 }
 
-fn container_frame_body(kind: u8, container_bytes: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(4 + container_bytes.len());
+/// Starts a pre-framed body of `body_len` bytes in all with its
+/// `magic ‖ version ‖ kind` header.
+fn body_with_header(kind: u8, body_len: usize) -> Vec<u8> {
+    let mut body = Vec::with_capacity(body_len);
     body.extend_from_slice(FRAME_MAGIC);
     body.push(PROTOCOL_VERSION);
     body.push(kind);
+    body
+}
+
+fn container_frame_body(kind: u8, container_bytes: &[u8]) -> Vec<u8> {
+    let mut body = body_with_header(kind, CONTAINER_OFFSET + container_bytes.len());
     body.extend_from_slice(container_bytes);
     body
 }
@@ -582,12 +515,10 @@ pub fn publish_body(container_bytes: &[u8]) -> Vec<u8> {
 /// the same `container_bytes`.
 pub fn signed_publish_body(key_id: &str, signature: &[u8], container_bytes: &[u8]) -> Vec<u8> {
     debug_assert!(!signature.is_empty() && signature.len() <= MAX_PUBLISH_SIGNATURE_LEN);
-    let mut body = Vec::with_capacity(
+    let mut body = body_with_header(
+        KIND_PUBLISH_SIGNED,
         signed_container_offset(key_id, signature.len()) + container_bytes.len(),
     );
-    body.extend_from_slice(FRAME_MAGIC);
-    body.push(PROTOCOL_VERSION_SIGNED);
-    body.push(KIND_PUBLISH_SIGNED);
     body.extend_from_slice(&(key_id.len() as u32).to_be_bytes());
     body.extend_from_slice(key_id.as_bytes());
     body.extend_from_slice(&(signature.len() as u16).to_be_bytes());
@@ -609,25 +540,15 @@ pub fn signed_container_offset(key_id: &str, signature_len: usize) -> usize {
     CONTAINER_OFFSET + 4 + key_id.len() + 2 + signature_len
 }
 
-/// Whether an undecoded frame body is a `PublishSigned` frame, by header
-/// sniff only (magic + kind byte). Used by the broker to coalesce
-/// pipelined signed publishes into one batched verification without
-/// paying a strict decode on frames it will not batch; a `true` here is
-/// a routing hint, not a validity claim — the full [`Frame::decode`]
-/// still runs on every batched body.
-pub(crate) fn is_publish_signed_body(body: &[u8]) -> bool {
-    body.len() >= 4 && body[..2] == *FRAME_MAGIC && body[3] == KIND_PUBLISH_SIGNED
-}
-
 /// Builds a `Relay` frame body around already-encoded container bytes —
 /// the overlay's forwarding hot path re-frames the origin's bytes
 /// verbatim, never re-encoding (that is what keeps subscriber-visible
 /// bytes identical at every tier).
 pub fn relay_body(origin: &str, hops: u8, container_bytes: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(relay_container_offset(origin) + container_bytes.len());
-    body.extend_from_slice(FRAME_MAGIC);
-    body.push(PROTOCOL_VERSION_RELAY);
-    body.push(KIND_RELAY);
+    let mut body = body_with_header(
+        KIND_RELAY,
+        relay_container_offset(origin) + container_bytes.len(),
+    );
     body.extend_from_slice(&(origin.len() as u32).to_be_bytes());
     body.extend_from_slice(origin.as_bytes());
     body.push(hops);
@@ -756,8 +677,12 @@ mod tests {
             Frame::Publish(sample_container()),
             Frame::Subscribe {
                 documents: vec!["EHR.xml".into(), "news.xml".into()],
+                depth: 4,
             },
-            Frame::Subscribe { documents: vec![] },
+            Frame::Subscribe {
+                documents: vec![],
+                depth: 0,
+            },
             Frame::Deliver(sample_container()),
             Frame::ListConfigs,
             Frame::Configs(vec![ConfigSummary {
@@ -782,14 +707,6 @@ mod tests {
             Frame::Reject {
                 reason: RejectReason::StaleEpoch,
                 message: "retained epoch is 9".into(),
-            },
-            Frame::SubscribeHistory {
-                documents: vec!["EHR.xml".into()],
-                depth: 4,
-            },
-            Frame::SubscribeHistory {
-                documents: vec![],
-                depth: 0,
             },
             Frame::StatsRequest,
             Frame::StatsResponse {
@@ -846,11 +763,22 @@ mod tests {
         enc[0] = b'X';
         assert_eq!(Frame::decode(&enc), Err(WireError::BadHeader));
         let mut enc = Frame::Bye.encode().unwrap();
-        enc[2] = 99; // version
-        assert_eq!(Frame::decode(&enc), Err(WireError::BadHeader));
-        let mut enc = Frame::Bye.encode().unwrap();
         enc[3] = 200; // kind
         assert_eq!(Frame::decode(&enc), Err(WireError::BadHeader));
+        // One version for every kind: whatever the frame, any other header
+        // version byte is refused.
+        for frame in samples() {
+            let mut enc = frame.encode().unwrap();
+            assert_eq!(enc[2], PROTOCOL_VERSION, "{frame:?}");
+            for version in (0..=u8::MAX).filter(|v| *v != PROTOCOL_VERSION) {
+                enc[2] = version;
+                assert_eq!(
+                    Frame::decode(&enc),
+                    Err(WireError::BadHeader),
+                    "{frame:?} under version {version}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -871,71 +799,6 @@ mod tests {
         let huge = ((MAX_FRAME_LEN + 1) as u32).to_be_bytes();
         let mut r = huge.as_slice();
         assert!(matches!(read_frame(&mut r), Err(NetError::Protocol(_))));
-    }
-
-    #[test]
-    fn version_is_negotiated_per_frame_kind() {
-        // Legacy kinds keep the v1 header byte-for-byte…
-        let enc = Frame::Bye.encode().unwrap();
-        assert_eq!(enc[2], PROTOCOL_VERSION);
-        // …new kinds carry v2…
-        let signed = Frame::PublishSigned {
-            key_id: "k".into(),
-            signature: vec![0; 97],
-            container: sample_container(),
-        };
-        let enc = signed.encode().unwrap();
-        assert_eq!(enc[2], PROTOCOL_VERSION_SIGNED);
-        // …history subscribes carry v3…
-        let history = Frame::SubscribeHistory {
-            documents: vec![],
-            depth: 2,
-        };
-        let enc = history.encode().unwrap();
-        assert_eq!(enc[2], PROTOCOL_VERSION_HISTORY);
-        // …and a version/kind mismatch in any direction is rejected.
-        let mut forged = Frame::Bye.encode().unwrap();
-        forged[2] = PROTOCOL_VERSION_SIGNED;
-        assert_eq!(Frame::decode(&forged), Err(WireError::BadHeader));
-        let mut downgraded = signed.encode().unwrap();
-        downgraded[2] = PROTOCOL_VERSION;
-        assert_eq!(Frame::decode(&downgraded), Err(WireError::BadHeader));
-        let mut downgraded = history.encode().unwrap();
-        downgraded[2] = PROTOCOL_VERSION;
-        assert_eq!(Frame::decode(&downgraded), Err(WireError::BadHeader));
-        // …stats frames carry v4, and downgrading them is rejected too.
-        let enc = Frame::StatsRequest.encode().unwrap();
-        assert_eq!(enc[2], PROTOCOL_VERSION_STATS);
-        let mut downgraded = enc;
-        downgraded[2] = PROTOCOL_VERSION;
-        assert_eq!(Frame::decode(&downgraded), Err(WireError::BadHeader));
-        // …and the relay family carries exactly v5: older peers can never
-        // be handed (or tricked into accepting) an overlay frame under a
-        // version they already speak.
-        for frame in [
-            Frame::PeerHello {
-                broker_id: "edge".into(),
-            },
-            Frame::Relay {
-                origin: "origin".into(),
-                hops: 1,
-                container: sample_container(),
-            },
-            Frame::RelayCatchUp { known: vec![] },
-        ] {
-            let enc = frame.encode().unwrap();
-            assert_eq!(enc[2], PROTOCOL_VERSION_RELAY, "{frame:?}");
-            for v in [
-                PROTOCOL_VERSION,
-                PROTOCOL_VERSION_SIGNED,
-                PROTOCOL_VERSION_HISTORY,
-                PROTOCOL_VERSION_STATS,
-            ] {
-                let mut downgraded = enc.clone();
-                downgraded[2] = v;
-                assert_eq!(Frame::decode(&downgraded), Err(WireError::BadHeader));
-            }
-        }
     }
 
     #[test]

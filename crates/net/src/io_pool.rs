@@ -11,10 +11,9 @@
 //! `VecDeque` of pre-framed bodies per slot, the slot's socket (in
 //! non-blocking mode), and the partial-write cursor of the frame
 //! currently on the wire. Enqueues — always performed under the broker
-//! state lock, exactly as in the thread-per-subscriber design — push
-//! onto the slot's queue, mark the slot *ready* and wake the shard's
-//! condvar. The shard thread drains ready slots round-robin, writing
-//! non-blockingly:
+//! state lock — push onto the slot's queue, mark the slot *ready* and
+//! wake the shard's condvar. The shard thread drains ready slots
+//! round-robin, writing non-blockingly:
 //!
 //! * a write that would block parks the slot on a short retry list
 //!   (re-attempted every millisecond) — the stalled peer holds **only
@@ -22,8 +21,7 @@
 //!   cannot delay its shard-mates;
 //! * every frame carries an **absolute deadline** from its first write
 //!   attempt ([`crate::BrokerConfig::write_timeout`]); a peer that
-//!   trickles bytes past it is dropped exactly like the old
-//!   per-subscriber writer dropped it;
+//!   trickles bytes past it is dropped (`cause="write_failed"`);
 //! * at most [`FRAMES_PER_TURN`] frames are written per slot per turn,
 //!   so a fast consumer with a deep queue cannot starve the rest of the
 //!   shard.
@@ -39,9 +37,9 @@
 //! Subscriber connections are handed off to a reader shard after their
 //! first `Subscribe` (the handler thread exits). The shard sweeps its
 //! sockets with non-blocking reads through an incremental
-//! [`FrameAccum`], dispatching complete frames back into the broker's
-//! frame handler; an idle sweep backs off (1 ms → 50 ms) on the shard
-//! condvar, which new adoptions and shutdown notify. This is the
+//! [`FrameAccum`], passing complete frames to the same `dispatch_frame`
+//! the handler threads call; an idle sweep backs off (1 ms → 50 ms) on
+//! the shard condvar, which new adoptions and shutdown notify. This is the
 //! portable reader-multiplexing equivalent of `poll`/`epoll` — the
 //! workspace forbids `unsafe`, so raw FFI readiness APIs are out; the
 //! cost is a bounded polling latency on *inbound* control frames from
@@ -52,7 +50,7 @@
 //! outbound relay link *writers* ride the writer pool as
 //! [`SlotKind::RelayLink`] slots.
 
-use crate::broker::{ConnWriter, FrameFlow, Shared};
+use crate::broker::{ConnWriter, Shared};
 use crate::error::NetError;
 use crate::frame::MAX_FRAME_LEN;
 use pbcd_telemetry::Gauge;
@@ -139,10 +137,10 @@ struct Slot {
     kind: SlotKind,
     queue: VecDeque<PoolJob>,
     /// Queue bound (jobs queued + in flight); sized at registration to
-    /// `subscriber_queue + replay + 1` exactly like the old channels.
+    /// `subscriber_queue + replay + 1`.
     capacity: usize,
-    /// Shared with the broker's `SubEntry` so the queue-depth gauge
-    /// aggregates identically to the thread-per-subscriber design.
+    /// Shared with the broker's `SubEntry`, whose sum is the queue-depth
+    /// gauge.
     depth: Arc<AtomicU64>,
     cursor: Option<WriteCursor>,
     in_ready: bool,
@@ -268,8 +266,8 @@ impl WriterPool {
     }
 
     /// Non-blocking bounded enqueue; `false` means the slot is full,
-    /// gone, or the pool is shutting down — the same "beyond saving"
-    /// contract as the old `SyncSender::try_send`.
+    /// gone, or the pool is shutting down: the connection is beyond
+    /// saving and the caller drops it.
     pub(crate) fn enqueue(&self, shared: &Shared, id: u64, job: PoolJob) -> bool {
         if job.body().len() > MAX_FRAME_LEN {
             return false;
@@ -867,7 +865,7 @@ fn reader_shard_loop(shared: &Arc<Shared>, shard: &ReaderShard, fd_count: &Atomi
                     fd_count.fetch_sub(1, Ordering::Relaxed);
                     // Teardown takes the state lock (reader → state is
                     // fine; nothing takes a reader lock under it).
-                    crate::broker::reader_conn_teardown(shared, conn.id);
+                    crate::broker::close_connection(shared, conn.id);
                     progressed = true;
                 }
             }
@@ -906,27 +904,20 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut ReaderConn) -> ConnStatus {
                 // Reader-pool connections are always past their first
                 // Subscribe, so replies travel the writer-pool queue and
                 // a further Subscribe is a filter swap, never a handoff.
+                // (`FrameFlow::HandOff` only answers a `Direct` writer.)
                 let mut writer = ConnWriter::Queued;
-                match crate::broker::dispatch_frame(
-                    shared,
-                    conn.id,
-                    &mut writer,
-                    &mut conn.peer_id,
-                    body,
-                ) {
-                    FrameFlow::Continue => {}
-                    FrameFlow::Close => return ConnStatus::Closed,
-                    // Unreachable with a Queued writer (handoff only fires
-                    // on a connection's *first* subscribe, from the
-                    // handler thread); treated as already-adopted.
-                    FrameFlow::HandOff => {}
+                let peer_id = &mut conn.peer_id;
+                if crate::broker::dispatch_frame(shared, conn.id, &mut writer, peer_id, body)
+                    .is_err()
+                {
+                    return ConnStatus::Closed;
                 }
             }
             Ok(ReadProgress::Pending) => break,
             Ok(ReadProgress::Closed) => return ConnStatus::Closed,
             Err(_) => {
                 // Mid-frame EOF, hostile length prefix or socket error:
-                // identical isolation to the old handler loop — this
+                // the same isolation as on a handler thread — this
                 // connection only.
                 if !shared.shutdown.load(Ordering::SeqCst) {
                     shared.telemetry.count_rejected_connection();

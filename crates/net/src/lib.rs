@@ -16,23 +16,25 @@
 //!
 //! * [`frame`] — the framed protocol (`Hello`, `Publish`, `PublishSigned`,
 //!   `Subscribe`, `Deliver`, `ListConfigs`, `Configs`, `Ack`, `Bye`,
-//!   `Error`, `Reject`, `StatsRequest`/`StatsResponse`) with strict,
-//!   non-panicking codecs and per-kind version negotiation,
+//!   `Error`, `Reject`, `StatsRequest`/`StatsResponse`, `PeerHello`,
+//!   `Relay`, `RelayCatchUp`) with strict, non-panicking codecs under one
+//!   protocol version,
 //! * [`auth`] — publisher authentication: Schnorr verification of signed
 //!   publishes against a configured key map (verification halves only),
 //! * [`broker`] — the accept-loop broker with an event-driven I/O plane:
-//!   retained latest container per document, concurrent fan-out through
-//!   per-subscriber bounded queues serviced by a sharded writer pool,
-//!   subscriber reads multiplexed onto poll-style reader shards (an idle
-//!   subscription costs a socket + queue slot, never a thread stack),
-//!   per-connection error isolation, graceful shutdown joining exactly
-//!   the pool,
+//!   one admission path for every container-bearing frame (typed,
+//!   non-fatal refusals), retained history per document, concurrent
+//!   fan-out through per-subscriber bounded queues serviced by a sharded
+//!   writer pool, subscriber reads multiplexed onto poll-style reader
+//!   shards (an idle subscription costs a socket + queue slot, never a
+//!   thread stack), per-connection error isolation, graceful shutdown
+//!   joining exactly the pool,
 //! * [`store`] — durable, history-capable retention: a checksummed
 //!   append-only log of ciphertext containers with crash recovery
 //!   (longest-valid-prefix + torn-tail truncation) and compaction,
 //! * [`client`] — the synchronous [`BrokerClient`] endpoint,
 //! * [`relay`] — the multi-broker dissemination overlay: brokers peer
-//!   into trees or meshes over v5 `PeerHello`/`Relay`/`RelayCatchUp`
+//!   into trees or meshes over `PeerHello`/`Relay`/`RelayCatchUp`
 //!   frames, forwarding the origin's container bytes **verbatim** one
 //!   hop at a time (subscribers see byte-identical containers at every
 //!   tier; signatures verify at the origin only). Loop suppression is
@@ -78,8 +80,6 @@ pub use direct::{DirectConfig, RegistrationClient, RegistrationServer};
 pub use error::{NetError, RejectReason};
 pub use frame::{
     read_frame, write_frame, ConfigSummary, Frame, PeerRole, MAX_FRAME_LEN, PROTOCOL_VERSION,
-    PROTOCOL_VERSION_HISTORY, PROTOCOL_VERSION_RELAY, PROTOCOL_VERSION_SIGNED,
-    PROTOCOL_VERSION_STATS,
 };
 pub use pbcd_telemetry::{Snapshot, TraceEvent, TraceKind};
 pub use relay::{relay_verdict, RelayConfig, RelayVerdict};

@@ -49,8 +49,8 @@
 //! # Loop suppression
 //!
 //! Cycles are legal in mesh topologies; three guards make them
-//! terminate (all enforced on the *receiving* side, in the broker's
-//! `Relay` handler, via [`relay_verdict`]):
+//! terminate (all enforced on the *receiving* side, at the admission
+//! step every inbound container passes, via [`relay_verdict`]):
 //!
 //! * **Origin id**: a container relayed back to the broker whose id it
 //!   carries as origin is refused (`RelayLoop`).
@@ -143,22 +143,6 @@ impl Default for RelayConfig {
             backoff: BackoffConfig::default(),
         }
     }
-}
-
-/// Where a publish entered this broker — used by the publish path to
-/// stamp the outgoing origin/hop pair.
-#[derive(Clone, Copy)]
-pub(crate) enum RelaySource<'a> {
-    /// Published by a directly connected client: this broker is the
-    /// origin and the first hop.
-    Local,
-    /// Relayed from an accepted peer link carrying this provenance.
-    Peer {
-        /// Overlay id of the originating broker.
-        origin: &'a str,
-        /// Hop count the frame arrived with.
-        hops: u8,
-    },
 }
 
 /// What the receiving side of the overlay decides about one inbound

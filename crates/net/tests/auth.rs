@@ -55,17 +55,20 @@ fn signed_publish_flows_and_unsigned_is_refused() {
     let key = SigningKey::generate(&group, &mut rng);
     let broker = keyed_broker(&group, &key);
 
-    // An unsigned publish against a keyed broker: refused, legacy Error.
-    let mut legacy = BrokerClient::connect(broker.addr(), PeerRole::Publisher).unwrap();
-    match legacy.publish(&container("doc.xml", 1)) {
-        Err(NetError::Protocol(msg)) => assert!(msg.contains("authentication required")),
+    // An unsigned publish against a keyed broker: a typed refusal that
+    // leaves the connection usable, like every other refusal.
+    let mut publisher = BrokerClient::connect(broker.addr(), PeerRole::Publisher).unwrap();
+    match publisher.publish(&container("doc.xml", 1)) {
+        Err(NetError::Rejected { reason, detail }) => {
+            assert_eq!(reason, RejectReason::AuthRequired);
+            assert!(detail.contains("authentication required"));
+        }
         other => panic!("expected auth-required refusal, got {other:?}"),
     }
 
-    // A correctly signed publish is acknowledged and retained.
+    // The same connection then signs correctly: acknowledged and retained.
     let mut sub = BrokerClient::connect(broker.addr(), PeerRole::Subscriber).unwrap();
     sub.subscribe(&["doc.xml"]).unwrap();
-    let mut publisher = BrokerClient::connect(broker.addr(), PeerRole::Publisher).unwrap();
     let c = container("doc.xml", 1);
     let receipt = publisher
         .publish_signed(&group, "pub-1", &key, &c, &mut rng)
@@ -222,49 +225,61 @@ fn hostile_peer_cannot_wedge_a_document_name_when_keys_are_configured() {
     broker.shutdown();
 }
 
+/// Signs `epochs` of "doc.xml" (`forged` with an intruder's key) into
+/// back-to-back frames, writes them in one go and returns the broker's
+/// replies — one per frame, in order.
+fn pipeline_signed(
+    broker: &BrokerHandle,
+    key: &SigningKey<P256Group>,
+    rng: &mut StdRng,
+    epochs: std::ops::RangeInclusive<u64>,
+    forged: Option<u64>,
+) -> Vec<Frame> {
+    let group = P256Group::new();
+    let intruder = SigningKey::generate(&group, rng);
+    let mut wire = Vec::new();
+    for epoch in epochs.clone() {
+        let c = container("doc.xml", epoch);
+        let container_bytes = c.encode().unwrap();
+        let msg = publish_auth_message(&c.document_name, c.epoch, &container_bytes);
+        let signer = if forged == Some(epoch) {
+            &intruder
+        } else {
+            key
+        };
+        let sig = signer.sign(&group, rng, &msg).to_bytes(&group);
+        let body = signed_publish_body("pub-1", &sig, &container_bytes);
+        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        wire.extend_from_slice(&body);
+    }
+    let mut stream = TcpStream::connect(broker.addr()).unwrap();
+    stream.write_all(&wire).unwrap();
+    epochs.map(|_| read_frame(&mut stream).unwrap()).collect()
+}
+
 #[test]
-fn pipelined_burst_is_batch_verified_and_forged_member_is_rejected() {
+fn pipelined_signed_publishes_get_per_frame_verdicts_in_order() {
     let group = P256Group::new();
     let mut rng = StdRng::seed_from_u64(0xA0D);
     let key = SigningKey::generate(&group, &mut rng);
     let broker = keyed_broker(&group, &key);
 
     // An all-valid pipelined cohort: every container acknowledged, in
-    // order, over one connection (the broker verifies the burst with a
-    // single batched Schnorr check).
-    let mut publisher = BrokerClient::connect(broker.addr(), PeerRole::Publisher).unwrap();
-    let cohort: Vec<BroadcastContainer> = (1..=4).map(|e| container("doc.xml", e)).collect();
-    let outcomes = publisher
-        .publish_signed_burst(&group, "pub-1", &key, &cohort, &mut rng)
-        .expect("burst transport");
-    assert_eq!(outcomes.len(), 4);
-    for (i, outcome) in outcomes.iter().enumerate() {
-        assert_eq!(outcome.as_ref().unwrap().epoch, i as u64 + 1);
+    // order, over one connection — one verification per frame.
+    let replies = pipeline_signed(&broker, &key, &mut rng, 1..=4, None);
+    for (reply, epoch) in replies.iter().zip(1u64..) {
+        assert!(
+            matches!(reply, Frame::Ack { epoch: e, .. } if *e == epoch),
+            "{reply:?}"
+        );
     }
 
-    // Forge the signature of one member mid-burst: hand-roll the frames
-    // so member 2 of 4 is signed by an intruder key. Exactly that member
-    // gets a typed BadSignature reject; the rest land, the connection
-    // survives, and retained state advances past the forged epoch only
-    // via the honest members.
-    let intruder = SigningKey::generate(&group, &mut rng);
-    let mut stream = TcpStream::connect(broker.addr()).unwrap();
-    let mut wire = Vec::new();
-    for epoch in 5..=8u64 {
-        let c = container("doc.xml", epoch);
-        let container_bytes = c.encode().unwrap();
-        let msg = publish_auth_message(&c.document_name, c.epoch, &container_bytes);
-        let signer = if epoch == 6 { &intruder } else { &key };
-        let sig = signer.sign(&group, &mut rng, &msg).to_bytes(&group);
-        let body = signed_publish_body("pub-1", &sig, &container_bytes);
-        wire.extend_from_slice(&(body.len() as u32).to_be_bytes());
-        wire.extend_from_slice(&body);
-    }
-    stream.write_all(&wire).unwrap();
-    let mut replies = Vec::new();
-    for _ in 0..4 {
-        replies.push(read_frame(&mut stream).unwrap());
-    }
+    // Forge the signature of one member mid-pipeline: member 2 of 4 is
+    // signed by an intruder key. Exactly that member gets a typed
+    // BadSignature reject; the rest land, the connection survives, and
+    // retained state advances past the forged epoch only via the honest
+    // members.
+    let replies = pipeline_signed(&broker, &key, &mut rng, 5..=8, Some(6));
     assert!(matches!(replies[0], Frame::Ack { epoch: 5, .. }));
     assert!(matches!(
         replies[1],
@@ -278,16 +293,16 @@ fn pipelined_burst_is_batch_verified_and_forged_member_is_rejected() {
     assert_eq!(broker.stats().publishes_rejected, 1);
     assert!(
         broker.retained_container("doc.xml").is_some(),
-        "honest members of the burst landed"
+        "honest members of the pipeline landed"
     );
     broker.shutdown();
 }
 
 #[test]
 fn open_mode_still_accepts_unsigned_and_signed_publishes() {
-    // Empty directory = legacy open mode: v1 unsigned publishes keep
-    // working, and a signed publish is accepted too (its signature is
-    // vacuously fine — open mode trusts everyone by definition).
+    // Empty directory = open mode: unsigned publishes are admitted, and
+    // a signed publish is accepted too (its signature is vacuously fine —
+    // open mode trusts everyone by definition).
     let group = P256Group::new();
     let mut rng = StdRng::seed_from_u64(0xA0C);
     let key = SigningKey::generate(&group, &mut rng);

@@ -6,7 +6,7 @@
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
 use pbcd_net::{
     read_frame, write_frame, Broker, BrokerClient, BrokerConfig, Frame, NetError, PeerRole,
-    PROTOCOL_VERSION,
+    RejectReason, PROTOCOL_VERSION,
 };
 use std::io::Write;
 use std::net::TcpStream;
@@ -289,7 +289,10 @@ fn stale_epoch_cannot_roll_back_retained_state() {
     publisher.publish(&newest).unwrap();
     // An older epoch (e.g. a replayed pre-revocation container) is refused.
     match publisher.publish(&container("doc.xml", 4)) {
-        Err(NetError::Protocol(msg)) => assert!(msg.contains("stale epoch")),
+        Err(NetError::Rejected { reason, detail }) => {
+            assert_eq!(reason, RejectReason::StaleEpoch);
+            assert!(detail.contains("stale epoch"));
+        }
         other => panic!("expected stale-epoch rejection, got {other:?}"),
     }
     let mut late = BrokerClient::connect(broker.addr(), PeerRole::Subscriber).unwrap();
@@ -312,9 +315,12 @@ fn retained_document_cap_bounds_broker_memory() {
     publisher.publish(&container("a.xml", 1)).unwrap();
     publisher.publish(&container("b.xml", 1)).unwrap();
     assert_eq!(broker.stats().retained_documents, 2);
-    // A third distinct document is rejected (and the connection dropped).
+    // A third distinct document is rejected.
     match publisher.publish(&container("c.xml", 1)) {
-        Err(NetError::Protocol(msg)) => assert!(msg.contains("cap")),
+        Err(NetError::Rejected { reason, detail }) => {
+            assert_eq!(reason, RejectReason::RetentionCap);
+            assert!(detail.contains("cap"));
+        }
         other => panic!("expected cap rejection, got {other:?}"),
     }
     assert!(broker.retained_container("c.xml").is_none());
@@ -347,7 +353,10 @@ fn retained_byte_cap_bounds_broker_memory() {
         "gauge tracks the retained container ({retained} bytes)"
     );
     match publisher.publish(&container("b.xml", 1)) {
-        Err(NetError::Protocol(msg)) => assert!(msg.contains("byte cap")),
+        Err(NetError::Rejected { reason, detail }) => {
+            assert_eq!(reason, RejectReason::RetentionCap);
+            assert!(detail.contains("byte cap"));
+        }
         other => panic!("expected byte-cap rejection, got {other:?}"),
     }
     // The gauge reflects the refusal: nothing was added.

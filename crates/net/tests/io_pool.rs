@@ -7,7 +7,7 @@
 //! of the CI environment.
 
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
-use pbcd_net::{Broker, BrokerClient, BrokerConfig, PeerRole};
+use pbcd_net::{Broker, BrokerClient, BrokerConfig, BrokerHandle, PeerRole};
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -64,6 +64,17 @@ fn wait_until(deadline: Instant, mut done: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(20));
     }
     true
+}
+
+/// Fails the test leaving the evidence a triage needs: every live counter
+/// (the per-cause drop counters included) and the tail of the trace ring.
+fn fail_with_evidence(broker: &BrokerHandle, what: &str) -> ! {
+    let events = broker.trace_events();
+    let tail = &events[events.len().saturating_sub(48)..];
+    panic!(
+        "{what}\n--- metrics ---\n{}--- last trace events ---\n{tail:#?}",
+        broker.metrics_text()
+    );
 }
 
 /// The 10k-fan-out scaling contract, exercised at 1k so it fits a test
@@ -158,36 +169,64 @@ fn thousand_subscribers_pool_threads_and_misbehaving_peer_isolation() {
         })
     };
 
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    // Each healthy reader reports every epoch it holds (index, epoch), or
+    // the error that ended its stream; its first report is epoch 0, sent
+    // once subscribed.
+    let (progress_tx, progress_rx) = std::sync::mpsc::channel();
     let mut healthy = Vec::new();
-    for _ in 0..HEALTHY {
-        let ready = ready_tx.clone();
-        let done = done_tx.clone();
+    for reader in 0..HEALTHY {
+        let progress = progress_tx.clone();
         healthy.push(std::thread::spawn(move || {
             let mut client = BrokerClient::connect(addr, PeerRole::Subscriber).unwrap();
             client.subscribe(&["doc.xml"]).unwrap();
-            ready.send(()).unwrap();
             let mut last_epoch = 0;
-            for _ in 0..PUBLISHES {
-                let c = client.next_delivery().expect("healthy delivery");
-                assert!(c.epoch > last_epoch, "per-subscriber total order");
-                last_epoch = c.epoch;
+            let _ = progress.send((reader, Ok(last_epoch)));
+            while last_epoch < PUBLISHES {
+                let report = client.next_delivery().map(|c| c.epoch);
+                let _ = progress.send((reader, report.clone()));
+                match report {
+                    Ok(epoch) => {
+                        assert!(epoch > last_epoch, "per-subscriber total order");
+                        last_epoch = epoch;
+                    }
+                    Err(_) => return,
+                }
             }
-            done.send(()).unwrap();
         }));
     }
-    for _ in 0..HEALTHY {
-        ready_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-    }
+    // Blocks until every healthy reader holds `epoch`. A reader that
+    // loses its stream fails the test at once, with the evidence.
+    let mut held = [None::<u64>; HEALTHY];
+    let mut wait_until_all_hold = |epoch: u64| {
+        while !held.iter().all(|h| matches!(h, Some(h) if *h >= epoch)) {
+            match progress_rx.recv_timeout(Duration::from_secs(60)) {
+                Ok((reader, Ok(e))) => held[reader] = Some(e),
+                Ok((reader, Err(e))) => fail_with_evidence(
+                    &broker,
+                    &format!("healthy reader {reader} lost its stream at {held:?}: {e}"),
+                ),
+                Err(e) => fail_with_evidence(
+                    &broker,
+                    &format!("healthy readers stuck at {held:?} waiting for {epoch}: {e}"),
+                ),
+            }
+        }
+    };
+    wait_until_all_hold(0);
 
     // Publish half-MiB containers so the misbehaving peers' socket
     // buffers jam after a couple of frames. Publish latency must stay
     // enqueue-bounded: the stalled peer charges its own pool slot for the
-    // write deadline, never the publisher.
+    // write deadline, never the publisher. The publisher is paced on the
+    // slowest healthy reader (epoch e goes out once all eight hold e − 2):
+    // unpaced, a loaded host can starve a writer shard for a few publishes
+    // and `subscriber_queue: 4` then drops its healthy readers as the slow
+    // consumers they momentarily are. The stalled and trickling peers
+    // never report, so pacing leaves them jammed.
     let mut publisher = BrokerClient::connect(addr, PeerRole::Publisher).unwrap();
     let mut max_publish = Duration::ZERO;
     for epoch in 1..=PUBLISHES {
+        wait_until_all_hold(epoch.saturating_sub(2));
         let start = Instant::now();
         publisher
             .publish(&container("doc.xml", epoch, 512 * 1024))
@@ -199,9 +238,7 @@ fn thousand_subscribers_pool_threads_and_misbehaving_peer_isolation() {
         "publish took {max_publish:?} — latency is coupled to the 6 s write deadline"
     );
 
-    for _ in 0..HEALTHY {
-        done_rx.recv_timeout(Duration::from_secs(60)).unwrap();
-    }
+    wait_until_all_hold(PUBLISHES);
     for t in healthy {
         t.join().unwrap();
     }

@@ -87,8 +87,11 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         Just(Frame::Bye),
         arb_container().prop_map(Frame::Publish),
         arb_container().prop_map(Frame::Deliver),
-        prop::collection::vec("[a-zA-Z0-9._-]{0,12}", 0..4)
-            .prop_map(|documents| Frame::Subscribe { documents }),
+        (
+            prop::collection::vec("[a-zA-Z0-9._-]{0,12}", 0..4),
+            any::<u32>()
+        )
+            .prop_map(|(documents, depth)| Frame::Subscribe { documents, depth }),
         prop::collection::vec(arb_summary(), 0..3).prop_map(Frame::Configs),
         (any::<u64>(), any::<u32>()).prop_map(|(epoch, fanout)| Frame::Ack { epoch, fanout }),
         "[ -~]{0,40}".prop_map(|message| Frame::Error { message }),

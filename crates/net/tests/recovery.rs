@@ -103,6 +103,50 @@ fn truncation_at_every_byte_boundary_of_the_final_record() {
     assert_eq!(store.newest_epoch("a.xml"), Some(2));
 }
 
+/// Logs written before the frame header carried one version for every
+/// kind still recover: `GOLDEN_RECORD` is one
+/// `encode_record(doc, epoch, deliver_body(container))` captured from
+/// commit 4e4caec (the parent of that change). This build reproduces it
+/// byte for byte and `RetentionStore::open` recovers it.
+#[test]
+fn a_log_record_written_by_the_previous_release_still_recovers() {
+    const GOLDEN_RECORD: &str = "\
+        50424c3100000089847026a900000005612e786d6c0000000000000007504e0104\
+        5042434400000001000000000000000700000005612e786d6c0000001d3c723e3c\
+        706263642d7365676d656e742069643d2230222f3e3c2f723e0000000100000003\
+        00000008abababababababab0000000100000000000000065265636f7264000000\
+        105c5c5c5c5c5c5c5c5c5c5c5c5c5c5c5c";
+    let golden: Vec<u8> = (0..GOLDEN_RECORD.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&GOLDEN_RECORD[i..i + 2], 16).unwrap())
+        .collect();
+
+    let c = BroadcastContainer {
+        epoch: 7,
+        document_name: "a.xml".into(),
+        skeleton_xml: "<r><pbcd-segment id=\"0\"/></r>".into(),
+        groups: vec![EncryptedGroup {
+            config_id: 3,
+            key_info: vec![0xAB; 8],
+            segments: vec![EncryptedSegment {
+                segment_id: 0,
+                tag: "Record".into(),
+                ciphertext: vec![0x5C; 16],
+            }],
+        }],
+    };
+    let body = pbcd_net::frame::deliver_body(&c.encode().unwrap());
+    assert_eq!(encode_record("a.xml", 7, &body).unwrap(), golden);
+
+    let (path, _guard) = scratch_log("golden");
+    std::fs::write(&path, &golden).unwrap();
+    let store = RetentionStore::open(&path, 4, u64::MAX, FsyncPolicy::Off).unwrap();
+    assert_eq!(store.recovery().records_recovered, 1);
+    assert_eq!(store.recovery().truncated_bytes, 0);
+    assert_eq!(store.newest_epoch("a.xml"), Some(7));
+    assert_eq!(**store.newest_body("a.xml").unwrap(), body);
+}
+
 /// Corruption mid-log bounds recovery at the corrupt record: the valid
 /// records *after* it are discarded too — "longest valid prefix", not
 /// "every salvageable record" (resynchronizing past corruption could

@@ -182,8 +182,8 @@ fn stats_snapshot_is_consistent_under_concurrent_publishing() {
     broker.shutdown();
 }
 
-/// A v1-era peer that never sends a stats frame still interoperates, and
-/// the metric registry names stay stable (they are part of the scrape API).
+/// A scrape needs no prior traffic, and the metric registry names stay
+/// stable (they are part of the scrape API).
 #[test]
 fn scrape_of_idle_broker_exposes_all_zero_metric_set() {
     let broker = Broker::bind("127.0.0.1:0").unwrap();
