@@ -24,10 +24,12 @@
 //! `BENCH_net.json`. It is **not** part of `all`: the JSONs are committed
 //! deliberately, from a full (non-quick) run.
 
-use pbcd_bench::{bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, print_row, time_avg};
+use pbcd_bench::{
+    bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, print_row, time_avg, NaiveAcv,
+};
 use pbcd_gkm::{AcvBgkm, MarkerGkm, SecureLockGkm, ShardedAcvBgkm, SimplisticGkm};
 use pbcd_group::{challenge, verify_batch, CyclicGroup, ModpGroup, P256Group, SigningKey};
-use pbcd_math::FpCtx;
+use pbcd_math::{FpCtx, Matrix};
 use std::time::{Duration, Instant};
 
 struct Opts {
@@ -999,6 +1001,74 @@ fn bench_json(opts: &Opts) {
         push(&mut ops, "ocbe_ge_l48_open_ns", open / ocbe_rounds);
     }
 
+    // ACV-BGKM rekey at the benchmark's wider configuration (96 rows, 97
+    // columns), each stage beside its twin from public primitives; the
+    // twins must produce the same bytes before they are timed.
+    {
+        let mut rng = bench_rng();
+        let w = gkm_workload(96, 100, 1, &mut rng);
+        let naive = NaiveAcv {
+            field: w.scheme.field().clone(),
+        };
+        let (key, info) = w.scheme.rekey(&w.rows, &mut rng);
+        let css = &w.rows[17].css_concat;
+        let a = Matrix::from_fn(&naive.field, 96, 97, |_, j| match j {
+            0 => naive.field.one(),
+            _ => naive.field.random(&mut rng),
+        });
+        assert_eq!(
+            w.scheme.extraction_vector(&info, css)[1..],
+            naive.hash_row(css, &info.zs)
+        );
+        assert_eq!(
+            a.random_null_vector(&mut rng.clone()),
+            naive.null_vector(&a, &mut rng.clone())
+        );
+        assert_eq!(w.scheme.derive_key(&info, css), key);
+        assert_eq!(naive.derive_key(&info, css).to_be_bytes()[6..], key);
+        let acv_rounds = if opts.quick { 1 } else { 40 };
+        push(
+            &mut ops,
+            "acv_rekey_96",
+            time_avg(acv_rounds, || w.scheme.rekey(&w.rows, &mut rng)),
+        );
+        push(
+            &mut ops,
+            "acv_rekey_96_naive",
+            time_avg(acv_rounds, || naive.rekey(&w.rows, &info.zs, &mut rng)),
+        );
+        push(
+            &mut ops,
+            "acv_hash_row_96",
+            time_avg(rounds, || w.scheme.extraction_vector(&info, css)),
+        );
+        push(
+            &mut ops,
+            "acv_hash_row_96_naive",
+            time_avg(rounds, || naive.hash_row(css, &info.zs)),
+        );
+        push(
+            &mut ops,
+            "linalg_null_vector_96x97",
+            time_avg(acv_rounds, || a.random_null_vector(&mut rng)),
+        );
+        push(
+            &mut ops,
+            "linalg_null_vector_96x97_naive",
+            time_avg(acv_rounds, || naive.null_vector(&a, &mut rng)),
+        );
+        push(
+            &mut ops,
+            "acv_derive_key_96",
+            time_avg(rounds, || w.scheme.derive_key(&info, css)),
+        );
+        push(
+            &mut ops,
+            "acv_derive_key_96_naive",
+            time_avg(rounds, || naive.derive_key(&info, css)),
+        );
+    }
+
     // Derived speedups: naive / optimized for each paired entry.
     let lookup = |ops: &[(String, f64)], name: &str| -> Option<f64> {
         ops.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
@@ -1047,6 +1117,22 @@ fn bench_json(opts: &Opts) {
             "modp_pedersen_commit",
             "modp_pedersen_commit",
             "modp_pedersen_commit_naive",
+        ),
+        ("acv_rekey_96", "acv_rekey_96", "acv_rekey_96_naive"),
+        (
+            "acv_hash_row_96",
+            "acv_hash_row_96",
+            "acv_hash_row_96_naive",
+        ),
+        (
+            "linalg_null_vector_96x97",
+            "linalg_null_vector_96x97",
+            "linalg_null_vector_96x97_naive",
+        ),
+        (
+            "acv_derive_key_96",
+            "acv_derive_key_96",
+            "acv_derive_key_96_naive",
         ),
     ];
     let mut speedups: Vec<(String, f64)> = Vec::new();

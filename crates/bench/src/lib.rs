@@ -9,10 +9,10 @@
 #![warn(missing_docs)]
 
 use pbcd_commit::{Commitment, Opening};
-use pbcd_gkm::{AccessRow, AcvBgkm};
+use pbcd_gkm::{AccessRow, AcvBgkm, AcvPublicInfo};
 use pbcd_group::CyclicGroup;
 use pbcd_group::P256Group;
-use pbcd_math::FpCtx;
+use pbcd_math::{Fp, FpCtx, Matrix, U128, U256};
 use pbcd_ocbe::{BitProof, BitSecrets, Direction, OcbeSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -78,6 +78,85 @@ pub fn gkm_workload(
         })
         .collect();
     GkmWorkload { scheme, rows }
+}
+
+// ---------------------------------------------------------------------------
+// ACV-BGKM from public primitives (the `acv_*_naive` twins of bench-json)
+// ---------------------------------------------------------------------------
+
+/// The ACV-BGKM procedure written against public primitives only: one
+/// allocated `sha256(css ‖ z)` and one wide-integer `rem` per matrix entry,
+/// a Gauss–Jordan null-space basis combined with drawn coefficients. It is
+/// the path `AcvBgkm` is measured beside, and — for one rng stream — the
+/// output it must reproduce to the byte.
+pub struct NaiveAcv {
+    /// The GKM field.
+    pub field: std::sync::Arc<FpCtx<2>>,
+}
+
+impl NaiveAcv {
+    /// `H(css ‖ z) mod q`.
+    fn entry(&self, css: &[u8], z: &[u8]) -> Fp<2> {
+        let digest = U256::from_be_bytes(&pbcd_crypto::sha256(&[css, z].concat()));
+        let reduced = digest
+            .expect("32 bytes")
+            .rem(&self.field.modulus().widen::<4>());
+        self.field
+            .from_uint(&reduced.narrow::<2>().expect("below q"))
+    }
+
+    /// The hashed tail `a₁…a_N` of a matrix row / key-extraction vector.
+    pub fn hash_row(&self, css: &[u8], zs: &[Vec<u8>]) -> Vec<Fp<2>> {
+        zs.iter().map(|z| self.entry(css, z)).collect()
+    }
+
+    /// `Σ cₖ·basisₖ` over [`Matrix::null_space_basis`], `cₖ` drawn in basis
+    /// order and redrawn while the sum is zero; the zero vector, with no
+    /// draw, when the null space is trivial.
+    pub fn null_vector(&self, a: &Matrix<2>, rng: &mut StdRng) -> Vec<Fp<2>> {
+        let basis = a.null_space_basis();
+        let mut out = vec![self.field.zero(); a.cols()];
+        while !basis.is_empty() && out.iter().all(Fp::is_zero) {
+            for b in &basis {
+                let c = self.field.random(rng);
+                for (o, e) in out.iter_mut().zip(b) {
+                    *o = &*o + &(&c * e);
+                }
+            }
+        }
+        out
+    }
+
+    /// One rekey over the given nonces: matrix, key, ACV. Returns the key
+    /// and `X`.
+    pub fn rekey(
+        &self,
+        rows: &[AccessRow],
+        zs: &[Vec<u8>],
+        rng: &mut StdRng,
+    ) -> (Fp<2>, Vec<U128>) {
+        let a = Matrix::from_fn(&self.field, rows.len(), zs.len() + 1, |i, j| match j {
+            0 => self.field.one(),
+            _ => self.entry(&rows[i].css_concat, &zs[j - 1]),
+        });
+        let key = self.field.random_nonzero(rng);
+        loop {
+            let mut x = self.null_vector(&a, rng);
+            x[0] = &x[0] + &key;
+            if rows.is_empty() || x[1..].iter().any(|e| !e.is_zero()) {
+                return (key, x.iter().map(Fp::to_uint).collect());
+            }
+        }
+    }
+
+    /// `K = ν·X`.
+    pub fn derive_key(&self, info: &AcvPublicInfo, css: &[u8]) -> U128 {
+        let mut k = self.field.from_uint(&info.x[0]);
+        for (a, xj) in self.hash_row(css, &info.zs).iter().zip(&info.x[1..]) {
+            k = &k + &(a * &self.field.from_uint(xj));
+        }
+        k.to_uint()
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -74,12 +74,18 @@ impl Sha256 {
     /// Finishes and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.length_bytes.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // `update` never leaves a full buffer, so the 0x80 marker fits.
+        let used = self.buffered;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used + 1 > 56 {
+            // Fewer than 8 bytes remain for the length: it goes in a block
+            // of its own.
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer[..56].fill(0);
         }
-        // Length is appended manually to avoid double-counting in update.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; 32];
@@ -217,6 +223,40 @@ mod tests {
     fn concat_helper_matches_manual() {
         assert_eq!(sha256_concat(&[b"ab", b"c"]), sha256(b"abc"));
         assert_eq!(sha256_concat(&[]), sha256(b""));
+    }
+
+    /// The padding `finalize` replaced: one `update` per pad byte.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; 32] {
+        let bit_len = h.length_bytes.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        h.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        let block = h.buffer;
+        h.compress(&block);
+        let mut out = [0u8; 32];
+        for (i, w) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn one_step_padding_matches_bytewise_padding_at_every_length() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=data.len() {
+            let mut whole = Sha256::new();
+            whole.update(&data[..len]);
+            let expect = finalize_bytewise(whole.clone());
+            assert_eq!(whole.finalize(), expect, "len={len}");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..len]);
+                assert_eq!(h.finalize(), expect, "len={len} split={split}");
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! recovers `K = ν·X`. Rekeying is just re-running the procedure — no
 //! message to any subscriber.
 
-use pbcd_crypto::sha256;
+use pbcd_crypto::Sha256;
+use pbcd_docs::wire;
 use pbcd_math::{Fp, FpCtx, Matrix, Uint, U128};
 use rand::RngCore;
 use std::sync::Arc;
@@ -44,11 +45,12 @@ pub struct AcvPublicInfo {
     pub zs: Vec<Vec<u8>>,
 }
 
-/// A subscriber-side cache of key-extraction vectors, keyed by
-/// `H(css ‖ z₁ ‖ … ‖ z_N)` — see [`AcvBgkm::derive_key_cached`].
+/// A subscriber-side cache of key-extraction vectors (their hashed tail
+/// `a₁…a_N`, Montgomery form), keyed by `H(css ‖ z₁ ‖ … ‖ z_N)` — see
+/// [`AcvBgkm::derive_key_cached`].
 #[derive(Default)]
 pub struct KevCache {
-    entries: std::collections::HashMap<[u8; 32], Vec<Fp<2>>>,
+    entries: std::collections::HashMap<[u8; 32], Vec<Uint<2>>>,
 }
 
 impl KevCache {
@@ -151,7 +153,7 @@ impl AcvBgkm {
             .map(|_| {
                 let key = self.field.random_nonzero(rng);
                 let info = self.acv_for(&a, rows.is_empty(), &key, &zs, rng);
-                (self.encode_key(&key), info)
+                (self.encode_key(&key.to_uint()), info)
             })
             .collect()
     }
@@ -188,26 +190,22 @@ impl AcvBgkm {
         let widest = configs.iter().map(Vec::len).max().unwrap_or(0);
         let zs = self.fresh_nonces(widest, rng);
         // Cache: css_concat → Montgomery-form hash row.
-        let mut cache: HashMap<Vec<u8>, Vec<Uint<2>>> = HashMap::new();
+        let mut cache: HashMap<&[u8], Vec<Uint<2>>> = HashMap::new();
         configs
             .iter()
             .map(|rows| {
                 let mut a = Matrix::zero(&self.field, rows.len(), zs.len() + 1);
-                let one = self.field.one();
                 for (i, row) in rows.iter().enumerate() {
-                    a.set_mont_raw(i, 0, *one.mont_raw());
-                    let hashes = cache.entry(row.css_concat.clone()).or_insert_with(|| {
-                        zs.iter()
-                            .map(|z| *self.hash_entry(&row.css_concat, z).mont_raw())
-                            .collect()
-                    });
-                    for (j, h) in hashes.iter().enumerate() {
-                        a.set_mont_raw(i, j + 1, *h);
-                    }
+                    let hashes = cache
+                        .entry(&row.css_concat)
+                        .or_insert_with(|| self.hash_row_vec(&row.css_concat, &zs));
+                    let (one, tail) = a.row_mont_raw_mut(i).split_first_mut().expect("N ≥ 1");
+                    *one = self.field.mont().one();
+                    tail.copy_from_slice(hashes);
                 }
                 let key = self.field.random_nonzero(rng);
                 let info = self.acv_for(&a, rows.is_empty(), &key, &zs, rng);
-                (self.encode_key(&key), info)
+                (self.encode_key(&key.to_uint()), info)
             })
             .collect()
     }
@@ -237,13 +235,10 @@ impl AcvBgkm {
     /// Matrix `A`: one row `[1, a_{i,1}, …, a_{i,N}]` per access row.
     fn build_matrix(&self, rows: &[AccessRow], zs: &[Vec<u8>]) -> Matrix<2> {
         let mut a = Matrix::zero(&self.field, rows.len(), zs.len() + 1);
-        let one = self.field.one();
         for (i, row) in rows.iter().enumerate() {
-            a.set_mont_raw(i, 0, *one.mont_raw());
-            for (j, z) in zs.iter().enumerate() {
-                let el = self.hash_entry(&row.css_concat, z);
-                a.set_mont_raw(i, j + 1, *el.mont_raw());
-            }
+            let (one, tail) = a.row_mont_raw_mut(i).split_first_mut().expect("N ≥ 1");
+            *one = self.field.mont().one();
+            self.hash_row(&row.css_concat, zs, tail);
         }
         a
     }
@@ -277,26 +272,16 @@ impl AcvBgkm {
     /// decryption layer above does).
     pub fn derive_key(&self, info: &AcvPublicInfo, css_concat: &[u8]) -> Vec<u8> {
         assert_eq!(info.x.len(), info.zs.len() + 1, "malformed public info");
-        // K = ν · X with ν = (1, a₁, …, a_N).
-        let mont = self.field.mont();
-        let mut acc = *self.field.from_uint(&info.x[0]).mont_raw();
-        for (z, xj) in info.zs.iter().zip(&info.x[1..]) {
-            let a = self.hash_entry(css_concat, z);
-            let xj = self.field.from_uint(xj);
-            acc = mont.add(&acc, &mont.mont_mul(a.mont_raw(), xj.mont_raw()));
-        }
-        self.encode_key(&self.field.from_mont_raw(acc))
+        self.extract(&self.hash_row_vec(css_concat, &info.zs), &info.x)
     }
 
     /// The subscriber's key-extraction vector `ν = (1, a₁, …, a_N)` —
     /// exposed so tests and benches can check `ν·Y = 0` directly.
     pub fn extraction_vector(&self, info: &AcvPublicInfo, css_concat: &[u8]) -> Vec<Fp<2>> {
-        let mut v = Vec::with_capacity(info.zs.len() + 1);
-        v.push(self.field.one());
-        for z in &info.zs {
-            v.push(self.hash_entry(css_concat, z));
-        }
-        v
+        let tail = self.hash_row_vec(css_concat, &info.zs);
+        std::iter::once(self.field.one())
+            .chain(tail.into_iter().map(|a| self.field.from_mont_raw(a)))
+            .collect()
     }
 
     /// Key derivation with a subscriber-side KEV cache (paper §VIII-D:
@@ -313,35 +298,58 @@ impl AcvBgkm {
     ) -> Vec<u8> {
         assert_eq!(info.x.len(), info.zs.len() + 1, "malformed public info");
         let tag = {
-            let mut h = pbcd_crypto::Sha256::new();
+            let mut h = Sha256::new();
             h.update(css_concat);
             for z in &info.zs {
                 h.update(z);
             }
             h.finalize()
         };
-        let nu = cache
+        let tail = cache
             .entries
             .entry(tag)
-            .or_insert_with(|| self.extraction_vector(info, css_concat));
+            .or_insert_with(|| self.hash_row_vec(css_concat, &info.zs));
+        self.extract(tail, &info.x)
+    }
+
+    /// `K = ν·X = x₀ + Σ aⱼ·xⱼ` for the hashed tail `a₁…a_N` of `ν`.
+    ///
+    /// `mont_mul` of a Montgomery-form `aⱼ` with a plain `xⱼ` is the plain
+    /// product, and it reduces an `xⱼ ≥ q` (which `decode` lets a hostile
+    /// broker send) on the way.
+    fn extract(&self, tail: &[Uint<2>], x: &[U128]) -> Vec<u8> {
         let mont = self.field.mont();
-        let mut acc = Uint::ZERO;
-        for (a, xj) in nu.iter().zip(&info.x) {
-            let xj = self.field.from_uint(xj);
-            acc = mont.add(&acc, &mont.mont_mul(a.mont_raw(), xj.mont_raw()));
+        let mut acc = mont.mont_mul(&mont.one(), &x[0]);
+        for (a, xj) in tail.iter().zip(&x[1..]) {
+            acc = mont.add(&acc, &mont.mont_mul(a, xj));
         }
-        self.encode_key(&self.field.from_mont_raw(acc))
+        self.encode_key(&acc)
     }
 
-    fn hash_entry(&self, css_concat: &[u8], z: &[u8]) -> Fp<2> {
-        let mut input = Vec::with_capacity(css_concat.len() + z.len());
-        input.extend_from_slice(css_concat);
-        input.extend_from_slice(z);
-        self.field.from_be_bytes_reduced(&sha256(&input))
+    /// The row `aⱼ = H(css ‖ zⱼ) mod q` for `j = 1…N`, Montgomery form:
+    /// `css_concat` is absorbed once and each nonce finishes a clone of
+    /// that midstate, so a row allocates nothing whatever the CSS and nonce
+    /// lengths are.
+    fn hash_row(&self, css_concat: &[u8], zs: &[Vec<u8>], out: &mut [Uint<2>]) {
+        debug_assert_eq!(zs.len(), out.len());
+        let mut midstate = Sha256::new();
+        midstate.update(css_concat);
+        for (z, a) in zs.iter().zip(out) {
+            let mut h = midstate.clone();
+            h.update(z);
+            *a = self.field.mont_from_be_bytes_reduced(&h.finalize());
+        }
     }
 
-    fn encode_key(&self, k: &Fp<2>) -> Vec<u8> {
-        let bytes = k.to_uint().to_be_bytes();
+    /// [`Self::hash_row`] into a fresh vector.
+    fn hash_row_vec(&self, css_concat: &[u8], zs: &[Vec<u8>]) -> Vec<Uint<2>> {
+        let mut out = vec![Uint::ZERO; zs.len()];
+        self.hash_row(css_concat, zs, &mut out);
+        out
+    }
+
+    fn encode_key(&self, k: &U128) -> Vec<u8> {
+        let bytes = k.to_be_bytes();
         bytes[bytes.len() - self.key_len()..].to_vec()
     }
 }
@@ -367,38 +375,31 @@ impl AcvPublicInfo {
         out
     }
 
-    /// Parses the wire encoding.
+    /// Strict parse of [`Self::encode`] output through the audited
+    /// [`pbcd_docs::wire`] readers: these are the untrusted broker's bytes.
     pub fn decode(data: &[u8]) -> Option<Self> {
-        let fq_len = *data.first()? as usize;
-        if fq_len != 16 {
+        let mut buf = data;
+        if wire::get_u8(&mut buf).ok()? != 16 {
             return None;
         }
-        let mut pos = 1;
-        let x_count = u32::from_be_bytes(data.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        if x_count > data.len() / fq_len + 1 {
+        let x_count = wire::get_u32(&mut buf).ok()? as usize;
+        // Bounds the allocation by what the input can hold.
+        if x_count > buf.len() / 16 {
             return None;
         }
         let mut x = Vec::with_capacity(x_count);
         for _ in 0..x_count {
-            x.push(U128::from_be_bytes(data.get(pos..pos + fq_len)?)?);
-            pos += fq_len;
+            x.push(U128::from_be_bytes(&wire::get_fixed::<16>(&mut buf).ok()?)?);
         }
-        let z_count = u32::from_be_bytes(data.get(pos..pos + 4)?.try_into().ok()?) as usize;
-        pos += 4;
-        let tau = *data.get(pos)? as usize;
-        pos += 1;
+        let z_count = wire::get_u32(&mut buf).ok()? as usize;
+        let tau = wire::get_u8(&mut buf).ok()? as usize;
         if z_count != x_count.checked_sub(1)? || tau == 0 {
             return None;
         }
-        let mut zs = Vec::with_capacity(z_count);
-        for _ in 0..z_count {
-            zs.push(data.get(pos..pos + tau)?.to_vec());
-            pos += tau;
-        }
-        if pos != data.len() {
+        if buf.len() != z_count.checked_mul(tau)? {
             return None;
         }
+        let zs = buf.chunks_exact(tau).map(<[u8]>::to_vec).collect();
         Some(Self { x, zs })
     }
 

@@ -11,10 +11,18 @@ use crate::uint::Uint;
 use rand::RngCore;
 use std::sync::Arc;
 
+/// Weights kept for [`FpCtx::mont_from_be_bytes_reduced`]: enough for a
+/// 32-byte digest at `L = 2`; longer inputs extend the sequence as they go.
+const RADIX_POWERS: usize = 2;
+
 /// A prime-field context: modulus plus Montgomery constants.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FpCtx<const L: usize> {
     mont: MontCtx<L>,
+    /// `R², R³ mod p` for `R = 2^(64·L)`: entry `i` turns the `i`-th
+    /// least significant `8·L`-byte chunk of a byte string into its
+    /// Montgomery-form contribution with one `mont_mul`.
+    radix_powers: [Uint<L>; RADIX_POWERS],
 }
 
 impl<const L: usize> FpCtx<L> {
@@ -23,9 +31,13 @@ impl<const L: usize> FpCtx<L> {
     /// Primality is the caller's responsibility (checked in debug builds for
     /// small widths by the `prime` module's users); evenness is rejected.
     pub fn new(modulus: Uint<L>) -> Arc<Self> {
-        Arc::new(Self {
-            mont: MontCtx::new(modulus),
-        })
+        let mont = MontCtx::new(modulus);
+        let r2 = mont.to_mont(&mont.one());
+        let mut radix_powers = [r2; RADIX_POWERS];
+        for i in 1..RADIX_POWERS {
+            radix_powers[i] = mont.mont_mul(&radix_powers[i - 1], &r2);
+        }
+        Arc::new(Self { mont, radix_powers })
     }
 
     /// The field modulus.
@@ -80,30 +92,35 @@ impl<const L: usize> FpCtx<L> {
     /// Interprets big-endian bytes as an integer and reduces it into the
     /// field (used to map hash outputs to field elements).
     ///
-    /// The result equals `int(bytes) mod p` for inputs of any length; bytes
-    /// are folded most-significant-first, one field-width chunk at a time,
-    /// scaling by the exact power of 256 consumed.
+    /// The result equals `int(bytes) mod p` for inputs of any length.
     pub fn from_be_bytes_reduced(self: &Arc<Self>, bytes: &[u8]) -> Fp<L> {
-        // Field element for 2^64: shift one limb. For L == 1 this wraps, so
-        // fall back to folding bytewise with 2^8 in that (unused) case.
-        let mut acc = self.zero();
-        // Up to (8·L − 1) bytes fit in a Uint<L> with headroom for the fold.
-        let chunk_len = 8 * L - 1;
-        let b256 = self.from_u64(256);
-        // Precompute 256^chunk_len once.
-        let radix = b256.pow(&Uint::<L>::from_u64(chunk_len as u64));
-        let full_chunks = bytes.len() / chunk_len;
-        let tail = bytes.len() % chunk_len;
-        for i in 0..full_chunks {
-            let chunk = Uint::<L>::from_be_bytes(&bytes[i * chunk_len..(i + 1) * chunk_len])
-                .expect("chunk fits by construction");
-            acc = &(&acc * &radix) + &self.from_uint(&chunk);
-        }
-        if tail > 0 {
-            let chunk = Uint::<L>::from_be_bytes(&bytes[bytes.len() - tail..])
-                .expect("tail fits by construction");
-            let scale = b256.pow(&Uint::<L>::from_u64(tail as u64));
-            acc = &(&acc * &scale) + &self.from_uint(&chunk);
+        self.from_mont_raw(self.mont_from_be_bytes_reduced(bytes))
+    }
+
+    /// [`Self::from_be_bytes_reduced`] as a raw Montgomery residue, for hot
+    /// loops that fill a [`Matrix`](crate::Matrix) row.
+    ///
+    /// With `R = 2^(64·L)` and the input cut into `8·L`-byte chunks `cᵢ`
+    /// from the least significant end, `int(bytes)·R = Σ cᵢ·Rⁱ⁺¹`, and
+    /// `mont_mul(cᵢ, Rⁱ⁺²)` is exactly the `i`-th term — a chunk needs no
+    /// reduction first, since `mont_mul` only wants one operand below `p`.
+    pub fn mont_from_be_bytes_reduced(&self, bytes: &[u8]) -> Uint<L> {
+        let mont = &self.mont;
+        let mut acc = Uint::ZERO;
+        let mut stored = self.radix_powers.iter();
+        let mut weight = Uint::ZERO;
+        for chunk in bytes.rchunks(8 * L) {
+            weight = match stored.next() {
+                Some(w) => *w,
+                None => mont.mont_mul(&weight, &self.radix_powers[0]),
+            };
+            let mut limbs = [0u64; L];
+            for (limb, word) in limbs.iter_mut().zip(chunk.rchunks(8)) {
+                let mut be = [0u8; 8];
+                be[8 - word.len()..].copy_from_slice(word);
+                *limb = u64::from_be_bytes(be);
+            }
+            acc = mont.add(&acc, &mont.mont_mul(&Uint::from_limbs(limbs), &weight));
         }
         acc
     }

@@ -9,7 +9,7 @@
 //!   sliding-window / simultaneous exponentiation and batched inversion,
 //! * [`pow`] — fixed-base exponentiation tables ([`FixedBaseTable`]),
 //! * [`fp`] — ergonomic prime-field elements with shared contexts,
-//! * [`linalg`] — dense Gauss–Jordan / null-space solving over `F_q`
+//! * [`linalg`] — dense elimination / null-space solving over `F_q`
 //!   (the role NTL's `kernel()` plays in the paper's C++ system),
 //! * [`prime`] — Miller–Rabin testing and prime generation.
 //!

@@ -3,8 +3,11 @@
 //! The paper's publisher solves `A·Y = 0` for a random non-trivial null-space
 //! vector of an `n×(N+1)` matrix over an 80-bit prime field (the role NTL's
 //! `kernel()` played in the original C++ implementation). [`Matrix`] stores
-//! Montgomery-form limbs in a flat row-major buffer and performs Gauss–Jordan
-//! elimination with the raw [`MontCtx`](crate::MontCtx) API — no per-element `Arc` traffic.
+//! Montgomery-form limbs in a flat row-major buffer and eliminates with the
+//! raw [`MontCtx`](crate::MontCtx) API — no per-element `Arc` traffic.
+//! [`Matrix::random_null_vector`] is the production solve (echelon form plus
+//! back-substitution); [`Matrix::row_reduce`] and
+//! [`Matrix::null_space_basis`] are the Gauss–Jordan it is tested against.
 
 use crate::fp::{Fp, FpCtx};
 use crate::uint::Uint;
@@ -112,9 +115,10 @@ impl<const L: usize> Matrix<L> {
         self.data[i * self.cols + j] = *v.mont_raw();
     }
 
-    /// Sets an element from a raw Montgomery residue (used by hot builders).
-    pub fn set_mont_raw(&mut self, i: usize, j: usize, v: Uint<L>) {
-        self.data[i * self.cols + j] = v;
+    /// Row `i` as raw Montgomery residues, for builders that fill a whole
+    /// row at a time.
+    pub fn row_mont_raw_mut(&mut self, i: usize) -> &mut [Uint<L>] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Matrix–vector product `A·x`.
@@ -157,6 +161,10 @@ impl<const L: usize> Matrix<L> {
 
     /// In-place Gauss–Jordan to reduced row-echelon form.
     /// Returns the pivot column of each pivot row (so `result.len()` = rank).
+    ///
+    /// Off the rekey path since [`Self::random_null_vector`] stops at echelon
+    /// form; it serves [`Self::rank`] and [`Self::null_space_basis`], the
+    /// oracle that solve is tested against.
     ///
     /// Pivot rows stay *unnormalized* during the elimination sweeps (the
     /// per-sweep pivot inverse is folded into the elimination factors —
@@ -266,32 +274,86 @@ impl<const L: usize> Matrix<L> {
         basis
     }
 
-    /// A uniformly random vector in the right null space, sampled as a random
-    /// linear combination of a null-space basis. Returns the zero vector only
-    /// when the null space is trivial (never for the BGKM shapes, which have
-    /// more columns than rows).
+    /// A uniformly random vector in the right null space. Returns the zero
+    /// vector only when the null space is trivial (never for the BGKM
+    /// shapes, which have more columns than rows).
+    ///
+    /// Forward elimination brings a copy to echelon form, the free
+    /// coordinates are drawn in ascending column order, and
+    /// back-substitution fixes the pivot coordinates. That is the vector
+    /// `Σ cₖ·basisₖ` over [`Self::null_space_basis`] for the same draws
+    /// `cₖ`: the pivot columns do not depend on how far the elimination
+    /// goes, and a null vector is determined by its free coordinates.
     pub fn random_null_vector<R: RngCore + ?Sized>(&self, rng: &mut R) -> Vec<Fp<L>> {
-        let basis = self.null_space_basis();
-        if basis.is_empty() {
-            return vec![self.ctx.zero(); self.cols];
+        let mut echelon = self.clone();
+        let pivots = echelon.forward_eliminate();
+        let mont = self.ctx.mont();
+        let cols = self.cols;
+        if pivots.len() == cols {
+            return vec![self.ctx.zero(); cols];
         }
-        loop {
-            let coeffs: Vec<Fp<L>> = (0..basis.len()).map(|_| self.ctx.random(rng)).collect();
-            let mont = self.ctx.mont();
-            let mut out = vec![Uint::ZERO; self.cols];
-            for (c, b) in coeffs.iter().zip(&basis) {
-                let cm = *c.mont_raw();
-                if cm.is_zero() {
+        let mut is_free = vec![true; cols];
+        for &(col, _) in &pivots {
+            is_free[col] = false;
+        }
+        let mut x = vec![Uint::ZERO; cols];
+        // All free coordinates zero is the zero vector: draw again.
+        while x.iter().all(Uint::is_zero) {
+            for (v, free) in x.iter_mut().zip(&is_free) {
+                if *free {
+                    *v = *self.ctx.random(rng).mont_raw();
+                }
+            }
+        }
+        // Pivot row r reads `v·x[col] + Σ_{j>col} row[j]·x[j] = 0`, and
+        // every x[j] right of its pivot is known by the time it is reached.
+        for (r, &(col, inv)) in pivots.iter().enumerate().rev() {
+            let row = &echelon.data[r * cols..(r + 1) * cols];
+            let mut sum = Uint::ZERO;
+            for (a, v) in row[col + 1..].iter().zip(&x[col + 1..]) {
+                sum = mont.add(&sum, &mont.mont_mul(a, v));
+            }
+            x[col] = mont.neg(&mont.mont_mul(&sum, &inv));
+        }
+        x.into_iter().map(|m| self.ctx.from_mont_raw(m)).collect()
+    }
+
+    /// In-place forward elimination to (unnormalized) row-echelon form.
+    /// Returns each pivot row's column and the inverse of its pivot value —
+    /// the elimination factor needs the inverse anyway, and
+    /// back-substitution divides by the same pivot.
+    fn forward_eliminate(&mut self) -> Vec<(usize, Uint<L>)> {
+        let ctx = Arc::clone(&self.ctx);
+        let mont = ctx.mont();
+        let (rows, cols) = (self.rows, self.cols);
+        let mut pivots = Vec::with_capacity(rows.min(cols));
+        for col in 0..cols {
+            let pivot_row = pivots.len();
+            if pivot_row == rows {
+                break;
+            }
+            let Some(src) = (pivot_row..rows).find(|&r| !self.data[r * cols + col].is_zero())
+            else {
+                continue;
+            };
+            self.swap_rows(src, pivot_row);
+            let (upper, lower) = self.data.split_at_mut((pivot_row + 1) * cols);
+            let pivot_tail = &upper[pivot_row * cols + col..];
+            let inv = mont.inv(&pivot_tail[0]).expect("pivot nonzero");
+            for row in lower.chunks_exact_mut(cols) {
+                let tail = &mut row[col..];
+                if tail[0].is_zero() {
                     continue;
                 }
-                for (o, e) in out.iter_mut().zip(b) {
-                    *o = mont.add(o, &mont.mont_mul(&cm, e.mont_raw()));
+                let factor = mont.mont_mul(&tail[0], &inv);
+                tail[0] = Uint::ZERO;
+                for (t, p) in tail[1..].iter_mut().zip(&pivot_tail[1..]) {
+                    *t = mont.sub(t, &mont.mont_mul(&factor, p));
                 }
             }
-            if out.iter().any(|x| !x.is_zero()) {
-                return out.into_iter().map(|m| self.ctx.from_mont_raw(m)).collect();
-            }
+            pivots.push((col, inv));
         }
+        pivots
     }
 
     fn swap_rows(&mut self, a: usize, b: usize) {

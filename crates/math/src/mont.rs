@@ -78,6 +78,10 @@ impl<const L: usize> MontCtx<L> {
     }
 
     /// CIOS Montgomery multiplication: returns `a·b·R^{-1} mod m`.
+    ///
+    /// Only one operand has to be a residue: with the other anywhere below
+    /// `R` the running sum stays under `2m`, so the final conditional
+    /// subtraction still lands in `[0, m)`.
     pub fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         assert!(L + 2 <= 66, "width too large for CIOS scratch");
         let m = self.modulus.limbs();
@@ -375,6 +379,23 @@ mod tests {
             let got = ctx.from_mont(&ctx.mont_mul(&am, &bm));
             assert_eq!(got, a.mul_mod(&b, &q80()));
         }
+    }
+
+    #[test]
+    fn mont_mul_takes_one_unreduced_operand() {
+        let ctx = MontCtx::new(q80());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for _ in 0..500 {
+            let wide = U128::random_bits(&mut rng, 128);
+            let b = ctx.to_mont(&U128::random_below(&mut rng, &q80()));
+            let expect = ctx.mont_mul(&wide.rem(&q80()), &b);
+            assert_eq!(ctx.mont_mul(&wide, &b), expect);
+            assert_eq!(ctx.mont_mul(&b, &wide), expect);
+        }
+        let b = ctx.to_mont(&q80().wrapping_sub(&U128::one()));
+        let expect = ctx.mont_mul(&U128::MAX.rem(&q80()), &b);
+        assert_eq!(ctx.mont_mul(&U128::MAX, &b), expect);
+        assert_eq!(ctx.mont_mul(&b, &U128::MAX), expect);
     }
 
     #[test]

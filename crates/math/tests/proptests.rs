@@ -1,7 +1,10 @@
 //! Property-based tests for the math substrate.
 
-use pbcd_math::{FpCtx, Matrix, MontCtx, U128, U256};
+use pbcd_math::{Fp, FpCtx, Matrix, MontCtx, Uint, U128, U256};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use std::sync::Arc;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     prop::array::uniform4(any::<u64>()).prop_map(U256::from_limbs)
@@ -13,6 +16,30 @@ fn arb_u128() -> impl Strategy<Value = U128> {
 
 fn q80() -> U128 {
     pbcd_math::gkm_q80()
+}
+
+/// What `random_null_vector` returned while it ran Gauss–Jordan: `Σ cₖ·basisₖ`
+/// over `null_space_basis`, `cₖ` drawn in basis order and redrawn while the
+/// sum is zero; the zero vector, with no draw, for a trivial null space.
+fn basis_combination(m: &Matrix<2>, rng: &mut StdRng) -> Vec<Fp<2>> {
+    let basis = m.null_space_basis();
+    let mut out = vec![m.ctx().zero(); m.cols()];
+    while !basis.is_empty() && out.iter().all(Fp::is_zero) {
+        for b in &basis {
+            let c = m.ctx().random(rng);
+            for (o, e) in out.iter_mut().zip(b) {
+                *o = &*o + &(&c * e);
+            }
+        }
+    }
+    out
+}
+
+/// `int(bytes) mod p` on a 832-bit integer — wide enough for 100 bytes.
+fn reduce_wide<const L: usize>(ctx: &Arc<FpCtx<L>>, bytes: &[u8]) -> Fp<L> {
+    let wide = Uint::<13>::from_be_bytes(bytes).expect("at most 104 bytes");
+    let reduced = wide.rem(&ctx.modulus().widen::<13>());
+    ctx.from_uint(&reduced.narrow::<L>().expect("below p"))
 }
 
 proptest! {
@@ -167,6 +194,65 @@ proptest! {
         prop_assert!(m.mul_vec(&v).iter().all(|x| x.is_zero()));
         for b in m.null_space_basis() {
             prop_assert!(m.mul_vec(&b).iter().all(|x| x.is_zero()));
+        }
+    }
+
+    #[test]
+    fn random_null_vector_is_the_basis_combination(
+        seed in any::<u64>(),
+        rows in 0usize..10,
+        cols in 0usize..10,
+        rank_cap in 0usize..10,
+        zero_cols in any::<u16>(),
+    ) {
+        // Wide, square and tall shapes; rank capped by making every row
+        // past `rank_cap` a combination of the rows before it (0 ⇒ the zero
+        // matrix); some columns zeroed so pivots skip columns.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ctx = FpCtx::new(q80());
+        let mut m = Matrix::zero(&ctx, rows, cols);
+        for i in 0..rows {
+            let coeffs: Vec<_> = (0..rank_cap.min(i)).map(|_| ctx.random(&mut rng)).collect();
+            for j in 0..cols {
+                let v = if zero_cols >> j & 1 == 1 || rank_cap == 0 {
+                    ctx.zero()
+                } else if i < rank_cap {
+                    ctx.random(&mut rng)
+                } else {
+                    coeffs.iter().enumerate().fold(ctx.zero(), |acc, (k, c)| &acc + &(c * &m.get(k, j)))
+                };
+                m.set(i, j, &v);
+            }
+        }
+        let mut ref_rng = rng.clone();
+        let got = m.random_null_vector(&mut rng);
+        prop_assert_eq!(&got, &basis_combination(&m, &mut ref_rng));
+        prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
+        prop_assert_eq!(got.iter().all(Fp::is_zero), m.rank() == cols);
+        if rows > 0 {
+            prop_assert!(m.mul_vec(&got).iter().all(Fp::is_zero));
+        }
+    }
+
+    #[test]
+    fn from_be_bytes_reduced_is_the_integer_mod_p(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f80 = FpCtx::new(q80());
+        let p256_order = FpCtx::new(
+            U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551")
+                .expect("hex"),
+        );
+        for len in 0..=100 {
+            let mut bytes = vec![0u8; len];
+            rng.fill_bytes(&mut bytes);
+            if seed % 4 == 0 {
+                bytes.fill(0xff);
+            }
+            prop_assert_eq!(f80.from_be_bytes_reduced(&bytes), reduce_wide(&f80, &bytes));
+            prop_assert_eq!(
+                p256_order.from_be_bytes_reduced(&bytes),
+                reduce_wide(&p256_order, &bytes)
+            );
         }
     }
 
