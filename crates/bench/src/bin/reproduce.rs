@@ -25,8 +25,10 @@
 //! deliberately, from a full (non-quick) run.
 
 use pbcd_bench::{
-    bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, print_row, time_avg, NaiveAcv,
+    bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, naive_crc32, print_row, time_avg,
+    NaiveAcv, NaiveAes, NaiveAuthKey,
 };
+use pbcd_crypto::{ctr_encrypt, AuthKey, NONCE_LEN};
 use pbcd_gkm::{AcvBgkm, MarkerGkm, SecureLockGkm, ShardedAcvBgkm, SimplisticGkm};
 use pbcd_group::{challenge, verify_batch, CyclicGroup, ModpGroup, P256Group, SigningKey};
 use pbcd_math::{FpCtx, Matrix};
@@ -1069,6 +1071,75 @@ fn bench_json(opts: &Opts) {
         );
     }
 
+    // The per-byte path's symmetric kernels at the benchmark's sizes (one
+    // 16 KiB segment, one 256 KiB log record) and the 32-byte message OCBE
+    // sends ~144 of per GE registration, each beside its byte-at-a-time
+    // twin; the twins must produce the same bytes before they are timed.
+    {
+        let key = [7u8; 32];
+        let nonce = [9u8; NONCE_LEN];
+        let segment = vec![0xabu8; 16 * 1024];
+        let record = vec![0xcdu8; 256 * 1024];
+        let naive_ctr = |data: &[u8]| {
+            let mut out = data.to_vec();
+            NaiveAes::new(&key).ctr_xor(&nonce, &mut out);
+            out
+        };
+        let (auth, naive_auth) = (AuthKey::from_master(&key), NaiveAuthKey::from_master(&key));
+        assert_eq!(ctr_encrypt(&key, &nonce, &segment), naive_ctr(&segment));
+        for message in [&segment[..], &segment[..32]] {
+            assert_eq!(
+                auth.encrypt_with_nonce(&nonce, message),
+                naive_auth.encrypt_with_nonce(&nonce, message)
+            );
+        }
+        assert_eq!(pbcd_net::store::crc32(&record), naive_crc32(&record));
+        push(
+            &mut ops,
+            "aes256_ctr_16k",
+            time_avg(rounds, || ctr_encrypt(&key, &nonce, &segment)),
+        );
+        push(
+            &mut ops,
+            "aes256_ctr_16k_naive",
+            time_avg(rounds, || naive_ctr(&segment)),
+        );
+        push(
+            &mut ops,
+            "authenc_encrypt_16k",
+            time_avg(rounds, || auth.encrypt_with_nonce(&nonce, &segment)),
+        );
+        push(
+            &mut ops,
+            "authenc_encrypt_16k_naive",
+            time_avg(rounds, || naive_auth.encrypt_with_nonce(&nonce, &segment)),
+        );
+        push(
+            &mut ops,
+            "authenc_encrypt_32",
+            time_avg(rounds * 100, || {
+                auth.encrypt_with_nonce(&nonce, &segment[..32])
+            }),
+        );
+        push(
+            &mut ops,
+            "authenc_encrypt_32_naive",
+            time_avg(rounds * 100, || {
+                naive_auth.encrypt_with_nonce(&nonce, &segment[..32])
+            }),
+        );
+        push(
+            &mut ops,
+            "crc32_256k",
+            time_avg(rounds, || pbcd_net::store::crc32(&record)),
+        );
+        push(
+            &mut ops,
+            "crc32_256k_naive",
+            time_avg(rounds, || naive_crc32(&record)),
+        );
+    }
+
     // Derived speedups: naive / optimized for each paired entry.
     let lookup = |ops: &[(String, f64)], name: &str| -> Option<f64> {
         ops.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
@@ -1134,6 +1205,18 @@ fn bench_json(opts: &Opts) {
             "acv_derive_key_96",
             "acv_derive_key_96_naive",
         ),
+        ("aes256_ctr_16k", "aes256_ctr_16k", "aes256_ctr_16k_naive"),
+        (
+            "authenc_encrypt_16k",
+            "authenc_encrypt_16k",
+            "authenc_encrypt_16k_naive",
+        ),
+        (
+            "authenc_encrypt_32",
+            "authenc_encrypt_32",
+            "authenc_encrypt_32_naive",
+        ),
+        ("crc32_256k", "crc32_256k", "crc32_256k_naive"),
     ];
     let mut speedups: Vec<(String, f64)> = Vec::new();
     for (label, fast, naive) in pairs {

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 use pbcd_commit::{Commitment, Opening};
+use pbcd_crypto::NONCE_LEN;
 use pbcd_gkm::{AccessRow, AcvBgkm, AcvPublicInfo};
 use pbcd_group::CyclicGroup;
 use pbcd_group::P256Group;
@@ -157,6 +158,203 @@ impl NaiveAcv {
         }
         k.to_uint()
     }
+}
+
+// ---------------------------------------------------------------------------
+// Symmetric kernels, a byte at a time (the `*_naive` twins of bench-json)
+// ---------------------------------------------------------------------------
+
+/// AES forward S-box.
+const SBOX: [u8; 256] = [
+    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
+    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
+    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
+    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
+    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
+    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
+    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
+    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
+    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
+    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
+    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
+    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
+    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
+    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
+    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
+    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
+];
+
+/// The byte-wise AES `pbcd_crypto` shipped before its bitsliced kernel, moved
+/// here encryption only: one S-box load per state byte, indexed by key-dependent
+/// state, so *not* constant time. It is the path `pbcd_crypto::ctr_xor` is
+/// measured beside, and the output it must reproduce to the byte.
+pub struct NaiveAes {
+    round_keys: Vec<[u8; 16]>,
+}
+
+impl NaiveAes {
+    /// Expands a 16-, 24- or 32-byte key (FIPS 197 §5.2).
+    pub fn new(key: &[u8]) -> Self {
+        assert!(matches!(key.len(), 16 | 24 | 32), "invalid AES key length");
+        let nk = key.len() / 4;
+        let nwords = 4 * (nk + 7);
+        let mut w = vec![[0u8; 4]; nwords];
+        for (i, word) in w.iter_mut().take(nk).enumerate() {
+            word.copy_from_slice(&key[4 * i..4 * i + 4]);
+        }
+        let mut rcon = 1u8;
+        for i in nk..nwords {
+            let mut temp = w[i - 1];
+            if i % nk == 0 {
+                temp.rotate_left(1);
+                for b in &mut temp {
+                    *b = SBOX[*b as usize];
+                }
+                temp[0] ^= rcon;
+                rcon = xtime(rcon);
+            } else if nk > 6 && i % nk == 4 {
+                for b in &mut temp {
+                    *b = SBOX[*b as usize];
+                }
+            }
+            for j in 0..4 {
+                w[i][j] = w[i - nk][j] ^ temp[j];
+            }
+        }
+        let round_keys = w
+            .chunks_exact(4)
+            .map(|c| {
+                let mut rk = [0u8; 16];
+                for (i, word) in c.iter().enumerate() {
+                    rk[4 * i..4 * i + 4].copy_from_slice(word);
+                }
+                rk
+            })
+            .collect();
+        Self { round_keys }
+    }
+
+    /// Encrypts one block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        let rounds = self.round_keys.len() - 1;
+        add_round_key(block, &self.round_keys[0]);
+        for round in 1..rounds {
+            sub_bytes(block);
+            shift_rows(block);
+            mix_columns(block);
+            add_round_key(block, &self.round_keys[round]);
+        }
+        sub_bytes(block);
+        shift_rows(block);
+        add_round_key(block, &self.round_keys[rounds]);
+    }
+
+    /// CTR mode as `pbcd_crypto::ctr_xor` defines it: counter block
+    /// `nonce ‖ be32`, counting from 1, one block at a time.
+    pub fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+        let mut counter_block = [0u8; 16];
+        counter_block[..NONCE_LEN].copy_from_slice(nonce);
+        for (counter, chunk) in (1u32..).zip(data.chunks_mut(16)) {
+            counter_block[NONCE_LEN..].copy_from_slice(&counter.to_be_bytes());
+            let mut keystream = counter_block;
+            self.encrypt_block(&mut keystream);
+            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *d ^= k;
+            }
+        }
+    }
+}
+
+fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+    for (s, k) in state.iter_mut().zip(rk) {
+        *s ^= k;
+    }
+}
+
+fn sub_bytes(state: &mut [u8; 16]) {
+    for b in state.iter_mut() {
+        *b = SBOX[*b as usize];
+    }
+}
+
+// State is column-major: state[4*c + r] is row r, column c.
+fn shift_rows(state: &mut [u8; 16]) {
+    let s = *state;
+    for r in 1..4 {
+        for c in 0..4 {
+            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
+        }
+    }
+}
+
+fn mix_columns(state: &mut [u8; 16]) {
+    for c in 0..4 {
+        let col = [
+            state[4 * c],
+            state[4 * c + 1],
+            state[4 * c + 2],
+            state[4 * c + 3],
+        ];
+        state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
+        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
+        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
+        state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+    }
+}
+
+/// Multiplication by `x` in GF(2⁸) modulo `x⁸ + x⁴ + x³ + x + 1`.
+#[inline]
+fn xtime(b: u8) -> u8 {
+    (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+}
+
+/// `pbcd_crypto::AuthKey` from public primitives over [`NaiveAes`]: the same
+/// two derived keys, the same `nonce ‖ ct ‖ tag` message.
+pub struct NaiveAuthKey {
+    enc: Vec<u8>,
+    mac: Vec<u8>,
+}
+
+impl NaiveAuthKey {
+    /// The encryption and MAC keys `AuthKey::from_master` derives.
+    pub fn from_master(master: &[u8]) -> Self {
+        Self {
+            enc: pbcd_crypto::derive_key(master, "pbcd-authenc-enc", 32),
+            mac: pbcd_crypto::derive_key(master, "pbcd-authenc-mac", 32),
+        }
+    }
+
+    /// `AuthKey::encrypt_with_nonce`, key schedule per message included.
+    pub fn encrypt_with_nonce(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = [nonce.as_slice(), plaintext].concat();
+        NaiveAes::new(&self.enc).ctr_xor(nonce, &mut out[NONCE_LEN..]);
+        let tag = pbcd_crypto::hmac::<pbcd_crypto::Sha256>(&self.mac, &out);
+        out.extend_from_slice(&tag);
+        out
+    }
+}
+
+/// CRC32 (IEEE 802.3) one byte per step from a 256-entry table: the
+/// retention log's checksum before slice-by-8, and `crc32_256k`'s twin.
+pub fn naive_crc32(data: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut c = i as u32;
+            let mut k = 0;
+            while k < 8 {
+                c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+                k += 1;
+            }
+            table[i] = c;
+            i += 1;
+        }
+        table
+    };
+    !data.iter().fold(!0u32, |crc, &b| {
+        TABLE[(crc as u8 ^ b) as usize] ^ (crc >> 8)
+    })
 }
 
 // ---------------------------------------------------------------------------

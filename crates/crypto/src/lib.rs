@@ -6,8 +6,9 @@
 //! * [`sha1`](mod@sha1) / [`sha256`](mod@sha256) — FIPS 180-4 hash functions (the paper's random
 //!   oracle `H(·)`; the original system used OpenSSL SHA-1),
 //! * [`hmac`](mod@hmac) — RFC 2104 MAC over any [`Hasher`],
-//! * [`aes`] / [`ctr`] — FIPS 197 block cipher + counter mode (the paper's
-//!   semantically secure cipher `E`),
+//! * [`aes`] / [`ctr`] — FIPS 197 block cipher as a constant-time bitsliced
+//!   kernel, eight blocks per call, + counter mode (the paper's semantically
+//!   secure cipher `E`),
 //! * [`kdf`] — RFC 5869 HKDF,
 //! * [`authenc`] — encrypt-then-MAC authenticated encryption,
 //! * [`ct`] — constant-time comparison.
@@ -47,7 +48,7 @@ pub trait Hasher: Default {
     }
 }
 
-pub use aes::{Aes, AesKeySize};
+pub use aes::Aes;
 pub use authenc::{AuthDecryptError, AuthKey, TAG_LEN};
 pub use ct::ct_eq;
 pub use ctr::{ctr_encrypt, ctr_xor, NONCE_LEN};

@@ -135,33 +135,37 @@ pub struct StoredRecord {
     pub deliver_body: Vec<u8>,
 }
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC register after byte `b`
+/// and `k` zero bytes, i.e. `8 * (k + 1)` shifts of the reflected polynomial.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+    while i < 8 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        let mut c = if k == 0 { b as u32 } else { tables[k - 1][b] };
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
         }
-        table[i] = c;
+        tables[k][b] = c;
         i += 1;
     }
-    table
+    tables
 };
 
-/// CRC32 (IEEE 802.3) over `data` — the per-record checksum.
+/// CRC32 (IEEE 802.3) over `data` — the per-record checksum — eight bytes a
+/// step: each is looked up in the table for its distance from the group's end.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
+    let mut groups = data.chunks_exact(8);
+    let crc = groups.by_ref().fold(0xFFFF_FFFFu32, |crc, group| {
+        let x = u64::from_le_bytes(group.try_into().expect("chunk of 8")) ^ u64::from(crc);
+        let lookup = |k: usize| CRC_TABLES[7 - k][(x >> (8 * k)) as u8 as usize];
+        (0..8).fold(0, |acc, k| acc ^ lookup(k))
+    });
+    !groups.remainder().iter().fold(crc, |crc, &b| {
+        CRC_TABLES[0][(crc as u8 ^ b) as usize] ^ (crc >> 8)
+    })
 }
 
 /// Encodes one log record (header + checksummed payload). Fails — instead
@@ -171,19 +175,21 @@ pub fn encode_record(
     epoch: u64,
     deliver_body: &[u8],
 ) -> Result<Vec<u8>, WireError> {
-    let mut payload = bytes::BytesMut::with_capacity(4 + document.len() + 8 + deliver_body.len());
-    put_str(&mut payload, document)?;
-    bytes::BufMut::put_u64(&mut payload, epoch);
-    bytes::BufMut::put_slice(&mut payload, deliver_body);
-    let payload = payload.to_vec();
-    if payload.len() > MAX_RECORD_PAYLOAD {
-        return Err(WireError::FieldTooLong(payload.len()));
-    }
-    let mut record = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    // One buffer: length and checksum are filled in once the payload is in.
+    let capacity = RECORD_HEADER_LEN + 4 + document.len() + 8 + deliver_body.len();
+    let mut record = Vec::with_capacity(capacity);
     record.extend_from_slice(&RECORD_MAGIC);
-    record.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    record.extend_from_slice(&crc32(&payload).to_be_bytes());
-    record.extend_from_slice(&payload);
+    record.extend_from_slice(&[0; RECORD_HEADER_LEN - 4]);
+    put_str(&mut record, document)?;
+    record.extend_from_slice(&epoch.to_be_bytes());
+    record.extend_from_slice(deliver_body);
+    let payload_len = record.len() - RECORD_HEADER_LEN;
+    if payload_len > MAX_RECORD_PAYLOAD {
+        return Err(WireError::FieldTooLong(payload_len));
+    }
+    let crc = crc32(&record[RECORD_HEADER_LEN..]);
+    record[4..8].copy_from_slice(&(payload_len as u32).to_be_bytes());
+    record[8..12].copy_from_slice(&crc.to_be_bytes());
     Ok(record)
 }
 
@@ -718,8 +724,8 @@ enum ScanOutcome {
 /// Reads and verifies one record. Only genuine I/O errors (not content
 /// problems) surface as `Err` — every malformed-content path is `Torn`.
 fn read_one_record(r: &mut impl Read) -> io::Result<ScanOutcome> {
-    let mut header = [0u8; RECORD_HEADER_LEN];
-    match read_fully(r, &mut header)? {
+    let header = read_up_to(r, RECORD_HEADER_LEN)?;
+    match header.len() {
         0 => return Ok(ScanOutcome::CleanEof),
         n if n < RECORD_HEADER_LEN => return Ok(ScanOutcome::Torn),
         _ => {}
@@ -732,8 +738,8 @@ fn read_one_record(r: &mut impl Read) -> io::Result<ScanOutcome> {
         return Ok(ScanOutcome::Torn);
     }
     let crc = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
-    let mut payload = vec![0u8; payload_len];
-    if read_fully(r, &mut payload)? < payload_len {
+    let payload = read_up_to(r, payload_len)?;
+    if payload.len() < payload_len {
         return Ok(ScanOutcome::Torn);
     }
     if crc32(&payload) != crc {
@@ -745,18 +751,11 @@ fn read_one_record(r: &mut impl Read) -> io::Result<ScanOutcome> {
     }
 }
 
-/// Reads until `buf` is full or EOF; returns how many bytes arrived.
-fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut n = 0;
-    while n < buf.len() {
-        match r.read(&mut buf[n..]) {
-            Ok(0) => break,
-            Ok(m) => n += m,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(n)
+/// Reads `n` bytes, fewer only if the input ends first.
+fn read_up_to(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(n);
+    r.take(n as u64).read_to_end(&mut buf)?;
+    Ok(buf)
 }
 
 /// Validates that a recovered record's body is a strict `Deliver` frame of

@@ -5,7 +5,7 @@
 //! topologies always terminates with at most one accept per broker.
 
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
-use pbcd_net::store::{decode_record, encode_record, RecordError, RECORD_HEADER_LEN};
+use pbcd_net::store::{crc32, decode_record, encode_record, RecordError, RECORD_HEADER_LEN};
 use pbcd_net::{relay_verdict, ConfigSummary, Frame, PeerRole, RelayVerdict};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -151,8 +151,39 @@ fn arb_record() -> impl Strategy<Value = (String, u64, Vec<u8>)> {
     )
 }
 
+/// CRC32 by its definition: the reflected IEEE 802.3 polynomial, one bit at
+/// a time, register and result complemented.
+fn crc32_bit_serial(data: &[u8]) -> u32 {
+    !data.iter().fold(!0u32, |crc, &byte| {
+        (0..8).fold(crc ^ u32::from(byte), |c, _| {
+            (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg())
+        })
+    })
+}
+
+#[test]
+fn crc32_check_value_and_every_short_length() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    // Lengths 0..=64 cover every remainder beside zero to eight full groups.
+    let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(151) ^ 0x5a).collect();
+    for len in 0..=data.len() {
+        assert_eq!(
+            crc32(&data[..len]),
+            crc32_bit_serial(&data[..len]),
+            "len {len}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn crc32_matches_the_bit_serial_definition(
+        data in prop::collection::vec(any::<u8>(), 0..4096),
+    ) {
+        prop_assert_eq!(crc32(&data), crc32_bit_serial(&data));
+    }
 
     #[test]
     fn record_roundtrip((doc, epoch, body) in arb_record()) {
