@@ -150,8 +150,9 @@ fn os_thread_count() -> Option<usize> {
 ///   — the `persist_*` entries — plus the raw per-record append cost and
 ///   the startup recovery scan over the full log;
 /// * full oblivious EQ-registration through `pbcd_net::direct`: one
-///   `RegisterBatch` frame vs the same items as single round-trips, and
-///   the first request on a fresh connection;
+///   `RegisterBatch` frame of 16 and of 64 items vs the same items as
+///   single round-trips, in alternating pairs, and the first request on a
+///   fresh connection;
 /// * the relay overlay: publish → all-edge-delivery latency through a
 ///   1-origin/4-edge tree at the same total subscriber count as the flat
 ///   fan-out (the delta is the cost of one relay hop), and the
@@ -168,8 +169,8 @@ fn bench_net_json(opts: &Opts) {
     let ns = |d: Duration| d.as_secs_f64() * 1e9;
     let mut entries: Vec<(String, f64)> = Vec::new();
 
-    // Same container as the criterion fan-out bench — one definition, so
-    // the two measurements cannot silently diverge.
+    // Same container as the `broker_fanout_10k` example — one definition,
+    // so the two measurements cannot silently diverge.
     let container = pbcd_bench::fanout_container();
 
     // One measurement routine for every broker configuration (in-memory
@@ -474,11 +475,14 @@ fn bench_net_json(opts: &Opts) {
         ));
     }
 
-    // --- batched registration: one RegisterBatch frame vs n single
-    // round-trips over the same connection, same service, same proofs ---
-    {
-        let batch_n = 16usize;
-        let rounds = if opts.quick { 1 } else { 6 };
+    // --- batched registration: one RegisterBatch frame vs the same n
+    // items as single round-trips, over the same connection, service and
+    // proofs. The verdict is the per-pair ratio (ROADMAP item 4), so the
+    // two sides run in alternating pairs and host drift cancels; the
+    // ops/s entries are context. ---
+    let mut first_request = None;
+    for batch_n in [16usize, 64] {
+        let (pairs, rounds) = if opts.quick { (1, 1) } else { (10, 4) };
         let (service, batch_req, singles) = pbcd_bench::registration_batch_workload(batch_n);
         service.reseed(1);
         let server = RegistrationServer::bind("127.0.0.1:0", move |req: &[u8]| service.handle(req))
@@ -490,40 +494,56 @@ fn bench_net_json(opts: &Opts) {
         // this is pure protocol latency, not table construction.
         let t = Instant::now();
         let first = client.call(&singles[0]).expect("first call");
-        let first_request = t.elapsed();
+        first_request.get_or_insert(t.elapsed());
         assert!(!first.is_empty());
         // Warm the remaining per-thread state once, untimed.
         client.call(&batch_req).expect("warm batch");
-        let t = Instant::now();
-        for _ in 0..rounds {
-            for request in &singles {
-                let response = client.call(request).expect("single call");
-                assert!(!response.is_empty());
+        let mut timed = |requests: &[Vec<u8>]| {
+            let t = Instant::now();
+            for _ in 0..rounds {
+                for request in requests {
+                    let response = client.call(request).expect("registration call");
+                    assert!(!response.is_empty());
+                }
             }
+            t.elapsed()
+        };
+        let cohort = std::slice::from_ref(&batch_req);
+        let (mut sequential, mut batched) = (Duration::ZERO, Duration::ZERO);
+        let mut ratios = Vec::with_capacity(pairs);
+        for pair in 0..pairs {
+            let (seq, bat) = if pair % 2 == 0 {
+                let seq = timed(&singles);
+                (seq, timed(cohort))
+            } else {
+                let bat = timed(cohort);
+                (timed(&singles), bat)
+            };
+            ratios.push(seq.as_secs_f64() / bat.as_secs_f64());
+            sequential += seq;
+            batched += bat;
         }
-        let sequential = t.elapsed();
-        let t = Instant::now();
-        for _ in 0..rounds {
-            let response = client.call(&batch_req).expect("batch call");
-            assert!(!response.is_empty());
-        }
-        let batched = t.elapsed();
         server.shutdown();
-        let ops = (batch_n * rounds) as f64;
+        ratios.sort_by(f64::total_cmp);
+        let ops = (batch_n * rounds * pairs) as f64;
         let seq_rps = ops / sequential.as_secs_f64();
         let bat_rps = ops / batched.as_secs_f64();
         println!(
-            "registration batch={batch_n}: sequential {seq_rps:>8.0} ops/s, batched {bat_rps:>8.0} ops/s ({:.2}x), first request {:>10.0} ns",
-            bat_rps / seq_rps,
-            ns(first_request)
+            "registration batch={batch_n}: sequential {seq_rps:>8.0} ops/s, batched {bat_rps:>8.0} ops/s; \
+             ratio over {pairs} alternating pairs: median {:.2}x (min {:.2}, max {:.2})",
+            (ratios[(pairs - 1) / 2] + ratios[pairs / 2]) / 2.0,
+            ratios[0],
+            ratios[pairs - 1]
         );
         entries.push((
             format!("registration_batch_sequential_{batch_n}_ops_per_s"),
             seq_rps,
         ));
         entries.push((format!("registration_batch_{batch_n}_ops_per_s"), bat_rps));
-        entries.push(("registration_first_request_ns".into(), ns(first_request)));
     }
+    let first_request = first_request.expect("two batch sizes ran");
+    println!("registration: first request {:>10.0} ns", ns(first_request));
+    entries.push(("registration_first_request_ns".into(), ns(first_request)));
 
     // --- relay overlay: tree dissemination latency ---
     // A 1-origin/4-edge tree serving the same total subscriber count as
@@ -709,7 +729,11 @@ fn bench_net_json(opts: &Opts) {
          relay_tree_* is \
          the same all-delivered measurement through a 1-origin/4-edge overlay at equal \
          total subscribers (compare fanout_N_all_delivered_ns); relay_catch_up is the \
-         log-backed cold-start stream rate for a late-attached edge.\",\n",
+         log-backed cold-start stream rate for a late-attached edge. \
+         registration_batch_N is one RegisterBatch frame of N EQ registrations, \
+         registration_batch_sequential_N the same N as single Register round-trips on \
+         the same connection, each summed over ten alternating pairs; their ratio is \
+         the result, the ops/s are context.\",\n",
     );
     json.push_str("  \"metrics\": {\n");
     for (i, (name, v)) in entries.iter().enumerate() {

@@ -1,8 +1,8 @@
 //! # pbcd-bench
 //!
-//! Workload generators and measurement helpers shared by the criterion
-//! benches and the `reproduce` binary, which regenerates every table and
-//! figure of the paper's evaluation (§VII). See DESIGN.md §5 for the
+//! Workload generators, measurement helpers and naive reference twins for
+//! the `reproduce` binary, which regenerates every table and figure of the
+//! paper's evaluation (§VII). See DESIGN.md §5 for the
 //! experiment index and EXPERIMENTS.md for paper-vs-measured results.
 
 #![forbid(unsafe_code)]
@@ -328,7 +328,7 @@ impl NaiveAuthKey {
     pub fn encrypt_with_nonce(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
         let mut out = [nonce.as_slice(), plaintext].concat();
         NaiveAes::new(&self.enc).ctr_xor(nonce, &mut out[NONCE_LEN..]);
-        let tag = pbcd_crypto::hmac::<pbcd_crypto::Sha256>(&self.mac, &out);
+        let tag = pbcd_crypto::hmac(&self.mac, &out);
         out.extend_from_slice(&tag);
         out
     }
@@ -454,14 +454,13 @@ pub fn eq_steps(payload: &[u8], rng: &mut StdRng) -> (Duration, Duration) {
 }
 
 // ---------------------------------------------------------------------------
-// Network-plane workloads (net bench + BENCH_net.json)
+// Network-plane workloads (BENCH_net.json)
 // ---------------------------------------------------------------------------
 
 /// The broker fan-out benchmark container: 4 policy groups × 4 KiB
 /// ciphertext segments plus ACV-sized key info — a realistic mid-size
-/// broadcast. Shared by `benches/net.rs` and the `reproduce` binary so
-/// the criterion numbers and the committed `BENCH_net.json` always
-/// measure the same workload.
+/// broadcast. Shared by the `reproduce` binary and the
+/// `broker_fanout_10k` example so both measure the same workload.
 pub fn fanout_container() -> pbcd_docs::BroadcastContainer {
     use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
     BroadcastContainer {

@@ -40,19 +40,16 @@ const KIND_REGISTER_REQUEST: u8 = 2;
 const KIND_ISSUE_REQUEST: u8 = 3;
 const KIND_STATS_QUERY: u8 = 4;
 const KIND_REGISTER_BATCH_REQUEST: u8 = 5;
-const KIND_ISSUE_BATCH_REQUEST: u8 = 6;
 const KIND_CONDITIONS: u8 = 16;
 const KIND_REGISTER_RESPONSE: u8 = 17;
 const KIND_ISSUE_RESPONSE: u8 = 18;
 const KIND_STATS: u8 = 19;
 const KIND_REGISTER_BATCH_RESPONSE: u8 = 20;
-const KIND_ISSUE_BATCH_RESPONSE: u8 = 21;
 const KIND_ERROR: u8 = 31;
 
-/// Most items one batch request may carry. Bounds the work a single
-/// message can demand (a full register batch is ~64 envelope
-/// compositions) while still amortizing the per-request costs the batch
-/// endpoints exist for.
+/// Most items one [`Request::RegisterBatch`] may carry. Bounds the work a
+/// single message can demand (~64 envelope compositions) while still
+/// amortizing the token checks across the cohort.
 pub const MAX_BATCH_ITEMS: usize = 64;
 
 /// Typed error codes carried by [`ErrorResponse`] — the wire projection of
@@ -202,9 +199,6 @@ pub enum Request<G: CyclicGroup> {
     RegisterBatch(Vec<RegisterRequest<G>>),
     /// Token issuance.
     Issue(IssueRequest),
-    /// A cohort of token issuances in one message (at most
-    /// [`MAX_BATCH_ITEMS`]); outcomes are per item.
-    IssueBatch(Vec<IssueRequest>),
     /// Ask the endpoint for its telemetry exposition. Carries nothing;
     /// the reply is aggregates only (the same threat model as the broker's
     /// stats frame: never token material, attribute values or envelopes).
@@ -223,9 +217,6 @@ pub enum Response<G: CyclicGroup> {
     RegisterBatch(Vec<Result<RegisterResponse<G>, ErrorResponse>>),
     /// Reply to [`Request::Issue`].
     Issue(IssueResponse<G>),
-    /// Reply to [`Request::IssueBatch`]: one outcome per requested item,
-    /// in order.
-    IssueBatch(Vec<Result<IssueResponse<G>, ErrorResponse>>),
     /// Reply to [`Request::Stats`]: the text exposition of the endpoint's
     /// metrics registry.
     Stats {
@@ -586,17 +577,17 @@ fn get_error(buf: &mut impl Buf) -> Result<ErrorResponse, WireError> {
     Ok(ErrorResponse { code, message })
 }
 
-/// One batch-response item: tag byte `0` = success payload, `1` = typed
-/// per-item error.
-fn put_batch_result<T>(
-    buf: &mut Vec<u8>,
-    result: &Result<T, ErrorResponse>,
-    put_ok: impl FnOnce(&mut Vec<u8>, &T) -> Result<(), WireError>,
+/// One batch-response item: tag byte `0` = envelope, `1` = typed per-item
+/// error.
+fn put_batch_result<G: CyclicGroup>(
+    buf: &mut impl BufMut,
+    group: &G,
+    result: &Result<RegisterResponse<G>, ErrorResponse>,
 ) -> Result<(), WireError> {
     match result {
-        Ok(v) => {
+        Ok(r) => {
             buf.put_u8(0);
-            put_ok(buf, v)
+            put_envelope(buf, group, &r.envelope)
         }
         Err(e) => {
             buf.put_u8(1);
@@ -605,12 +596,14 @@ fn put_batch_result<T>(
     }
 }
 
-fn get_batch_result<T>(
-    buf: &mut &[u8],
-    get_ok: impl FnOnce(&mut &[u8]) -> Result<T, WireError>,
-) -> Result<Result<T, ErrorResponse>, WireError> {
+fn get_batch_result<G: CyclicGroup>(
+    buf: &mut impl Buf,
+    group: &G,
+) -> Result<Result<RegisterResponse<G>, ErrorResponse>, WireError> {
     match wire::get_u8(buf)? {
-        0 => Ok(Ok(get_ok(buf)?)),
+        0 => Ok(Ok(RegisterResponse {
+            envelope: get_envelope(buf, group)?,
+        })),
         1 => Ok(Err(get_error(buf)?)),
         _ => Err(WireError::InvalidValue),
     }
@@ -684,15 +677,6 @@ impl<G: CyclicGroup> Request<G> {
                 wire::put_str(&mut buf, &r.attribute)?;
                 buf.put_u64(r.value);
             }
-            Self::IssueBatch(items) => {
-                buf = header(KIND_ISSUE_BATCH_REQUEST);
-                put_batch_count(&mut buf, items.len())?;
-                for item in items {
-                    wire::put_str(&mut buf, &item.subject)?;
-                    wire::put_str(&mut buf, &item.attribute)?;
-                    buf.put_u64(item.value);
-                }
-            }
             Self::Stats => {
                 buf = header(KIND_STATS_QUERY);
             }
@@ -734,21 +718,6 @@ impl<G: CyclicGroup> Request<G> {
                     value,
                 })
             }
-            KIND_ISSUE_BATCH_REQUEST => {
-                let count = get_batch_count(&mut buf)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let subject = wire::get_str(&mut buf)?;
-                    let attribute = wire::get_str(&mut buf)?;
-                    let value = wire::get_u64(&mut buf)?;
-                    items.push(IssueRequest {
-                        subject,
-                        attribute,
-                        value,
-                    });
-                }
-                Self::IssueBatch(items)
-            }
             KIND_STATS_QUERY => Self::Stats,
             _ => return Err(WireError::BadHeader),
         };
@@ -780,9 +749,7 @@ impl<G: CyclicGroup> Response<G> {
                 buf = header(KIND_REGISTER_BATCH_RESPONSE);
                 put_batch_count(&mut buf, results.len())?;
                 for result in results {
-                    put_batch_result(&mut buf, result, |buf, r| {
-                        put_envelope(buf, group, &r.envelope)
-                    })?;
+                    put_batch_result(&mut buf, group, result)?;
                 }
             }
             Self::Issue(r) => {
@@ -790,25 +757,13 @@ impl<G: CyclicGroup> Response<G> {
                 put_token(&mut buf, group, &r.token)?;
                 put_opening(&mut buf, &r.opening);
             }
-            Self::IssueBatch(results) => {
-                buf = header(KIND_ISSUE_BATCH_RESPONSE);
-                put_batch_count(&mut buf, results.len())?;
-                for result in results {
-                    put_batch_result(&mut buf, result, |buf, r| {
-                        put_token(buf, group, &r.token)?;
-                        put_opening(buf, &r.opening);
-                        Ok(())
-                    })?;
-                }
-            }
             Self::Stats { text } => {
                 buf = header(KIND_STATS);
                 wire::put_str(&mut buf, text)?;
             }
             Self::Error(e) => {
                 buf = header(KIND_ERROR);
-                buf.put_u8(e.code.code());
-                wire::put_str(&mut buf, &e.message)?;
+                put_error(&mut buf, e)?;
             }
         }
         Ok(buf)
@@ -845,11 +800,7 @@ impl<G: CyclicGroup> Response<G> {
                 let count = get_batch_count(&mut buf)?;
                 let mut results = Vec::with_capacity(count);
                 for _ in 0..count {
-                    results.push(get_batch_result(&mut buf, |buf| {
-                        Ok(RegisterResponse {
-                            envelope: get_envelope(buf, group)?,
-                        })
-                    })?);
+                    results.push(get_batch_result(&mut buf, group)?);
                 }
                 Self::RegisterBatch(results)
             }
@@ -858,26 +809,10 @@ impl<G: CyclicGroup> Response<G> {
                 let opening = get_opening(&mut buf, group)?;
                 Self::Issue(IssueResponse { token, opening })
             }
-            KIND_ISSUE_BATCH_RESPONSE => {
-                let count = get_batch_count(&mut buf)?;
-                let mut results = Vec::with_capacity(count);
-                for _ in 0..count {
-                    results.push(get_batch_result(&mut buf, |buf| {
-                        let token = get_token(buf, group)?;
-                        let opening = get_opening(buf, group)?;
-                        Ok(IssueResponse { token, opening })
-                    })?);
-                }
-                Self::IssueBatch(results)
-            }
             KIND_STATS => Self::Stats {
                 text: wire::get_str(&mut buf)?,
             },
-            KIND_ERROR => {
-                let code = ErrorCode::from_code(wire::get_u8(&mut buf)?)?;
-                let message = wire::get_str(&mut buf)?;
-                Self::Error(ErrorResponse { code, message })
-            }
+            KIND_ERROR => Self::Error(get_error(&mut buf)?),
             _ => return Err(WireError::BadHeader),
         };
         finish(buf)?;
@@ -927,26 +862,8 @@ pub fn request_kind_label(data: &[u8]) -> &'static str {
         Ok((KIND_REGISTER_REQUEST, _)) => "register",
         Ok((KIND_REGISTER_BATCH_REQUEST, _)) => "register_batch",
         Ok((KIND_ISSUE_REQUEST, _)) => "issue",
-        Ok((KIND_ISSUE_BATCH_REQUEST, _)) => "issue_batch",
         Ok((KIND_STATS_QUERY, _)) => "stats",
         _ => "malformed",
-    }
-}
-
-/// The OCBE envelope flavour inside an encoded register *response*
-/// (`"eq"`, `"ge"`, `"le"`, `"dual"`), read from the payload discriminant
-/// without a group context. `None` for anything that is not a well-formed
-/// register response — the label source for `ocbe_envelopes_total`.
-pub fn register_envelope_kind(data: &[u8]) -> Option<&'static str> {
-    match open_header(data) {
-        Ok((KIND_REGISTER_RESPONSE, payload)) => match payload.first()? {
-            0 => Some("eq"),
-            1 => Some("ge"),
-            2 => Some("le"),
-            3 => Some("dual"),
-            _ => None,
-        },
-        _ => None,
     }
 }
 
@@ -963,7 +880,6 @@ impl<G: CyclicGroup> core::fmt::Debug for Request<G> {
             ),
             Self::RegisterBatch(items) => write!(f, "RegisterBatch({} items)", items.len()),
             Self::Issue(r) => write!(f, "Issue({}/{})", r.subject, r.attribute),
-            Self::IssueBatch(items) => write!(f, "IssueBatch({} items)", items.len()),
             Self::Stats => write!(f, "Stats"),
         }
     }
@@ -987,12 +903,6 @@ impl<G: CyclicGroup> core::fmt::Debug for Response<G> {
                 results.len()
             ),
             Self::Issue(r) => write!(f, "Issue({:?})", r.token),
-            Self::IssueBatch(results) => write!(
-                f,
-                "IssueBatch({} ok / {} items)",
-                results.iter().filter(|r| r.is_ok()).count(),
-                results.len()
-            ),
             Self::Stats { text } => write!(f, "Stats({} bytes)", text.len()),
             Self::Error(e) => write!(f, "Error({:?}: {})", e.code, e.message),
         }

@@ -23,6 +23,7 @@ use crate::proto::{
 use crate::publisher::{Publisher, Registrar};
 use pbcd_gkm::{AcvBgkm, BroadcastGkm};
 use pbcd_group::CyclicGroup;
+use pbcd_ocbe::Envelope;
 use pbcd_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -40,9 +41,11 @@ pub struct ServiceStats {
     /// full conditions queries answered from the pre-encoded bytes — see
     /// [`Self::conditions_cache_hits`].
     pub requests: u64,
-    /// Registrations that produced an envelope.
+    /// Registrations that produced an envelope, counted per item: a
+    /// cohort of *n* accepted items is *n* registrations.
     pub registrations: u64,
-    /// Requests answered with a typed error response.
+    /// Requests answered with a typed error response, plus cohort items
+    /// rejected inside an otherwise successful batch response.
     pub errors: u64,
     /// Full conditions queries answered from the pre-encoded bytes, i.e.
     /// without touching the publisher at all.
@@ -53,32 +56,29 @@ pub struct ServiceStats {
 /// the error path infallible (a bounded message can always encode).
 const MAX_ERROR_DETAIL: usize = 256;
 
-fn error_bytes<G: CyclicGroup>(group: &G, code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut end = message.len().min(MAX_ERROR_DETAIL);
-    while !message.is_char_boundary(end) {
-        end -= 1;
-    }
-    Response::<G>::Error(ErrorResponse {
-        code,
-        message: message[..end].to_string(),
-    })
-    .encode(group)
-    .expect("bounded error responses always encode")
-}
-
-/// A per-item error for batch responses — same code mapping and detail
-/// truncation as [`error_bytes`], but as a value the batch codec embeds
-/// rather than a whole response.
-fn error_item(err: &PbcdError) -> ErrorResponse {
-    let message = err.to_string();
+/// A typed error with its detail cut to [`MAX_ERROR_DETAIL`] bytes (on a
+/// character boundary).
+fn error_response(code: ErrorCode, message: &str) -> ErrorResponse {
     let mut end = message.len().min(MAX_ERROR_DETAIL);
     while !message.is_char_boundary(end) {
         end -= 1;
     }
     ErrorResponse {
-        code: code_for(err),
+        code,
         message: message[..end].to_string(),
     }
+}
+
+fn error_bytes<G: CyclicGroup>(group: &G, code: ErrorCode, message: &str) -> Vec<u8> {
+    Response::<G>::Error(error_response(code, message))
+        .encode(group)
+        .expect("bounded error responses always encode")
+}
+
+/// A failure as a value — same code mapping and detail truncation as
+/// [`error_bytes`] — for the batch codec to embed per item.
+fn error_item(err: &PbcdError) -> ErrorResponse {
+    error_response(code_for(err), &err.to_string())
 }
 
 fn code_for(err: &PbcdError) -> ErrorCode {
@@ -106,7 +106,6 @@ struct ServiceTelemetry {
     handle_register_ns: Histogram,
     handle_register_batch_ns: Histogram,
     handle_issue_ns: Histogram,
-    handle_issue_batch_ns: Histogram,
     handle_stats_ns: Histogram,
     handle_malformed_ns: Histogram,
     group_exp: Gauge,
@@ -132,7 +131,6 @@ impl ServiceTelemetry {
             handle_register_batch_ns: registry
                 .histogram("service_handle_ns{kind=\"register_batch\"}"),
             handle_issue_ns: registry.histogram("service_handle_ns{kind=\"issue\"}"),
-            handle_issue_batch_ns: registry.histogram("service_handle_ns{kind=\"issue_batch\"}"),
             handle_stats_ns: registry.histogram("service_handle_ns{kind=\"stats\"}"),
             handle_malformed_ns: registry.histogram("service_handle_ns{kind=\"malformed\"}"),
             group_exp: registry.gauge("group_exp_total"),
@@ -149,33 +147,29 @@ impl ServiceTelemetry {
             "register" => &self.handle_register_ns,
             "register_batch" => &self.handle_register_batch_ns,
             "issue" => &self.handle_issue_ns,
-            "issue_batch" => &self.handle_issue_batch_ns,
             "stats" => &self.handle_stats_ns,
             _ => &self.handle_malformed_ns,
         }
     }
 
-    /// Counts one composed OCBE envelope under its flavour label.
-    fn count_envelope(&self, kind: &str) {
-        match kind {
-            "eq" => self.env_eq.inc(),
-            "ge" => self.env_ge.inc(),
-            "le" => self.env_le.inc(),
-            "dual" => self.env_dual.inc(),
-            _ => {}
+    /// Books one registration that produced an envelope — a single
+    /// `Register` or one item of a cohort — under its OCBE flavour.
+    fn count_registration<G: CyclicGroup>(&self, envelope: &Envelope<G>) {
+        self.registrations.inc();
+        match envelope {
+            Envelope::Eq(_) => self.env_eq.inc(),
+            Envelope::Ge(_) => self.env_ge.inc(),
+            Envelope::Le(_) => self.env_le.inc(),
+            Envelope::Dual { .. } => self.env_dual.inc(),
         }
     }
 
-    /// Books a served request: errors, registrations and envelope
-    /// flavours from the byte classifiers, plus the per-kind latency.
+    /// Books a served request: a whole-response error and the per-kind
+    /// latency. Registrations are counted per item where their envelopes
+    /// are composed ([`registration_response`]).
     fn record(&self, request: &[u8], response: &[u8], start: Instant) {
         if proto::is_error_response(response) {
             self.errors.inc();
-        } else if proto::is_register_request(request) {
-            self.registrations.inc();
-            if let Some(kind) = proto::register_envelope_kind(response) {
-                self.count_envelope(kind);
-            }
         }
         self.histogram_for(proto::request_kind_label(request))
             .record_since(start);
@@ -221,7 +215,7 @@ pub fn dispatch<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
     rng: &mut R,
 ) -> Vec<u8> {
     if proto::is_register_request(request) {
-        return registration_response(&publisher.registrar(), request, rng);
+        return registration_response(&publisher.registrar(), request, rng, None);
     }
     let group = publisher.ocbe().group();
     let unsupported = |message| error_bytes(group, ErrorCode::Unsupported, message);
@@ -241,16 +235,26 @@ pub fn dispatch<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
 /// Register and RegisterBatch (paper §V-B), served from a [`Registrar`]:
 /// decode, register, encode. The one composer of registration responses —
 /// [`dispatch`] and [`PublisherService::handle`] both end here, so the
-/// wire behaviour cannot depend on who held the request.
+/// wire behaviour cannot depend on who held the request. It is also where
+/// the envelopes are still typed, so a service's `telemetry` counts
+/// registrations here, per item: a cohort of 64 is 64 registrations, and a
+/// rejected item is an error even though its frame succeeds.
 fn registration_response<G: CyclicGroup, R: RngCore + ?Sized>(
     registrar: &Registrar<G>,
     request: &[u8],
     rng: &mut R,
+    telemetry: Option<&ServiceTelemetry>,
 ) -> Vec<u8> {
     let group = registrar.ocbe().group();
+    let booked = |envelope: Envelope<G>| {
+        if let Some(t) = telemetry {
+            t.count_registration(&envelope);
+        }
+        RegisterResponse { envelope }
+    };
     let resp = match Request::decode(group, request) {
         Ok(Request::Register(r)) => match registrar.register(&r.token, &r.cond, &r.proof, rng) {
-            Ok(envelope) => Response::Register(RegisterResponse { envelope }),
+            Ok(envelope) => Response::Register(booked(envelope)),
             Err(e) => return error_bytes(group, code_for(&e), &e.to_string()),
         },
         Ok(Request::RegisterBatch(items)) => {
@@ -263,8 +267,13 @@ fn registration_response<G: CyclicGroup, R: RngCore + ?Sized>(
                     .register_batch(&items, rng)
                     .into_iter()
                     .map(|r| match r {
-                        Ok(envelope) => Ok(RegisterResponse { envelope }),
-                        Err(e) => Err(error_item(&e)),
+                        Ok(envelope) => Ok(booked(envelope)),
+                        Err(e) => {
+                            if let Some(t) = telemetry {
+                                t.errors.inc();
+                            }
+                            Err(error_item(&e))
+                        }
                     })
                     .collect(),
             )
@@ -360,8 +369,8 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
     /// to call from any number of threads at once. A full conditions query
     /// answered from the pre-encoded bytes is counted in
     /// [`ServiceStats::conditions_cache_hits`] only; every other request
-    /// is counted in `requests`, with the per-kind latency and OCBE
-    /// envelope flavour booked from the byte classifiers.
+    /// is counted in `requests` with its per-kind latency, and every
+    /// registration it carries per item, under its OCBE envelope flavour.
     pub fn handle(&self, request: &[u8]) -> Vec<u8> {
         let full_conditions = proto::is_full_conditions_query(request);
         if full_conditions {
@@ -374,7 +383,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
         self.telemetry.requests.inc();
         let response = if proto::is_register_request(request) {
             let registrar = self.registrar_handle();
-            self.with_request_rng(|rng| registration_response(&registrar, request, rng))
+            self.with_request_rng(|rng| {
+                registration_response(&registrar, request, rng, Some(&self.telemetry))
+            })
         } else if proto::is_stats_query(request) {
             self.stats_response()
         } else {
@@ -592,10 +603,6 @@ impl<G: CyclicGroup> IssuerService<G> {
                 Ok(issued) => Response::Issue(issued),
                 Err(e) => Response::Error(e),
             },
-            Ok(Request::IssueBatch(items)) => {
-                let mut issuer = unpoisoned(self.issuer.lock());
-                Response::IssueBatch(items.iter().map(|r| issuer.issue_one(r)).collect())
-            }
             Ok(_) => {
                 return error_bytes(
                     group,
@@ -610,9 +617,7 @@ impl<G: CyclicGroup> IssuerService<G> {
 }
 
 impl<G: CyclicGroup> Issuer<G> {
-    /// One issuance: the verifier gate, then assertion and token. The
-    /// error is a value, so a batch keeps failures per item — one rejected
-    /// claim cannot sink its cohort.
+    /// One issuance: the verifier gate, then assertion and token.
     fn issue_one(&mut self, r: &proto::IssueRequest) -> Result<IssueResponse<G>, ErrorResponse> {
         if let Some(verifier) = &mut self.verifier {
             if !verifier(r) {

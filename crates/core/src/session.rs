@@ -8,6 +8,8 @@
 //! consumes it. Two whole classes of misuse are therefore compile-time
 //! errors: completing a registration that was never prepared, and reusing
 //! one registration's [`pbcd_ocbe::ProofSecrets`] for another response.
+//! [`BatchRegistrationSession`] is the same machine over a cohort, one
+//! frame for every condition; it is what [`register_all_via`] sends.
 //!
 //! The session owns its own [`OcbeSystem`], rebuilt from the *public*
 //! deployment parameters (group, ℓ) a publisher reports in
@@ -16,7 +18,10 @@
 //! sockets ([`register_all_via`]).
 
 use crate::error::PbcdError;
-use crate::proto::{ConditionsInfo, IssueRequest, RegisterRequest, Request, Response};
+use crate::proto::{
+    ConditionsInfo, ErrorResponse, IssueRequest, RegisterRequest, RegisterResponse, Request,
+    Response, MAX_BATCH_ITEMS,
+};
 use crate::subscriber::Subscriber;
 use pbcd_gkm::BroadcastGkm;
 use pbcd_group::CyclicGroup;
@@ -25,6 +30,49 @@ use pbcd_ocbe::{OcbeSystem, ProofSecrets};
 use pbcd_policy::AttributeCondition;
 use rand::RngCore;
 use std::net::ToSocketAddrs;
+
+/// A peer's typed error response as this side's error.
+fn peer_error(e: ErrorResponse) -> PbcdError {
+    PbcdError::ErrorResponse {
+        code: e.code,
+        message: e.message,
+    }
+}
+
+/// Receiver phase 1 for one condition: the matching token and a fresh OCBE
+/// proof as the self-contained item both request kinds carry, plus the
+/// secrets that open the reply.
+fn prepare_item<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
+    subscriber: &Subscriber<G, K>,
+    ocbe: &OcbeSystem<G>,
+    cond: &AttributeCondition,
+    rng: &mut R,
+) -> Result<(RegisterRequest<G>, ProofSecrets), PbcdError> {
+    let token = subscriber
+        .token_for(&cond.attribute)
+        .cloned()
+        .ok_or_else(|| PbcdError::MissingToken(cond.attribute.clone()))?;
+    let (proof, secrets) = subscriber.prepare_registration(ocbe, cond, rng)?;
+    let item = RegisterRequest {
+        token,
+        cond: cond.clone(),
+        proof,
+    };
+    Ok((item, secrets))
+}
+
+/// Receiver phase 2 for one item: tries to open the envelope, storing the
+/// CSS on success, or surfaces the publisher's typed error for it.
+fn open_item<G: CyclicGroup, K: BroadcastGkm>(
+    subscriber: &mut Subscriber<G, K>,
+    ocbe: &OcbeSystem<G>,
+    cond: &AttributeCondition,
+    secrets: &ProofSecrets,
+    outcome: Result<RegisterResponse<G>, ErrorResponse>,
+) -> Result<bool, PbcdError> {
+    let response = outcome.map_err(peer_error)?;
+    Ok(subscriber.complete_registration(ocbe, cond, &response.envelope, secrets))
+}
 
 /// A not-yet-started registration for one subscriber, bound to the
 /// publisher's public OCBE parameters.
@@ -52,20 +100,8 @@ impl<'s, G: CyclicGroup, K: BroadcastGkm> RegistrationSession<'s, G, K> {
         cond: &AttributeCondition,
         rng: &mut R,
     ) -> Result<(Vec<u8>, PendingRegistration<'s, G, K>), PbcdError> {
-        let token = self
-            .subscriber
-            .token_for(&cond.attribute)
-            .cloned()
-            .ok_or_else(|| PbcdError::MissingToken(cond.attribute.clone()))?;
-        let (proof, secrets) = self
-            .subscriber
-            .prepare_registration(&self.ocbe, cond, rng)?;
-        let request = Request::Register(RegisterRequest {
-            token,
-            cond: cond.clone(),
-            proof,
-        })
-        .encode(self.ocbe.group())?;
+        let (item, secrets) = prepare_item(self.subscriber, &self.ocbe, cond, rng)?;
+        let request = Request::Register(item).encode(self.ocbe.group())?;
         Ok((
             request,
             PendingRegistration {
@@ -98,19 +134,18 @@ impl<G: CyclicGroup, K: BroadcastGkm> PendingRegistration<'_, G, K> {
     /// information only the subscriber ever has. Consumes `self`, so the
     /// proof secrets can never be replayed against a second response.
     pub fn complete(self, response: &[u8]) -> Result<bool, PbcdError> {
-        match Response::decode(self.ocbe.group(), response)? {
-            Response::Register(r) => Ok(self.subscriber.complete_registration(
-                &self.ocbe,
-                &self.cond,
-                &r.envelope,
-                &self.secrets,
-            )),
-            Response::Error(e) => Err(PbcdError::ErrorResponse {
-                code: e.code,
-                message: e.message,
-            }),
-            _ => Err(PbcdError::UnexpectedResponse),
-        }
+        let outcome = match Response::decode(self.ocbe.group(), response)? {
+            Response::Register(r) => Ok(r),
+            Response::Error(e) => Err(e),
+            _ => return Err(PbcdError::UnexpectedResponse),
+        };
+        open_item(
+            self.subscriber,
+            &self.ocbe,
+            &self.cond,
+            &self.secrets,
+            outcome,
+        )
     }
 }
 
@@ -136,31 +171,20 @@ impl<'s, G: CyclicGroup, K: BroadcastGkm> BatchRegistrationSession<'s, G, K> {
     /// Phase 1: builds one OCBE proof per condition and returns the encoded
     /// [`Request::RegisterBatch`] plus the pending half. Errors if any
     /// condition lacks a matching token, or if `conds` is empty or exceeds
-    /// [`crate::proto::MAX_BATCH_ITEMS`].
+    /// [`MAX_BATCH_ITEMS`].
     pub fn start<R: RngCore + ?Sized>(
         self,
         conds: &[AttributeCondition],
         rng: &mut R,
     ) -> Result<(Vec<u8>, PendingBatchRegistration<'s, G, K>), PbcdError> {
-        if conds.is_empty() || conds.len() > crate::proto::MAX_BATCH_ITEMS {
+        if conds.is_empty() || conds.len() > MAX_BATCH_ITEMS {
             return Err(PbcdError::Wire(pbcd_docs::WireError::InvalidValue));
         }
         let mut items = Vec::with_capacity(conds.len());
         let mut pending = Vec::with_capacity(conds.len());
         for cond in conds {
-            let token = self
-                .subscriber
-                .token_for(&cond.attribute)
-                .cloned()
-                .ok_or_else(|| PbcdError::MissingToken(cond.attribute.clone()))?;
-            let (proof, secrets) = self
-                .subscriber
-                .prepare_registration(&self.ocbe, cond, rng)?;
-            items.push(RegisterRequest {
-                token,
-                cond: cond.clone(),
-                proof,
-            });
+            let (item, secrets) = prepare_item(self.subscriber, &self.ocbe, cond, rng)?;
+            items.push(item);
             pending.push((cond.clone(), secrets));
         }
         let request = Request::RegisterBatch(items).encode(self.ocbe.group())?;
@@ -202,24 +226,12 @@ impl<G: CyclicGroup, K: BroadcastGkm> PendingBatchRegistration<'_, G, K> {
                 Ok(pending
                     .into_iter()
                     .zip(results)
-                    .map(|((cond, secrets), result)| match result {
-                        Ok(r) => Ok(subscriber.complete_registration(
-                            &ocbe,
-                            &cond,
-                            &r.envelope,
-                            &secrets,
-                        )),
-                        Err(e) => Err(PbcdError::ErrorResponse {
-                            code: e.code,
-                            message: e.message,
-                        }),
+                    .map(|((cond, secrets), outcome)| {
+                        open_item(subscriber, &ocbe, &cond, &secrets, outcome)
                     })
                     .collect())
             }
-            Response::Error(e) => Err(PbcdError::ErrorResponse {
-                code: e.code,
-                message: e.message,
-            }),
+            Response::Error(e) => Err(peer_error(e)),
             _ => Err(PbcdError::UnexpectedResponse),
         }
     }
@@ -237,10 +249,7 @@ fn expect_conditions<G: CyclicGroup>(
 ) -> Result<ConditionsInfo, PbcdError> {
     match Response::decode(group, response)? {
         Response::Conditions(info) => Ok(info),
-        Response::Error(e) => Err(PbcdError::ErrorResponse {
-            code: e.code,
-            message: e.message,
-        }),
+        Response::Error(e) => Err(peer_error(e)),
         _ => Err(PbcdError::UnexpectedResponse),
     }
 }
@@ -263,38 +272,12 @@ pub fn fetch_conditions<G: CyclicGroup>(
 /// Runs the full oblivious registration against a publisher's TCP
 /// registration endpoint: queries the conditions, then registers for
 /// **every** condition whose attribute matches a held token (the paper's
-/// inference-resistant behaviour). Returns how many CSSs were extracted —
-/// a count the publisher never learns.
+/// inference-resistant behaviour). The cohort ships as
+/// [`Request::RegisterBatch`] frames of at most [`MAX_BATCH_ITEMS`]
+/// conditions: one round-trip and one batched token-signature check per
+/// frame. The publisher's typed error for any item fails the call. Returns
+/// how many CSSs were extracted — a count the publisher never learns.
 pub fn register_all_via<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
-    subscriber: &mut Subscriber<G, K>,
-    group: &G,
-    addr: impl ToSocketAddrs,
-    rng: &mut R,
-) -> Result<usize, PbcdError> {
-    let mut client = RegistrationClient::connect(addr)?;
-    let info = fetch_conditions(group, &mut client)?;
-    let mut extracted = 0;
-    for cond in &info.conditions {
-        if subscriber.token_for(&cond.attribute).is_none() {
-            continue;
-        }
-        let session = RegistrationSession::new(subscriber, group.clone(), info.ell);
-        let (request, pending) = session.start(cond, rng)?;
-        let response = client.call(&request)?;
-        if pending.complete(&response)? {
-            extracted += 1;
-        }
-    }
-    client.close()?;
-    Ok(extracted)
-}
-
-/// Like [`register_all_via`], but ships the whole cohort of registrations
-/// as [`Request::RegisterBatch`] frames (chunked at
-/// [`crate::proto::MAX_BATCH_ITEMS`]): one round-trip and one batched
-/// token-signature check per chunk instead of per condition. Returns how
-/// many CSSs were extracted — a count the publisher never learns.
-pub fn register_all_batched_via<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?Sized>(
     subscriber: &mut Subscriber<G, K>,
     group: &G,
     addr: impl ToSocketAddrs,
@@ -308,7 +291,7 @@ pub fn register_all_batched_via<G: CyclicGroup, K: BroadcastGkm, R: RngCore + ?S
         .filter(|c| subscriber.token_for(&c.attribute).is_some())
         .collect();
     let mut extracted = 0;
-    for chunk in eligible.chunks(crate::proto::MAX_BATCH_ITEMS) {
+    for chunk in eligible.chunks(MAX_BATCH_ITEMS) {
         let session = BatchRegistrationSession::new(subscriber, group.clone(), info.ell);
         let (request, pending) = session.start(chunk, rng)?;
         let response = client.call(&request)?;
@@ -352,12 +335,7 @@ pub fn fetch_tokens_via<G: CyclicGroup, K: BroadcastGkm>(
                 subscriber.install_token(r.token, r.opening)?;
                 installed += 1;
             }
-            Response::Error(e) => {
-                return Err(PbcdError::ErrorResponse {
-                    code: e.code,
-                    message: e.message,
-                })
-            }
+            Response::Error(e) => return Err(peer_error(e)),
             _ => return Err(PbcdError::UnexpectedResponse),
         }
     }

@@ -22,7 +22,8 @@ fn group() -> P256Group {
 
 /// Builds one of every request/response shape, covering all proof and
 /// envelope variants (Empty/Bits/Dual, Eq/Ge/Le/Dual — including the
-/// edge thresholds where one Dual side is absent).
+/// edge thresholds where one Dual side is absent) and a `RegisterBatch`
+/// cohort with a mixed `Ok` / `Err` reply.
 fn sample_messages() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let group = group();
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
@@ -111,6 +112,30 @@ fn sample_messages() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
                 .unwrap(),
         );
     }
+
+    // The cohort kind: the EQ and GE items above in one frame, answered
+    // by one envelope and one typed per-item error.
+    let items = requests[3..5]
+        .iter()
+        .map(|bytes| match Request::decode(&group, bytes).unwrap() {
+            Request::Register(item) => item,
+            other => panic!("expected Register, got {other:?}"),
+        })
+        .collect();
+    requests.push(Request::RegisterBatch(items).encode(&group).unwrap());
+    let accepted = match Response::decode(&group, &responses[4]).unwrap() {
+        Response::Register(r) => r,
+        other => panic!("expected Register, got {other:?}"),
+    };
+    let rejected = ErrorResponse {
+        code: ErrorCode::BadToken,
+        message: "bad token signature".into(),
+    };
+    responses.push(
+        Response::RegisterBatch(vec![Ok(accepted), Err(rejected)])
+            .encode(&group)
+            .unwrap(),
+    );
     (requests, responses)
 }
 
@@ -225,7 +250,7 @@ proptest! {
     /// succeed or fail, but must never panic, and anything that decodes
     /// must re-encode canonically.
     #[test]
-    fn corruption_is_total(msg_idx in 0usize..11, raw_pos in 0usize..1_000_000, delta in 1u8..=255) {
+    fn corruption_is_total(msg_idx in 0usize..12, raw_pos in 0usize..1_000_000, delta in 1u8..=255) {
         let group = group();
         let (requests, responses) = sample_messages();
         let reqs = &requests[msg_idx.min(requests.len() - 1)];

@@ -4,7 +4,9 @@
 //! envelope flavours are booked, and the direct transport times requests.
 
 use pbcd_core::proto::{self, Request, Response};
-use pbcd_core::{PublisherService, RegistrationSession, Subscriber, SystemHarness};
+use pbcd_core::{
+    BatchRegistrationSession, PublisherService, RegistrationSession, Subscriber, SystemHarness,
+};
 use pbcd_group::P256Group;
 use pbcd_net::{RegistrationClient, RegistrationServer};
 use pbcd_policy::{AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet};
@@ -16,6 +18,11 @@ fn policies() -> PolicySet {
     set.add(AccessControlPolicy::new(
         vec![AttributeCondition::new("age", ComparisonOp::Ge, 18)],
         &["Content"],
+        "d.xml",
+    ));
+    set.add(AccessControlPolicy::new(
+        vec![AttributeCondition::new("age", ComparisonOp::Eq, 30)],
+        &["Footer"],
         "d.xml",
     ));
     set
@@ -120,6 +127,40 @@ fn stats_query_returns_registry_exposition() {
     let metrics = service.metrics();
     assert_eq!(metrics.counter("service_requests_total"), Some(3));
     assert_eq!(metrics.counter("service_registrations_total"), Some(1));
+}
+
+/// Cohorts are counted per item: one `RegisterBatch` frame carrying an EQ
+/// and a GE registration is one request, two registrations and one
+/// envelope of each flavour.
+#[test]
+fn cohort_registrations_are_counted_per_item() {
+    let (group, service, mut sub, mut rng) = setup();
+    let conds = [
+        AttributeCondition::new("age", ComparisonOp::Eq, 30),
+        AttributeCondition::new("age", ComparisonOp::Ge, 18),
+    ];
+    let session = BatchRegistrationSession::new(&mut sub, group.clone(), 48);
+    let (request, pending) = session.start(&conds, &mut rng).expect("start");
+    assert_eq!(proto::request_kind_label(&request), "register_batch");
+    let response = service.handle(&request);
+    let opened = pending.complete(&response).expect("complete");
+    assert!(opened.iter().all(|r| matches!(r, Ok(true))), "{opened:?}");
+
+    let metrics = service.metrics();
+    assert_eq!(metrics.counter("service_requests_total"), Some(1));
+    assert_eq!(metrics.counter("service_registrations_total"), Some(2));
+    assert_eq!(metrics.counter("service_errors_total"), Some(0));
+    for (flavour, count) in [("eq", 1), ("ge", 1), ("le", 0), ("dual", 0)] {
+        assert_eq!(
+            metrics.counter(&format!("ocbe_envelopes_total{{kind=\"{flavour}\"}}")),
+            Some(count),
+            "{flavour}"
+        );
+    }
+    let latency = metrics
+        .histogram("service_handle_ns{kind=\"register_batch\"}")
+        .expect("registered");
+    assert_eq!(latency.count, 1);
 }
 
 /// The byte classifiers the telemetry layer keys on.

@@ -9,7 +9,6 @@ use crate::ct::ct_eq;
 use crate::ctr::{ctr_xor, NONCE_LEN};
 use crate::hmac::Hmac;
 use crate::kdf::derive_key;
-use crate::sha256::Sha256;
 use rand::RngCore;
 
 /// Tag length in bytes (full HMAC-SHA-256 output).
@@ -63,7 +62,7 @@ impl AuthKey {
         let body_start = out.len();
         out.extend_from_slice(plaintext);
         ctr_xor(&aes, nonce, &mut out[body_start..]);
-        let mut mac = Hmac::<Sha256>::new(&self.mac);
+        let mut mac = Hmac::new(&self.mac);
         mac.update(&out);
         let tag = mac.finalize();
         out.extend_from_slice(&tag);
@@ -76,7 +75,7 @@ impl AuthKey {
             return Err(AuthDecryptError);
         }
         let (body, tag) = message.split_at(message.len() - TAG_LEN);
-        let mut mac = Hmac::<Sha256>::new(&self.mac);
+        let mut mac = Hmac::new(&self.mac);
         mac.update(body);
         if !ct_eq(&mac.finalize(), tag) {
             return Err(AuthDecryptError);

@@ -1,32 +1,31 @@
-//! HMAC (RFC 2104) over any [`Hasher`] implementation.
+//! HMAC-SHA-256 (RFC 2104 over [`Sha256`]).
 
-use crate::Hasher;
+use crate::sha256::{sha256, Sha256};
 
-/// Streaming HMAC.
-pub struct Hmac<H: Hasher> {
-    inner: H,
-    outer_key: Vec<u8>,
+/// SHA-256's block length: the HMAC key-padding unit.
+const BLOCK_LEN: usize = 64;
+
+/// Streaming HMAC-SHA-256.
+pub struct Hmac {
+    inner: Sha256,
+    outer_key: [u8; BLOCK_LEN],
 }
 
-impl<H: Hasher> Hmac<H> {
+impl Hmac {
     /// Creates an HMAC instance keyed with `key` (any length).
     pub fn new(key: &[u8]) -> Self {
-        let mut padded = vec![0u8; H::BLOCK_LEN];
-        if key.len() > H::BLOCK_LEN {
-            let mut h = H::default();
-            h.update(key);
-            let digest = h.finalize_vec();
+        let mut padded = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            let digest = sha256(key);
             padded[..digest.len()].copy_from_slice(&digest);
         } else {
             padded[..key.len()].copy_from_slice(key);
         }
-        let ipad: Vec<u8> = padded.iter().map(|b| b ^ 0x36).collect();
-        let opad: Vec<u8> = padded.iter().map(|b| b ^ 0x5c).collect();
-        let mut inner = H::default();
-        inner.update(&ipad);
+        let mut inner = Sha256::new();
+        inner.update(&padded.map(|b| b ^ 0x36));
         Self {
             inner,
-            outer_key: opad,
+            outer_key: padded.map(|b| b ^ 0x5c),
         }
     }
 
@@ -35,19 +34,18 @@ impl<H: Hasher> Hmac<H> {
         self.inner.update(data);
     }
 
-    /// Finishes and returns the tag (`H::OUTPUT_LEN` bytes).
-    pub fn finalize(self) -> Vec<u8> {
-        let inner_digest = self.inner.finalize_vec();
-        let mut outer = H::default();
+    /// Finishes and returns the 32-byte tag.
+    pub fn finalize(self) -> [u8; 32] {
+        let mut outer = Sha256::new();
         outer.update(&self.outer_key);
-        outer.update(&inner_digest);
-        outer.finalize_vec()
+        outer.update(&self.inner.finalize());
+        outer.finalize()
     }
 }
 
-/// One-shot HMAC.
-pub fn hmac<H: Hasher>(key: &[u8], data: &[u8]) -> Vec<u8> {
-    let mut mac = Hmac::<H>::new(key);
+/// One-shot HMAC-SHA-256.
+pub fn hmac(key: &[u8], data: &[u8]) -> [u8; 32] {
+    let mut mac = Hmac::new(key);
     mac.update(data);
     mac.finalize()
 }
@@ -55,8 +53,6 @@ pub fn hmac<H: Hasher>(key: &[u8], data: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sha1::Sha1;
-    use crate::sha256::Sha256;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -67,7 +63,7 @@ mod tests {
     fn rfc4231_case1() {
         let key = [0x0bu8; 20];
         assert_eq!(
-            hex(&hmac::<Sha256>(&key, b"Hi There")),
+            hex(&hmac(&key, b"Hi There")),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         );
     }
@@ -75,7 +71,7 @@ mod tests {
     #[test]
     fn rfc4231_case2() {
         assert_eq!(
-            hex(&hmac::<Sha256>(b"Jefe", b"what do ya want for nothing?")),
+            hex(&hmac(b"Jefe", b"what do ya want for nothing?")),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
         );
     }
@@ -85,7 +81,7 @@ mod tests {
         let key = [0xaau8; 20];
         let data = [0xddu8; 50];
         assert_eq!(
-            hex(&hmac::<Sha256>(&key, &data)),
+            hex(&hmac(&key, &data)),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
         );
     }
@@ -94,7 +90,7 @@ mod tests {
     fn rfc4231_case6_long_key() {
         let key = [0xaau8; 131];
         assert_eq!(
-            hex(&hmac::<Sha256>(
+            hex(&hmac(
                 &key,
                 b"Test Using Larger Than Block-Size Key - Hash Key First"
             )),
@@ -102,31 +98,13 @@ mod tests {
         );
     }
 
-    // RFC 2202 test vectors for HMAC-SHA-1.
-    #[test]
-    fn rfc2202_sha1_case1() {
-        let key = [0x0bu8; 20];
-        assert_eq!(
-            hex(&hmac::<Sha1>(&key, b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
-        );
-    }
-
-    #[test]
-    fn rfc2202_sha1_case2() {
-        assert_eq!(
-            hex(&hmac::<Sha1>(b"Jefe", b"what do ya want for nothing?")),
-            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-        );
-    }
-
     #[test]
     fn streaming_matches_oneshot() {
         let key = b"streaming key";
         let data = b"hello hmac world, split across updates";
-        let mut mac = Hmac::<Sha256>::new(key);
+        let mut mac = Hmac::new(key);
         mac.update(&data[..10]);
         mac.update(&data[10..]);
-        assert_eq!(mac.finalize(), hmac::<Sha256>(key, data));
+        assert_eq!(mac.finalize(), hmac(key, data));
     }
 }

@@ -1,11 +1,10 @@
 //! HKDF (RFC 5869) over HMAC-SHA-256, plus a tiny labeled-derivation helper.
 
 use crate::hmac::{hmac, Hmac};
-use crate::sha256::Sha256;
 
 /// HKDF-Extract: `PRK = HMAC(salt, ikm)`.
 pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> Vec<u8> {
-    hmac::<Sha256>(salt, ikm)
+    hmac(salt, ikm).to_vec()
 }
 
 /// HKDF-Expand: derives `len` bytes from a pseudorandom key and context info.
@@ -16,11 +15,11 @@ pub fn hkdf_expand(prk: &[u8], info: &[u8], len: usize) -> Vec<u8> {
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;
     while okm.len() < len {
-        let mut mac = Hmac::<Sha256>::new(prk);
+        let mut mac = Hmac::new(prk);
         mac.update(&t);
         mac.update(info);
         mac.update(&[counter]);
-        t = mac.finalize();
+        t = mac.finalize().to_vec();
         let take = (len - okm.len()).min(t.len());
         okm.extend_from_slice(&t[..take]);
         counter = counter.checked_add(1).expect("HKDF counter overflow");

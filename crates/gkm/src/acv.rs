@@ -47,7 +47,8 @@ pub struct AcvPublicInfo {
 
 /// A subscriber-side cache of key-extraction vectors (their hashed tail
 /// `a₁…a_N`, Montgomery form), keyed by `H(css ‖ z₁ ‖ … ‖ z_N)` — see
-/// [`AcvBgkm::derive_key_cached`].
+/// [`AcvBgkm::derive_key_cached`]. Reproduction surface (§VIII-D
+/// ablation); the production subscriber derives uncached.
 #[derive(Default)]
 pub struct KevCache {
     entries: std::collections::HashMap<[u8; 32], Vec<Uint<2>>>,
@@ -139,7 +140,9 @@ impl AcvBgkm {
     /// Publisher: the paper's §VIII-D batching advantage — one matrix and
     /// one null-space computation amortized over `count` documents that
     /// share a policy configuration (and hence the same `z` values), each
-    /// getting an independent key and an independent ACV.
+    /// getting an independent key and an independent ACV. With `count > 1`
+    /// this is reproduction surface (the §VIII-D ablation); production
+    /// reaches it through [`Self::rekey`] only.
     pub fn rekey_batch<R: RngCore + ?Sized>(
         &self,
         rows: &[AccessRow],
@@ -181,6 +184,8 @@ impl AcvBgkm {
     /// is hashed once instead of once per configuration.
     ///
     /// Returns one independent `(key, public info)` per configuration.
+    /// Reproduction surface (the §VIII-A ablation): `Publisher::broadcast`
+    /// rekeys each configuration on its own.
     pub fn rekey_configs<R: RngCore + ?Sized>(
         &self,
         configs: &[Vec<AccessRow>],
@@ -289,7 +294,8 @@ impl AcvBgkm {
     /// and cache the resultant vector for future use to retrieve documents
     /// associated with the same policy"). Documents produced by
     /// [`Self::rekey_batch`] share nonces, so every document after the
-    /// first costs one inner product instead of `N` hashes.
+    /// first costs one inner product instead of `N` hashes. Reproduction
+    /// surface, like [`Self::rekey_batch`] with `count > 1`.
     pub fn derive_key_cached(
         &self,
         info: &AcvPublicInfo,

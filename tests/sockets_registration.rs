@@ -278,10 +278,12 @@ fn garbage_on_the_registration_socket_yields_typed_errors_and_service_survives()
 
     let mut client = RegistrationClient::connect(reg_server.addr()).expect("connect");
 
-    // Garbage of every flavour: wrong magic, truncated header, random noise.
+    // Garbage of every flavour: wrong magic, truncated header, random
+    // noise — and kind 6, the byte of a batch kind that no longer exists.
     for garbage in [
         b"XXXXXXXX".to_vec(),
         vec![0x50, 0x50, 1, 99], // right magic, unknown kind
+        b"PP\x01\x06\0\x01\0\0\0\x01a\0\0\0\x01b\0\0\0\0\0\0\0\x07".to_vec(),
         vec![0xFF; 64],
         b"PP\x02\x01\0\0\0\0".to_vec(), // wrong version
     ] {
@@ -321,11 +323,12 @@ fn garbage_on_the_registration_socket_yields_typed_errors_and_service_survives()
     issuer_server.shutdown();
 }
 
-/// The batch registration endpoint over real TCP: a single
-/// `RegisterBatch` frame registers for every condition (one round-trip,
-/// one batched token-signature check server-side), extraction matches the
-/// sequential path, and a bad item inside a batch fails alone — its
-/// cohort still gets envelopes.
+/// The batch registration endpoint over real TCP: `register_all_via`
+/// sends one `RegisterBatch` frame per ≤ 64 conditions (one round-trip,
+/// one batched token-signature check server-side) and no single
+/// `Register`, extraction matches what one round-trip per condition
+/// yields, and a bad item inside a batch fails alone — its cohort still
+/// gets envelopes.
 #[test]
 fn batch_registration_over_tcp_matches_sequential_and_isolates_bad_items() {
     let group = P256Group::new();
@@ -347,7 +350,7 @@ fn batch_registration_over_tcp_matches_sequential_and_isolates_bad_items() {
         .expect("bind registration");
 
     // Whole onboarding through one batch frame: both conditions extract,
-    // exactly as the sequential `register_all_via` flow would.
+    // exactly as one `Register` round-trip per condition would.
     let mut sub: Subscriber<P256Group> = Subscriber::new(
         AttributeSet::new()
             .with_str("role", "doctor")
@@ -355,16 +358,18 @@ fn batch_registration_over_tcp_matches_sequential_and_isolates_bad_items() {
     );
     pbcd::core::session::fetch_tokens_via(&mut sub, &group, issuer_server.addr(), "dora")
         .expect("issuance");
-    let extracted = pbcd::core::session::register_all_batched_via(
-        &mut sub,
-        &group,
-        reg_server.addr(),
-        &mut rng,
-    )
-    .expect("batched registration over TCP");
-    assert_eq!(extracted, 2, "batch path extracts both CSSs");
+    let extracted =
+        pbcd::core::session::register_all_via(&mut sub, &group, reg_server.addr(), &mut rng)
+            .expect("cohort registration over TCP");
+    assert_eq!(extracted, 2, "the cohort extracts both CSSs");
     let stats = shared.stats();
-    assert_eq!(stats.errors, 0);
+    assert_eq!((stats.registrations, stats.errors), (2, 0));
+    let handled = |kind: &str| {
+        let name = format!("service_handle_ns{{kind=\"{kind}\"}}");
+        shared.metrics().histogram(&name).expect("registered").count
+    };
+    assert_eq!(handled("register_batch"), 1, "one frame for the cohort");
+    assert_eq!(handled("register"), 0, "no per-condition round-trips");
 
     // A bad item inside a batch (condition outside the policy set) gets a
     // typed per-item error; the good item in the same frame still lands.
@@ -390,6 +395,12 @@ fn batch_registration_over_tcp_matches_sequential_and_isolates_bad_items() {
         }
         other => panic!("rogue item must fail alone, got {other:?}"),
     }
+    let stats = shared.stats();
+    assert_eq!(
+        (stats.registrations, stats.errors),
+        (3, 1),
+        "the mixed frame books one more registration and one rejected item"
+    );
     client.close().expect("close");
     reg_server.shutdown();
     issuer_server.shutdown();
