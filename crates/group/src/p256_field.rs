@@ -1,11 +1,10 @@
 //! Dedicated P-256 field kernel: lazy-reduction Montgomery arithmetic on
 //! fixed 4×64 limbs.
 //!
-//! The generic [`pbcd_math::MontCtx`] pays for its width-genericity on every
-//! multiplication (a 66-limb scratch buffer, loop bounds that the compiler
-//! cannot fully specialize). The doubling chain of a scalar multiplication
-//! is nothing but field multiplications, so this module hard-codes the
-//! NIST P-256 prime
+//! The generic [`pbcd_math::MontCtx`] reduces with a general quotient digit
+//! `u = t₀·(−m⁻¹) mod 2^64` and a full multiply-add row by the modulus on
+//! every step. The doubling chain of a scalar multiplication is nothing but
+//! field multiplications, so this module hard-codes the NIST P-256 prime
 //!
 //! ```text
 //! p = 2^256 − 2^224 + 2^192 + 2^96 − 1
@@ -20,8 +19,10 @@
 //! `MontCtx::<4>` produces, always kept canonical (`< p`), so the kernel and
 //! the generic context interoperate freely on the same `U256` words and
 //! every result is bit-identical to the generic path (pinned by the
-//! equivalence suite and in-module proptests). All paths are variable-time,
-//! like the rest of the group layer (see `docs/ARCHITECTURE.md`).
+//! equivalence suite and in-module proptests). `add`, `sub` and the final
+//! reduction select their correction by mask; `neg`, the inversions and
+//! everything built on them are variable-time, like the rest of the group
+//! layer (see `docs/ARCHITECTURE.md`).
 
 use pbcd_math::U256;
 
@@ -71,15 +72,16 @@ fn sub_p(l: &[u64; 4]) -> ([u64; 4], u64) {
     ([d0, d1, d2, d3], b)
 }
 
-/// Canonicalizes a value `< 2p` given as `carry·2^256 + l`.
+/// Canonicalizes a value `< 2p` given as `carry·2^256 + l`: keeps `l`
+/// only when `l − p` borrows with no carry, selected by mask.
 #[inline(always)]
 fn reduce_once(l: [u64; 4], carry: u64) -> U256 {
-    let (d, borrow) = sub_p(&l);
-    if carry == 1 || borrow == 0 {
-        U256::from_limbs(d)
-    } else {
-        U256::from_limbs(l)
+    let (mut d, borrow) = sub_p(&l);
+    let keep = (borrow & !carry).wrapping_neg();
+    for (d, l) in d.iter_mut().zip(l) {
+        *d ^= (*d ^ l) & keep;
     }
+    U256::from_limbs(d)
 }
 
 /// The Montgomery representation of 1.
@@ -106,7 +108,7 @@ pub fn dbl(a: &U256) -> U256 {
     add(a, a)
 }
 
-/// `a − b mod p`.
+/// `a − b mod p`; `p` is added back under the borrow mask.
 #[inline]
 pub fn sub(a: &U256, b: &U256) -> U256 {
     let a = a.limbs();
@@ -115,13 +117,11 @@ pub fn sub(a: &U256, b: &U256) -> U256 {
     let (d1, bo) = sbb(a[1], b[1], bo);
     let (d2, bo) = sbb(a[2], b[2], bo);
     let (d3, bo) = sbb(a[3], b[3], bo);
-    if bo == 0 {
-        return U256::from_limbs([d0, d1, d2, d3]);
-    }
-    let (r0, c) = adc(d0, P[0], 0);
-    let (r1, c) = adc(d1, P[1], c);
-    let (r2, c) = adc(d2, P[2], c);
-    let (r3, _) = adc(d3, P[3], c);
+    let mask = bo.wrapping_neg();
+    let (r0, c) = adc(d0, P[0] & mask, 0);
+    let (r1, c) = adc(d1, P[1] & mask, c);
+    let (r2, c) = adc(d2, P[2] & mask, c);
+    let (r3, _) = adc(d3, P[3] & mask, c);
     U256::from_limbs([r0, r1, r2, r3])
 }
 

@@ -1,9 +1,15 @@
 //! Montgomery-form modular arithmetic over odd moduli.
 //!
 //! A [`MontCtx`] precomputes the constants needed for CIOS Montgomery
-//! multiplication. All hot-path modular arithmetic in the workspace (field
-//! towers, elliptic-curve coordinates, GKM matrix elimination) goes through
-//! this context; schoolbook `mul_mod` is reserved for one-off setup.
+//! multiplication. Hot-path modular arithmetic in the workspace (GKM matrix
+//! elimination and hashing into `F_q`, the P-256 scalar field, the modp
+//! groups) goes through this context; elliptic-curve coordinates use the
+//! dedicated `pbcd_group::p256_field` kernel, and schoolbook `mul_mod` is
+//! reserved for one-off setup.
+//!
+//! Multiplication, addition, subtraction and negation choose their final
+//! correction by a carry/borrow mask rather than a branch, and all of them
+//! inline into the caller's loop. Exponentiation stays variable-time.
 //!
 //! Values handled by the context are *residues in Montgomery form*:
 //! `mont(x) = x·R mod m` with `R = 2^(64·L)`. Conversion happens at the
@@ -81,45 +87,40 @@ impl<const L: usize> MontCtx<L> {
     ///
     /// Only one operand has to be a residue: with the other anywhere below
     /// `R` the running sum stays under `2m`, so the final conditional
-    /// subtraction still lands in `[0, m)`.
+    /// subtraction still lands in `[0, m)`. That subtraction is selected
+    /// by its borrow, not branched on.
+    #[inline]
     pub fn mont_mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
-        assert!(L + 2 <= 66, "width too large for CIOS scratch");
         let m = self.modulus.limbs();
-        let al = a.limbs();
         let bl = b.limbs();
-        let mut t = [0u64; 66];
-        for i in 0..L {
+        // The running sum is `hi·R + t`, below `2R` between rounds.
+        let mut t = [0u64; L];
+        let mut hi = 0u64;
+        for &ai in a.limbs() {
             // t += a[i] * b
-            let ai = al[i] as u128;
             let mut carry = 0u128;
-            for j in 0..L {
-                let v = t[j] as u128 + ai * bl[j] as u128 + carry;
-                t[j] = v as u64;
+            for (tj, &bj) in t.iter_mut().zip(bl) {
+                let v = *tj as u128 + ai as u128 * bj as u128 + carry;
+                *tj = v as u64;
                 carry = v >> 64;
             }
-            let v = t[L] as u128 + carry;
-            t[L] = v as u64;
-            t[L + 1] = (v >> 64) as u64;
+            let top = hi as u128 + carry;
             // Reduce one limb: add u*m so the low limb cancels, shift right.
-            let u = (t[0].wrapping_mul(self.n0)) as u128;
+            let u = t[0].wrapping_mul(self.n0) as u128;
             let mut carry = (t[0] as u128 + u * m[0] as u128) >> 64;
             for j in 1..L {
                 let v = t[j] as u128 + u * m[j] as u128 + carry;
                 t[j - 1] = v as u64;
                 carry = v >> 64;
             }
-            let v = t[L] as u128 + carry;
+            let v = top as u64 as u128 + carry;
             t[L - 1] = v as u64;
-            t[L] = t[L + 1] + (v >> 64) as u64;
-            t[L + 1] = 0;
+            hi = ((top >> 64) + (v >> 64)) as u64;
         }
-        let mut out = [0u64; L];
-        out.copy_from_slice(&t[..L]);
-        let mut res = Uint::from_limbs(out);
-        if t[L] != 0 || res >= self.modulus {
-            res = res.wrapping_sub(&self.modulus);
-        }
-        res
+        let t = Uint::from_limbs(t);
+        let (d, borrow) = t.overflowing_sub(&self.modulus);
+        // `hi` is 0 or 1: keep `t` only when it is already below `m`.
+        Uint::select((borrow as u64 & !hi).wrapping_neg(), &t, &d)
     }
 
     /// Montgomery squaring (delegates to `mont_mul`).
@@ -128,25 +129,25 @@ impl<const L: usize> MontCtx<L> {
     }
 
     /// Modular addition of residues (either form, as long as both match).
+    #[inline]
     pub fn add(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         a.add_mod(b, &self.modulus)
     }
 
     /// Modular subtraction of residues.
+    #[inline]
     pub fn sub(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         a.sub_mod(b, &self.modulus)
     }
 
-    /// Modular negation of a residue.
+    /// Modular negation of a residue: `0 − a`, so zero stays zero.
+    #[inline]
     pub fn neg(&self, a: &Uint<L>) -> Uint<L> {
-        if a.is_zero() {
-            *a
-        } else {
-            self.modulus.wrapping_sub(a)
-        }
+        self.sub(&Uint::ZERO, a)
     }
 
     /// Modular doubling.
+    #[inline]
     pub fn double(&self, a: &Uint<L>) -> Uint<L> {
         self.add(a, a)
     }

@@ -141,7 +141,7 @@ impl<const L: usize> Uint<L> {
             let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
             let (s2, c2) = s1.overflowing_add(carry);
             out[i] = s2;
-            carry = (c1 as u64) + (c2 as u64);
+            carry = (c1 | c2) as u64;
         }
         (Self { limbs: out }, carry != 0)
     }
@@ -167,7 +167,7 @@ impl<const L: usize> Uint<L> {
             let (d1, b1) = self.limbs[i].overflowing_sub(rhs.limbs[i]);
             let (d2, b2) = d1.overflowing_sub(borrow);
             out[i] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
+            borrow = (b1 | b2) as u64;
         }
         (Self { limbs: out }, borrow != 0)
     }
@@ -292,24 +292,37 @@ impl<const L: usize> Uint<L> {
         Self::rem_wide(&lo, &hi, modulus)
     }
 
-    /// Modular addition (operands must already be `< modulus`).
+    /// Modular addition (operands must already be `< modulus`). The
+    /// correction is selected by the carry and borrow, not branched on.
+    #[inline]
     pub fn add_mod(&self, rhs: &Self, modulus: &Self) -> Self {
         let (sum, carry) = self.overflowing_add(rhs);
-        if carry || sum >= *modulus {
-            sum.wrapping_sub(modulus)
-        } else {
-            sum
-        }
+        let (diff, borrow) = sum.overflowing_sub(modulus);
+        Self::select(((borrow & !carry) as u64).wrapping_neg(), &sum, &diff)
     }
 
-    /// Modular subtraction (operands must already be `< modulus`).
+    /// Modular subtraction (operands must already be `< modulus`). The
+    /// modulus is added back under the borrow mask, not branched on.
+    #[inline]
     pub fn sub_mod(&self, rhs: &Self, modulus: &Self) -> Self {
         let (diff, borrow) = self.overflowing_sub(rhs);
-        if borrow {
-            diff.wrapping_add(modulus)
-        } else {
-            diff
+        let mask = (borrow as u64).wrapping_neg();
+        diff.wrapping_add(&Self::select(mask, modulus, &Self::ZERO))
+    }
+
+    /// `a` where `mask` is all ones, `b` where it is zero, limb by limb.
+    ///
+    /// `black_box` hides that the mask came from a carry bit; without it
+    /// the x86 backend turns the select back into a branch, which costs a
+    /// misprediction whenever the carry is a coin flip.
+    #[inline(always)]
+    pub(crate) fn select(mask: u64, a: &Self, b: &Self) -> Self {
+        let mask = core::hint::black_box(mask);
+        let mut limbs = b.limbs;
+        for (l, x) in limbs.iter_mut().zip(&a.limbs) {
+            *l ^= (*l ^ x) & mask;
         }
+        Self { limbs }
     }
 
     /// Modular exponentiation by square-and-multiply (non-Montgomery; for

@@ -1,6 +1,6 @@
 //! Property-based tests for the math substrate.
 
-use pbcd_math::{Fp, FpCtx, Matrix, MontCtx, Uint, U128, U256};
+use pbcd_math::{Fp, FpCtx, Matrix, MontCtx, Uint, U1024, U128, U256};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -33,6 +33,110 @@ fn basis_combination(m: &Matrix<2>, rng: &mut StdRng) -> Vec<Fp<2>> {
         }
     }
     out
+}
+
+/// The NIST P-256 field prime `p` (L = 4, top bit set).
+fn p256_p() -> U256 {
+    U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff").expect("hex")
+}
+
+/// The P-256 group order `n` (L = 4, just below `R`).
+fn p256_n() -> U256 {
+    U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551").expect("hex")
+}
+
+/// The RFC 5114 §2.1 1024-bit modp prime `p` (L = 16, top bit set).
+fn modp_p() -> U1024 {
+    U1024::from_hex(concat!(
+        "B10B8F96A080E01DDE92DE5EAE5D54EC52C99FBCFB06A3C69A6A9DCA52D23B61",
+        "6073E28675A23D189838EF1E2EE652C013ECB4AEA906112324975C3CD49B83BF",
+        "ACCBDD7D90C4BD7098488E9C219A73724EFFD6FAE5644738FAA31A4FF55BCCC0",
+        "A151AF5F0DC8B4BD45BF37DF365C1A65E68CFDA76D4DA708DF1FB2BC2E4A4371"
+    ))
+    .expect("hex")
+}
+
+/// `a·b·R⁻¹ mod m` for `R = 2^(64·L)`, from schoolbook `mul_mod` and
+/// `inv_mod` only; `a` and `b` may be any width-`L` values.
+fn mont_product<const L: usize>(a: &Uint<L>, b: &Uint<L>, m: &Uint<L>) -> Uint<L> {
+    let r = Uint::<L>::MAX.rem(m).wrapping_add(&Uint::one()).rem(m);
+    let r_inv = r.inv_mod(m).expect("odd modulus");
+    a.mul_mod(b, m).mul_mod(&r_inv, m)
+}
+
+/// The branching `add_mod` the masked one replaced.
+fn add_mod_branchy<const L: usize>(a: &Uint<L>, b: &Uint<L>, m: &Uint<L>) -> Uint<L> {
+    let (sum, carry) = a.overflowing_add(b);
+    if carry || sum >= *m {
+        sum.wrapping_sub(m)
+    } else {
+        sum
+    }
+}
+
+/// The branching `sub_mod` the masked one replaced.
+fn sub_mod_branchy<const L: usize>(a: &Uint<L>, b: &Uint<L>, m: &Uint<L>) -> Uint<L> {
+    let (diff, borrow) = a.overflowing_sub(b);
+    if borrow {
+        diff.wrapping_add(m)
+    } else {
+        diff
+    }
+}
+
+/// The branching `MontCtx::neg` the masked one replaced.
+fn neg_branchy<const L: usize>(a: &Uint<L>, m: &Uint<L>) -> Uint<L> {
+    if a.is_zero() {
+        *a
+    } else {
+        m.wrapping_sub(a)
+    }
+}
+
+/// `mont_mul` at one width against [`mont_product`]: two residues, then
+/// one operand anywhere up to `Uint::MAX` on either side (the contract
+/// `AcvBgkm::extract` relies on for hostile `xⱼ ≥ q`).
+fn check_mont_mul<const L: usize>(m: Uint<L>, rng: &mut StdRng) -> TestCaseResult {
+    let ctx = MontCtx::new(m);
+    let a = Uint::random_below(rng, &m);
+    let top = m.wrapping_sub(&Uint::one());
+    for b in [Uint::random_below(rng, &m), top] {
+        prop_assert_eq!(ctx.mont_mul(&a, &b), mont_product(&a, &b, &m));
+        for wide in [Uint::random_bits(rng, Uint::<L>::BITS), Uint::MAX] {
+            let expect = mont_product(&wide, &b, &m);
+            prop_assert_eq!(ctx.mont_mul(&wide, &b), expect);
+            prop_assert_eq!(ctx.mont_mul(&b, &wide), expect);
+        }
+    }
+    Ok(())
+}
+
+/// `add` / `sub` / `neg` at one width against the branching formulas, on a
+/// random pair and at the boundaries: a sum of exactly `m`, `a == b`,
+/// `0 − (m−1)`, and `(m−1) + (m−1)`, which carries out of the width when
+/// the modulus has its top bit set.
+fn check_add_sub_neg<const L: usize>(m: Uint<L>, rng: &mut StdRng) -> TestCaseResult {
+    let ctx = MontCtx::new(m);
+    let one = Uint::one();
+    let top = m.wrapping_sub(&one);
+    let a = Uint::random_below(rng, &top).wrapping_add(&one);
+    let b = Uint::random_below(rng, &m);
+    let pairs = [
+        (a, b),
+        (a, m.wrapping_sub(&a)),
+        (top, one),
+        (a, a),
+        (Uint::ZERO, top),
+        (Uint::ZERO, Uint::ZERO),
+        (top, top),
+    ];
+    prop_assert_eq!(top.overflowing_add(&top).1, m.bit(Uint::<L>::BITS - 1));
+    for (x, y) in pairs {
+        prop_assert_eq!(ctx.add(&x, &y), add_mod_branchy(&x, &y, &m));
+        prop_assert_eq!(ctx.sub(&x, &y), sub_mod_branchy(&x, &y, &m));
+        prop_assert_eq!(ctx.neg(&y), neg_branchy(&y, &m));
+    }
+    Ok(())
 }
 
 /// `int(bytes) mod p` on a 832-bit integer — wide enough for 100 bytes.
@@ -97,6 +201,24 @@ proptest! {
         let ctx = MontCtx::new(q);
         let got = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
         prop_assert_eq!(got, a.mul_mod(&b, &q));
+    }
+
+    #[test]
+    fn mont_mul_matches_mul_mod_at_every_width(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_mont_mul(q80(), &mut rng)?;
+        check_mont_mul(p256_p(), &mut rng)?;
+        check_mont_mul(p256_n(), &mut rng)?;
+        check_mont_mul(modp_p(), &mut rng)?;
+    }
+
+    #[test]
+    fn add_sub_neg_match_the_branchy_formulas_at_every_width(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        check_add_sub_neg(q80(), &mut rng)?;
+        check_add_sub_neg(p256_p(), &mut rng)?;
+        check_add_sub_neg(p256_n(), &mut rng)?;
+        check_add_sub_neg(modp_p(), &mut rng)?;
     }
 
     #[test]
