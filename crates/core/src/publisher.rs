@@ -407,9 +407,9 @@ impl<G: CyclicGroup> Registrar<G> {
 
     /// Cohort registration: authenticates every token of the batch with **one**
     /// random-linear-combination Schnorr check ([`pbcd_group::verify_batch`], a
-    /// single multi-scalar multiplication of width `2n + 1`: one `Rᵢ` term and
-    /// one key term per item plus the generator — all tokens carry the same
-    /// IdMgr key, but `msm` does not merge equal bases) before issuing CSSs and
+    /// single multi-scalar multiplication of width `n + 2`: one `Rᵢ` term per
+    /// item, one term for the IdMgr key every token carries, whose
+    /// coefficients are summed, and the generator) before issuing CSSs and
     /// composing envelopes per item. Outcomes are per item and independent: a
     /// forged token in the cohort costs only that item (the combined check
     /// fails, and per-item verification attributes the failure), the rest

@@ -10,8 +10,9 @@
 //! "Group arithmetic"): variable bases use the sliding-window
 //! [`MontCtx::pow`], the fixed bases `g` and `h` use lazily built
 //! radix-16 [`FixedBaseTable`]s (40 windows × 15 residues ≈ 75 KiB per
-//! base over the 1024-bit modulus), and `a^x · b^y` runs as one
-//! Straus/Shamir chain via [`MontCtx::pow2`].
+//! base over the 1024-bit modulus), and the verification check
+//! `g^x · b^y == expected` runs as one Straus/Shamir chain via
+//! [`MontCtx::pow2`] (a prepared base is the element itself).
 
 use crate::traits::{CyclicGroup, Scalar, ScalarCtx};
 use pbcd_crypto::sha256_concat;
@@ -158,6 +159,7 @@ impl ModpGroup {
 
 impl CyclicGroup for ModpGroup {
     type Elem = ModpElem;
+    type Prepared = ModpElem;
 
     fn name(&self) -> &'static str {
         "modp-rfc5114"
@@ -216,9 +218,14 @@ impl CyclicGroup for ModpGroup {
         ModpElem(self.h_table().pow(self.f(), &k.to_uint()))
     }
 
-    fn exp2(&self, a: &ModpElem, x: &Scalar, b: &ModpElem, y: &Scalar) -> ModpElem {
+    fn prepare(&self, base: &ModpElem) -> ModpElem {
+        base.clone()
+    }
+
+    fn check(&self, x: &Scalar, base: &ModpElem, y: &Scalar, expected: &ModpElem) -> bool {
         crate::ops::count_exp2();
-        ModpElem(self.f().pow2(&a.0, &x.to_uint(), &b.0, &y.to_uint()))
+        let gen = &self.inner.gen.0;
+        self.f().pow2(gen, &x.to_uint(), &base.0, &y.to_uint()) == expected.0
     }
 
     fn pedersen_gh(&self, m: &Scalar, r: &Scalar) -> ModpElem {

@@ -5,9 +5,10 @@
 //! so both backends bump these counters at their exponentiation entry
 //! points: one tick per single-base exponentiation (a fixed-base comb
 //! lookup counts the same as a generic double-and-add — the tally counts
-//! *logical* exponentiations, not doublings), and one tick per Straus
-//! double exponentiation. The telemetry plane in `pbcd_core` mirrors the
-//! totals into its metrics registry at snapshot time.
+//! *logical* exponentiations, not doublings), and one tick per double
+//! exponentiation, i.e. per verification check `g^x · B^y == expected`
+//! ([`crate::CyclicGroup::check`]). The telemetry plane in `pbcd_core`
+//! mirrors the totals into its metrics registry at snapshot time.
 //!
 //! The counters are global (one pair per process, all backends summed) and
 //! monotone; each tick is a single relaxed atomic add, invisible next to
@@ -25,7 +26,7 @@ pub fn count_exp(n: u64) {
     EXP.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records one simultaneous double exponentiation (`a^x · b^y`).
+/// Records one double exponentiation (a `g^x · B^y == expected` check).
 #[inline]
 pub fn count_exp2() {
     EXP2.fetch_add(1, Ordering::Relaxed);

@@ -13,8 +13,10 @@
 //! * the fixed bases `g` and `h` use lazily built radix-16 comb tables
 //!   (64 windows × 15 affine points ≈ 60 KiB per base), reducing `g^k` to
 //!   ~60 mixed additions with no doublings at all;
-//! * `a^x · b^y` runs as a Straus interleaving with one shared doubling
-//!   chain;
+//! * a verification key is prepared once into the same comb
+//!   ([`CyclicGroup::prepare`]), so `g^x · pk^y == R` is two table walks
+//!   into one accumulator and a projective compare, with neither doublings
+//!   nor an inversion;
 //! * lists share what they have in common: one wNAF recoding and one
 //!   table normalisation for many bases under one scalar, one one-off
 //!   comb for many scalars under one base, and a single inversion for
@@ -87,8 +89,9 @@ const SHARED_BASE_TABLE_MIN: usize = ((256usize.div_ceil(COMB_WINDOW as usize) <
     .div_ceil(256 * DOUBLE_COST);
 
 /// Fixed-base comb: `tables[i][d − 1] = (d · 2^(w·i)) · B` as affine
-/// points, one row per `w`-bit window of the 256-bit scalar.
-struct CombTable {
+/// points, one row per `w`-bit window of the 256-bit scalar (≈ 60 KiB).
+/// It is also P-256's [`CyclicGroup::Prepared`] form of a verification key.
+pub struct CombTable {
     tables: Vec<Vec<AffinePt>>,
 }
 
@@ -606,10 +609,10 @@ impl P256Group {
         }
     }
 
-    /// Fixed-base exponentiation from a comb table: one mixed addition per
-    /// nonzero window digit, no doublings. `k` must be reduced.
-    fn comb_mul(&self, comb: &CombTable, k: &U256) -> Jacobian {
-        let mut acc = self.jac_identity();
+    /// Fixed-base exponentiation from a comb table, added onto `acc`: one
+    /// mixed addition per nonzero window digit, no doublings. `k` must be
+    /// reduced.
+    fn comb_mul(&self, mut acc: Jacobian, comb: &CombTable, k: &U256) -> Jacobian {
         for (i, row) in comb.tables.iter().enumerate() {
             let base_bit = i as u32 * COMB_WINDOW;
             let mut d = 0usize;
@@ -633,45 +636,6 @@ impl P256Group {
         self.inner
             .h_comb
             .get_or_init(|| self.build_comb(&self.inner.h))
-    }
-
-    /// Straus interleaving for `a^x · b^y`: width-4 wNAF tables for both
-    /// bases and one shared doubling chain, allocation-free.
-    fn straus2(&self, a: &Jacobian, x: &U256, b: &Jacobian, y: &U256) -> Jacobian {
-        const W: u32 = 4;
-        const TABLE_LEN: usize = 1 << (W - 2);
-        if a.z.is_zero() || x.is_zero() {
-            return self.jac_mul(b, y);
-        }
-        if b.z.is_zero() || y.is_zero() {
-            return self.jac_mul(a, x);
-        }
-        // Both tables share one batched inversion.
-        let mut jt = [*a; 2 * TABLE_LEN];
-        for (start, p) in [(0, a), (TABLE_LEN, b)] {
-            jt[start] = *p;
-            let twop = self.jac_double(p);
-            for i in 1..TABLE_LEN {
-                jt[start + i] = self.jac_add(&jt[start + i - 1], &twop);
-            }
-        }
-        let table = self.batch_to_affine_n(&jt);
-        let (ta, tb) = table.split_at(TABLE_LEN);
-        let mut da = [0i8; 257];
-        let la = Self::wnaf_into(x, W, &mut da);
-        let mut db = [0i8; 257];
-        let lb = Self::wnaf_into(y, W, &mut db);
-        let mut acc = self.jac_identity();
-        for i in (0..la.max(lb)).rev() {
-            acc = self.jac_double(&acc);
-            for (digits, tbl) in [(&da, ta), (&db, tb)] {
-                let d = digits[i];
-                if d != 0 {
-                    acc = self.jac_add_affine(&acc, &Self::wnaf_entry(tbl, d));
-                }
-            }
-        }
-        acc
     }
 
     /// Pippenger's bucket method over affine points with canonical scalars.
@@ -752,6 +716,7 @@ impl P256Group {
 
 impl CyclicGroup for P256Group {
     type Elem = P256Point;
+    type Prepared = CombTable;
 
     fn name(&self) -> &'static str {
         "p256"
@@ -817,29 +782,39 @@ impl CyclicGroup for P256Group {
 
     fn exp_g(&self, k: &Scalar) -> P256Point {
         crate::ops::count_exp(1);
-        self.to_affine(&self.comb_mul(self.g_comb(), &k.to_uint()))
+        self.to_affine(&self.comb_mul(self.jac_identity(), self.g_comb(), &k.to_uint()))
     }
 
     fn exp_h(&self, k: &Scalar) -> P256Point {
         crate::ops::count_exp(1);
-        self.to_affine(&self.comb_mul(self.h_comb(), &k.to_uint()))
+        self.to_affine(&self.comb_mul(self.jac_identity(), self.h_comb(), &k.to_uint()))
     }
 
-    fn exp2(&self, a: &P256Point, x: &Scalar, b: &P256Point, y: &Scalar) -> P256Point {
+    fn prepare(&self, base: &P256Point) -> CombTable {
+        self.build_comb(base)
+    }
+
+    fn check(&self, x: &Scalar, base: &CombTable, y: &Scalar, expected: &P256Point) -> bool {
         crate::ops::count_exp2();
-        let j = self.straus2(
-            &self.to_jacobian(a),
-            &x.to_uint(),
-            &self.to_jacobian(b),
-            &y.to_uint(),
-        );
-        self.to_affine(&j)
+        let gx = self.comb_mul(self.jac_identity(), self.g_comb(), &x.to_uint());
+        let acc = self.comb_mul(gx, base, &y.to_uint());
+        // Compare projectively, `(X, Y) = (x·Z², y·Z³)`, instead of paying
+        // an inversion to normalise `acc`.
+        match expected {
+            P256Point::Identity => acc.z.is_zero(),
+            P256Point::Affine { x: rx, y: ry } => {
+                let zz = pf::sqr(&acc.z);
+                !acc.z.is_zero()
+                    && acc.x == pf::mul(rx, &zz)
+                    && acc.y == pf::mul(ry, &pf::mul(&zz, &acc.z))
+            }
+        }
     }
 
     fn pedersen_gh(&self, m: &Scalar, r: &Scalar) -> P256Point {
         crate::ops::count_exp(2);
-        let gm = self.comb_mul(self.g_comb(), &m.to_uint());
-        let hr = self.comb_mul(self.h_comb(), &r.to_uint());
+        let gm = self.comb_mul(self.jac_identity(), self.g_comb(), &m.to_uint());
+        let hr = self.comb_mul(self.jac_identity(), self.h_comb(), &r.to_uint());
         self.to_affine(&self.jac_add(&gm, &hr))
     }
 
@@ -849,8 +824,9 @@ impl CyclicGroup for P256Group {
         let sums: Vec<Jacobian> = pairs
             .iter()
             .map(|(m, r)| {
-                let gm = self.comb_mul(g_comb, &m.to_uint());
-                self.jac_add(&gm, &self.comb_mul(h_comb, &r.to_uint()))
+                let gm = self.comb_mul(self.jac_identity(), g_comb, &m.to_uint());
+                let hr = self.comb_mul(self.jac_identity(), h_comb, &r.to_uint());
+                self.jac_add(&gm, &hr)
             })
             .collect();
         self.batch_to_points(&sums)
@@ -912,7 +888,7 @@ impl CyclicGroup for P256Group {
         } else {
             let comb = self.build_comb(base);
             ks.iter()
-                .map(|k| self.comb_mul(&comb, &k.to_uint()))
+                .map(|k| self.comb_mul(self.jac_identity(), &comb, &k.to_uint()))
                 .collect()
         };
         self.batch_to_points(&powers)

@@ -6,26 +6,37 @@
 //! in its **nonce-commitment form**: `R = g^k`, `e = H(R ‖ m)`,
 //! `s = k + e·sk`, signature `(R, s)`.
 //!
+//! A [`VerifyingKey`] is prepared once when it is made
+//! ([`CyclicGroup::prepare`]; on P-256 the key's own radix-16 comb), so
+//! verifying `g^s · pk^{−e} = R` is one [`CyclicGroup::check`]: two table
+//! walks and a projective compare.
+//!
 //! Transmitting `R` (rather than the challenge `e`) makes the verification
 //! equation `g^s = R · pk^e` *linear* in the signature, which is what
 //! enables [`verify_batch`]: a random linear combination of `n` such
-//! equations collapses to a single multi-scalar multiplication of width
-//! `2n + 1` ([`CyclicGroup::msm`]) instead of `n` double exponentiations.
+//! equations under `k` distinct keys collapses to a single multi-scalar
+//! multiplication of width `n + k + 1` ([`CyclicGroup::msm`]).
 
 use crate::traits::{CyclicGroup, Scalar};
 use pbcd_crypto::Sha256;
 use rand::RngCore;
+use std::sync::Arc;
 
 /// A Schnorr signing/verification key pair.
 #[derive(Clone)]
 pub struct SigningKey<G: CyclicGroup> {
     sk: Scalar,
-    pk: G::Elem,
+    vk: VerifyingKey<G>,
 }
 
-/// The public half of a [`SigningKey`].
+/// The public half of a [`SigningKey`], prepared for verification.
+///
+/// Build it once and keep it. Making a key prepares its table (on P-256
+/// a ≈ 60 KiB comb costing about half a millisecond), and clones share
+/// that table. The identity is never a key.
 pub struct VerifyingKey<G: CyclicGroup> {
     pk: G::Elem,
+    prepared: Arc<G::Prepared>,
 }
 
 // Manual impls avoid requiring `G: PartialEq`/`Debug` — only the element
@@ -34,6 +45,7 @@ impl<G: CyclicGroup> Clone for VerifyingKey<G> {
     fn clone(&self) -> Self {
         Self {
             pk: self.pk.clone(),
+            prepared: Arc::clone(&self.prepared),
         }
     }
 }
@@ -88,15 +100,13 @@ impl<G: CyclicGroup> SigningKey<G> {
     /// Generates a fresh key pair.
     pub fn generate<R: RngCore + ?Sized>(group: &G, rng: &mut R) -> Self {
         let sk = group.random_nonzero_scalar(rng);
-        let pk = group.exp_g(&sk);
-        Self { sk, pk }
+        let vk = VerifyingKey::from_element(group, group.exp_g(&sk)).expect("sk is nonzero");
+        Self { sk, vk }
     }
 
-    /// The verification key.
+    /// The verification key; a clone sharing the prepared table.
     pub fn verifying_key(&self) -> VerifyingKey<G> {
-        VerifyingKey {
-            pk: self.pk.clone(),
-        }
+        self.vk.clone()
     }
 
     /// Signs a message.
@@ -110,9 +120,14 @@ impl<G: CyclicGroup> SigningKey<G> {
 }
 
 impl<G: CyclicGroup> VerifyingKey<G> {
-    /// Wraps a raw public key element.
-    pub fn from_element(pk: G::Elem) -> Self {
-        Self { pk }
+    /// Prepares a raw public key element; `None` for the identity, under
+    /// which any `(g^s, s)` would verify for every message.
+    pub fn from_element(group: &G, pk: G::Elem) -> Option<Self> {
+        if group.is_identity(&pk) {
+            return None;
+        }
+        let prepared = Arc::new(group.prepare(&pk));
+        Some(Self { pk, prepared })
     }
 
     /// The raw public key element.
@@ -125,18 +140,18 @@ impl<G: CyclicGroup> VerifyingKey<G> {
         group.serialize(&self.pk)
     }
 
-    /// Parses and validates an encoded public key.
+    /// Parses, validates and prepares an encoded public key; `None` for
+    /// malformed bytes and for the identity.
     pub fn deserialize(group: &G, bytes: &[u8]) -> Option<Self> {
-        group.deserialize(bytes).map(|pk| Self { pk })
+        Self::from_element(group, group.deserialize(bytes)?)
     }
 
     /// Verifies a signature: recompute the challenge from the transmitted
-    /// nonce commitment and check `g^s · pk^{−e} = R`. The double
-    /// exponentiation runs as one Straus/Shamir chain
-    /// ([`CyclicGroup::exp2`]) rather than two independent ladders.
+    /// nonce commitment and check `g^s · pk^{−e} = R` against the prepared
+    /// key ([`CyclicGroup::check`]).
     pub fn verify(&self, group: &G, msg: &[u8], sig: &Signature<G>) -> bool {
         let e = challenge(group, &sig.big_r, msg);
-        group.exp2(&group.generator(), &sig.s, &self.pk, &(-&e)) == sig.big_r
+        group.check(&sig.s, &self.prepared, &-&e, &sig.big_r)
     }
 }
 
@@ -162,11 +177,13 @@ pub fn challenge<G: CyclicGroup>(group: &G, big_r: &G::Elem, msg: &[u8]) -> Scal
 /// must commit to all signatures before learning any coefficient, and
 /// slipping in a forged signature (`δⱼ ≠ 1`) passes only if `zⱼ` happens
 /// to hit the discrete log of `Π_{i≠j} δᵢ^{−zᵢ}` base `δⱼ` — probability
-/// `1/q` over the coefficient space, i.e. negligible. Rearranged, the
-/// whole check is a single width-`2n + 1` multi-scalar multiplication:
+/// `1/q` over the coefficient space, i.e. negligible. Rearranged, with the
+/// key coefficients summed per distinct key, the whole check is a single
+/// multi-scalar multiplication of width `n + k + 1` for `k` keys (`n + 2`
+/// for a registration cohort under the one IdMgr key):
 ///
 /// ```text
-/// Π Rᵢ^{zᵢ} · Π pkᵢ^{zᵢ·eᵢ} · g^{−Σ zᵢ·sᵢ} == identity
+/// Π Rᵢ^{zᵢ} · Π_pk pk^{Σ_{pkᵢ = pk} zᵢ·eᵢ} · g^{−Σ zᵢ·sᵢ} == identity
 /// ```
 ///
 /// An empty batch is vacuously valid. A `false` result only says *some*
@@ -198,7 +215,8 @@ pub fn verify_batch<G: CyclicGroup>(
     }
     let transcript = t.finalize();
 
-    let mut terms = Vec::with_capacity(2 * items.len() + 1);
+    let mut terms = Vec::with_capacity(items.len() + 2);
+    let mut keys: Vec<(&G::Elem, Scalar)> = Vec::new();
     let mut s_acc = sc.zero();
     for (i, (vk, msg, sig)) in items.iter().enumerate() {
         let mut h = Sha256::new();
@@ -214,9 +232,14 @@ pub fn verify_batch<G: CyclicGroup>(
         }
         let e = challenge(group, &sig.big_r, msg);
         s_acc = &s_acc + &(&z * &sig.s);
-        terms.push((sig.big_r.clone(), z.clone()));
-        terms.push((vk.pk.clone(), &z * &e));
+        let ze = &z * &e;
+        terms.push((sig.big_r.clone(), z));
+        match keys.iter_mut().find(|(pk, _)| **pk == vk.pk) {
+            Some((_, c)) => *c = &*c + &ze,
+            None => keys.push((&vk.pk, ze)),
+        }
     }
+    terms.extend(keys.into_iter().map(|(pk, c)| (pk.clone(), c)));
     terms.push((group.generator(), -&s_acc));
     group.is_identity(&group.msm(&terms))
 }

@@ -34,6 +34,10 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
     /// Group element representation.
     type Elem: Clone + PartialEq + Eq + Debug + Send + Sync;
 
+    /// Precomputation for a long-lived public base `B`, built once by
+    /// [`CyclicGroup::prepare`] and reused by every [`CyclicGroup::check`].
+    type Prepared: Send + Sync;
+
     /// Human-readable backend name (used by benches and reports).
     fn name(&self) -> &'static str;
 
@@ -95,15 +99,13 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
         self.exp(&self.pedersen_h(), k)
     }
 
-    /// Simultaneous double exponentiation `a^x · b^y`.
-    ///
-    /// The workhorse of verification equations (Schnorr's
-    /// `g^s · pk^{−e}`). Backends override this with Straus/Shamir
-    /// interleaving — one shared doubling chain instead of two — while the
-    /// default composes the two naive exponentiations.
-    fn exp2(&self, a: &Self::Elem, x: &Scalar, b: &Self::Elem, y: &Scalar) -> Self::Elem {
-        self.op(&self.exp(a, x), &self.exp(b, y))
-    }
+    /// Builds the [`CyclicGroup::Prepared`] form of a non-identity base.
+    fn prepare(&self, base: &Self::Elem) -> Self::Prepared;
+
+    /// Whether `g^x · B^y == expected` for a prepared base `B`: the
+    /// verification equation (Schnorr's `g^s · pk^{−e} == R`). Counts as
+    /// one double exponentiation in [`crate::ops`].
+    fn check(&self, x: &Scalar, base: &Self::Prepared, y: &Scalar, expected: &Self::Elem) -> bool;
 
     /// The Pedersen commitment body `g^m · h^r`.
     ///
@@ -162,10 +164,10 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
     ///
     /// The workhorse of batched verification (one random-linear-combination
     /// Schnorr check over a whole cohort collapses to a single `msm` of
-    /// width `2n + 1`). Backends override this with Pippenger's bucket
-    /// method — asymptotically `O(n / log n)` group operations per term —
-    /// while the default composes per-term exponentiations so third-party
-    /// backends keep working unchanged.
+    /// width `n + k + 1` for `k` distinct keys). Backends override this
+    /// with Pippenger's bucket method — asymptotically `O(n / log n)` group
+    /// operations per term — while the default composes per-term
+    /// exponentiations so third-party backends keep working unchanged.
     fn msm(&self, terms: &[(Self::Elem, Scalar)]) -> Self::Elem {
         let mut acc = self.identity();
         for (base, k) in terms {

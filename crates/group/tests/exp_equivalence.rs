@@ -1,12 +1,14 @@
 //! Equivalence suite for the fast exponentiation paths: every optimized
-//! route (sliding-window/wNAF `exp`, fixed-base `exp_g`/`exp_h`, Straus
-//! `exp2`, `pedersen_gh`, `prod_pow2`, and the list primitives
+//! route (sliding-window/wNAF `exp`, fixed-base `exp_g`/`exp_h`,
+//! `pedersen_gh`, `prod_pow2`, and the list primitives
 //! `exp_shared_scalar_shifted`, `exp_shared_base`, `pedersen_gh_many`)
 //! must agree **bit-identically** with
 //! the naive double-and-add reference ladder, on both backends, for
-//! random scalars and the edge exponents `0, 1, 2, q−1`. Also pins down
-//! table-rebuild behaviour across clones/fresh instances and
-//! cross-instance serialization stability.
+//! random scalars and the edge exponents `0, 1, 2, q−1`, and the prepared
+//! verification check must accept exactly the naive `g^x · b^y`. Also pins
+//! down table-rebuild behaviour across clones/fresh instances,
+//! cross-instance serialization stability, and Schnorr verification
+//! under prepared keys, singly and in batches.
 
 use pbcd_group::{CyclicGroup, ModpGroup, P256Group, Scalar};
 use pbcd_math::U256;
@@ -66,13 +68,6 @@ fn check_all_paths<G: NaiveExp>(group: &G, seed: u64, random: usize) {
     // Two-scalar paths over the case cross-product (bounded).
     for (i, x) in cases.iter().enumerate() {
         let y = &cases[(i + 3) % cases.len()];
-        let a = group.reference_exp(&g, &U256::from_u64(5));
-        let b = group.reference_exp(&h, &U256::from_u64(7));
-        let naive2 = group.op(
-            &group.reference_exp(&a, &x.to_uint()),
-            &group.reference_exp(&b, &y.to_uint()),
-        );
-        assert_eq!(group.exp2(&a, x, &b, y), naive2, "exp2");
         let naive_gh = group.op(
             &group.reference_exp(&g, &x.to_uint()),
             &group.reference_exp(&h, &y.to_uint()),
@@ -89,6 +84,57 @@ fn p256_all_paths_match_reference() {
 #[test]
 fn modp_all_paths_match_reference() {
     check_all_paths(&ModpGroup::new(), 0xB0B, 6);
+}
+
+/// The prepared check `g^x · b^y == expected` against the naive
+/// composition over the full case cross-product (so `x` or `y` of 0, 1
+/// and `q−1`): it accepts the naive result and refuses it shifted by one
+/// `g` or inverted (on P-256 the same `x` with the other `y`). Through a base of known logarithm, `b = g^7` and `y = −x/7`, it
+/// also accepts an `expected` that is the identity, and refuses it when
+/// `y` is off by one.
+fn check_prepared<G: NaiveExp>(group: &G, seed: u64, random: usize) {
+    let sc = group.scalar_ctx().clone();
+    let g = group.generator();
+    let b = group.reference_exp(&group.pedersen_h(), &U256::from_u64(7));
+    let prepared = group.prepare(&b);
+    let cases = scalar_cases(group, seed, random);
+    let gx: Vec<_> = cases
+        .iter()
+        .map(|x| group.reference_exp(&g, &x.to_uint()))
+        .collect();
+    let by: Vec<_> = cases
+        .iter()
+        .map(|y| group.reference_exp(&b, &y.to_uint()))
+        .collect();
+    for (x, gx) in cases.iter().zip(&gx) {
+        for (y, by) in cases.iter().zip(&by) {
+            let naive = group.op(gx, by);
+            assert!(group.check(x, &prepared, y, &naive), "accepts g^x·b^y");
+            let shifted = group.op(&naive, &g);
+            assert!(!group.check(x, &prepared, y, &shifted), "refuses ·g");
+            let inverse = group.inv(&naive);
+            let refused = !group.check(x, &prepared, y, &inverse);
+            assert!(refused || group.is_identity(&naive), "refuses the inverse");
+        }
+    }
+    let g7 = group.prepare(&group.reference_exp(&g, &U256::from_u64(7)));
+    let inv7 = sc.from_u64(7).inv().expect("7 < q");
+    for x in &cases {
+        let y = -&(x * &inv7);
+        assert!(group.check(x, &g7, &y, &group.identity()), "identity");
+        let off = &y + &sc.one();
+        assert!(!group.check(x, &g7, &off, &group.identity()), "off by one");
+    }
+}
+
+#[test]
+fn p256_prepared_check_matches_naive_composition() {
+    check_prepared(&P256Group::new(), 0xC4EC, 12);
+}
+
+#[test]
+fn modp_prepared_check_matches_naive_composition() {
+    check_prepared(&ModpGroup::new(), 0xC4ED, 6);
 }
 
 fn check_prod_pow2<G: NaiveExp>(group: &G, seed: u64) {
@@ -297,6 +343,122 @@ fn modp_verify_batch_soundness() {
     check_verify_batch(&ModpGroup::new(), 0x5162);
 }
 
+/// Signatures under prepared keys: an `R` that is the identity
+/// (`s = e·sk`) verifies, a deserialized key verifies exactly what the
+/// generated one does, the identity is refused as a key, and the
+/// `(R = g^s, s)` forgery it would admit fails under every key that can
+/// still be built.
+fn check_prepared_keys<G: CyclicGroup>(group: &G, seed: u64) {
+    use pbcd_group::{challenge, Signature, SigningKey, VerifyingKey};
+    let sc = group.scalar_ctx().clone();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let msg: &[u8] = b"identity token";
+    let other: &[u8] = b"another token";
+
+    let sk = group.random_nonzero_scalar(&mut rng);
+    let known = VerifyingKey::from_element(group, group.exp_g(&sk)).expect("non-identity");
+    let e = challenge(group, &group.identity(), msg);
+    let r_identity = Signature::<G> {
+        big_r: group.identity(),
+        s: &e * &sk,
+    };
+    assert!(
+        known.verify(group, msg, &r_identity),
+        "R = identity verifies"
+    );
+    assert!(!known.verify(group, other, &r_identity));
+
+    let key = SigningKey::generate(group, &mut rng);
+    let generated = key.verifying_key();
+    let loaded = VerifyingKey::deserialize(group, &generated.serialize(group)).expect("valid");
+    assert_eq!(loaded, generated);
+    let good = key.sign(group, &mut rng, msg);
+    let tampered = Signature::<G> {
+        big_r: good.big_r.clone(),
+        s: &good.s + &sc.one(),
+    };
+    let other_sig = key.sign(group, &mut rng, other);
+    for sig in [&good, &tampered, &r_identity, &other_sig] {
+        for m in [msg, other] {
+            assert_eq!(
+                loaded.verify(group, m, sig),
+                generated.verify(group, m, sig)
+            );
+        }
+    }
+    assert!(loaded.verify(group, msg, &good) && loaded.verify(group, other, &other_sig));
+
+    let identity = group.identity();
+    assert!(VerifyingKey::<G>::from_element(group, identity.clone()).is_none());
+    assert!(VerifyingKey::<G>::deserialize(group, &group.serialize(&identity)).is_none());
+    let s = group.random_scalar(&mut rng);
+    let forged = Signature::<G> {
+        big_r: group.exp_g(&s),
+        s,
+    };
+    let h_bytes = group.serialize(&group.pedersen_h());
+    let keys = [
+        generated,
+        loaded,
+        known,
+        VerifyingKey::from_element(group, group.generator()).expect("g"),
+        VerifyingKey::deserialize(group, &h_bytes).expect("h"),
+    ];
+    for vk in &keys {
+        assert!(!vk.verify(group, msg, &forged), "forgery refused");
+    }
+}
+
+#[test]
+fn p256_prepared_keys_verify_like_generated_and_refuse_identity() {
+    check_prepared_keys(&P256Group::new(), 0x1D1);
+}
+
+#[test]
+fn modp_prepared_keys_verify_like_generated_and_refuse_identity() {
+    check_prepared_keys(&ModpGroup::new(), 0x1D2);
+}
+
+/// The merged-coefficient batch under two interleaved keys: all valid
+/// accepts, one forged member rejects.
+fn check_batch_two_keys<G: CyclicGroup>(group: &G, seed: u64) {
+    use pbcd_group::{verify_batch, Signature, SigningKey, VerifyingKey};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let keys = [
+        SigningKey::generate(group, &mut rng),
+        SigningKey::generate(group, &mut rng),
+    ];
+    let vks = [keys[0].verifying_key(), keys[1].verifying_key()];
+    let msgs: Vec<Vec<u8>> = (0..6).map(|i| format!("token {i}").into_bytes()).collect();
+    let mut sigs: Vec<Signature<G>> = msgs
+        .iter()
+        .enumerate()
+        .map(|(i, m)| keys[i % 2].sign(group, &mut rng, m))
+        .collect();
+    let batch = |sigs: &[Signature<G>]| -> bool {
+        let items: Vec<(&VerifyingKey<G>, &[u8], &Signature<G>)> = msgs
+            .iter()
+            .zip(sigs)
+            .enumerate()
+            .map(|(i, (m, s))| (&vks[i % 2], m.as_slice(), s))
+            .collect();
+        verify_batch(group, &items)
+    };
+    assert!(batch(&sigs), "all valid under two keys");
+    sigs[3] = keys[0].sign(group, &mut rng, &msgs[3]);
+    assert!(!batch(&sigs), "member 3 signed by the other key");
+}
+
+#[test]
+fn p256_verify_batch_two_interleaved_keys() {
+    check_batch_two_keys(&P256Group::new(), 0x2B1);
+}
+
+#[test]
+fn modp_verify_batch_two_interleaved_keys() {
+    check_batch_two_keys(&ModpGroup::new(), 0x2B2);
+}
+
 /// Known-answer pins for the dedicated P-256 field kernel: the Montgomery
 /// representation must round-trip the curve constants, and the kernel's
 /// mul/sqr/inv agree with an independent [`pbcd_math::MontCtx`] over the
@@ -390,7 +552,7 @@ proptest! {
             &g.exp_naive(&gen, &x.to_uint()),
             &g.exp_naive(&base, &y.to_uint()),
         );
-        prop_assert_eq!(g.exp2(&gen, &x, &base, &y), naive2);
+        prop_assert!(g.check(&x, &g.prepare(&base), &y, &naive2));
     }
 
     /// The dedicated field kernel's lazy Montgomery reduction must agree
