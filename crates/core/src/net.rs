@@ -108,11 +108,6 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
         Ok(bound)
     }
 
-    /// The registration endpoint's address, if serving.
-    pub fn registration_addr(&self) -> Option<SocketAddr> {
-        self.registration.as_ref().map(RegistrationServer::addr)
-    }
-
     /// Runs `f` against the wrapped publisher (policy inspection, table
     /// audits).
     pub fn with_publisher<T>(&self, f: impl FnOnce(&Publisher<G, K>) -> T) -> T {

@@ -10,11 +10,12 @@
 use crate::error::PbcdError;
 use crate::token::IdentityToken;
 use pbcd_crypto::AuthKey;
-use pbcd_docs::{segment, BroadcastContainer, Element, EncryptedGroup, EncryptedSegment};
+use pbcd_docs::{segment, BroadcastContainer, Element, EncryptedGroup, EncryptedSegment, Segment};
 use pbcd_gkm::{AccessRow, AcvBgkm, BroadcastGkm, CssTable, Nym, ShardedCssTable};
 use pbcd_group::{verify_batch, CyclicGroup, Signature, VerifyingKey};
 use pbcd_ocbe::{Envelope, OcbeSystem, ProofMessage};
 use pbcd_policy::{AttributeCondition, PolicyConfiguration, PolicySet};
+use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,8 +28,6 @@ pub struct PublisherConfig {
     pub ell: u32,
     /// CSS width κ in bits (default 128).
     pub kappa_bits: u32,
-    /// Rekey/encrypt policy configurations on parallel threads.
-    pub parallel_broadcast: bool,
 }
 
 impl Default for PublisherConfig {
@@ -36,7 +35,6 @@ impl Default for PublisherConfig {
         Self {
             ell: 48,
             kappa_bits: 128,
-            parallel_broadcast: false,
         }
     }
 }
@@ -55,7 +53,6 @@ pub struct Publisher<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
     table: Arc<ShardedCssTable>,
     gkm: K,
     epoch: u64,
-    config: PublisherConfig,
 }
 
 impl<G: CyclicGroup> Publisher<G> {
@@ -94,7 +91,6 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
             table: Arc::new(ShardedCssTable::new(config.kappa_bits)),
             gkm,
             epoch: 0,
-            config,
         }
     }
 
@@ -221,6 +217,18 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
     /// configuration and encrypts. Every broadcast is a fresh rekey —
     /// joins and revocations since the last broadcast take effect here with
     /// no message to any subscriber.
+    ///
+    /// **Randomness schedule.** All draws from `rng` come first, by
+    /// `fill_bytes`: one 32-byte seed per configuration in container group
+    /// order, then one 12-byte nonce per segment in container order.
+    /// Configuration *i* rekeys on `StdRng::from_seed(seedᵢ)`, and segment
+    /// *j* is `AuthKey::encrypt_with_nonce(nonceⱼ, …)` under its group's
+    /// key. The rest is a pure function of the draws: the rekeys (one per
+    /// configuration) and encrypt + MAC (one per segment) are independent
+    /// tasks — §VII: "computations related to different subdocuments are
+    /// independent … and thus can be performed in parallel" — so running
+    /// them on any number of threads cannot change a byte. They run in
+    /// order on the calling thread.
     pub fn broadcast<R: RngCore + ?Sized>(
         &mut self,
         doc: &Element,
@@ -243,29 +251,39 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         let segmented = segment(doc, doc_name, &tags);
 
         // Group segment ids by policy configuration.
-        let mut by_config: BTreeMap<PolicyConfiguration, Vec<&pbcd_docs::Segment>> =
-            BTreeMap::new();
+        let mut by_config: BTreeMap<PolicyConfiguration, Vec<&Segment>> = BTreeMap::new();
         for seg in &segmented.segments {
             by_config
-                .entry(self.policies.configuration_of(&seg.tag))
+                .entry(self.policies.configuration_in(doc_name, &seg.tag))
                 .or_default()
                 .push(seg);
         }
 
-        let jobs: Vec<(u32, PolicyConfiguration, Vec<&pbcd_docs::Segment>)> = by_config
-            .into_iter()
+        // The schedule's draws, all up front: seeds, then nonces.
+        let seeds: Vec<[u8; 32]> = by_config.keys().map(|_| draw(rng)).collect();
+        let nonces: Vec<[u8; 12]> = segmented.segments.iter().map(|_| draw(rng)).collect();
+        let mut nonces = nonces.iter();
+        let groups = by_config
+            .iter()
+            .zip(seeds)
             .enumerate()
-            .map(|(i, (pc, segs))| (i as u32, pc, segs))
+            .map(|(i, ((pc, segs), seed))| {
+                let (key, key_info) = self.rekey(pc, seed);
+                let segments = segs.iter().zip(&mut nonces).map(|(seg, nonce)| {
+                    let plaintext = seg.content.to_xml();
+                    EncryptedSegment {
+                        segment_id: seg.id,
+                        tag: seg.tag.clone(),
+                        ciphertext: key.encrypt_with_nonce(nonce, plaintext.as_bytes()),
+                    }
+                });
+                EncryptedGroup {
+                    config_id: i as u32,
+                    key_info,
+                    segments: segments.collect(),
+                }
+            })
             .collect();
-
-        let groups = if self.config.parallel_broadcast {
-            self.encrypt_groups_parallel(&jobs, rng)
-        } else {
-            jobs.iter()
-                .map(|(id, pc, segs)| self.encrypt_group(*id, pc, segs, rng))
-                .collect()
-        };
-
         BroadcastContainer {
             epoch: self.epoch,
             document_name: doc_name.to_string(),
@@ -274,69 +292,25 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         }
     }
 
-    fn encrypt_group<R: RngCore + ?Sized>(
-        &self,
-        config_id: u32,
-        pc: &PolicyConfiguration,
-        segs: &[&pbcd_docs::Segment],
-        rng: &mut R,
-    ) -> EncryptedGroup {
-        // Empty configuration: nobody may read — encrypt under a throwaway
-        // key and publish no key material (paper: "without the need of
-        // publishing X or zi").
-        let (key_bytes, key_info) = if pc.is_empty() {
-            let mut k = vec![0u8; 32];
-            rng.fill_bytes(&mut k);
-            (k, Vec::new())
-        } else {
-            let rows = self.access_rows(pc);
-            let (k, info) = self.gkm.rekey(&rows, rng);
-            (k, self.gkm.encode_info(&info))
-        };
-        let key = AuthKey::from_master(&key_bytes);
-        let segments = segs
-            .iter()
-            .map(|seg| EncryptedSegment {
-                segment_id: seg.id,
-                tag: seg.tag.clone(),
-                ciphertext: key.encrypt(rng, seg.content.to_xml().as_bytes()),
-            })
-            .collect();
-        EncryptedGroup {
-            config_id,
-            key_info,
-            segments,
+    /// One configuration's key and encoded public info, drawn from its own
+    /// seed. An empty configuration gets a throwaway key and no key
+    /// material: nobody may read (paper: "without the need of publishing X
+    /// or zi").
+    fn rekey(&self, pc: &PolicyConfiguration, seed: [u8; 32]) -> (AuthKey, Vec<u8>) {
+        let mut rng = StdRng::from_seed(seed);
+        if pc.is_empty() {
+            return (AuthKey::from_master(&draw::<32>(&mut rng)), Vec::new());
         }
+        let (key, info) = self.gkm.rekey(&self.access_rows(pc), &mut rng);
+        (AuthKey::from_master(&key), self.gkm.encode_info(&info))
     }
+}
 
-    /// Parallel per-configuration rekey: the paper notes "computations
-    /// related to different subdocuments are independent … and thus can be
-    /// performed in parallel" (§VII).
-    fn encrypt_groups_parallel<R: RngCore + ?Sized>(
-        &self,
-        jobs: &[(u32, PolicyConfiguration, Vec<&pbcd_docs::Segment>)],
-        rng: &mut R,
-    ) -> Vec<EncryptedGroup> {
-        // One independently seeded RNG per job, derived from the caller's.
-        let seeds: Vec<u64> = jobs.iter().map(|_| rng.next_u64()).collect();
-        let results = std::sync::Mutex::new(vec![None; jobs.len()]);
-        std::thread::scope(|scope| {
-            for (idx, ((id, pc, segs), seed)) in jobs.iter().zip(&seeds).enumerate() {
-                let results = &results;
-                scope.spawn(move || {
-                    let mut job_rng = rand::rngs::StdRng::seed_from_u64(*seed);
-                    let group = self.encrypt_group(*id, pc, segs, &mut job_rng);
-                    results.lock().expect("broadcast worker panicked")[idx] = Some(group);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .expect("broadcast worker panicked")
-            .into_iter()
-            .map(|g| g.expect("every job completed"))
-            .collect()
-    }
+/// One draw of the schedule: `N` bytes by one `fill_bytes`.
+fn draw<const N: usize>(rng: &mut (impl RngCore + ?Sized)) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    rng.fill_bytes(&mut bytes);
+    bytes
 }
 
 /// The registration half of a [`Publisher`], detached for concurrency:

@@ -191,9 +191,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> Subscriber<G, K> {
     /// reassembles the document, redacting the rest.
     ///
     /// For each encrypted group the subscriber identifies the policy
-    /// configuration from the (public) segment tags, picks an ACP whose
-    /// CSSs it holds, derives the key and decrypts — exactly the paper's
-    /// "Decryption Key Derivation" procedure.
+    /// configuration from the (public) document name and segment tags,
+    /// picks an ACP whose CSSs it holds, derives the key and decrypts —
+    /// exactly the paper's "Decryption Key Derivation" procedure.
     pub fn decrypt_broadcast(
         &self,
         container: &BroadcastContainer,
@@ -213,7 +213,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> Subscriber<G, K> {
                 continue;
             };
             let nym = self.nym.as_deref().unwrap_or("");
-            let pc = policies.configuration_of(&group.segments[0].tag);
+            let pc = policies.configuration_in(&container.document_name, &group.segments[0].tag);
             // Try each member ACP whose CSSs we hold until one key checks out.
             for acp_id in pc.acp_ids() {
                 let Some(acp) = policies.get(acp_id) else {

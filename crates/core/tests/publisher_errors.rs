@@ -138,7 +138,6 @@ fn custom_config_is_respected() {
     let config = PublisherConfig {
         ell: 16,
         kappa_bits: 64,
-        parallel_broadcast: false,
     };
     let group = P256Group::new();
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);

@@ -53,8 +53,16 @@ impl AuthKey {
         self.encrypt_with_nonce(&nonce, plaintext)
     }
 
-    /// Encrypts with an explicit nonce (deterministic; for tests and
-    /// reproducible fixtures — never reuse a nonce under one key).
+    /// Encrypts with an explicit nonce: the output is a pure function of
+    /// key, nonce and plaintext. `pbcd_core`'s `Publisher::broadcast` calls
+    /// this for every segment, with 96-bit nonces it draws fresh from the
+    /// caller's RNG before any encryption, so its bytes do not depend on
+    /// how the work is scheduled.
+    ///
+    /// **Never reuse a nonce under one key**: two messages under the same
+    /// key and nonce share a keystream, which leaks the XOR of their
+    /// plaintexts. Without a counter to guarantee uniqueness, draw each
+    /// nonce at random as [`AuthKey::encrypt`] does.
     pub fn encrypt_with_nonce(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
         let aes = Aes::new(&self.enc);
         let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);

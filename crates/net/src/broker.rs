@@ -13,10 +13,10 @@
 //! malformed or protocol-violating connection is dropped in isolation
 //! (never panicking a broker thread), and slow or dead subscribers are
 //! disconnected rather than allowed to wedge fan-out. With a
-//! [`BrokerConfig::publisher_auth`] key map configured, retained state can
-//! only be mutated by holders of an authorized Schnorr signing key
-//! (availability against hostile publishers); the broker verifies with
-//! public keys only.
+//! [`BrokerConfig::publisher_auth`] key map configured, publishes need an
+//! authorized Schnorr signing key (availability against hostile publishers;
+//! relayed containers from accepted peers carry no signature and bypass
+//! it); the broker verifies with public keys only.
 //!
 //! # Concurrency
 //!
@@ -786,27 +786,7 @@ impl BrokerHandle {
             io.writer.join();
             io.reader.join();
         }
-        // Unblock the accept loop. An unspecified bind address (0.0.0.0 /
-        // ::) is not connectable on every platform — wake via loopback on
-        // the bound port instead, and bound the attempt so shutdown can
-        // never hang on an unreachable listener.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
-            Ok(_) => {
-                let _ = accept.join();
-            }
-            // Wake unreachable (e.g. the bound interface vanished): the
-            // accept thread may stay parked in accept(); leak it rather
-            // than hang shutdown/Drop forever. Connection threads were
-            // already closed above.
-            Err(_) => drop(accept),
-        }
+        crate::direct::wake_and_join(self.addr, accept);
     }
 }
 

@@ -30,7 +30,9 @@ use crate::error::NetError;
 use crate::frame::{read_body_bounded, write_body, MAX_FRAME_LEN};
 use pbcd_telemetry::{Counter, Histogram, Registry, Snapshot};
 use std::collections::HashMap;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -178,24 +180,24 @@ impl RegistrationServer {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         }
-        // Unblock the accept loop; an unspecified bind address (0.0.0.0 /
-        // ::) is not connectable everywhere, so wake via loopback, bounded
-        // so shutdown can never hang on an unreachable listener.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        match TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
-            Ok(_) => {
-                let _ = accept.join();
-            }
-            // Wake unreachable: leak the accept thread rather than hang
-            // shutdown forever; connections were already closed above.
-            Err(_) => drop(accept),
-        }
+        wake_and_join(self.addr, accept);
+    }
+}
+
+/// Unblocks the accept loop listening on `addr` and joins it. An
+/// unspecified bind address (0.0.0.0 / ::) is not connectable everywhere,
+/// so the wake goes via loopback, bounded so shutdown can never hang on an
+/// unreachable listener: then the accept thread is leaked, not joined (the
+/// caller has already closed every connection).
+pub(crate) fn wake_and_join(mut addr: SocketAddr, accept: JoinHandle<()>) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok() {
+        let _ = accept.join();
     }
 }
 

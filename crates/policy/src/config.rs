@@ -107,7 +107,20 @@ impl PolicySet {
         self.acps.is_empty()
     }
 
-    /// The policy configuration of a single subdocument.
+    /// The policy configuration of subdocument `subdocument` of `document`:
+    /// the policies that name both. This is what a broadcast is keyed by, on
+    /// the publisher's side and the subscriber's.
+    pub fn configuration_in(&self, document: &str, subdocument: &str) -> PolicyConfiguration {
+        PolicyConfiguration::from_ids(
+            self.iter()
+                .filter(|(_, p)| p.document == document && p.applies_to(subdocument))
+                .map(|(id, _)| id),
+        )
+    }
+
+    /// The policy configuration of a subdocument name across every
+    /// document. Only right when object names are unique across documents;
+    /// a broadcast uses [`Self::configuration_in`].
     pub fn configuration_of(&self, subdocument: &str) -> PolicyConfiguration {
         PolicyConfiguration::from_ids(
             self.iter()
@@ -242,6 +255,26 @@ mod tests {
         // Unknown tags have the empty configuration.
         assert!(set.configuration_of("SocialHistory").is_empty());
         let _ = a3;
+    }
+
+    #[test]
+    fn configuration_in_is_scoped_to_the_document() {
+        let mut set = example4_policies();
+        let other = set.add(AccessControlPolicy::new(
+            vec![AttributeCondition::eq_str("role", "int")],
+            &["ContactInfo"],
+            "Other.xml",
+        ));
+        assert_eq!(
+            set.configuration_in("EHR.xml", "ContactInfo"),
+            PolicyConfiguration::from_ids([AcpId(0), AcpId(3), AcpId(4)])
+        );
+        assert_eq!(
+            set.configuration_in("Other.xml", "ContactInfo"),
+            PolicyConfiguration::from_ids([other])
+        );
+        assert!(set.configuration_in("Other.xml", "BillingInfo").is_empty());
+        assert!(set.configuration_of("ContactInfo").contains(other));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The publisher's parallel per-configuration rekey path (paper §VII:
-//! "computations related to different subdocuments are independent … and
-//! thus can be performed in parallel") must be semantically identical to
-//! the serial path.
+//! The publisher has one broadcast path. Its rekeys and encryptions are
+//! independent tasks (paper §VII: "computations related to different
+//! subdocuments are independent … and thus can be performed in parallel"),
+//! fed by randomness drawn up front in a documented order. Access semantics
+//! must be exactly the policies', and one seed must give one container.
 
-use pbcd::core::{PublisherConfig, SystemHarness};
+use pbcd::core::SystemHarness;
 use pbcd::docs::ehr_document;
-use pbcd::group::P256Group;
 use pbcd::policy::{
     AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet,
 };
@@ -42,11 +42,7 @@ fn policies() -> PolicySet {
 
 #[test]
 fn parallel_broadcast_matches_serial_semantics() {
-    let config = PublisherConfig {
-        parallel_broadcast: true,
-        ..PublisherConfig::default()
-    };
-    let mut sys = SystemHarness::new(P256Group::new(), policies(), config, 77);
+    let mut sys = SystemHarness::new_p256(policies(), 77);
     let rec = sys.subscribe("rita", AttributeSet::new().with_str("role", "rec"));
     let nurse = sys.subscribe(
         "nancy",
@@ -60,7 +56,7 @@ fn parallel_broadcast_matches_serial_semantics() {
     let bc = sys.publisher.broadcast(&ehr, "EHR.xml", &mut sys.rng);
     let pol = sys.publisher.policies();
 
-    // Same group/segment structure as a serial broadcast would produce.
+    // One group per policy configuration, every policy object segmented.
     let tags: Vec<&str> = bc
         .groups
         .iter()
@@ -70,7 +66,7 @@ fn parallel_broadcast_matches_serial_semantics() {
     assert!(tags.contains(&"BillingInfo"));
     assert!(tags.contains(&"Medication"));
 
-    // Access semantics identical to the serial path.
+    // Each reader sees exactly what its policies grant.
     let v = rec.decrypt_broadcast(&bc, pol).unwrap();
     assert!(v.find("ContactInfo").is_some());
     assert!(v.find("Medication").is_none());
@@ -85,17 +81,11 @@ fn parallel_broadcast_matches_serial_semantics() {
 
 #[test]
 fn parallel_and_serial_broadcasts_decrypt_identically() {
-    // Two publishers with identical state except the parallelism flag:
-    // both broadcasts must decrypt to the same document view.
-    let mk = |parallel: bool, seed: u64| {
-        let config = PublisherConfig {
-            parallel_broadcast: parallel,
-            ..PublisherConfig::default()
-        };
-        SystemHarness::new(P256Group::new(), policies(), config, seed)
-    };
-    for (parallel, seed) in [(false, 5u64), (true, 5u64)] {
-        let mut sys = mk(parallel, seed);
+    // Same-seed determinism, not serial against parallel (there is one
+    // path): two publishers built from one seed give byte-identical
+    // containers, and the nurse reads her subdocuments in one.
+    let run = || {
+        let mut sys = SystemHarness::new_p256(policies(), 5);
         let nurse = sys.subscribe(
             "nancy",
             AttributeSet::new()
@@ -107,17 +97,19 @@ fn parallel_and_serial_broadcasts_decrypt_identically() {
         let view = nurse
             .decrypt_broadcast(&bc, sys.publisher.policies())
             .unwrap();
-        // The nurse's view contains her five subdocuments regardless of
-        // the publisher's threading.
-        for tag in [
-            "ContactInfo",
-            "Medication",
-            "PhysicalExams",
-            "LabRecords",
-            "Plan",
-        ] {
-            assert!(view.find(tag).is_some(), "parallel={parallel} tag={tag}");
-        }
-        assert!(view.find("BillingInfo").is_none());
+        (bc.encode().unwrap(), view)
+    };
+    let (bytes, view) = run();
+    assert_eq!(bytes, run().0, "one seed, one container");
+    // The nurse's view contains her five subdocuments.
+    for tag in [
+        "ContactInfo",
+        "Medication",
+        "PhysicalExams",
+        "LabRecords",
+        "Plan",
+    ] {
+        assert!(view.find(tag).is_some(), "tag={tag}");
     }
+    assert!(view.find("BillingInfo").is_none());
 }

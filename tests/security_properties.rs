@@ -1,6 +1,7 @@
 //! Integration tests for the security requirements of paper §I/§VI:
 //! forward secrecy, backward secrecy, collusion resistance, revocation
-//! (credential and subscription), credential update, and user privacy.
+//! (credential and subscription), credential update, user privacy, and
+//! policies that grant access within their own document only.
 
 use pbcd::core::SystemHarness;
 use pbcd::docs::Element;
@@ -291,4 +292,37 @@ fn container_tampering_is_detected() {
         }
     }
     assert!(!can_read(&doctor, &tampered, pol));
+}
+
+#[test]
+fn a_policy_on_one_document_grants_nothing_in_another() {
+    // One object name, two documents, a different audience for each: the
+    // intern's policy on b.xml must not open a.xml's Note, and the
+    // doctor's policy on a.xml must not open b.xml's.
+    let mut set = PolicySet::new();
+    for (role, document) in [("doctor", "a.xml"), ("intern", "b.xml")] {
+        let subject = vec![AttributeCondition::eq_str("role", role)];
+        set.add(AccessControlPolicy::new(subject, &["Note"], document));
+    }
+    let mut sys = SystemHarness::new_p256(set, 10);
+    let doctor = sys.subscribe("dora", AttributeSet::new().with_str("role", "doctor"));
+    let intern = sys.subscribe("ivan", AttributeSet::new().with_str("role", "intern"));
+    let memo = Element::new("Memo").child(Element::new("Note").text("doctors only"));
+    let a = sys.publisher.broadcast(&memo, "a.xml", &mut sys.rng);
+    let b = sys.publisher.broadcast(&memo, "b.xml", &mut sys.rng);
+    let pol = sys.publisher.policies();
+    let reads = |sub: &pbcd::core::Subscriber<pbcd::group::P256Group>, bc| {
+        let view = sub.decrypt_broadcast(bc, pol).expect("decrypts");
+        view.find("Note").is_some()
+    };
+    assert!(reads(&doctor, &a), "the doctor reads a.xml's Note");
+    assert!(
+        !reads(&intern, &a),
+        "b.xml's policy must not open a.xml's Note"
+    );
+    assert!(reads(&intern, &b), "the intern reads b.xml's Note");
+    assert!(
+        !reads(&doctor, &b),
+        "a.xml's policy must not open b.xml's Note"
+    );
 }
