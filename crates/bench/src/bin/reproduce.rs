@@ -1,5 +1,6 @@
 //! Regenerates every table and figure of the paper's evaluation (§VII),
-//! plus the ablations listed in DESIGN.md §5.
+//! plus the `ablation-*` targets below; the GKM ones drive the reproduction
+//! surface that `docs/ARCHITECTURE.md`, "The GKM seam", names.
 //!
 //! Usage:
 //!   reproduce [--quick] [table2|fig2|fig3|fig4|fig5|fig6|

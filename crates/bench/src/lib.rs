@@ -2,8 +2,9 @@
 //!
 //! Workload generators, measurement helpers and naive reference twins for
 //! the `reproduce` binary, which regenerates every table and figure of the
-//! paper's evaluation (§VII). See DESIGN.md §5 for the
-//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
+//! paper's evaluation (§VII). The binary's module docs list its targets;
+//! `docs/ARCHITECTURE.md` places this crate in the crate map and names
+//! the ablations' reproduction surface in "The GKM seam".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

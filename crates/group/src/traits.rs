@@ -6,8 +6,9 @@
 //! and canonical serialization. The paper instantiated this with the
 //! Jacobian of a genus-2 curve (G2HEC); this workspace substitutes NIST
 //! P-256 ([`crate::p256::P256Group`], default) and an RFC 5114 modp Schnorr
-//! group ([`crate::modp::ModpGroup`]) — see DESIGN.md §3 for why the
-//! substitution preserves the paper's behaviour.
+//! group ([`crate::modp::ModpGroup`]). The protocols are generic over this
+//! trait, so the substitution changes costs, not behaviour; both backends
+//! are described in `docs/ARCHITECTURE.md`, "Group arithmetic".
 
 use pbcd_math::{Fp, FpCtx, U256};
 use rand::RngCore;

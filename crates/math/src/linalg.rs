@@ -8,9 +8,19 @@
 //! [`Matrix::random_null_vector`] is the production solve (echelon form plus
 //! back-substitution); [`Matrix::row_reduce`] and
 //! [`Matrix::null_space_basis`] are the Gauss–Jordan it is tested against.
+//!
+//! The production solve reduces once per matrix entry, not once per
+//! update: each elimination update adds an unreduced product to a wide
+//! per-entry sum, and an entry is reduced into its residue only when the
+//! elimination next reads it, or when the modulus' headroom in the
+//! Montgomery word runs out (never at the 80-bit GKM prime, whose sums can
+//! take 2^47 products). When that happens depends on the shape and the
+//! modulus, not on the entries.
 
 use crate::fp::{Fp, FpCtx};
+use crate::mont::Wide;
 use crate::uint::Uint;
+use core::ops::Range;
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -307,11 +317,17 @@ impl<const L: usize> Matrix<L> {
         }
         // Pivot row r reads `v·x[col] + Σ_{j>col} row[j]·x[j] = 0`, and
         // every x[j] right of its pivot is known by the time it is reached.
+        // The sum is reduced once per `budget` terms: once per row at q80.
+        let budget = mont.lazy_budget();
         for (r, &(col, inv)) in pivots.iter().enumerate().rev() {
-            let row = &echelon.data[r * cols..(r + 1) * cols];
+            let row = &echelon.data[r * cols + col + 1..(r + 1) * cols];
             let mut sum = Uint::ZERO;
-            for (a, v) in row[col + 1..].iter().zip(&x[col + 1..]) {
-                sum = mont.add(&sum, &mont.mont_mul(a, v));
+            for (a, v) in row.chunks(budget).zip(x[col + 1..].chunks(budget)) {
+                let mut wide = Wide::ZERO;
+                for (a, v) in a.iter().zip(v) {
+                    wide.mul_acc(a, v);
+                }
+                sum = mont.add(&sum, &mont.redc_wide(&wide));
             }
             x[col] = mont.neg(&mont.mont_mul(&sum, &inv));
         }
@@ -322,49 +338,90 @@ impl<const L: usize> Matrix<L> {
     /// Returns each pivot row's column and the inverse of its pivot value —
     /// the elimination factor needs the inverse anyway, and
     /// back-substitution divides by the same pivot.
+    ///
+    /// Updates are delayed, not done per step: entry `(r, j)` stands for
+    /// `data − redc(sum)`, where `sum` collects the unreduced products
+    /// `factor·pivot` of every step since the entry was last *settled*
+    /// (reduced into `data`, sum cleared). An entry is settled when its
+    /// column becomes the pivot column (rows not yet pivots, before the
+    /// pivot search) and when its row becomes the pivot row (after the
+    /// swap), so every value the elimination reads is reduced; and the
+    /// whole trailing block is settled every `MontCtx::lazy_budget`
+    /// pivots, so no sum outgrows what `redc_wide` can take. The
+    /// schedule depends on the shape, the pivot count and the modulus,
+    /// not on the entries. On return every entry is settled, so the
+    /// echelon form is exactly what reducing after every update gives.
     fn forward_eliminate(&mut self) -> Vec<(usize, Uint<L>)> {
         let ctx = Arc::clone(&self.ctx);
         let mont = ctx.mont();
+        let budget = mont.lazy_budget();
         let (rows, cols) = (self.rows, self.cols);
+        let mut sums = vec![Wide::ZERO; rows * cols];
+        // Settles the entries at `range` of the row-major buffers.
+        let settle = |data: &mut [Uint<L>], sums: &mut [Wide<L>], range: Range<usize>| {
+            for (d, s) in data[range.clone()].iter_mut().zip(&mut sums[range]) {
+                *d = mont.sub(d, &mont.redc_wide(s));
+                *s = Wide::ZERO;
+            }
+        };
         let mut pivots = Vec::with_capacity(rows.min(cols));
         for col in 0..cols {
             let pivot_row = pivots.len();
             if pivot_row == rows {
                 break;
             }
+            for i in (pivot_row..rows).map(|r| r * cols + col) {
+                settle(&mut self.data, &mut sums, i..i + 1);
+            }
             let Some(src) = (pivot_row..rows).find(|&r| !self.data[r * cols + col].is_zero())
             else {
                 continue;
             };
             self.swap_rows(src, pivot_row);
+            swap_row_slices(&mut sums, cols, src, pivot_row);
+            let tail = pivot_row * cols + col + 1..(pivot_row + 1) * cols;
+            settle(&mut self.data, &mut sums, tail);
             let (upper, lower) = self.data.split_at_mut((pivot_row + 1) * cols);
             let pivot_tail = &upper[pivot_row * cols + col..];
             let inv = mont.inv(&pivot_tail[0]).expect("pivot nonzero");
-            for row in lower.chunks_exact_mut(cols) {
-                let tail = &mut row[col..];
-                if tail[0].is_zero() {
+            let lower_sums = sums[(pivot_row + 1) * cols..].chunks_exact_mut(cols);
+            for (row, row_sums) in lower.chunks_exact_mut(cols).zip(lower_sums) {
+                if row[col].is_zero() {
                     continue;
                 }
-                let factor = mont.mont_mul(&tail[0], &inv);
-                tail[0] = Uint::ZERO;
-                for (t, p) in tail[1..].iter_mut().zip(&pivot_tail[1..]) {
-                    *t = mont.sub(t, &mont.mont_mul(&factor, p));
+                let factor = mont.mont_mul(&row[col], &inv);
+                row[col] = Uint::ZERO;
+                for (s, p) in row_sums[col + 1..].iter_mut().zip(&pivot_tail[1..]) {
+                    s.mul_acc(&factor, p);
                 }
             }
             pivots.push((col, inv));
+            if pivots.len() % budget == 0 {
+                for r in pivot_row + 1..rows {
+                    settle(
+                        &mut self.data,
+                        &mut sums,
+                        r * cols + col + 1..(r + 1) * cols,
+                    );
+                }
+            }
         }
         pivots
     }
 
     fn swap_rows(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let cols = self.cols;
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (first, second) = self.data.split_at_mut(hi * cols);
-        first[lo * cols..(lo + 1) * cols].swap_with_slice(&mut second[..cols]);
+        swap_row_slices(&mut self.data, self.cols, a, b);
     }
+}
+
+/// Swaps rows `a` and `b` of a row-major buffer with `cols` columns.
+fn swap_row_slices<T>(data: &mut [T], cols: usize, a: usize, b: usize) {
+    if a == b {
+        return;
+    }
+    let (lo, hi) = (a.min(b), a.max(b));
+    let (first, second) = data.split_at_mut(hi * cols);
+    first[lo * cols..(lo + 1) * cols].swap_with_slice(&mut second[..cols]);
 }
 
 impl<const L: usize> core::fmt::Debug for Matrix<L> {

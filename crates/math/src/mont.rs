@@ -14,8 +14,62 @@
 //! Values handled by the context are *residues in Montgomery form*:
 //! `mont(x) = x·R mod m` with `R = 2^(64·L)`. Conversion happens at the
 //! boundary via [`MontCtx::to_mont`] / [`MontCtx::from_mont`].
+//!
+//! Sums of products can also be reduced once instead of once per term.
+//! The crate-private `Wide` accumulator adds full `2L`-limb products
+//! with a carry chain whose length depends on `L` alone, and
+//! `redc_wide` reduces the total with one `L`-round Montgomery
+//! reduction and the same masked correction as `mont_mul`. The total
+//! must stay below `m·R`: `lazy_budget` is how many products of
+//! residues that allows, `2^(64·L − bits(m) − 1)` and at least one
+//! (2^47 at the 80-bit GKM prime, 1 for the P-256 moduli). The
+//! linear-algebra solve accumulates its elimination updates this way.
 
 use crate::uint::Uint;
+
+/// An unreduced sum `hi·R + lo` of products of residues, `R = 2^(64·L)`.
+///
+/// Two `L`-limb halves, because stable Rust cannot name `[u64; 2 * L]`.
+#[derive(Clone, Copy)]
+pub(crate) struct Wide<const L: usize> {
+    lo: [u64; L],
+    hi: [u64; L],
+}
+
+impl<const L: usize> Wide<L> {
+    /// The empty sum.
+    pub(crate) const ZERO: Self = Self {
+        lo: [0; L],
+        hi: [0; L],
+    };
+
+    /// Adds the full `2L`-limb product `a·b`. Each partial-product row
+    /// carries through to the top limb, so the work depends on `L` only;
+    /// the caller keeps the total below `R²` (in practice below `m·R`).
+    #[inline]
+    pub(crate) fn mul_acc(&mut self, a: &Uint<L>, b: &Uint<L>) {
+        let (al, bl) = (a.limbs(), b.limbs());
+        for i in 0..L {
+            let mut carry = 0u128;
+            for j in 0..L {
+                let k = i + j;
+                let limb = if k < L {
+                    &mut self.lo[k]
+                } else {
+                    &mut self.hi[k - L]
+                };
+                let v = *limb as u128 + al[i] as u128 * bl[j] as u128 + carry;
+                *limb = v as u64;
+                carry = v >> 64;
+            }
+            for limb in &mut self.hi[i..] {
+                let v = *limb as u128 + carry;
+                *limb = v as u64;
+                carry = v >> 64;
+            }
+        }
+    }
+}
 
 /// Precomputed Montgomery context for an odd modulus.
 #[derive(Clone, PartialEq, Eq)]
@@ -121,6 +175,48 @@ impl<const L: usize> MontCtx<L> {
         let (d, borrow) = t.overflowing_sub(&self.modulus);
         // `hi` is 0 or 1: keep `t` only when it is already below `m`.
         Uint::select((borrow as u64 & !hi).wrapping_neg(), &t, &d)
+    }
+
+    /// Montgomery reduction of a [`Wide`] sum: `w·R⁻¹ mod m`, fully
+    /// reduced, for any `w < m·R`.
+    ///
+    /// Round `i` adds the multiple of `m` that clears the low limb and
+    /// shifts one limb right, pulling in `w.hi[i]`. After `L` rounds the
+    /// value is below `(m·R + m·R)/R = 2m`, so one subtraction of `m`,
+    /// selected by its borrow as in [`Self::mont_mul`], finishes it.
+    #[inline]
+    pub(crate) fn redc_wide(&self, w: &Wide<L>) -> Uint<L> {
+        let m = self.modulus.limbs();
+        let mut t = w.lo;
+        // The bit carried out of `t`, at the weight of `w.hi[i]` in round `i`.
+        let mut top = 0u64;
+        for i in 0..L {
+            let u = t[0].wrapping_mul(self.n0) as u128;
+            let mut carry = (t[0] as u128 + u * m[0] as u128) >> 64;
+            for j in 1..L {
+                let v = t[j] as u128 + u * m[j] as u128 + carry;
+                t[j - 1] = v as u64;
+                carry = v >> 64;
+            }
+            let v = w.hi[i] as u128 + top as u128 + carry;
+            t[L - 1] = v as u64;
+            top = (v >> 64) as u64;
+        }
+        let t = Uint::from_limbs(t);
+        let (d, borrow) = t.overflowing_sub(&self.modulus);
+        // `top` is 0 or 1: keep `t` only when it is already below `m`.
+        Uint::select((borrow as u64 & !top).wrapping_neg(), &t, &d)
+    }
+
+    /// How many products of two residues one [`Wide`] sum can take and
+    /// stay below `m·R`, the bound [`Self::redc_wide`] needs:
+    /// `2^(64·L − bits(m) − 1)`, at least 1.
+    ///
+    /// With `k` that power of two, `k·(m−1)² < k·m·2^bits(m) ≤ m·R/2`.
+    /// Capped at `2^(usize::BITS − 2)`, which no matrix reaches.
+    pub(crate) fn lazy_budget(&self) -> usize {
+        let spare = (64 * L as u32).saturating_sub(self.bits + 1);
+        1 << spare.min(usize::BITS - 2)
     }
 
     /// Montgomery squaring (delegates to `mont_mul`).
@@ -349,12 +445,123 @@ impl<const L: usize> core::fmt::Debug for MontCtx<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::uint::{U128, U256};
-    use rand::SeedableRng;
+    use crate::uint::{U1024, U128, U256};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     fn q80() -> U128 {
         // 2^80 - 65, prime.
         U128::from_u128((1u128 << 80) - 65)
+    }
+
+    /// A seeded 125-bit prime: a lazy budget of 4.
+    fn p125() -> U128 {
+        crate::prime::gen_prime(125, &mut StdRng::seed_from_u64(125))
+    }
+
+    /// The NIST P-256 field prime `p` (top bit set).
+    fn p256_p() -> U256 {
+        U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff").unwrap()
+    }
+
+    /// The P-256 group order `n` (just below `R`).
+    fn p256_n() -> U256 {
+        U256::from_hex("ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551").unwrap()
+    }
+
+    /// The RFC 5114 §2.1 1024-bit modp prime `p` (top bit set).
+    fn modp_p() -> U1024 {
+        U1024::from_hex(concat!(
+            "B10B8F96A080E01DDE92DE5EAE5D54EC52C99FBCFB06A3C69A6A9DCA52D23B61",
+            "6073E28675A23D189838EF1E2EE652C013ECB4AEA906112324975C3CD49B83BF",
+            "ACCBDD7D90C4BD7098488E9C219A73724EFFD6FAE5644738FAA31A4FF55BCCC0",
+            "A151AF5F0DC8B4BD45BF37DF365C1A65E68CFDA76D4DA708DF1FB2BC2E4A4371"
+        ))
+        .unwrap()
+    }
+
+    /// `(m − 1)·budget`, one factor of the largest sum the budget allows:
+    /// the budget is a power of two and leaves a spare bit, so it fits.
+    fn scaled_top<const L: usize>(ctx: &MontCtx<L>) -> Uint<L> {
+        let top = ctx.modulus().wrapping_sub(&Uint::one());
+        let shift = ctx.lazy_budget().trailing_zeros();
+        let scaled = top.shl(shift);
+        assert_eq!(scaled.shr(shift), top, "(m − 1)·budget overflows");
+        scaled
+    }
+
+    /// `redc_wide` of `k` accumulated products of residues is the
+    /// `mont_mul` + `add` fold of the same products, for every `k` up to
+    /// `min(budget, 64)`; a quarter of the operands are `m − 1`. Then the
+    /// largest sum the budget allows, all-`(m − 1)` operands: summed
+    /// literally when the budget is at most 64, otherwise as the one
+    /// product `((m − 1)·budget)·(m − 1)`, which is the same integer.
+    fn check_lazy_fold<const L: usize>(m: Uint<L>, rng: &mut StdRng) -> TestCaseResult {
+        let ctx = MontCtx::new(m);
+        let top = m.wrapping_sub(&Uint::one());
+        let budget = ctx.lazy_budget();
+        for k in 0..=budget.min(64) {
+            let mut wide = Wide::ZERO;
+            let mut fold = Uint::ZERO;
+            for _ in 0..k {
+                let mut draw = || match rng.next_u32() % 4 {
+                    0 => top,
+                    _ => Uint::random_below(rng, &m),
+                };
+                let (a, b) = (draw(), draw());
+                wide.mul_acc(&a, &b);
+                fold = ctx.add(&fold, &ctx.mont_mul(&a, &b));
+            }
+            prop_assert_eq!(ctx.redc_wide(&wide), fold, "k = {}", k);
+        }
+        let scaled = scaled_top(&ctx);
+        let mut wide = Wide::ZERO;
+        if budget <= 64 {
+            for _ in 0..budget {
+                wide.mul_acc(&top, &top);
+            }
+        } else {
+            wide.mul_acc(&scaled, &top);
+        }
+        prop_assert_eq!(ctx.redc_wide(&wide), ctx.mont_mul(&scaled, &top));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn redc_wide_of_accumulated_products_is_the_mont_mul_fold(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            check_lazy_fold(q80(), &mut rng)?;
+            // Budget 4 with 125-bit residues: sums overflow the low half
+            // of `hi`, so `mul_acc`'s carry has to reach the top limb.
+            check_lazy_fold(p125(), &mut rng)?;
+            check_lazy_fold(p256_p(), &mut rng)?;
+            check_lazy_fold(p256_n(), &mut rng)?;
+            check_lazy_fold(modp_p(), &mut rng)?;
+        }
+    }
+
+    /// `budget·(m − 1)² < m·R`: the wide product of `(m − 1)·budget` and
+    /// `m − 1` has its high half below `m`, and `m·R` is `(hi = m, lo = 0)`.
+    fn assert_budget_bound<const L: usize>(m: Uint<L>, expect_budget: usize) {
+        let ctx = MontCtx::new(m);
+        assert_eq!(ctx.lazy_budget(), expect_budget);
+        let top = m.wrapping_sub(&Uint::one());
+        let (_, hi) = scaled_top(&ctx).mul_wide(&top);
+        assert!(hi < m, "budget·(m − 1)² ≥ m·R for m = 0x{}", m.to_hex());
+    }
+
+    #[test]
+    fn lazy_budget_keeps_every_sum_below_m_r() {
+        assert_budget_bound(q80(), 1 << 47);
+        assert_budget_bound(p125(), 4);
+        assert_budget_bound(p256_p(), 1);
+        assert_budget_bound(p256_n(), 1);
+        assert_budget_bound(modp_p(), 1);
+        assert_budget_bound(U128::from_u128((1u128 << 127) - 1), 1);
     }
 
     #[test]
@@ -403,8 +610,7 @@ mod tests {
     fn mont_mul_256bit_modulus_near_max() {
         // Stress the conditional-subtraction path with a modulus close to
         // the type width (like the P-256 base field prime).
-        let p = U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .unwrap();
+        let p = p256_p();
         let ctx = MontCtx::new(p);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         for _ in 0..300 {

@@ -35,6 +35,61 @@ fn basis_combination(m: &Matrix<2>, rng: &mut StdRng) -> Vec<Fp<2>> {
     out
 }
 
+/// A `rows × cols` matrix of rank at most `rank_cap`: every row past
+/// `rank_cap` is a random combination of the rows before it (`0` ⇒ the
+/// zero matrix), and column `zero_col` (if there is one) is zero, so a
+/// pivot skips it.
+fn rank_capped_matrix(
+    ctx: &Arc<FpCtx<2>>,
+    rng: &mut StdRng,
+    rows: usize,
+    cols: usize,
+    rank_cap: usize,
+    zero_col: usize,
+) -> Matrix<2> {
+    let mut m = Matrix::zero(ctx, rows, cols);
+    for i in 0..rows {
+        let coeffs: Vec<_> = (0..rank_cap.min(i)).map(|_| ctx.random(rng)).collect();
+        for j in 0..cols {
+            let v = if j == zero_col || rank_cap == 0 {
+                ctx.zero()
+            } else if i < rank_cap {
+                ctx.random(rng)
+            } else {
+                coeffs
+                    .iter()
+                    .enumerate()
+                    .fold(ctx.zero(), |acc, (k, c)| &acc + &(c * &m.get(k, j)))
+            };
+            m.set(i, j, &v);
+        }
+    }
+    m
+}
+
+/// `random_null_vector` against [`basis_combination`] on the same rng:
+/// the vector, the rng state after, and that it is a null vector.
+fn check_basis_combination(m: &Matrix<2>, mut rng: StdRng) -> TestCaseResult {
+    let mut ref_rng = rng.clone();
+    let got = m.random_null_vector(&mut rng);
+    prop_assert_eq!(&got, &basis_combination(m, &mut ref_rng));
+    prop_assert_eq!(rng.next_u64(), ref_rng.next_u64());
+    prop_assert_eq!(got.iter().all(Fp::is_zero), m.rank() == m.cols());
+    if m.rows() > 0 {
+        prop_assert!(m.mul_vec(&got).iter().all(Fp::is_zero));
+    }
+    Ok(())
+}
+
+/// Fields whose delayed-reduction budget is smaller than the matrices
+/// below: `2^127 − 1` (budget 1, the trailing block is reduced after
+/// every pivot) and a seeded 125-bit prime (budget 4).
+fn small_budget_fields() -> [Arc<FpCtx<2>>; 2] {
+    let m127 = U128::from_u128((1u128 << 127) - 1);
+    let p125 = pbcd_math::gen_prime::<2, _>(125, &mut StdRng::seed_from_u64(125));
+    [FpCtx::new(m127), FpCtx::new(p125)]
+}
+
 /// The NIST P-256 field prime `p` (L = 4, top bit set).
 fn p256_p() -> U256 {
     U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff").expect("hex")
@@ -357,6 +412,26 @@ proptest! {
     }
 
     #[test]
+    fn random_null_vector_is_the_basis_combination_where_the_budget_binds(
+        seed in any::<u64>(),
+        rows in 0usize..24,
+        cols in 0usize..24,
+        rank_cap in 0usize..24,
+        zero_col in 0usize..32,
+    ) {
+        // Wide, square, tall and rank-deficient shapes, at most one zero
+        // column, over fields where the trailing block is settled every
+        // pivot or every four pivots. At 2^127 − 1 a sum past the budget
+        // is past `m·R` after ~8 random products, so a missed settle or an
+        // unchunked back-substitution row shows here.
+        for ctx in small_budget_fields() {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let m = rank_capped_matrix(&ctx, &mut rng, rows, cols, rank_cap, zero_col);
+            check_basis_combination(&m, rng)?;
+        }
+    }
+
+    #[test]
     fn from_be_bytes_reduced_is_the_integer_mod_p(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let f80 = FpCtx::new(q80());
@@ -386,4 +461,27 @@ proptest! {
         let m = Matrix::from_fn(&ctx, rows, cols, |_, _| ctx.random(&mut rng));
         prop_assert_eq!(m.rank() + m.null_space_basis().len(), cols);
     }
+}
+
+#[test]
+fn random_null_vector_is_the_basis_combination_at_the_benchmark_shape_with_repeated_rows() {
+    // 96 × 97 over q80, laid out like an ACV matrix (a leading 1, then
+    // one hash per nonce), with every eighth row a copy of an earlier one:
+    // subscribers whose CSSs coincide. Rank 84, so 13 free columns.
+    let ctx = FpCtx::new(q80());
+    let mut rng = StdRng::seed_from_u64(96);
+    let mut m = Matrix::zero(&ctx, 96, 97);
+    for i in 0..96 {
+        let copy_of = (i % 8 == 7).then(|| rng.next_u64() as usize % i);
+        for j in 0..97 {
+            let v = match (copy_of, j) {
+                (Some(k), _) => m.get(k, j),
+                (None, 0) => ctx.one(),
+                (None, _) => ctx.random(&mut rng),
+            };
+            m.set(i, j, &v);
+        }
+    }
+    assert_eq!(m.rank(), 84);
+    check_basis_combination(&m, rng).expect("echelon solve = basis combination");
 }
