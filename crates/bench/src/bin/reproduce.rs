@@ -26,10 +26,10 @@
 //! deliberately, from a full (non-quick) run.
 
 use pbcd_bench::{
-    bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, naive_crc32, print_row, time_avg,
-    NaiveAcv, NaiveAes, NaiveAuthKey,
+    bench_rng, eq_steps, ge_round, ge_steps, gkm_workload, ms, naive_chacha20, naive_crc32,
+    naive_poly1305, print_row, time_avg, NaiveAcv, NaiveAead,
 };
-use pbcd_crypto::{ctr_encrypt, AuthKey, NONCE_LEN};
+use pbcd_crypto::{chacha20_xor, poly1305, AuthKey, NONCE_LEN};
 use pbcd_gkm::{AcvBgkm, MarkerGkm, SecureLockGkm, ShardedAcvBgkm, SimplisticGkm};
 use pbcd_group::{challenge, verify_batch, CyclicGroup, ModpGroup, P256Group, SigningKey};
 use pbcd_math::{FpCtx, Matrix};
@@ -1060,20 +1060,25 @@ fn bench_json(opts: &Opts) {
 
     // The per-byte path's symmetric kernels at the benchmark's sizes (one
     // 16 KiB segment, one 256 KiB log record) and the 32-byte message OCBE
-    // sends ~144 of per GE registration, each beside its byte-at-a-time
-    // twin; the twins must produce the same bytes before they are timed.
+    // sends ~144 of per GE registration, each beside its twin written from
+    // the specification; the twins must produce the same bytes before they
+    // are timed.
     {
         let key = [7u8; 32];
         let nonce = [9u8; NONCE_LEN];
         let segment = vec![0xabu8; 16 * 1024];
         let record = vec![0xcdu8; 256 * 1024];
-        let naive_ctr = |data: &[u8]| {
+        let chacha20 = |data: &[u8]| {
             let mut out = data.to_vec();
-            NaiveAes::new(&key).ctr_xor(&nonce, &mut out);
+            chacha20_xor(&key, &nonce, 1, &mut out);
             out
         };
-        let (auth, naive_auth) = (AuthKey::from_master(&key), NaiveAuthKey::from_master(&key));
-        assert_eq!(ctr_encrypt(&key, &nonce, &segment), naive_ctr(&segment));
+        let (auth, naive_auth) = (AuthKey::from_master(&key), NaiveAead::from_master(&key));
+        assert_eq!(
+            chacha20(&segment),
+            naive_chacha20(&key, 1, &nonce, &segment)
+        );
+        assert_eq!(poly1305(&key, &segment), naive_poly1305(&key, &segment));
         for message in [&segment[..], &segment[..32]] {
             assert_eq!(
                 auth.encrypt_with_nonce(&nonce, message),
@@ -1083,13 +1088,23 @@ fn bench_json(opts: &Opts) {
         assert_eq!(pbcd_net::store::crc32(&record), naive_crc32(&record));
         push(
             &mut ops,
-            "aes256_ctr_16k",
-            time_avg(rounds, || ctr_encrypt(&key, &nonce, &segment)),
+            "chacha20_16k",
+            time_avg(rounds, || chacha20(&segment)),
         );
         push(
             &mut ops,
-            "aes256_ctr_16k_naive",
-            time_avg(rounds, || naive_ctr(&segment)),
+            "chacha20_16k_naive",
+            time_avg(rounds, || naive_chacha20(&key, 1, &nonce, &segment)),
+        );
+        push(
+            &mut ops,
+            "poly1305_16k",
+            time_avg(rounds, || poly1305(&key, &segment)),
+        );
+        push(
+            &mut ops,
+            "poly1305_16k_naive",
+            time_avg(rounds, || naive_poly1305(&key, &segment)),
         );
         push(
             &mut ops,
@@ -1190,7 +1205,8 @@ fn bench_json(opts: &Opts) {
             "acv_derive_key_96",
             "acv_derive_key_96_naive",
         ),
-        ("aes256_ctr_16k", "aes256_ctr_16k", "aes256_ctr_16k_naive"),
+        ("chacha20_16k", "chacha20_16k", "chacha20_16k_naive"),
+        ("poly1305_16k", "poly1305_16k", "poly1305_16k_naive"),
         (
             "authenc_encrypt_16k",
             "authenc_encrypt_16k",

@@ -14,7 +14,7 @@ use pbcd_crypto::NONCE_LEN;
 use pbcd_gkm::{AccessRow, AcvBgkm, AcvPublicInfo};
 use pbcd_group::CyclicGroup;
 use pbcd_group::P256Group;
-use pbcd_math::{Fp, FpCtx, Matrix, U128, U256};
+use pbcd_math::{Fp, FpCtx, Matrix, U128, U192, U256};
 use pbcd_ocbe::{BitProof, BitSecrets, Direction, OcbeSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -162,176 +162,148 @@ impl NaiveAcv {
 }
 
 // ---------------------------------------------------------------------------
-// Symmetric kernels, a byte at a time (the `*_naive` twins of bench-json)
+// Symmetric kernels from their specifications (the `*_naive` twins of
+// bench-json)
 // ---------------------------------------------------------------------------
 
-/// AES forward S-box.
-const SBOX: [u8; 256] = [
-    0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b, 0xfe, 0xd7, 0xab, 0x76,
-    0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0, 0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0,
-    0xb7, 0xfd, 0x93, 0x26, 0x36, 0x3f, 0xf7, 0xcc, 0x34, 0xa5, 0xe5, 0xf1, 0x71, 0xd8, 0x31, 0x15,
-    0x04, 0xc7, 0x23, 0xc3, 0x18, 0x96, 0x05, 0x9a, 0x07, 0x12, 0x80, 0xe2, 0xeb, 0x27, 0xb2, 0x75,
-    0x09, 0x83, 0x2c, 0x1a, 0x1b, 0x6e, 0x5a, 0xa0, 0x52, 0x3b, 0xd6, 0xb3, 0x29, 0xe3, 0x2f, 0x84,
-    0x53, 0xd1, 0x00, 0xed, 0x20, 0xfc, 0xb1, 0x5b, 0x6a, 0xcb, 0xbe, 0x39, 0x4a, 0x4c, 0x58, 0xcf,
-    0xd0, 0xef, 0xaa, 0xfb, 0x43, 0x4d, 0x33, 0x85, 0x45, 0xf9, 0x02, 0x7f, 0x50, 0x3c, 0x9f, 0xa8,
-    0x51, 0xa3, 0x40, 0x8f, 0x92, 0x9d, 0x38, 0xf5, 0xbc, 0xb6, 0xda, 0x21, 0x10, 0xff, 0xf3, 0xd2,
-    0xcd, 0x0c, 0x13, 0xec, 0x5f, 0x97, 0x44, 0x17, 0xc4, 0xa7, 0x7e, 0x3d, 0x64, 0x5d, 0x19, 0x73,
-    0x60, 0x81, 0x4f, 0xdc, 0x22, 0x2a, 0x90, 0x88, 0x46, 0xee, 0xb8, 0x14, 0xde, 0x5e, 0x0b, 0xdb,
-    0xe0, 0x32, 0x3a, 0x0a, 0x49, 0x06, 0x24, 0x5c, 0xc2, 0xd3, 0xac, 0x62, 0x91, 0x95, 0xe4, 0x79,
-    0xe7, 0xc8, 0x37, 0x6d, 0x8d, 0xd5, 0x4e, 0xa9, 0x6c, 0x56, 0xf4, 0xea, 0x65, 0x7a, 0xae, 0x08,
-    0xba, 0x78, 0x25, 0x2e, 0x1c, 0xa6, 0xb4, 0xc6, 0xe8, 0xdd, 0x74, 0x1f, 0x4b, 0xbd, 0x8b, 0x8a,
-    0x70, 0x3e, 0xb5, 0x66, 0x48, 0x03, 0xf6, 0x0e, 0x61, 0x35, 0x57, 0xb9, 0x86, 0xc1, 0x1d, 0x9e,
-    0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
-    0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-];
-
-/// The byte-wise AES `pbcd_crypto` shipped before its bitsliced kernel, moved
-/// here encryption only: one S-box load per state byte, indexed by key-dependent
-/// state, so *not* constant time. It is the path `pbcd_crypto::ctr_xor` is
-/// measured beside, and the output it must reproduce to the byte.
-pub struct NaiveAes {
-    round_keys: Vec<[u8; 16]>,
+/// The RFC 8439 §2.1 quarter round on four state words, as the pseudo-code
+/// writes it.
+fn naive_quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] ^= state[a];
+    state[d] = state[d].rotate_left(16);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] ^= state[c];
+    state[b] = state[b].rotate_left(12);
+    state[a] = state[a].wrapping_add(state[b]);
+    state[d] ^= state[a];
+    state[d] = state[d].rotate_left(8);
+    state[c] = state[c].wrapping_add(state[d]);
+    state[b] ^= state[c];
+    state[b] = state[b].rotate_left(7);
 }
 
-impl NaiveAes {
-    /// Expands a 16-, 24- or 32-byte key (FIPS 197 §5.2).
-    pub fn new(key: &[u8]) -> Self {
-        assert!(matches!(key.len(), 16 | 24 | 32), "invalid AES key length");
-        let nk = key.len() / 4;
-        let nwords = 4 * (nk + 7);
-        let mut w = vec![[0u8; 4]; nwords];
-        for (i, word) in w.iter_mut().take(nk).enumerate() {
-            word.copy_from_slice(&key[4 * i..4 * i + 4]);
-        }
-        let mut rcon = 1u8;
-        for i in nk..nwords {
-            let mut temp = w[i - 1];
-            if i % nk == 0 {
-                temp.rotate_left(1);
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-                temp[0] ^= rcon;
-                rcon = xtime(rcon);
-            } else if nk > 6 && i % nk == 4 {
-                for b in &mut temp {
-                    *b = SBOX[*b as usize];
-                }
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - nk][j] ^ temp[j];
-            }
-        }
-        let round_keys = w
-            .chunks_exact(4)
-            .map(|c| {
-                let mut rk = [0u8; 16];
-                for (i, word) in c.iter().enumerate() {
-                    rk[4 * i..4 * i + 4].copy_from_slice(word);
-                }
-                rk
-            })
-            .collect();
-        Self { round_keys }
+/// The RFC 8439 §2.3.1 block function: constants, key, counter and nonce
+/// words, ten `inner_block`s, the input added back, serialized
+/// little-endian.
+pub fn naive_chacha20_block(key: &[u8; 32], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+    let le = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    let mut state = [0u32; 16];
+    state[0] = 0x6170_7865;
+    state[1] = 0x3320_646e;
+    state[2] = 0x7962_2d32;
+    state[3] = 0x6b20_6574;
+    for i in 0..8 {
+        state[4 + i] = le(&key[4 * i..]);
     }
-
-    /// Encrypts one block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
-        let rounds = self.round_keys.len() - 1;
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..rounds {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[rounds]);
+    state[12] = counter;
+    for i in 0..3 {
+        state[13 + i] = le(&nonce[4 * i..]);
     }
-
-    /// CTR mode as `pbcd_crypto::ctr_xor` defines it: counter block
-    /// `nonce ‖ be32`, counting from 1, one block at a time.
-    pub fn ctr_xor(&self, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-        let mut counter_block = [0u8; 16];
-        counter_block[..NONCE_LEN].copy_from_slice(nonce);
-        for (counter, chunk) in (1u32..).zip(data.chunks_mut(16)) {
-            counter_block[NONCE_LEN..].copy_from_slice(&counter.to_be_bytes());
-            let mut keystream = counter_block;
-            self.encrypt_block(&mut keystream);
-            for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-                *d ^= k;
-            }
-        }
+    let initial = state;
+    for _ in 0..10 {
+        naive_quarter_round(&mut state, 0, 4, 8, 12);
+        naive_quarter_round(&mut state, 1, 5, 9, 13);
+        naive_quarter_round(&mut state, 2, 6, 10, 14);
+        naive_quarter_round(&mut state, 3, 7, 11, 15);
+        naive_quarter_round(&mut state, 0, 5, 10, 15);
+        naive_quarter_round(&mut state, 1, 6, 11, 12);
+        naive_quarter_round(&mut state, 2, 7, 8, 13);
+        naive_quarter_round(&mut state, 3, 4, 9, 14);
     }
-}
-
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for (s, k) in state.iter_mut().zip(rk) {
-        *s ^= k;
+    let mut out = [0u8; 64];
+    for i in 0..16 {
+        out[4 * i..4 * i + 4].copy_from_slice(&state[i].wrapping_add(initial[i]).to_le_bytes());
     }
+    out
 }
 
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+/// RFC 8439 §2.4.1 `chacha20_encrypt`: each full 64-byte block XORed with
+/// block `counter + j`, then the partial tail. The path
+/// `pbcd_crypto::chacha20_xor` is measured beside, and the output it must
+/// reproduce to the byte.
+pub fn naive_chacha20(
+    key: &[u8; 32],
+    counter: u32,
+    nonce: &[u8; NONCE_LEN],
+    plaintext: &[u8],
+) -> Vec<u8> {
+    let mut encrypted = Vec::with_capacity(plaintext.len());
+    for j in 0..plaintext.len() / 64 {
+        let key_stream = naive_chacha20_block(key, counter + j as u32, nonce);
+        let block = &plaintext[j * 64..j * 64 + 64];
+        encrypted.extend(block.iter().zip(key_stream).map(|(p, k)| p ^ k));
     }
-}
-
-// State is column-major: state[4*c + r] is row r, column c.
-fn shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[4 * c + r] = s[4 * ((c + r) % 4) + r];
-        }
+    if plaintext.len() % 64 != 0 {
+        let j = plaintext.len() / 64;
+        let key_stream = naive_chacha20_block(key, counter + j as u32, nonce);
+        let block = &plaintext[j * 64..];
+        encrypted.extend(block.iter().zip(key_stream).map(|(p, k)| p ^ k));
     }
+    encrypted
 }
 
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] = xtime(col[0]) ^ (xtime(col[1]) ^ col[1]) ^ col[2] ^ col[3];
-        state[4 * c + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
-        state[4 * c + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
-        state[4 * c + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
+/// A little-endian byte string as a 192-bit integer.
+fn le_bytes_to_num(bytes: &[u8]) -> U192 {
+    let mut be = bytes.to_vec();
+    be.reverse();
+    U192::from_be_bytes(&be).expect("at most 24 bytes")
+}
+
+/// RFC 8439 §2.5.1 `poly1305_mac` in arbitrary precision: `a = (a + n)·r
+/// mod 2¹³⁰ − 5` per 16-byte block `n` (with its 0x01 byte appended), then
+/// `a + s`, low 128 bits. The twin `pbcd_crypto::poly1305`'s 44-bit limbs
+/// must reproduce.
+pub fn naive_poly1305(key: &[u8; 32], msg: &[u8]) -> [u8; 16] {
+    let mut r_bytes = key[..16].to_vec();
+    for i in [3, 7, 11, 15] {
+        r_bytes[i] &= 15;
     }
+    for i in [4, 8, 12] {
+        r_bytes[i] &= 252;
+    }
+    let r = le_bytes_to_num(&r_bytes);
+    let s = le_bytes_to_num(&key[16..]);
+    let p = U192::from(1).shl(130).wrapping_sub(&U192::from(5));
+    let mut a = U192::from(0);
+    for chunk in msg.chunks(16) {
+        let n = le_bytes_to_num(&[chunk, &[1]].concat());
+        a = a.wrapping_add(&n).mul_mod(&r, &p);
+    }
+    a = a.wrapping_add(&s);
+    let mut le = a.to_be_bytes();
+    le.reverse();
+    le[..16].try_into().expect("24 bytes")
 }
 
-/// Multiplication by `x` in GF(2⁸) modulo `x⁸ + x⁴ + x³ + x + 1`.
-#[inline]
-fn xtime(b: u8) -> u8 {
-    (b << 1) ^ (((b >> 7) & 1) * 0x1b)
+/// `pbcd_crypto::AuthKey` from the two twins: the key `AuthKey::from_master`
+/// derives, block 0 as the Poly1305 key, the RFC 8439 §2.8 MAC data with
+/// empty associated data, the same `nonce ‖ ct ‖ tag` message.
+pub struct NaiveAead {
+    key: [u8; 32],
 }
 
-/// `pbcd_crypto::AuthKey` from public primitives over [`NaiveAes`]: the same
-/// two derived keys, the same `nonce ‖ ct ‖ tag` message.
-pub struct NaiveAuthKey {
-    enc: Vec<u8>,
-    mac: Vec<u8>,
-}
-
-impl NaiveAuthKey {
-    /// The encryption and MAC keys `AuthKey::from_master` derives.
+impl NaiveAead {
+    /// The key `AuthKey::from_master` derives.
     pub fn from_master(master: &[u8]) -> Self {
+        let key = pbcd_crypto::derive_key(master, "pbcd-authenc-chacha20-poly1305", 32);
         Self {
-            enc: pbcd_crypto::derive_key(master, "pbcd-authenc-enc", 32),
-            mac: pbcd_crypto::derive_key(master, "pbcd-authenc-mac", 32),
+            key: key.try_into().expect("32 bytes"),
         }
     }
 
-    /// `AuthKey::encrypt_with_nonce`, key schedule per message included.
+    /// `AuthKey::encrypt_with_nonce`.
     pub fn encrypt_with_nonce(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = [nonce.as_slice(), plaintext].concat();
-        NaiveAes::new(&self.enc).ctr_xor(nonce, &mut out[NONCE_LEN..]);
-        let tag = pbcd_crypto::hmac(&self.mac, &out);
-        out.extend_from_slice(&tag);
-        out
+        let otk: [u8; 32] = naive_chacha20_block(&self.key, 0, nonce)[..32]
+            .try_into()
+            .expect("32 bytes");
+        let ciphertext = naive_chacha20(&self.key, 1, nonce, plaintext);
+        let mut mac_data = ciphertext.clone();
+        mac_data.resize(ciphertext.len().div_ceil(16) * 16, 0);
+        mac_data.extend_from_slice(&0u64.to_le_bytes());
+        mac_data.extend_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        let tag = naive_poly1305(&otk, &mac_data);
+        [nonce.as_slice(), &ciphertext, &tag].concat()
     }
 }
 

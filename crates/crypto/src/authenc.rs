@@ -1,18 +1,24 @@
-//! Authenticated encryption: AES-256-CTR with HMAC-SHA-256, encrypt-then-MAC.
+//! Authenticated encryption: ChaCha20-Poly1305 (RFC 8439 §2.8) with empty
+//! associated data.
 //!
 //! Used wherever the paper calls for the semantically secure cipher `E`:
 //! OCBE envelope payloads and encrypted subdocuments. The wire layout is
-//! `nonce (12) ‖ ciphertext ‖ tag (32)`.
+//! `nonce (12) ‖ ciphertext ‖ tag (16)`.
+//!
+//! ChaCha20 block 0 under the message's nonce yields the one-time Poly1305
+//! key; blocks 1.. encrypt. The tag is Poly1305 over
+//! `ct ‖ pad16 ‖ le64(0) ‖ le64(len(ct))`, and decryption checks it in
+//! constant time before it produces any plaintext.
 
-use crate::aes::Aes;
+use crate::chacha20::chacha20_block;
 use crate::ct::ct_eq;
-use crate::ctr::{ctr_xor, NONCE_LEN};
-use crate::hmac::Hmac;
+use crate::ctr::chacha20_xor;
 use crate::kdf::derive_key;
+use crate::poly1305::Poly1305;
 use rand::RngCore;
 
-/// Tag length in bytes (full HMAC-SHA-256 output).
-pub const TAG_LEN: usize = 32;
+pub use crate::chacha20::NONCE_LEN;
+pub use crate::poly1305::TAG_LEN;
 
 /// Decryption failure: the ciphertext was truncated or the tag did not match.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,21 +34,36 @@ impl std::error::Error for AuthDecryptError {}
 
 /// A symmetric authenticated-encryption key.
 ///
-/// The supplied master key material is stretched into independent
-/// encryption and MAC keys via HKDF, so any byte string (e.g. a GKM group
+/// The supplied master key material is stretched into the 256-bit
+/// ChaCha20-Poly1305 key via HKDF, so any byte string (e.g. a GKM group
 /// key, or an OCBE session secret) can serve directly as key material.
 #[derive(Clone)]
 pub struct AuthKey {
-    enc: Vec<u8>,
-    mac: Vec<u8>,
+    key: [u8; 32],
+}
+
+/// The RFC 8439 tag of `ct` under associated data `aad`, keyed by block 0.
+fn aead_tag(key: &[u8; 32], nonce: &[u8; NONCE_LEN], aad: &[u8], ct: &[u8]) -> [u8; TAG_LEN] {
+    let one_time_key: [u8; 32] = chacha20_block(key, 0, nonce)[..32]
+        .try_into()
+        .expect("32 of 64 bytes");
+    let pad16 = |len: usize| &[0u8; 16][..(16 - len % 16) % 16];
+    let mut mac = Poly1305::new(&one_time_key);
+    mac.update(aad);
+    mac.update(pad16(aad.len()));
+    mac.update(ct);
+    mac.update(pad16(ct.len()));
+    mac.update(&(aad.len() as u64).to_le_bytes());
+    mac.update(&(ct.len() as u64).to_le_bytes());
+    mac.finalize()
 }
 
 impl AuthKey {
     /// Derives an authenticated-encryption key from arbitrary key material.
     pub fn from_master(master: &[u8]) -> Self {
+        let key = derive_key(master, "pbcd-authenc-chacha20-poly1305", 32);
         Self {
-            enc: derive_key(master, "pbcd-authenc-enc", 32),
-            mac: derive_key(master, "pbcd-authenc-mac", 32),
+            key: key.try_into().expect("32-byte derivation"),
         }
     }
 
@@ -61,18 +82,18 @@ impl AuthKey {
     ///
     /// **Never reuse a nonce under one key**: two messages under the same
     /// key and nonce share a keystream, which leaks the XOR of their
-    /// plaintexts. Without a counter to guarantee uniqueness, draw each
+    /// plaintexts, and a one-time Poly1305 key, which lets an observer
+    /// forge tags. Without a counter to guarantee uniqueness, draw each
     /// nonce at random as [`AuthKey::encrypt`] does.
+    ///
+    /// Panics if `plaintext` is longer than ChaCha20's 32-bit block counter
+    /// covers (256 GiB minus 64 bytes).
     pub fn encrypt_with_nonce(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8]) -> Vec<u8> {
-        let aes = Aes::new(&self.enc);
         let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);
         out.extend_from_slice(nonce);
-        let body_start = out.len();
         out.extend_from_slice(plaintext);
-        ctr_xor(&aes, nonce, &mut out[body_start..]);
-        let mut mac = Hmac::new(&self.mac);
-        mac.update(&out);
-        let tag = mac.finalize();
+        chacha20_xor(&self.key, nonce, 1, &mut out[NONCE_LEN..]);
+        let tag = aead_tag(&self.key, nonce, &[], &out[NONCE_LEN..]);
         out.extend_from_slice(&tag);
         out
     }
@@ -82,16 +103,14 @@ impl AuthKey {
         if message.len() < NONCE_LEN + TAG_LEN {
             return Err(AuthDecryptError);
         }
-        let (body, tag) = message.split_at(message.len() - TAG_LEN);
-        let mut mac = Hmac::new(&self.mac);
-        mac.update(body);
-        if !ct_eq(&mac.finalize(), tag) {
+        let (nonce, rest) = message.split_at(NONCE_LEN);
+        let (ct, tag) = rest.split_at(rest.len() - TAG_LEN);
+        let nonce: &[u8; NONCE_LEN] = nonce.try_into().expect("length checked");
+        if !ct_eq(&aead_tag(&self.key, nonce, &[], ct), tag) {
             return Err(AuthDecryptError);
         }
-        let nonce: [u8; NONCE_LEN] = body[..NONCE_LEN].try_into().expect("length checked");
-        let mut plaintext = body[NONCE_LEN..].to_vec();
-        let aes = Aes::new(&self.enc);
-        ctr_xor(&aes, &nonce, &mut plaintext);
+        let mut plaintext = ct.to_vec();
+        chacha20_xor(&self.key, nonce, 1, &mut plaintext);
         Ok(plaintext)
     }
 }
@@ -103,6 +122,54 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(77)
+    }
+
+    fn hex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn key_80_to_9f() -> [u8; 32] {
+        core::array::from_fn(|i| 0x80 + i as u8)
+    }
+
+    const SUNSCREEN: &[u8] = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+
+    #[test]
+    fn rfc8439_one_time_key() {
+        // §2.6.2: the first 32 bytes of block 0.
+        let nonce = hex("000000000001020304050607").try_into().unwrap();
+        assert_eq!(
+            chacha20_block(&key_80_to_9f(), 0, &nonce)[..32],
+            hex("8ad5a08b905f81cc815040274ab29471a833b637e3fd0da508dbb8e2fdd1a646")[..]
+        );
+    }
+
+    #[test]
+    fn rfc8439_aead() {
+        // §2.8.2, the one vector with associated data.
+        let key = key_80_to_9f();
+        let nonce = hex("070000004041424344454647").try_into().unwrap();
+        let aad = hex("50515253c0c1c2c3c4c5c6c7");
+        let mut ct = SUNSCREEN.to_vec();
+        chacha20_xor(&key, &nonce, 1, &mut ct);
+        assert_eq!(
+            ct,
+            hex(
+                "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6
+                 3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36
+                 92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc
+                 3ff4def08e4b7a9de576d26586cec64b6116"
+            )
+        );
+        assert_eq!(
+            aead_tag(&key, &nonce, &aad, &ct)[..],
+            hex("1ae10b594f09e26a7e902ecbd0600691")[..]
+        );
     }
 
     #[test]

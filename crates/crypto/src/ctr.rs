@@ -1,69 +1,73 @@
-//! AES counter (CTR) mode.
+//! ChaCha20 in counter mode (RFC 8439 §2.4): the keystream for blocks
+//! `counter, counter + 1, …` XORed over the data.
 //!
-//! The counter block is `nonce (12 bytes) ‖ big-endian u32 counter`, the
-//! layout used by standard AES-CTR/GCM constructions. Encryption and
-//! decryption are the same keystream XOR.
+//! # Constant time
+//!
+//! Each block is one call of the branch-free [`crate::chacha20`] block
+//! function. The only branches look at the data length and the block
+//! counter, which are public.
 
-use crate::aes::{Aes, LANES};
+use crate::chacha20::{block, initial_state, BLOCK_LEN, NONCE_LEN};
 
-/// Nonce length in bytes.
-pub const NONCE_LEN: usize = 12;
-
-/// XORs `data` in place with the AES-CTR keystream for `(key, nonce)`.
+/// XORs `data` in place with the keystream for `(key, nonce)`, starting at
+/// block `counter`. Encryption and decryption are the same call.
 ///
-/// Processing the same data twice with the same parameters restores it, so
-/// this single function both encrypts and decrypts.
-pub fn ctr_xor(aes: &Aes, nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
-    ctr_xor_from(aes, nonce, 1, data); // block 0 reserved (GCM convention)
-}
-
-/// [`ctr_xor`] with the first block's counter given. Panics, before touching
-/// `data`, if the last block's counter would not fit in 32 bits.
-fn ctr_xor_from(aes: &Aes, nonce: &[u8; NONCE_LEN], first_counter: u32, data: &mut [u8]) {
-    let Some(blocks_after_first) = data.len().div_ceil(16).checked_sub(1) else {
+/// Panics, before touching `data`, if the last block's counter would not fit
+/// in 32 bits: 256 GiB minus 64 bytes per nonce from counter 1.
+pub fn chacha20_xor(key: &[u8; 32], nonce: &[u8; NONCE_LEN], counter: u32, data: &mut [u8]) {
+    let Some(blocks_after_first) = data.len().div_ceil(BLOCK_LEN).checked_sub(1) else {
         return;
     };
     u32::try_from(blocks_after_first)
         .ok()
-        .and_then(|n| first_counter.checked_add(n))
-        .expect("CTR counter exhausted (message too long)");
+        .and_then(|n| counter.checked_add(n))
+        .expect("ChaCha20 counter exhausted (message too long)");
 
-    let mut counter = first_counter;
-    // Lanes past the end of the message wrap harmlessly: their keystream is
-    // never used.
-    let mut next_keystream = || {
-        let mut blocks = [[0u8; 16]; LANES];
-        for block in &mut blocks {
-            block[..NONCE_LEN].copy_from_slice(nonce);
-            block[NONCE_LEN..].copy_from_slice(&counter.to_be_bytes());
-            counter = counter.wrapping_add(1);
-        }
-        aes.encrypt_blocks(&mut blocks);
-        blocks
-    };
-    // The last batch, and its last block, may be short: `zip` stops with them.
-    for batch in data.chunks_mut(16 * LANES) {
-        let keystream = next_keystream();
-        for (chunk, block) in batch.chunks_mut(16).zip(&keystream) {
-            for (d, k) in chunk.iter_mut().zip(block) {
-                *d ^= k;
-            }
+    let input = initial_state(key, nonce);
+    // The last chunk may be short: `zip` stops with it.
+    for (chunk, counter) in data.chunks_mut(BLOCK_LEN).zip(counter..=u32::MAX) {
+        let keystream = block(&input, counter);
+        for (d, k) in chunk.iter_mut().zip(&keystream) {
+            *d ^= k;
         }
     }
-}
-
-/// Convenience: CTR-encrypts a copy of `data`.
-pub fn ctr_encrypt(key: &[u8], nonce: &[u8; NONCE_LEN], data: &[u8]) -> Vec<u8> {
-    let aes = Aes::new(key);
-    let mut out = data.to_vec();
-    ctr_xor(&aes, nonce, &mut out);
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chacha20::chacha20_block;
     use rand::{RngCore, SeedableRng};
+
+    fn hex(s: &str) -> Vec<u8> {
+        let s: String = s.split_whitespace().collect();
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    fn encrypt(key: &[u8; 32], nonce: &[u8; NONCE_LEN], data: &[u8]) -> Vec<u8> {
+        let mut out = data.to_vec();
+        chacha20_xor(key, nonce, 1, &mut out);
+        out
+    }
+
+    #[test]
+    fn rfc8439_encryption() {
+        // §2.4.2, counter 1.
+        let key: [u8; 32] = core::array::from_fn(|i| i as u8);
+        let nonce = hex("000000000000004a00000000").try_into().unwrap();
+        let plaintext = b"Ladies and Gentlemen of the class of '99: If I could offer you \
+only one tip for the future, sunscreen would be it.";
+        let expected = hex(
+            "6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b
+             f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8
+             07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736
+             5af90bbf74a35be6b40b8eedf2785e42874d",
+        );
+        assert_eq!(encrypt(&key, &nonce, plaintext), expected);
+    }
 
     #[test]
     fn roundtrip() {
@@ -72,16 +76,15 @@ mod tests {
         rng.fill_bytes(&mut key);
         let mut nonce = [0u8; NONCE_LEN];
         rng.fill_bytes(&mut nonce);
-        for len in [0usize, 1, 15, 16, 17, 100, 4096] {
+        for len in [0usize, 1, 63, 64, 65, 100, 4096] {
             let mut data = vec![0u8; len];
             rng.fill_bytes(&mut data);
-            let ct = ctr_encrypt(&key, &nonce, &data);
+            let ct = encrypt(&key, &nonce, &data);
             assert_eq!(ct.len(), len);
             if len > 0 {
                 assert_ne!(ct, data);
             }
-            let pt = ctr_encrypt(&key, &nonce, &ct);
-            assert_eq!(pt, data);
+            assert_eq!(encrypt(&key, &nonce, &ct), data);
         }
     }
 
@@ -89,107 +92,66 @@ mod tests {
     fn different_nonces_differ() {
         let key = [7u8; 32];
         let data = vec![0u8; 64];
-        let c1 = ctr_encrypt(&key, &[1; NONCE_LEN], &data);
-        let c2 = ctr_encrypt(&key, &[2; NONCE_LEN], &data);
+        let c1 = encrypt(&key, &[1; NONCE_LEN], &data);
+        let c2 = encrypt(&key, &[2; NONCE_LEN], &data);
         assert_ne!(c1, c2);
     }
 
     #[test]
     fn keystream_blocks_are_distinct() {
         // Identical plaintext blocks must encrypt differently (stream mode).
-        let key = [9u8; 16];
-        let data = vec![0xaau8; 48];
-        let ct = ctr_encrypt(&key, &[0; NONCE_LEN], &data);
-        assert_ne!(ct[0..16], ct[16..32]);
-        assert_ne!(ct[16..32], ct[32..48]);
+        let data = vec![0xaau8; 3 * BLOCK_LEN];
+        let ct = encrypt(&[9u8; 32], &[0; NONCE_LEN], &data);
+        assert_ne!(ct[..64], ct[64..128]);
+        assert_ne!(ct[64..128], ct[128..]);
     }
 
     #[test]
     fn partial_final_block() {
-        let key = [1u8; 16];
-        let nonce = [2u8; NONCE_LEN];
-        let full = ctr_encrypt(&key, &nonce, &[0u8; 32]);
-        let part = ctr_encrypt(&key, &nonce, &[0u8; 20]);
-        assert_eq!(&full[..20], &part[..]);
+        let (key, nonce) = ([1u8; 32], [2u8; NONCE_LEN]);
+        let full = encrypt(&key, &nonce, &[0u8; 128]);
+        let part = encrypt(&key, &nonce, &[0u8; 80]);
+        assert_eq!(&full[..80], &part[..]);
     }
 
     /// The keystream one block at a time, counters `first..`.
-    fn keystream_by_block(aes: &Aes, nonce: &[u8; NONCE_LEN], first: u32, blocks: u32) -> Vec<u8> {
-        (0..blocks)
-            .flat_map(|i| {
-                let mut block = [0u8; 16];
-                block[..NONCE_LEN].copy_from_slice(nonce);
-                block[NONCE_LEN..].copy_from_slice(&(first + i).to_be_bytes());
-                aes.encrypt_block(&mut block);
-                block
-            })
+    fn keystream_by_block(key: &[u8; 32], nonce: &[u8; NONCE_LEN], first: u32, n: u32) -> Vec<u8> {
+        (0..n)
+            .flat_map(|i| chacha20_block(key, first + i, nonce))
             .collect()
     }
 
-    #[test]
-    fn nist_sp800_38a_ctr_aes128() {
-        // F.5.1: the initial counter block f0f1…feff is our nonce ‖ counter.
-        let aes = Aes::new(&[
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ]);
-        let nonce: [u8; NONCE_LEN] = core::array::from_fn(|i| 0xf0 + i as u8);
-        let hex = |s: &str| -> Vec<u8> {
-            (0..s.len())
-                .step_by(2)
-                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-                .collect()
-        };
-        let mut data = hex(concat!(
-            "6bc1bee22e409f96e93d7e117393172a",
-            "ae2d8a571e03ac9c9eb76fac45af8e51",
-            "30c81c46a35ce411e5fbc1191a0a52ef",
-            "f69f2445df4f9b17ad2b417be66c3710",
-        ));
-        ctr_xor_from(&aes, &nonce, 0xfcfd_feff, &mut data);
-        assert_eq!(
-            data,
-            hex(concat!(
-                "874d6191b620e3261bef6864990db6ce",
-                "9806f66b7970fdff8617187bb9fffdff",
-                "5ae4df3edbd5d35e5b4f09020db03eab",
-                "1e031dda2fbe03d1792170a0f3009cee",
-            ))
-        );
-    }
-
+    /// One call over up to five blocks against the block function called
+    /// once per block.
     #[test]
     fn batches_match_single_blocks_at_every_length() {
-        let aes = Aes::new(&[4u8; 24]);
-        let nonce = [8u8; NONCE_LEN];
-        let keystream = keystream_by_block(&aes, &nonce, 1, 20);
+        let (key, nonce) = ([4u8; 32], [8u8; NONCE_LEN]);
+        let keystream = keystream_by_block(&key, &nonce, 1, 5);
         for len in 0..=keystream.len() {
             let mut data = vec![0u8; len];
-            ctr_xor(&aes, &nonce, &mut data);
+            chacha20_xor(&key, &nonce, 1, &mut data);
             assert_eq!(data, keystream[..len], "len {len}");
         }
     }
 
     #[test]
     fn last_counter_value_is_usable() {
-        // 9 and 10 blocks from u32::MAX - 9 end below and exactly at u32::MAX;
-        // neither may trip over the unused lanes of the second batch.
-        let aes = Aes::new(&[5u8; 32]);
-        let nonce = [6u8; NONCE_LEN];
+        // Nine and ten blocks from u32::MAX - 9 end below and exactly at
+        // u32::MAX.
+        let (key, nonce) = ([5u8; 32], [6u8; NONCE_LEN]);
         let first = u32::MAX - 9;
-        let keystream = keystream_by_block(&aes, &nonce, first, 10);
-        for len in [9 * 16, 9 * 16 + 1, 10 * 16 - 1, 10 * 16] {
+        let keystream = keystream_by_block(&key, &nonce, first, 10);
+        for len in [9 * 64, 9 * 64 + 1, 10 * 64 - 1, 10 * 64] {
             let mut data = vec![0u8; len];
-            ctr_xor_from(&aes, &nonce, first, &mut data);
+            chacha20_xor(&key, &nonce, first, &mut data);
             assert_eq!(data, keystream[..len], "len {len}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "CTR counter exhausted")]
+    #[should_panic(expected = "ChaCha20 counter exhausted")]
     fn one_block_past_the_last_counter_panics() {
-        let aes = Aes::new(&[5u8; 32]);
-        let mut data = [0u8; 10 * 16 + 1]; // an 11th block from u32::MAX - 9
-        ctr_xor_from(&aes, &[6u8; NONCE_LEN], u32::MAX - 9, &mut data);
+        let mut data = [0u8; 10 * 64 + 1]; // an 11th block from u32::MAX - 9
+        chacha20_xor(&[5u8; 32], &[6u8; NONCE_LEN], u32::MAX - 9, &mut data);
     }
 }

@@ -184,18 +184,39 @@ fn escape(s: &str) -> String {
         .replace('"', "&quot;")
 }
 
+/// The five predefined entities.
+const ENTITIES: [(&str, char); 5] = [
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+    ("&apos;", '\''),
+    ("&amp;", '&'),
+];
+
+/// Replaces the predefined entities in one left-to-right pass; any other
+/// `&` is kept as it stands.
 fn unescape(s: &str) -> String {
-    s.replace("&lt;", "<")
-        .replace("&gt;", ">")
-        .replace("&quot;", "\"")
-        .replace("&apos;", "'")
-        .replace("&amp;", "&")
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(amp) = rest.find('&') {
+        out.push_str(&rest[..amp]);
+        rest = &rest[amp..];
+        let (len, c) = ENTITIES
+            .iter()
+            .find(|(name, _)| rest.starts_with(name))
+            .map_or((1, '&'), |&(name, c)| (name.len(), c));
+        out.push(c);
+        rest = &rest[len..];
+    }
+    out.push_str(rest);
+    out
 }
 
 /// Parses a single XML document (one root element, optional leading
 /// declaration, comments allowed anywhere).
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -209,6 +230,7 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -270,7 +292,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(self.err("expected a name"));
         }
-        Ok(String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned())
+        Ok(self.input[start..self.pos].to_string())
     }
 
     fn parse_element(&mut self) -> Result<Element, XmlError> {
@@ -310,17 +332,13 @@ impl<'a> Parser<'a> {
                     let q = quote.expect("checked") as char;
                     self.pos += 1;
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c as char == q {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    if self.peek().map(|c| c as char) != Some(q) {
+                    let Some(len) = self.input[start..].find(q) else {
+                        self.pos = self.bytes.len();
                         return Err(self.err("unterminated attribute value"));
-                    }
-                    let raw = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-                    el.attributes.push((key, unescape(&raw)));
+                    };
+                    self.pos += len;
+                    el.attributes
+                        .push((key, unescape(&self.input[start..self.pos])));
                     self.pos += 1;
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
@@ -355,15 +373,13 @@ impl<'a> Parser<'a> {
                     el.children.push(Node::Element(child));
                 }
                 Some(_) => {
+                    // A text run ends at the next '<' (or the input's end);
+                    // both ends sit on ASCII bytes, so the slice is a `str`.
                     let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let text = String::from_utf8_lossy(&self.bytes[start..self.pos]);
-                    let trimmed = text.trim();
+                    self.pos = self.input[start..]
+                        .find('<')
+                        .map_or(self.bytes.len(), |len| start + len);
+                    let trimmed = self.input[start..self.pos].trim();
                     if !trimmed.is_empty() {
                         el.children.push(Node::Text(unescape(trimmed)));
                     }
@@ -441,6 +457,59 @@ mod tests {
         let err = parse("<a></b>").unwrap_err();
         assert!(err.message.contains("mismatched"));
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn unescape_matches_the_chained_replacements() {
+        // The five `replace` calls the one-pass scan replaced, over every
+        // concatenation of up to three fragments.
+        let chained = |s: &str| {
+            s.replace("&lt;", "<")
+                .replace("&gt;", ">")
+                .replace("&quot;", "\"")
+                .replace("&apos;", "'")
+                .replace("&amp;", "&")
+        };
+        let fragments = [
+            "", "&", "&amp", "&amp;", "&lt;", "&gt;", "&quot;", "&apos;", "lt;", "amp;", "&&",
+            "&;", "<", "é", "x",
+        ];
+        for a in fragments {
+            for b in fragments {
+                for c in fragments {
+                    let s = [a, b, c].concat();
+                    assert_eq!(unescape(&s), chained(&s), "{s:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn error_positions_are_pinned() {
+        // Positions and messages of the byte-at-a-time scanner the slice
+        // searches replaced.
+        for (src, position, message) in [
+            ("<a><b></a>", 9, "mismatched close tag"),
+            ("<a>", 3, "unclosed element <a>"),
+            ("<a></a><b></b>", 7, "trailing content"),
+            ("<a x=1></a>", 5, "expected quoted attribute value"),
+            ("<a><!-- no end </a>", 3, "unterminated comment"),
+            ("", 0, "expected '<'"),
+            ("<a></b>", 6, "mismatched close tag"),
+            (
+                "<a x=\"unterminated></a>",
+                23,
+                "unterminated attribute value",
+            ),
+            ("<a>text &amp; more", 18, "unclosed element <a>"),
+            ("<a x='v\"'>é t</a", 17, "expected '>' after close tag"),
+            ("<a b=\"&lt;\"></a>x", 16, "trailing content"),
+            ("<a x=\"1\" y></a>", 10, "expected '=' in attribute"),
+        ] {
+            let err = parse(src).unwrap_err();
+            assert_eq!(err.position, position, "{src:?}");
+            assert!(err.message.starts_with(message), "{src:?}: {}", err.message);
+        }
     }
 
     #[test]

@@ -37,6 +37,50 @@ fn arb_element() -> impl Strategy<Value = Element> {
     })
 }
 
+/// Text made of markup characters, the five entities, entity-like
+/// fragments that are not entities, and plain or non-ASCII runs.
+fn arb_markup_text() -> impl Strategy<Value = String> {
+    const FRAGMENTS: [&str; 22] = [
+        "&", "&amp", "&amp;", "&lt;x", "&lt;", "&gt;", "&quot;", "&apos;", "&#38;", "&&", "&;",
+        "<", ">", "\"", "'", "a", "b c", "é", "<!--", "-->", "&amp;lt;", "x&",
+    ];
+    prop::collection::vec(0..FRAGMENTS.len(), 1..8)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect::<String>())
+}
+
+/// Trees whose text and attribute values are [`arb_markup_text`]. Text
+/// runs carry no edge whitespace (the parser trims it) and no two are
+/// adjacent (they would serialize as one).
+fn arb_markup_element() -> impl Strategy<Value = Element> {
+    let leaf = ("[a-z][a-z0-9]{0,4}", prop::option::of(arb_markup_text())).prop_map(|(n, t)| {
+        let el = Element::new(&n);
+        match t {
+            Some(t) if !t.trim().is_empty() => el.text(t.trim()),
+            _ => el,
+        }
+    });
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        (
+            "[a-z][a-z0-9]{0,4}",
+            prop::collection::vec(("[a-z]{1,4}", arb_markup_text()), 0..3),
+            prop::collection::vec((inner, prop::option::of(arb_markup_text())), 0..4),
+        )
+            .prop_map(|(n, attrs, children)| {
+                let mut el = Element::new(&n);
+                for (k, v) in attrs {
+                    el = el.attr(&k, &v);
+                }
+                for (c, t) in children {
+                    el = el.child(c);
+                    if let Some(t) = t.filter(|t| !t.trim().is_empty()) {
+                        el = el.text(t.trim());
+                    }
+                }
+                el
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -46,6 +90,11 @@ proptest! {
         prop_assert_eq!(&compact, &doc);
         let pretty = parse(&doc.to_xml_pretty()).expect("pretty reparse");
         prop_assert_eq!(&pretty, &doc);
+    }
+
+    #[test]
+    fn xml_roundtrip_with_markup_and_entity_like_text(doc in arb_markup_element()) {
+        prop_assert_eq!(parse(&doc.to_xml()).expect("reparse"), doc);
     }
 
     #[test]

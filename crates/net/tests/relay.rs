@@ -155,11 +155,17 @@ fn three_tier_chain_delivers_byte_identical_containers() {
     }
 
     // Counter accounting: 3 forwards down each of the 2 links, 3
-    // accepts at each of the 2 edges, no suppressions anywhere.
+    // accepts at each of the 2 edges, no suppressions anywhere. A link
+    // counts a forward when it reads the peer's Ack, which the peer sends
+    // after counting the accept, so each accept below already holds; the
+    // predicates name them anyway, so every counter asserted after a wait
+    // is one the wait covered.
     wait_until("origin forwards", 30, || {
-        origin.stats().relays_forwarded == 3
+        origin.stats().relays_forwarded == 3 && tier2.stats().relays_accepted == 3
     });
-    wait_until("tier2 forwards", 30, || tier2.stats().relays_forwarded == 3);
+    wait_until("tier2 forwards", 30, || {
+        tier2.stats().relays_forwarded == 3 && tier3.stats().relays_accepted == 3
+    });
     assert_eq!(tier2.stats().relays_accepted, 3);
     assert_eq!(tier3.stats().relays_accepted, 3);
     assert_eq!(origin.stats().relays_suppressed, 0);
@@ -255,7 +261,11 @@ fn late_edge_cold_starts_from_the_retention_log() {
         },
     );
     origin.add_peer(edge.addr().to_string()).unwrap();
-    wait_until("edge convergence", 30, || edge.stats().publishes == 5);
+    // The origin counts a catch-up record only when its link reads the
+    // edge's Ack, after the edge has counted the publish: wait for both.
+    wait_until("edge convergence", 30, || {
+        edge.stats().publishes == 5 && origin.stats().relay_catch_up_records == 5
+    });
     assert_eq!(origin.stats().relay_catch_up_records, 5);
     assert_eq!(edge.stats().relays_accepted, 5);
 
@@ -317,8 +327,12 @@ fn link_retries_under_backoff_until_the_peer_appears() {
         },
     )
     .unwrap();
+    // The origin counts the catch-up record only when its link reads the
+    // edge's Ack, after the edge has counted the accept: wait for both.
     wait_until("link up + resync", 30, || {
-        origin.stats().relay_links == 1 && edge.stats().relays_accepted == 1
+        origin.stats().relay_links == 1
+            && edge.stats().relays_accepted == 1
+            && origin.stats().relay_catch_up_records == 1
     });
     assert_eq!(origin.stats().relay_catch_up_records, 1);
 

@@ -7,7 +7,9 @@
 //! and must produce the same bytes from the same seed, on both backends,
 //! including on proofs and envelopes a hostile peer would send. Two
 //! SHA-256 pins, taken from the per-digit implementation before it was
-//! replaced, keep the envelope format itself from drifting.
+//! replaced, keep the envelope format itself from drifting. They moved
+//! once since, when the envelope's AEAD became ChaCha20-Poly1305 (its
+//! 16-byte tag replaced HMAC-SHA-256's 32).
 
 use pbcd_commit::{Commitment, Opening, Pedersen};
 use pbcd_crypto::{sha256, AuthKey};
@@ -190,11 +192,11 @@ fn seeded_envelopes_are_byte_identical_to_the_reference() {
     // produced these envelopes before it was replaced.
     assert_eq!(
         seeded_round(P256Group::new(), 0x0CBE_0048, 9, 5, 48, Direction::Ge),
-        "2d2ff194ae377a5d0da2ef2ab0fcc27ca6934ce30c9aa9a51f977f134e2ef6ac"
+        "3d98bb5bdca69c6ee3652657022e4235f6c208a41526f4b8401d83e2b85c8670"
     );
     assert_eq!(
         seeded_round(ModpGroup::new(), 0x0CBE_0008, 77, 200, 8, Direction::Le),
-        "6218d0cf7b9fdfd1c08c93ca1365dd1e6271e0b0fc252ef91bdfd648c7f8618b"
+        "10bd1384758a55783da3407d03263442ae9902a7b1fd732082be215761baeae0"
     );
     seeded_round(P256Group::new(), 0x0CBE_1008, 3, 3, 8, Direction::Le);
     seeded_round(

@@ -5,7 +5,7 @@
 //! Dissemination"* (ICDE 2010). Re-exports the full workspace API:
 //!
 //! * [`math`] — big integers, Montgomery fields, `F_q` linear algebra,
-//! * [`crypto`] — SHA-256, HMAC, AES-CTR, HKDF, AEAD (from scratch),
+//! * [`crypto`] — SHA-256, HMAC, HKDF, ChaCha20-Poly1305 (from scratch),
 //! * [`group`] — P-256 and RFC 5114 modp prime-order groups, Schnorr sigs,
 //! * [`commit`] — Pedersen commitments,
 //! * [`ocbe`] — oblivious commitment-based envelopes (EQ/GE/LE/GT/LT/NE),

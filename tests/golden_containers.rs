@@ -5,7 +5,10 @@
 //!
 //! The two container pins moved once, when `Publisher::broadcast` adopted
 //! its documented randomness schedule (one seed per configuration, then one
-//! nonce per segment, all drawn before any work starts).
+//! nonce per segment, all drawn before any work starts). All three moved
+//! once more, when `AuthKey` became ChaCha20-Poly1305 in place of
+//! AES-256-CTR with HMAC-SHA-256 (a new key derivation, a new keystream and
+//! a 16-byte tag in place of a 32-byte one).
 
 use pbcd::core::SystemHarness;
 use pbcd::crypto::{sha256, AuthKey};
@@ -59,7 +62,7 @@ fn bulk_shaped_container_is_pinned() {
     assert!(bytes.len() > 256 * 1024);
     assert_eq!(
         hex(&sha256(&bytes)),
-        "31092451689d423923454627931e6138d3286761a0774f82d45792bf2182f3c8"
+        "c94820b51d4fff34bc2d723ea68a6c9f8ed1538483ed6898205349156b2481d7"
     );
 }
 
@@ -69,20 +72,21 @@ fn one_segment_container_is_pinned() {
     let bytes = container("small.xml", &["Note"], &doc);
     assert_eq!(
         hex(&sha256(&bytes)),
-        "c5454a6d531657144b3e0604322461d462d0e2b79ab3098c2d2ceba86d8ba387"
+        "634b2104f88a1925ddb5fddefd19b7a196ca8b50cc1f56c6ee7c74afa981416a"
     );
 }
 
 #[test]
 fn authkey_message_is_pinned() {
-    // 1 000 bytes: seven full eight-block batches and a ragged tail.
+    // 1 000 bytes: fifteen full ChaCha20 blocks, a ragged tail, and a
+    // Poly1305 pad.
     let plaintext: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
     let key = AuthKey::from_master(b"golden master key material");
     let message = key.encrypt_with_nonce(&[7u8; 12], &plaintext);
-    assert_eq!(message.len(), 12 + 1000 + 32);
+    assert_eq!(message.len(), 12 + 1000 + 16);
     assert_eq!(key.decrypt(&message).as_deref(), Ok(&plaintext[..]));
     assert_eq!(
         hex(&sha256(&message)),
-        "a9ac09141a3bd9578615e05986c461cb47406fdb99da71f9b9b81adebb978462"
+        "e4f2026403d95679d1d2094c089568f1e1bf23804983c8cc232dcb3d383e5ee8"
     );
 }
