@@ -25,14 +25,25 @@ pub fn bench_rng() -> StdRng {
     StdRng::seed_from_u64(0xB34C4)
 }
 
-/// Measures the average wall time of `f` over `rounds` runs.
+/// Per-run wall time of `f` over `rounds` runs: the runs are split into
+/// `min(rounds, 5)` batches as even as they go, each batch's average is one
+/// sample, and the median sample (the upper middle one for an even count)
+/// is returned — so one descheduled batch does not move the figure.
 pub fn time_avg<T>(rounds: usize, mut f: impl FnMut() -> T) -> Duration {
     assert!(rounds > 0);
-    let start = Instant::now();
-    for _ in 0..rounds {
-        std::hint::black_box(f());
-    }
-    start.elapsed() / rounds as u32
+    let batches = rounds.min(5);
+    let mut samples: Vec<Duration> = (0..batches)
+        .map(|b| {
+            let runs = rounds / batches + usize::from(b < rounds % batches);
+            let start = Instant::now();
+            for _ in 0..runs {
+                std::hint::black_box(f());
+            }
+            start.elapsed() / runs as u32
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[batches / 2]
 }
 
 /// Milliseconds as f64.
@@ -87,8 +98,9 @@ pub fn gkm_workload(
 // ---------------------------------------------------------------------------
 
 /// The ACV-BGKM procedure written against public primitives only: one
-/// allocated `sha256(css ‖ z)` and one wide-integer `rem` per matrix entry,
-/// a Gauss–Jordan null-space basis combined with drawn coefficients. It is
+/// allocated concatenation and one `sha256` per row for the row key, one
+/// [`naive_chacha20_block`] and one wide-integer `rem` per matrix entry, a
+/// Gauss–Jordan null-space basis combined with drawn coefficients. It is
 /// the path `AcvBgkm` is measured beside, and — for one rng stream — the
 /// output it must reproduce to the byte.
 pub struct NaiveAcv {
@@ -97,19 +109,28 @@ pub struct NaiveAcv {
 }
 
 impl NaiveAcv {
-    /// `H(css ‖ z) mod q`.
-    fn entry(&self, css: &[u8], z: &[u8]) -> Fp<2> {
-        let digest = U256::from_be_bytes(&pbcd_crypto::sha256(&[css, z].concat()));
-        let reduced = digest
-            .expect("32 bytes")
-            .rem(&self.field.modulus().widen::<4>());
-        self.field
-            .from_uint(&reduced.narrow::<2>().expect("below q"))
-    }
-
-    /// The hashed tail `a₁…a_N` of a matrix row / key-extraction vector.
+    /// The tail `a₁…a_N` of a matrix row / key-extraction vector: `k =
+    /// sha256(label ‖ u64 len(css) ‖ css ‖ u64 N ‖ z₁ ‖ … ‖ z_N)`, then `aⱼ`
+    /// = half `(j−1) mod 2` of ChaCha20 block `⌊(j−1)/2⌋` under `k` with the
+    /// zero nonce, read big-endian, `mod q`.
     pub fn hash_row(&self, css: &[u8], zs: &[Vec<u8>]) -> Vec<Fp<2>> {
-        zs.iter().map(|z| self.entry(css, z)).collect()
+        let mut input = b"pbcd-acv-row-chacha20".to_vec();
+        input.extend((css.len() as u64).to_be_bytes());
+        input.extend(css);
+        input.extend((zs.len() as u64).to_be_bytes());
+        input.extend(zs.concat());
+        let key = pbcd_crypto::sha256(&input);
+        (0..zs.len())
+            .map(|j| {
+                let block = naive_chacha20_block(&key, (j / 2) as u32, &[0; NONCE_LEN]);
+                let half = U256::from_be_bytes(&block[32 * (j % 2)..32 * (j % 2) + 32]);
+                let reduced = half
+                    .expect("32 bytes")
+                    .rem(&self.field.modulus().widen::<4>());
+                self.field
+                    .from_uint(&reduced.narrow::<2>().expect("below q"))
+            })
+            .collect()
     }
 
     /// `Σ cₖ·basisₖ` over [`Matrix::null_space_basis`], `cₖ` drawn in basis
@@ -137,9 +158,13 @@ impl NaiveAcv {
         zs: &[Vec<u8>],
         rng: &mut StdRng,
     ) -> (Fp<2>, Vec<U128>) {
+        let tails: Vec<_> = rows
+            .iter()
+            .map(|r| self.hash_row(&r.css_concat, zs))
+            .collect();
         let a = Matrix::from_fn(&self.field, rows.len(), zs.len() + 1, |i, j| match j {
             0 => self.field.one(),
-            _ => self.entry(&rows[i].css_concat, &zs[j - 1]),
+            _ => tails[i][j - 1].clone(),
         });
         let key = self.field.random_nonzero(rng);
         loop {
@@ -689,6 +714,19 @@ pub fn print_row(label: &str, cells: &[String]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn time_avg_runs_every_round_and_drops_a_slow_batch() {
+        let mut calls = 0;
+        let t = time_avg(7, || {
+            calls += 1;
+            if calls == 1 {
+                std::thread::sleep(Duration::from_millis(200));
+            }
+        });
+        assert_eq!(calls, 7);
+        assert!(t < Duration::from_millis(50), "{t:?}");
+    }
 
     #[test]
     fn workload_shapes() {

@@ -36,9 +36,18 @@ proptest! {
         prop_assert_ne!(hmac(&key1, &msg), hmac(&key2, &msg));
     }
 
+    // RFC 2104 key preprocessing: a key longer than the 64-byte block is
+    // replaced by its digest, a shorter one is padded with zeros.
     #[test]
-    fn hmac_output_lengths(key in prop::collection::vec(any::<u8>(), 0..200), msg in prop::collection::vec(any::<u8>(), 0..200)) {
-        prop_assert_eq!(hmac(&key, &msg).len(), 32);
+    fn hmac_long_key_is_its_digest(key in prop::collection::vec(any::<u8>(), 65..200), msg in prop::collection::vec(any::<u8>(), 0..200)) {
+        prop_assert_eq!(hmac(&key, &msg), hmac(&sha256(&key), &msg));
+    }
+
+    #[test]
+    fn hmac_short_key_is_its_zero_padding(key in prop::collection::vec(any::<u8>(), 0..=64), msg in prop::collection::vec(any::<u8>(), 0..200)) {
+        let mut padded = key.clone();
+        padded.resize(64, 0);
+        prop_assert_eq!(hmac(&key, &msg), hmac(&padded, &msg));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //! 2. picks `N ≥ Σ_k #U_k` and `N` random τ-bit nonces `z₁…z_N` with
 //!    `τ·N > 160`,
 //! 3. forms the `n×(N+1)` matrix `A` with rows `[1, a_{i,1}, …, a_{i,N}]`,
-//!    `a_{i,j} = H(r_{i,1}‖…‖r_{i,m_k}‖z_j)` reduced into `F_q`,
+//!    `a_{i,1} … a_{i,N}` a pseudorandom row keyed by the CSS concatenation
+//!    `r_{i,1}‖…‖r_{i,m_k}` and the nonce set, reduced into `F_q` (the
+//!    paper's `H(css ‖ z_j)`; see [`AcvBgkm::derive_key`] for the row
+//!    function),
 //! 4. solves `A·Y = 0` for a random null-space vector `Y` (the ACV),
 //! 5. publishes `X = (K,0,…,0)ᵀ + Y` and `z₁…z_N` next to the content
 //!    encrypted under the random key `K`.
@@ -19,6 +22,7 @@
 //! recovers `K = ν·X`. Rekeying is just re-running the procedure — no
 //! message to any subscriber.
 
+use pbcd_crypto::chacha20::{chacha20_block, NONCE_LEN};
 use pbcd_crypto::Sha256;
 use pbcd_docs::wire;
 use pbcd_math::{Fp, FpCtx, Matrix, Uint, U128};
@@ -45,8 +49,9 @@ pub struct AcvPublicInfo {
     pub zs: Vec<Vec<u8>>,
 }
 
-/// A subscriber-side cache of key-extraction vectors (their hashed tail
-/// `a₁…a_N`, Montgomery form), keyed by `H(css ‖ z₁ ‖ … ‖ z_N)` — see
+/// A subscriber-side cache of key-extraction vectors (their tail `a₁…a_N`,
+/// Montgomery form), keyed by the row key the tail is expanded from, which
+/// binds the CSS and the whole nonce set — see
 /// [`AcvBgkm::derive_key_cached`]. Reproduction surface (§VIII-D
 /// ablation); the production subscriber derives uncached.
 #[derive(Default)]
@@ -218,10 +223,9 @@ impl AcvBgkm {
     /// `N ≥ Σ_k #U_k` pairwise distinct nonces; at least one so the
     /// encoding stays well-formed even for empty configurations.
     ///
-    /// Distinctness is a security requirement: `zⱼ = z_k` makes columns `j`
-    /// and `k` of `A` equal for *every* CSS, the null space gains
-    /// `eⱼ − e_k`, and an ACV drawn along it yields `K` to any CSS holder,
-    /// revoked ones included. Repeats are therefore redrawn.
+    /// Columns are indexed by position (see [`Self::hash_row`]), so a
+    /// repeated nonce no longer makes two columns equal; repeats are
+    /// redrawn all the same, keeping every published nonce set a set.
     fn fresh_nonces<R: RngCore + ?Sized>(&self, rows: usize, rng: &mut R) -> Vec<Vec<u8>> {
         let n = (rows + self.extra_slots).max(1);
         let tau = self.effective_tau(n);
@@ -275,6 +279,13 @@ impl AcvBgkm {
     /// bytes; the candidate equals `K` iff the CSSs match an access row
     /// (the scheme itself cannot signal failure — the authenticated
     /// decryption layer above does).
+    ///
+    /// The row function: with `css` the CSS concatenation and `z₁…z_N` the
+    /// nonces, the row key is
+    /// `k = SHA-256("pbcd-acv-row-chacha20" ‖ u64 len(css) ‖ css ‖ u64 N ‖
+    /// z₁ ‖ … ‖ z_N)` (lengths big-endian) and `aⱼ` is the 32-byte half
+    /// `(j−1) mod 2` of ChaCha20 block `⌊(j−1)/2⌋` under `k` with the
+    /// all-zero nonce, read big-endian and reduced mod `q`.
     pub fn derive_key(&self, info: &AcvPublicInfo, css_concat: &[u8]) -> Vec<u8> {
         assert_eq!(info.x.len(), info.zs.len() + 1, "malformed public info");
         self.extract(&self.hash_row_vec(css_concat, &info.zs), &info.x)
@@ -303,18 +314,14 @@ impl AcvBgkm {
         cache: &mut KevCache,
     ) -> Vec<u8> {
         assert_eq!(info.x.len(), info.zs.len() + 1, "malformed public info");
-        let tag = {
-            let mut h = Sha256::new();
-            h.update(css_concat);
-            for z in &info.zs {
-                h.update(z);
-            }
-            h.finalize()
-        };
         let tail = cache
             .entries
-            .entry(tag)
-            .or_insert_with(|| self.hash_row_vec(css_concat, &info.zs));
+            .entry(row_key(css_concat, &info.zs))
+            .or_insert_with_key(|key| {
+                let mut tail = vec![Uint::ZERO; info.zs.len()];
+                self.expand_row(key, &mut tail);
+                tail
+            });
         self.extract(tail, &info.x)
     }
 
@@ -332,19 +339,17 @@ impl AcvBgkm {
         self.encode_key(&acc)
     }
 
-    /// The row `aⱼ = H(css ‖ zⱼ) mod q` for `j = 1…N`, Montgomery form:
-    /// `css_concat` is absorbed once and each nonce finishes a clone of
-    /// that midstate, so a row allocates nothing whatever the CSS and nonce
-    /// lengths are.
+    /// The row `a₁…a_N` for `css_concat` under nonces `zs`, Montgomery
+    /// form: one SHA-256 of the CSS and the nonce set gives the row key,
+    /// and one ChaCha20 block under it gives two entries (the row function
+    /// of [`Self::derive_key`]). Every step is constant-time in the CSS.
+    ///
+    /// The nonces go into the key, not the counter: rows keyed by the CSS
+    /// alone would repeat at every rekey, and `d + 1` public infos would
+    /// then pin `A` down and reveal `K` to anyone.
     fn hash_row(&self, css_concat: &[u8], zs: &[Vec<u8>], out: &mut [Uint<2>]) {
         debug_assert_eq!(zs.len(), out.len());
-        let mut midstate = Sha256::new();
-        midstate.update(css_concat);
-        for (z, a) in zs.iter().zip(out) {
-            let mut h = midstate.clone();
-            h.update(z);
-            *a = self.field.mont_from_be_bytes_reduced(&h.finalize());
-        }
+        self.expand_row(&row_key(css_concat, zs), out);
     }
 
     /// [`Self::hash_row`] into a fresh vector.
@@ -354,10 +359,39 @@ impl AcvBgkm {
         out
     }
 
+    /// Entries `a₁…a_{out.len()}` of the keystream under `key`: 32 bytes
+    /// each, two per block, reduced into `F_q` in Montgomery form.
+    fn expand_row(&self, key: &[u8; 32], out: &mut [Uint<2>]) {
+        for (pair, counter) in out.chunks_mut(2).zip(0u32..) {
+            let block = chacha20_block(key, counter, &[0; NONCE_LEN]);
+            for (a, half) in pair.iter_mut().zip(block.chunks_exact(32)) {
+                *a = self.field.mont_from_be_bytes_reduced(half);
+            }
+        }
+    }
+
     fn encode_key(&self, k: &U128) -> Vec<u8> {
         let bytes = k.to_be_bytes();
         bytes[bytes.len() - self.key_len()..].to_vec()
     }
+}
+
+/// Domain separation for [`row_key`].
+const ROW_LABEL: &[u8] = b"pbcd-acv-row-chacha20";
+
+/// `SHA-256(label ‖ u64 len(css) ‖ css ‖ u64 N ‖ z₁ ‖ … ‖ z_N)`: the CSS's
+/// length is framed and every nonce has the same width, so distinct
+/// `(css, zs)` give distinct inputs.
+fn row_key(css_concat: &[u8], zs: &[Vec<u8>]) -> [u8; 32] {
+    let mut h = Sha256::new();
+    h.update(ROW_LABEL);
+    h.update(&(css_concat.len() as u64).to_be_bytes());
+    h.update(css_concat);
+    h.update(&(zs.len() as u64).to_be_bytes());
+    for z in zs {
+        h.update(z);
+    }
+    h.finalize()
 }
 
 impl AcvPublicInfo {
@@ -608,8 +642,9 @@ mod tests {
     #[test]
     fn nonces_are_distinct_so_a_revoked_css_derives_a_wrong_key() {
         // With independent 2-byte draws this seed repeats one of the 96
-        // nonces, and the ACV built on the repeat gave the key to the
-        // revoked row (and to any other CSS).
+        // nonces. Under the earlier per-nonce row function `H(css ‖ zⱼ)`
+        // the ACV built on the repeat gave the key to the revoked row (and
+        // to any other CSS); the nonces are still drawn distinct.
         let s = scheme();
         let mut r = rand::rngs::StdRng::seed_from_u64(2);
         let mut rows = random_rows(&mut r, 97, 16);

@@ -218,11 +218,6 @@ impl ShardedCssTable {
         self.kappa_bits
     }
 
-    /// The number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Issues (or re-issues, overriding) a CSS for `(nym, cond)`, locking
     /// only the pseudonym's shard.
     pub fn issue<R: RngCore + ?Sized>(

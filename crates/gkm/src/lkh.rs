@@ -60,11 +60,6 @@ impl LkhPublisher {
         self.keys[0].as_ref()
     }
 
-    /// Number of members.
-    pub fn member_count(&self) -> usize {
-        self.members.len()
-    }
-
     /// Adds a member whose leaf key both sides derive from its CSS.
     /// Returns the member's initial state and the broadcast rekey messages
     /// (the new member's path keys are wrapped under its leaf key, so the
@@ -132,11 +127,6 @@ impl LkhPublisher {
             self.keys[node] = Some(new_key);
         }
         messages
-    }
-
-    /// Total broadcast bytes for a batch of rekey messages.
-    pub fn messages_size(messages: &[RekeyMessage]) -> usize {
-        messages.iter().map(|m| 16 + m.wrapped.len()).sum()
     }
 
     /// Tree capacity (leaves).

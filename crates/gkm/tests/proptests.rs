@@ -1,7 +1,7 @@
 //! Property-based tests for the GKM schemes: soundness and exclusion hold
 //! for arbitrary membership shapes, CSS lengths and scheme parameters.
 
-use pbcd_crypto::sha256;
+use pbcd_crypto::{chacha20_block, sha256, NONCE_LEN};
 use pbcd_gkm::{
     AccessRow, AcvBgkm, AcvPublicInfo, BroadcastGkm, MarkerGkm, SecureLockGkm, ShardedAcvBgkm,
     SimplisticGkm,
@@ -13,11 +13,12 @@ use rand::{RngCore, SeedableRng};
 use std::sync::Arc;
 
 /// ACV-BGKM rebuilt from public primitives only — one allocated
-/// `sha256(css ‖ z)` and one wide-integer `rem` per entry, Gauss–Jordan
+/// concatenation and one `sha256` per row for the row key, one
+/// `chacha20_block` and one wide-integer `rem` per entry, Gauss–Jordan
 /// `null_space_basis` combined with coefficients drawn from the caller's
-/// rng. It is what `AcvBgkm` computed before it hashed a row at a time and
-/// stopped at echelon form, so for one rng stream the two must agree to
-/// the byte and leave the rng in the same state.
+/// rng. It is the row function and solve `AcvBgkm` documents, without its
+/// in-place expansion or its echelon-form stop, so for one rng stream the
+/// two must agree to the byte and leave the rng in the same state.
 struct Reference {
     field: Arc<FpCtx<2>>,
     tau_bytes: usize,
@@ -57,18 +58,32 @@ impl Reference {
         zs
     }
 
-    /// `H(css ‖ z) mod q`.
-    fn entry(&self, css: &[u8], z: &[u8]) -> Fp<2> {
-        let digest = U256::from_be_bytes(&sha256(&[css, z].concat())).expect("32 bytes");
-        let reduced = digest.rem(&self.field.modulus().widen::<4>());
-        self.field
-            .from_uint(&reduced.narrow::<2>().expect("below q"))
+    /// `a₁…a_N`: `k = sha256(label ‖ u64 len(css) ‖ css ‖ u64 N ‖ z₁ ‖ … ‖
+    /// z_N)`, then `aⱼ` = half `(j−1) mod 2` of ChaCha20 block `⌊(j−1)/2⌋`
+    /// under `k` with the zero nonce, read big-endian, `mod q`.
+    fn row(&self, css: &[u8], zs: &[Vec<u8>]) -> Vec<Fp<2>> {
+        let mut input = b"pbcd-acv-row-chacha20".to_vec();
+        input.extend((css.len() as u64).to_be_bytes());
+        input.extend(css);
+        input.extend((zs.len() as u64).to_be_bytes());
+        input.extend(zs.concat());
+        let key = sha256(&input);
+        (0..zs.len())
+            .map(|j| {
+                let block = chacha20_block(&key, (j / 2) as u32, &[0; NONCE_LEN]);
+                let half = U256::from_be_bytes(&block[32 * (j % 2)..][..32]).expect("32 bytes");
+                let reduced = half.rem(&self.field.modulus().widen::<4>());
+                self.field
+                    .from_uint(&reduced.narrow::<2>().expect("below q"))
+            })
+            .collect()
     }
 
     fn matrix(&self, rows: &[AccessRow], zs: &[Vec<u8>]) -> Matrix<2> {
+        let tails: Vec<_> = rows.iter().map(|r| self.row(&r.css_concat, zs)).collect();
         Matrix::from_fn(&self.field, rows.len(), zs.len() + 1, |i, j| match j {
             0 => self.field.one(),
-            _ => self.entry(&rows[i].css_concat, &zs[j - 1]),
+            _ => tails[i][j - 1].clone(),
         })
     }
 
@@ -131,8 +146,8 @@ impl Reference {
     /// `K = ν·X` with every term reduced before it is used.
     fn derive_key(&self, info: &AcvPublicInfo, css: &[u8]) -> Vec<u8> {
         let mut k = self.field.from_uint(&info.x[0]);
-        for (z, xj) in info.zs.iter().zip(&info.x[1..]) {
-            k = &k + &(&self.entry(css, z) * &self.field.from_uint(xj));
+        for (a, xj) in self.row(css, &info.zs).iter().zip(&info.x[1..]) {
+            k = &k + &(a * &self.field.from_uint(xj));
         }
         self.key_bytes(&k)
     }
@@ -410,6 +425,81 @@ proptest! {
     }
 }
 
+/// A hand-built public info over `n` nonces of `tau` bytes from `seed`.
+fn info_from_seed(seed: u64, n: usize, tau: usize) -> AcvPublicInfo {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let zs = (0..n)
+        .map(|_| {
+            let mut z = vec![0u8; tau];
+            rng.fill_bytes(&mut z);
+            z
+        })
+        .collect();
+    let x = (0..=n).map(|_| U128::random_bits(&mut rng, 64)).collect();
+    AcvPublicInfo { x, zs }
+}
+
+// The row function is keyed by the CSS and the whole nonce set, and indexes
+// columns by position. A key of the CSS alone (nonce in the counter) would
+// repeat rows across rekeys; an entry of `(css, zⱼ)` alone would make equal
+// nonces equal columns. Each property below fails under one of those.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn equal_nonces_give_distinct_entries(
+        seed in any::<u64>(),
+        n in 2usize..40,
+        j in 0usize..40,
+        k in 0usize..40,
+        css_idx in 0usize..CSS_LENS.len(),
+    ) {
+        let (j, k) = (j % n, k % n);
+        prop_assume!(j != k);
+        let mut info = info_from_seed(seed, n, 2);
+        info.zs[k] = info.zs[j].clone();
+        let css = vec![0x5Au8; CSS_LENS[css_idx]];
+        let nu = AcvBgkm::default().extraction_vector(&info, &css);
+        prop_assert_ne!(&nu[1 + j], &nu[1 + k]);
+    }
+
+    #[test]
+    fn one_nonce_changes_every_entry_of_the_row(
+        seed in any::<u64>(),
+        n in 1usize..40,
+        k in 0usize..40,
+        bit in 0usize..16,
+    ) {
+        let k = k % n;
+        let info = info_from_seed(seed, n, 2);
+        let mut moved = info.clone();
+        moved.zs[k][bit / 8] ^= 1 << (bit % 8);
+        let css = rows_from_seed(seed, 1, 16).remove(0).css_concat;
+        let scheme = AcvBgkm::default();
+        let before = scheme.extraction_vector(&info, &css);
+        let after = scheme.extraction_vector(&moved, &css);
+        for j in 1..=n {
+            prop_assert_ne!(&before[j], &after[j], "entry {} of {}", j, n);
+        }
+    }
+
+    #[test]
+    fn one_css_gets_unrelated_rows_across_rekeys(seed in any::<u64>(), count in 1usize..24) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x2E4);
+        let rows = rows_from_seed(seed, count, 16);
+        let scheme = AcvBgkm::default();
+        let (_, first) = scheme.rekey(&rows, &mut rng);
+        let (_, second) = scheme.rekey(&rows, &mut rng);
+        let css = &rows[0].css_concat;
+        let before = scheme.extraction_vector(&first, css);
+        let after = scheme.extraction_vector(&second, css);
+        // No entry of the first row appears anywhere in the second.
+        for a in &before[1..] {
+            prop_assert!(after[1..].iter().all(|b| b != a));
+        }
+    }
+}
+
 /// A hostile broker can send 255-byte nonces and coordinates at or above
 /// `q`; `decode` accepts both, and `derive_key` must answer as the
 /// reference does, not panic.
@@ -440,19 +530,20 @@ fn derive_key_takes_the_widest_public_info_decode_accepts() {
     }
 }
 
-/// SHA-256 of seeded public infos, captured at the commit before
-/// `hash_row` and the echelon solve: whatever else changes, these bytes
-/// may not.
+/// SHA-256 of seeded public infos: whatever else changes, these bytes may
+/// not. Captured at the commit before `hash_row` and the echelon solve, and
+/// moved once since, when the row function became one ChaCha20 keystream
+/// per row in place of one SHA-256 per entry.
 #[test]
 fn seeded_public_info_matches_the_pinned_bytes() {
     for (count, pin) in [
         (
             96,
-            "86da107c8780c9b1525d62f1fd7a88bc33592fbcb8da88f3ed7ffe952211c8d6",
+            "52c98cb4f85ca5aa18446a38ed04dd82628dab0533178b3a10f85aa373eecbd2",
         ),
         (
             48,
-            "56ee69010ed27bc663d099aed0ab55b96d2fdcc368d17ec5c7df46f1555b8b43",
+            "f9d7f7e789df8d201a8794b547bcb099860638d3d4bdb26de6d68026ec5b0566",
         ),
     ] {
         let mut rng = StdRng::seed_from_u64(0x60_1D + count as u64);

@@ -8,7 +8,10 @@
 //! nonce per segment, all drawn before any work starts). All three moved
 //! once more, when `AuthKey` became ChaCha20-Poly1305 in place of
 //! AES-256-CTR with HMAC-SHA-256 (a new key derivation, a new keystream and
-//! a 16-byte tag in place of a 32-byte one).
+//! a 16-byte tag in place of a 32-byte one). The two container pins moved
+//! once more, when ACV-BGKM's row function became one ChaCha20 keystream per
+//! row in place of one SHA-256 per entry (new `X` coordinates in every
+//! group's key info); the `AuthKey` pin did not.
 
 use pbcd::core::SystemHarness;
 use pbcd::crypto::{sha256, AuthKey};
@@ -62,7 +65,7 @@ fn bulk_shaped_container_is_pinned() {
     assert!(bytes.len() > 256 * 1024);
     assert_eq!(
         hex(&sha256(&bytes)),
-        "c94820b51d4fff34bc2d723ea68a6c9f8ed1538483ed6898205349156b2481d7"
+        "b49ceb8884d175ce143718f9dea1fa938d5b18f778b8de4d00130746cebe2e70"
     );
 }
 
@@ -72,7 +75,7 @@ fn one_segment_container_is_pinned() {
     let bytes = container("small.xml", &["Note"], &doc);
     assert_eq!(
         hex(&sha256(&bytes)),
-        "634b2104f88a1925ddb5fddefd19b7a196ca8b50cc1f56c6ee7c74afa981416a"
+        "36131ad9a136389b5f0c3799b4c787d8a26ffc1321e99a1a194ab8c94fb61976"
     );
 }
 
