@@ -9,6 +9,7 @@ use pbcd_core::proto::{
     RegisterResponse, Request, Response,
 };
 use pbcd_core::{IdentityManager, IdentityProvider};
+use pbcd_crypto::sha256;
 use pbcd_group::P256Group;
 use pbcd_ocbe::{ComparisonOp, OcbeSystem, Predicate};
 use pbcd_policy::AttributeCondition;
@@ -154,6 +155,53 @@ fn every_message_roundtrips_bit_exactly() {
         let decoded = Response::<P256Group>::decode(&group, bytes).expect("response decodes");
         assert_eq!(&decoded.encode(&group).unwrap(), bytes, "{decoded:?}");
     }
+}
+
+fn hex_sha256(bytes: &[u8]) -> String {
+    sha256(bytes).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// SHA-256 of each request encoding of [`sample_messages`], in order.
+const REQUEST_PINS: [&str; 12] = [
+    "b88243a0286fc0e1dc194842185382efff4e8ef96bda244d1ed4c183f80a77d4",
+    "b72acf1d97bb1a931595707a39881b37b358cdcdf979f76d0fb1f602bc9167e7",
+    "903bef8756b05da93a252b81842aa7556b7d86cc68cd2cac12987bb442c1ebd4",
+    "61bd3d716dab3667b1a8f39a26b1d812a1e3bcc6b76ad5b2f622f13ab63867c1",
+    "d02812e732b48cec2aaf3085965e341200418ed0dda17f6cf173ed00392d13c0",
+    "3a29d4f58808d8bbc790edb3997f84c51a75d31ee6d4dc66e4be01b7b6cfe97e",
+    "e2818867bac7467e33d05b45bddf35972187706fd255694186e952364d3b28cf",
+    "278ab293fcd61bed2ee51a5145a324b700e0a68f70e49fe4dba7038892b4d9ef",
+    "7c83ddc4584069ef793321856756dffdda2776c4a2156ee02e9639505baab1b8",
+    "ef275828f149f246aee2100a88b10d885bbc89a92af7f47302532270883bb526",
+    "40cda7ce3497c554c14aa57698e9a91e0956bd8eb36795067b41a5bbb18af441",
+    "bb139b9d09de8da78dc97882977881ef5356625ae23c92c8abf0d36dfeaaba81",
+];
+
+/// SHA-256 of each response encoding of [`sample_messages`], in order.
+const RESPONSE_PINS: [&str; 12] = [
+    "74c8fa7362f8b3e7aeaabd703e716c8aa3bc8ec5e402015337d576077340655b",
+    "6047567057197ebb23f0b8368149f3f6989bdca2c30ae79d867d21d57d4ec4dd",
+    "8569bd3fb6300bcedef22286bf145e1ae7caa0ae34d857c4a7637d368339e75d",
+    "dc936701a9ac820686b768c7ac4eccff6f360fbd9acf222c15e3565ad29d8254",
+    "34ca6401733c46efd6a3d13d4260a14bdcbb562ee9fd6538f0435c86cd4ffea0",
+    "b1dda6d6f9f935b034893412a90cf4fbb0fb8af4891d03b3e25348df1630f161",
+    "b7eca58ea7015f88cb169dc26821ba097b6f48852c09cbeaa77497a5166960dc",
+    "d2723e8bbe10514a6286876262e2b0e11b1e1e17d1daf200a23bb60a0bd9cb10",
+    "ed2ecca0e8ff55cb6154acf69183a923c7dce1edfd570361951110313dae54db",
+    "0b1ccb6e09a12892d85ed785a7ae75eb541d31fb5ede510e6fbbacb8d0c25cc4",
+    "10060f7f50603dfab25d57475e5c4db5b9a00ff7270a47ecdb1473d1394b0374",
+    "6739526222dbfadf9a115efc4a5c4448c1be2a020c0704ec4e3066779f21e766",
+];
+
+/// The SHA-256 of every request and every response encoding above: a
+/// codec rewrite that moves one byte of any message fails here.
+#[test]
+fn every_encoding_is_pinned() {
+    let (requests, responses) = sample_messages();
+    let requests: Vec<String> = requests.iter().map(|m| hex_sha256(m)).collect();
+    let responses: Vec<String> = responses.iter().map(|m| hex_sha256(m)).collect();
+    assert_eq!(requests, REQUEST_PINS);
+    assert_eq!(responses, RESPONSE_PINS);
 }
 
 /// Every strict prefix of every message fails to decode (and never
