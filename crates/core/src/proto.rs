@@ -20,7 +20,6 @@
 //! untrusted broker protocol ([`pbcd_net::frame`]).
 
 use crate::token::IdentityToken;
-use bytes::{Buf, BufMut};
 use pbcd_commit::{Commitment, Opening};
 use pbcd_docs::wire::{self, WireError};
 use pbcd_group::{CyclicGroup, Scalar, Signature};
@@ -235,28 +234,24 @@ pub enum Response<G: CyclicGroup> {
 /// encoding of the 256-bit scalar field.
 const SCALAR_LEN: usize = 32;
 
-fn put_elem<G: CyclicGroup>(
-    buf: &mut impl BufMut,
-    group: &G,
-    elem: &G::Elem,
-) -> Result<(), WireError> {
+fn put_elem<G: CyclicGroup>(buf: &mut Vec<u8>, group: &G, elem: &G::Elem) -> Result<(), WireError> {
     wire::put_bytes(buf, &group.serialize(elem))
 }
 
-fn get_elem<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<G::Elem, WireError> {
+fn get_elem<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<G::Elem, WireError> {
     group
         .deserialize(&wire::get_bytes(buf)?)
         .ok_or(WireError::InvalidValue)
 }
 
-fn put_scalar(buf: &mut impl BufMut, s: &Scalar) {
+fn put_scalar(buf: &mut Vec<u8>, s: &Scalar) {
     let bytes = s.to_uint().to_be_bytes();
     debug_assert_eq!(bytes.len(), SCALAR_LEN);
-    buf.put_slice(&bytes);
+    buf.extend_from_slice(&bytes);
 }
 
 /// Strict scalar parse: fixed width, canonical (below the group order).
-fn get_scalar<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<Scalar, WireError> {
+fn get_scalar<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<Scalar, WireError> {
     let bytes = wire::get_fixed::<SCALAR_LEN>(buf)?;
     let uint = pbcd_math::U256::from_be_bytes(&bytes).ok_or(WireError::InvalidValue)?;
     if uint >= *group.order() {
@@ -265,14 +260,14 @@ fn get_scalar<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<Scalar, W
     Ok(group.scalar_ctx().from_uint(&uint))
 }
 
-fn put_condition(buf: &mut impl BufMut, cond: &AttributeCondition) -> Result<(), WireError> {
+fn put_condition(buf: &mut Vec<u8>, cond: &AttributeCondition) -> Result<(), WireError> {
     wire::put_str(buf, &cond.attribute)?;
-    buf.put_u8(op_code(cond.op));
-    buf.put_u64(cond.threshold);
+    buf.push(op_code(cond.op));
+    buf.extend_from_slice(&cond.threshold.to_be_bytes());
     Ok(())
 }
 
-fn get_condition(buf: &mut impl Buf) -> Result<AttributeCondition, WireError> {
+fn get_condition(buf: &mut &[u8]) -> Result<AttributeCondition, WireError> {
     let attribute = wire::get_str(buf)?;
     let op = op_from_code(wire::get_u8(buf)?)?;
     let threshold = wire::get_u64(buf)?;
@@ -307,7 +302,7 @@ fn op_from_code(code: u8) -> Result<ComparisonOp, WireError> {
 }
 
 fn put_token<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     token: &IdentityToken<G>,
 ) -> Result<(), WireError> {
@@ -320,7 +315,7 @@ fn put_token<G: CyclicGroup>(
     Ok(())
 }
 
-fn get_token<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<IdentityToken<G>, WireError> {
+fn get_token<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<IdentityToken<G>, WireError> {
     let nym = wire::get_str(buf)?;
     let id_tag = wire::get_str(buf)?;
     let commitment = Commitment::from_element(get_elem(buf, group)?);
@@ -334,33 +329,33 @@ fn get_token<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<IdentityTo
     })
 }
 
-fn put_opening(buf: &mut impl BufMut, opening: &Opening) {
+fn put_opening(buf: &mut Vec<u8>, opening: &Opening) {
     put_scalar(buf, &opening.value);
     put_scalar(buf, &opening.randomness);
 }
 
-fn get_opening<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<Opening, WireError> {
+fn get_opening<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<Opening, WireError> {
     let value = get_scalar(buf, group)?;
     let randomness = get_scalar(buf, group)?;
     Ok(Opening { value, randomness })
 }
 
 fn put_bit_proof<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     proof: &BitProof<G>,
 ) -> Result<(), WireError> {
-    buf.put_u32(proof.commitments.len() as u32);
+    buf.extend_from_slice(&(proof.commitments.len() as u32).to_be_bytes());
     for c in &proof.commitments {
         put_elem(buf, group, c.element())?;
     }
     Ok(())
 }
 
-fn get_bit_proof<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<BitProof<G>, WireError> {
+fn get_bit_proof<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<BitProof<G>, WireError> {
     let count = wire::get_u32(buf)? as usize;
     // Every commitment costs ≥ 4 bytes (its length prefix) on the wire.
-    if count > buf.remaining() / 4 + 1 {
+    if count > buf.len() / 4 + 1 {
         return Err(WireError::Truncated);
     }
     let mut commitments = Vec::with_capacity(count.min(1024));
@@ -371,19 +366,19 @@ fn get_bit_proof<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<BitPro
 }
 
 fn put_proof<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     proof: &ProofMessage<G>,
 ) -> Result<(), WireError> {
     match proof {
-        ProofMessage::Empty => buf.put_u8(0),
+        ProofMessage::Empty => buf.push(0),
         ProofMessage::Bits(p) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_bit_proof(buf, group, p)?;
         }
         ProofMessage::Dual { ge, le } => {
-            buf.put_u8(2);
-            buf.put_u8(presence_flags(ge.is_some(), le.is_some()));
+            buf.push(2);
+            buf.push(presence_flags(ge.is_some(), le.is_some()));
             if let Some(p) = ge {
                 put_bit_proof(buf, group, p)?;
             }
@@ -395,7 +390,7 @@ fn put_proof<G: CyclicGroup>(
     Ok(())
 }
 
-fn get_proof<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<ProofMessage<G>, WireError> {
+fn get_proof<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<ProofMessage<G>, WireError> {
     match wire::get_u8(buf)? {
         0 => Ok(ProofMessage::Empty),
         1 => Ok(ProofMessage::Bits(get_bit_proof(buf, group)?)),
@@ -429,27 +424,27 @@ fn parse_presence_flags(flags: u8) -> Result<(bool, bool), WireError> {
 }
 
 fn put_bitwise_envelope<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     env: &BitwiseEnvelope<G>,
 ) -> Result<(), WireError> {
     put_elem(buf, group, &env.eta)?;
-    buf.put_u32(env.shares.len() as u32);
+    buf.extend_from_slice(&(env.shares.len() as u32).to_be_bytes());
     for [s0, s1] in &env.shares {
-        buf.put_slice(s0);
-        buf.put_slice(s1);
+        buf.extend_from_slice(s0);
+        buf.extend_from_slice(s1);
     }
     wire::put_bytes(buf, &env.ciphertext)
 }
 
 fn get_bitwise_envelope<G: CyclicGroup>(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     group: &G,
 ) -> Result<BitwiseEnvelope<G>, WireError> {
     let eta = get_elem(buf, group)?;
     let count = wire::get_u32(buf)? as usize;
     // Each share is exactly 64 bytes on the wire.
-    if count > buf.remaining() / 64 + 1 {
+    if count > buf.len() / 64 + 1 {
         return Err(WireError::Truncated);
     }
     let mut shares = Vec::with_capacity(count.min(1024));
@@ -467,27 +462,27 @@ fn get_bitwise_envelope<G: CyclicGroup>(
 }
 
 fn put_envelope<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     env: &Envelope<G>,
 ) -> Result<(), WireError> {
     match env {
         Envelope::Eq(e) => {
-            buf.put_u8(0);
+            buf.push(0);
             put_elem(buf, group, &e.eta)?;
             wire::put_bytes(buf, &e.ciphertext)?;
         }
         Envelope::Ge(e) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_bitwise_envelope(buf, group, e)?;
         }
         Envelope::Le(e) => {
-            buf.put_u8(2);
+            buf.push(2);
             put_bitwise_envelope(buf, group, e)?;
         }
         Envelope::Dual { ge, le } => {
-            buf.put_u8(3);
-            buf.put_u8(presence_flags(ge.is_some(), le.is_some()));
+            buf.push(3);
+            buf.push(presence_flags(ge.is_some(), le.is_some()));
             if let Some(e) = ge {
                 put_bitwise_envelope(buf, group, e)?;
             }
@@ -499,7 +494,7 @@ fn put_envelope<G: CyclicGroup>(
     Ok(())
 }
 
-fn get_envelope<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<Envelope<G>, WireError> {
+fn get_envelope<G: CyclicGroup>(buf: &mut &[u8], group: &G) -> Result<Envelope<G>, WireError> {
     match wire::get_u8(buf)? {
         0 => {
             let eta = get_elem(buf, group)?;
@@ -527,7 +522,7 @@ fn get_envelope<G: CyclicGroup>(buf: &mut impl Buf, group: &G) -> Result<Envelop
 }
 
 fn put_register_item<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     item: &RegisterRequest<G>,
 ) -> Result<(), WireError> {
@@ -537,7 +532,7 @@ fn put_register_item<G: CyclicGroup>(
 }
 
 fn get_register_item<G: CyclicGroup>(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     group: &G,
 ) -> Result<RegisterRequest<G>, WireError> {
     let token = get_token(buf, group)?;
@@ -547,31 +542,28 @@ fn get_register_item<G: CyclicGroup>(
 }
 
 /// Strict batch count: `u16`, at most [`MAX_BATCH_ITEMS`].
-fn get_batch_count(buf: &mut impl Buf) -> Result<usize, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    let count = buf.get_u16() as usize;
+fn get_batch_count(buf: &mut &[u8]) -> Result<usize, WireError> {
+    let count = wire::get_u16(buf)? as usize;
     if count > MAX_BATCH_ITEMS {
         return Err(WireError::FieldTooLong(count));
     }
     Ok(count)
 }
 
-fn put_batch_count(buf: &mut impl BufMut, count: usize) -> Result<(), WireError> {
+fn put_batch_count(buf: &mut Vec<u8>, count: usize) -> Result<(), WireError> {
     if count > MAX_BATCH_ITEMS {
         return Err(WireError::FieldTooLong(count));
     }
-    buf.put_u16(count as u16);
+    buf.extend_from_slice(&(count as u16).to_be_bytes());
     Ok(())
 }
 
-fn put_error(buf: &mut impl BufMut, e: &ErrorResponse) -> Result<(), WireError> {
-    buf.put_u8(e.code.code());
+fn put_error(buf: &mut Vec<u8>, e: &ErrorResponse) -> Result<(), WireError> {
+    buf.push(e.code.code());
     wire::put_str(buf, &e.message)
 }
 
-fn get_error(buf: &mut impl Buf) -> Result<ErrorResponse, WireError> {
+fn get_error(buf: &mut &[u8]) -> Result<ErrorResponse, WireError> {
     let code = ErrorCode::from_code(wire::get_u8(buf)?)?;
     let message = wire::get_str(buf)?;
     Ok(ErrorResponse { code, message })
@@ -580,24 +572,24 @@ fn get_error(buf: &mut impl Buf) -> Result<ErrorResponse, WireError> {
 /// One batch-response item: tag byte `0` = envelope, `1` = typed per-item
 /// error.
 fn put_batch_result<G: CyclicGroup>(
-    buf: &mut impl BufMut,
+    buf: &mut Vec<u8>,
     group: &G,
     result: &Result<RegisterResponse<G>, ErrorResponse>,
 ) -> Result<(), WireError> {
     match result {
         Ok(r) => {
-            buf.put_u8(0);
+            buf.push(0);
             put_envelope(buf, group, &r.envelope)
         }
         Err(e) => {
-            buf.put_u8(1);
+            buf.push(1);
             put_error(buf, e)
         }
     }
 }
 
 fn get_batch_result<G: CyclicGroup>(
-    buf: &mut impl Buf,
+    buf: &mut &[u8],
     group: &G,
 ) -> Result<Result<RegisterResponse<G>, ErrorResponse>, WireError> {
     match wire::get_u8(buf)? {
@@ -627,13 +619,12 @@ fn open_header(data: &[u8]) -> Result<(u8, &[u8]), WireError> {
     if data.len() > MAX_MESSAGE_LEN {
         return Err(WireError::FieldTooLong(data.len()));
     }
-    if data.len() < 4 {
-        return Err(WireError::Truncated);
-    }
-    if &data[..2] != PROTO_MAGIC || data[2] != PROTO_VERSION {
+    let mut buf = data;
+    let [m0, m1, version, kind] = wire::get_fixed::<4>(&mut buf)?;
+    if [m0, m1] != *PROTO_MAGIC || version != PROTO_VERSION {
         return Err(WireError::BadHeader);
     }
-    Ok((data[3], &data[4..]))
+    Ok((kind, buf))
 }
 
 fn finish(buf: &[u8]) -> Result<(), WireError> {
@@ -654,10 +645,10 @@ impl<G: CyclicGroup> Request<G> {
                 buf = header(KIND_CONDITIONS_QUERY);
                 match attribute {
                     Some(a) => {
-                        buf.put_u8(1);
+                        buf.push(1);
                         wire::put_str(&mut buf, a)?;
                     }
-                    None => buf.put_u8(0),
+                    None => buf.push(0),
                 }
             }
             Self::Register(r) => {
@@ -675,7 +666,7 @@ impl<G: CyclicGroup> Request<G> {
                 buf = header(KIND_ISSUE_REQUEST);
                 wire::put_str(&mut buf, &r.subject)?;
                 wire::put_str(&mut buf, &r.attribute)?;
-                buf.put_u64(r.value);
+                buf.extend_from_slice(&r.value.to_be_bytes());
             }
             Self::Stats => {
                 buf = header(KIND_STATS_QUERY);
@@ -734,9 +725,9 @@ impl<G: CyclicGroup> Response<G> {
         match self {
             Self::Conditions(info) => {
                 buf = header(KIND_CONDITIONS);
-                buf.put_u32(info.ell);
-                buf.put_u32(info.kappa_bits);
-                buf.put_u32(info.conditions.len() as u32);
+                buf.extend_from_slice(&info.ell.to_be_bytes());
+                buf.extend_from_slice(&info.kappa_bits.to_be_bytes());
+                buf.extend_from_slice(&(info.conditions.len() as u32).to_be_bytes());
                 for c in &info.conditions {
                     put_condition(&mut buf, c)?;
                 }
@@ -780,7 +771,7 @@ impl<G: CyclicGroup> Response<G> {
                 let kappa_bits = wire::get_u32(&mut buf)?;
                 let count = wire::get_u32(&mut buf)? as usize;
                 // Each condition costs ≥ 13 bytes on the wire.
-                if count > buf.remaining() / 13 + 1 {
+                if count > buf.len() / 13 + 1 {
                     return Err(WireError::Truncated);
                 }
                 let mut conditions = Vec::with_capacity(count.min(1024));

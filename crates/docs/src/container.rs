@@ -13,8 +13,7 @@
 //! segment := segment_id u32 ‖ tag ‖ ciphertext
 //! ```
 
-use crate::wire::{get_bytes, get_str, get_u32, get_u64, put_bytes, put_str, WireError};
-use bytes::{Buf, BufMut, BytesMut};
+use crate::wire::{get_bytes, get_fixed, get_str, get_u32, get_u64, put_bytes, put_str, WireError};
 
 const MAGIC: &[u8; 4] = b"PBCD";
 const VERSION: u32 = 1;
@@ -61,38 +60,32 @@ impl BroadcastContainer {
     /// field exceeds [`crate::wire::MAX_FIELD_LEN`], so encoding a hostile
     /// container can never abort the encoding thread.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = BytesMut::with_capacity(self.size_bytes());
-        buf.put_slice(MAGIC);
-        buf.put_u32(VERSION);
-        buf.put_u64(self.epoch);
+        let mut buf = Vec::with_capacity(self.size_bytes());
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_be_bytes());
+        buf.extend_from_slice(&self.epoch.to_be_bytes());
         put_str(&mut buf, &self.document_name)?;
         put_str(&mut buf, &self.skeleton_xml)?;
-        buf.put_u32(self.groups.len() as u32);
+        buf.extend_from_slice(&(self.groups.len() as u32).to_be_bytes());
         for g in &self.groups {
-            buf.put_u32(g.config_id);
+            buf.extend_from_slice(&g.config_id.to_be_bytes());
             put_bytes(&mut buf, &g.key_info)?;
-            buf.put_u32(g.segments.len() as u32);
+            buf.extend_from_slice(&(g.segments.len() as u32).to_be_bytes());
             for s in &g.segments {
-                buf.put_u32(s.segment_id);
+                buf.extend_from_slice(&s.segment_id.to_be_bytes());
                 put_str(&mut buf, &s.tag)?;
                 put_bytes(&mut buf, &s.ciphertext)?;
             }
         }
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Parses and validates the wire format.
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
         let mut buf = data;
-        if buf.remaining() < 8 {
-            return Err(WireError::Truncated);
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(WireError::BadHeader);
-        }
-        if buf.get_u32() != VERSION {
+        let magic = get_fixed::<4>(&mut buf)?;
+        let version = get_u32(&mut buf)?;
+        if &magic != MAGIC || version != VERSION {
             return Err(WireError::BadHeader);
         }
         let epoch = get_u64(&mut buf)?;
@@ -128,7 +121,7 @@ impl BroadcastContainer {
                 segments,
             });
         }
-        if buf.remaining() != 0 {
+        if !buf.is_empty() {
             return Err(WireError::BadHeader);
         }
         Ok(Self {

@@ -15,8 +15,9 @@
 //! re-encoding them and without ever holding a decryption key.
 
 use crate::error::{NetError, RejectReason};
-use bytes::{Buf, BufMut, BytesMut};
-use pbcd_docs::wire::{get_str, get_u32, get_u64, put_str, WireError};
+use pbcd_docs::wire::{
+    get_fixed, get_slice, get_str, get_u16, get_u32, get_u64, get_u8, put_str, WireError,
+};
 use pbcd_docs::BroadcastContainer;
 use std::io::{Read, Write};
 
@@ -218,52 +219,52 @@ impl Frame {
     /// Serializes the frame body (without the outer length prefix).
     /// Fails — instead of panicking — on oversized fields.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = BytesMut::new();
-        buf.put_slice(FRAME_MAGIC);
-        buf.put_u8(PROTOCOL_VERSION);
+        let mut buf = Vec::new();
+        buf.extend_from_slice(FRAME_MAGIC);
+        buf.push(PROTOCOL_VERSION);
         match self {
             Self::Hello { role } => {
-                buf.put_u8(KIND_HELLO);
-                buf.put_u8(role.code());
+                buf.push(KIND_HELLO);
+                buf.push(role.code());
             }
             Self::Publish(container) => {
-                buf.put_u8(KIND_PUBLISH);
-                buf.put_slice(&container.encode()?);
+                buf.push(KIND_PUBLISH);
+                buf.extend_from_slice(&container.encode()?);
             }
             Self::Subscribe { documents, depth } => {
-                buf.put_u8(KIND_SUBSCRIBE);
-                buf.put_u32(*depth);
-                buf.put_u32(documents.len() as u32);
+                buf.push(KIND_SUBSCRIBE);
+                buf.extend_from_slice(&depth.to_be_bytes());
+                buf.extend_from_slice(&(documents.len() as u32).to_be_bytes());
                 for d in documents {
                     put_str(&mut buf, d)?;
                 }
             }
             Self::Deliver(container) => {
-                buf.put_u8(KIND_DELIVER);
-                buf.put_slice(&container.encode()?);
+                buf.push(KIND_DELIVER);
+                buf.extend_from_slice(&container.encode()?);
             }
-            Self::ListConfigs => buf.put_u8(KIND_LIST_CONFIGS),
+            Self::ListConfigs => buf.push(KIND_LIST_CONFIGS),
             Self::Configs(entries) => {
-                buf.put_u8(KIND_CONFIGS);
-                buf.put_u32(entries.len() as u32);
+                buf.push(KIND_CONFIGS);
+                buf.extend_from_slice(&(entries.len() as u32).to_be_bytes());
                 for e in entries {
                     put_str(&mut buf, &e.document_name)?;
-                    buf.put_u64(e.epoch);
-                    buf.put_u64(e.size_bytes);
-                    buf.put_u32(e.config_ids.len() as u32);
+                    buf.extend_from_slice(&e.epoch.to_be_bytes());
+                    buf.extend_from_slice(&e.size_bytes.to_be_bytes());
+                    buf.extend_from_slice(&(e.config_ids.len() as u32).to_be_bytes());
                     for id in &e.config_ids {
-                        buf.put_u32(*id);
+                        buf.extend_from_slice(&id.to_be_bytes());
                     }
                 }
             }
             Self::Ack { epoch, fanout } => {
-                buf.put_u8(KIND_ACK);
-                buf.put_u64(*epoch);
-                buf.put_u32(*fanout);
+                buf.push(KIND_ACK);
+                buf.extend_from_slice(&epoch.to_be_bytes());
+                buf.extend_from_slice(&fanout.to_be_bytes());
             }
-            Self::Bye => buf.put_u8(KIND_BYE),
+            Self::Bye => buf.push(KIND_BYE),
             Self::Error { message } => {
-                buf.put_u8(KIND_ERROR);
+                buf.push(KIND_ERROR);
                 put_str(&mut buf, message)?;
             }
             Self::PublishSigned {
@@ -274,24 +275,24 @@ impl Frame {
                 if signature.is_empty() || signature.len() > MAX_PUBLISH_SIGNATURE_LEN {
                     return Err(WireError::InvalidValue);
                 }
-                buf.put_u8(KIND_PUBLISH_SIGNED);
+                buf.push(KIND_PUBLISH_SIGNED);
                 put_str(&mut buf, key_id)?;
-                buf.put_u16(signature.len() as u16);
-                buf.put_slice(signature);
-                buf.put_slice(&container.encode()?);
+                buf.extend_from_slice(&(signature.len() as u16).to_be_bytes());
+                buf.extend_from_slice(signature);
+                buf.extend_from_slice(&container.encode()?);
             }
             Self::Reject { reason, message } => {
-                buf.put_u8(KIND_REJECT);
-                buf.put_u8(reason.code());
+                buf.push(KIND_REJECT);
+                buf.push(reason.code());
                 put_str(&mut buf, message)?;
             }
-            Self::StatsRequest => buf.put_u8(KIND_STATS_REQUEST),
+            Self::StatsRequest => buf.push(KIND_STATS_REQUEST),
             Self::StatsResponse { text } => {
-                buf.put_u8(KIND_STATS_RESPONSE);
+                buf.push(KIND_STATS_RESPONSE);
                 put_str(&mut buf, text)?;
             }
             Self::PeerHello { broker_id } => {
-                buf.put_u8(KIND_PEER_HELLO);
+                buf.push(KIND_PEER_HELLO);
                 put_str(&mut buf, broker_id)?;
             }
             Self::Relay {
@@ -299,21 +300,21 @@ impl Frame {
                 hops,
                 container,
             } => {
-                buf.put_u8(KIND_RELAY);
+                buf.push(KIND_RELAY);
                 put_str(&mut buf, origin)?;
-                buf.put_u8(*hops);
-                buf.put_slice(&container.encode()?);
+                buf.push(*hops);
+                buf.extend_from_slice(&container.encode()?);
             }
             Self::RelayCatchUp { known } => {
-                buf.put_u8(KIND_RELAY_CATCH_UP);
-                buf.put_u32(known.len() as u32);
+                buf.push(KIND_RELAY_CATCH_UP);
+                buf.extend_from_slice(&(known.len() as u32).to_be_bytes());
                 for (doc, epoch) in known {
                     put_str(&mut buf, doc)?;
-                    buf.put_u64(*epoch);
+                    buf.extend_from_slice(&epoch.to_be_bytes());
                 }
             }
         }
-        Ok(buf.to_vec())
+        Ok(buf)
     }
 
     /// Strict parse of a frame body. Any deviation — bad magic, a version
@@ -321,25 +322,14 @@ impl Frame {
     /// bytes — is a [`WireError`].
     pub fn decode(data: &[u8]) -> Result<Self, WireError> {
         let mut buf = data;
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let mut magic = [0u8; 2];
-        buf.copy_to_slice(&mut magic);
-        if &magic != FRAME_MAGIC {
+        let [m0, m1, version, kind] = get_fixed::<4>(&mut buf)?;
+        if [m0, m1] != *FRAME_MAGIC || version != PROTOCOL_VERSION {
             return Err(WireError::BadHeader);
         }
-        if buf.get_u8() != PROTOCOL_VERSION {
-            return Err(WireError::BadHeader);
-        }
-        let frame = match buf.get_u8() {
-            KIND_HELLO => {
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                let role = PeerRole::from_code(buf.get_u8())?;
-                Self::Hello { role }
-            }
+        let frame = match kind {
+            KIND_HELLO => Self::Hello {
+                role: PeerRole::from_code(get_u8(&mut buf)?)?,
+            },
             KIND_PUBLISH => {
                 let container = BroadcastContainer::decode(buf)?;
                 buf = &[];
@@ -403,18 +393,11 @@ impl Frame {
             },
             KIND_PUBLISH_SIGNED => {
                 let key_id = get_str(&mut buf)?;
-                if buf.remaining() < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let sig_len = buf.get_u16() as usize;
+                let sig_len = get_u16(&mut buf)? as usize;
                 if sig_len == 0 || sig_len > MAX_PUBLISH_SIGNATURE_LEN {
                     return Err(WireError::InvalidValue);
                 }
-                if buf.remaining() < sig_len {
-                    return Err(WireError::Truncated);
-                }
-                let mut signature = vec![0u8; sig_len];
-                buf.copy_to_slice(&mut signature);
+                let signature = get_slice(&mut buf, sig_len)?.to_vec();
                 let container = BroadcastContainer::decode(buf)?;
                 buf = &[];
                 Self::PublishSigned {
@@ -424,11 +407,8 @@ impl Frame {
                 }
             }
             KIND_REJECT => {
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
                 let reason =
-                    RejectReason::from_code(buf.get_u8()).ok_or(WireError::InvalidValue)?;
+                    RejectReason::from_code(get_u8(&mut buf)?).ok_or(WireError::InvalidValue)?;
                 Self::Reject {
                     reason,
                     message: get_str(&mut buf)?,
@@ -443,10 +423,7 @@ impl Frame {
             },
             KIND_RELAY => {
                 let origin = get_str(&mut buf)?;
-                if buf.remaining() < 1 {
-                    return Err(WireError::Truncated);
-                }
-                let hops = buf.get_u8();
+                let hops = get_u8(&mut buf)?;
                 let container = BroadcastContainer::decode(buf)?;
                 buf = &[];
                 Self::Relay {

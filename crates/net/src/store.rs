@@ -54,8 +54,7 @@
 
 use crate::error::NetError;
 use crate::frame::{ConfigSummary, Frame, CONTAINER_OFFSET, MAX_FRAME_LEN};
-use bytes::Buf;
-use pbcd_docs::wire::{get_str, get_u64, put_str, WireError};
+use pbcd_docs::wire::{get_fixed, get_str, get_u32, get_u64, put_str, WireError};
 use pbcd_telemetry::{Histogram, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -198,28 +197,43 @@ pub fn encode_record(
 /// failure taxonomy — truncation and corruption yield typed errors, never
 /// a panic.
 pub fn decode_record(buf: &[u8]) -> Result<(StoredRecord, usize), RecordError> {
-    if buf.len() < RECORD_HEADER_LEN {
-        return Err(RecordError::Truncated);
-    }
-    if buf[..4] != RECORD_MAGIC {
-        return Err(RecordError::BadMagic);
-    }
-    let payload_len = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    if payload_len > MAX_RECORD_PAYLOAD {
-        return Err(RecordError::Oversized);
-    }
-    let crc = u32::from_be_bytes([buf[8], buf[9], buf[10], buf[11]]);
-    let Some(payload) = buf
-        .get(RECORD_HEADER_LEN..RECORD_HEADER_LEN + payload_len)
-        .filter(|p| p.len() == payload_len)
+    // Reading from a slice cannot fail, so only the inner result is real.
+    read_record(&mut { buf }).unwrap_or(Err(RecordError::Truncated))
+}
+
+/// Reads and verifies one record from `r` — the one record parser, behind
+/// both [`decode_record`] and recovery. The outer `Err` is a genuine I/O
+/// error only; every content problem is the inner [`RecordError`].
+fn read_record(r: &mut impl Read) -> io::Result<Result<(StoredRecord, usize), RecordError>> {
+    let header = read_up_to(r, RECORD_HEADER_LEN)?;
+    let mut h = header.as_slice();
+    let (Ok(magic), Ok(payload_len), Ok(crc)) =
+        (get_fixed::<4>(&mut h), get_u32(&mut h), get_u32(&mut h))
     else {
-        return Err(RecordError::Truncated);
+        return Ok(Err(RecordError::Truncated));
     };
-    if crc32(payload) != crc {
-        return Err(RecordError::BadChecksum);
+    if magic != RECORD_MAGIC {
+        return Ok(Err(RecordError::BadMagic));
     }
-    let record = parse_payload(payload.to_vec())?;
-    Ok((record, RECORD_HEADER_LEN + payload_len))
+    let payload_len = payload_len as usize;
+    if payload_len > MAX_RECORD_PAYLOAD {
+        return Ok(Err(RecordError::Oversized));
+    }
+    let payload = read_up_to(r, payload_len)?;
+    if payload.len() < payload_len {
+        return Ok(Err(RecordError::Truncated));
+    }
+    if crc32(&payload) != crc {
+        return Ok(Err(RecordError::BadChecksum));
+    }
+    Ok(parse_payload(payload).map(|record| (record, RECORD_HEADER_LEN + payload_len)))
+}
+
+/// Reads `n` bytes, fewer only if the input ends first.
+fn read_up_to(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
+    let mut buf = Vec::with_capacity(n);
+    r.take(n as u64).read_to_end(&mut buf)?;
+    Ok(buf)
 }
 
 fn parse_payload(mut payload: Vec<u8>) -> Result<StoredRecord, RecordError> {
@@ -228,7 +242,7 @@ fn parse_payload(mut payload: Vec<u8>) -> Result<StoredRecord, RecordError> {
     let epoch = get_u64(&mut buf).map_err(RecordError::Payload)?;
     // The rest of the payload *is* the deliver body; it must at least hold
     // the frame header the broker always writes.
-    if buf.remaining() < CONTAINER_OFFSET {
+    if buf.len() < CONTAINER_OFFSET {
         return Err(RecordError::Payload(WireError::Truncated));
     }
     // Slide the body to the front of the allocation we already own
@@ -405,23 +419,19 @@ impl RetentionStore {
         // buffer is cheap and short-lived.
         let mut reader = BufReader::with_capacity(RECOVERY_BUF_BYTES, &file);
         let mut good_offset = 0u64;
-        loop {
-            match read_one_record(&mut reader)? {
-                ScanOutcome::CleanEof => break,
-                ScanOutcome::Torn => break,
-                ScanOutcome::Record(record, consumed) => {
-                    let Some((summary, body)) = deliver_summary(record) else {
-                        // CRC-valid but semantically wrong (not a Deliver
-                        // of the named doc/epoch): treat as corruption —
-                        // the prefix before it is still the longest prefix
-                        // that is *valid*, not merely well-framed.
-                        break;
-                    };
-                    store.apply(summary, body);
-                    store.recovery.records_recovered += 1;
-                    good_offset += consumed as u64;
-                }
-            }
+        // A clean end of file reads as a truncated record too: either way
+        // the scan stops and everything past `good_offset` is cut off.
+        while let Ok((record, consumed)) = read_record(&mut reader)? {
+            let Some((summary, body)) = deliver_summary(record) else {
+                // CRC-valid but semantically wrong (not a Deliver of the
+                // named doc/epoch): treat as corruption — the prefix before
+                // it is still the longest prefix that is *valid*, not
+                // merely well-framed.
+                break;
+            };
+            store.apply(summary, body);
+            store.recovery.records_recovered += 1;
+            good_offset += consumed as u64;
         }
         drop(reader);
         if good_offset < file_len {
@@ -709,53 +719,6 @@ impl RetentionStore {
         }
         Ok(())
     }
-}
-
-/// One step of the recovery scan.
-enum ScanOutcome {
-    /// The file ended exactly at a record boundary.
-    CleanEof,
-    /// The file ends (or goes bad) inside this record — truncate here.
-    Torn,
-    /// A fully verified record and the bytes it occupied.
-    Record(StoredRecord, usize),
-}
-
-/// Reads and verifies one record. Only genuine I/O errors (not content
-/// problems) surface as `Err` — every malformed-content path is `Torn`.
-fn read_one_record(r: &mut impl Read) -> io::Result<ScanOutcome> {
-    let header = read_up_to(r, RECORD_HEADER_LEN)?;
-    match header.len() {
-        0 => return Ok(ScanOutcome::CleanEof),
-        n if n < RECORD_HEADER_LEN => return Ok(ScanOutcome::Torn),
-        _ => {}
-    }
-    if header[..4] != RECORD_MAGIC {
-        return Ok(ScanOutcome::Torn);
-    }
-    let payload_len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]) as usize;
-    if payload_len > MAX_RECORD_PAYLOAD {
-        return Ok(ScanOutcome::Torn);
-    }
-    let crc = u32::from_be_bytes([header[8], header[9], header[10], header[11]]);
-    let payload = read_up_to(r, payload_len)?;
-    if payload.len() < payload_len {
-        return Ok(ScanOutcome::Torn);
-    }
-    if crc32(&payload) != crc {
-        return Ok(ScanOutcome::Torn);
-    }
-    match parse_payload(payload) {
-        Ok(record) => Ok(ScanOutcome::Record(record, RECORD_HEADER_LEN + payload_len)),
-        Err(_) => Ok(ScanOutcome::Torn),
-    }
-}
-
-/// Reads `n` bytes, fewer only if the input ends first.
-fn read_up_to(r: &mut impl Read, n: usize) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::with_capacity(n);
-    r.take(n as u64).read_to_end(&mut buf)?;
-    Ok(buf)
 }
 
 /// Validates that a recovered record's body is a strict `Deliver` frame of
