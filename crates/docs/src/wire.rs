@@ -150,23 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn short_integers_are_truncated_not_panics() {
-        let bytes = [0xAB; 7];
-        for cut in 0..bytes.len() {
-            let short = &bytes[..cut];
-            assert_eq!(get_u64(&mut { short }), Err(WireError::Truncated));
-            if cut < 4 {
-                assert_eq!(get_u32(&mut { short }), Err(WireError::Truncated));
-            }
-            if cut < 2 {
-                assert_eq!(get_u16(&mut { short }), Err(WireError::Truncated));
-            }
-        }
-        assert_eq!(get_u8(&mut &[][..]), Err(WireError::Truncated));
-        assert_eq!(get_slice(&mut &bytes[..], 8), Err(WireError::Truncated));
-    }
-
-    #[test]
     fn oversized_length_rejected() {
         let mut r = &u32::MAX.to_be_bytes()[..];
         assert!(matches!(get_bytes(&mut r), Err(WireError::FieldTooLong(_))));
@@ -200,6 +183,10 @@ mod tests {
         assert_eq!(get_u8(&mut r), Err(WireError::Truncated));
         let mut short: &[u8] = &[1, 2];
         assert_eq!(get_fixed::<3>(&mut short), Err(WireError::Truncated));
+        assert_eq!(get_u16(&mut &[1][..]), Err(WireError::Truncated));
+        assert_eq!(get_u32(&mut &[1, 2, 3][..]), Err(WireError::Truncated));
+        assert_eq!(get_u64(&mut &[0; 7][..]), Err(WireError::Truncated));
+        assert_eq!(get_slice(&mut &[0; 7][..], 8), Err(WireError::Truncated));
     }
 
     #[test]
