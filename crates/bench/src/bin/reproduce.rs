@@ -33,6 +33,7 @@ use pbcd_crypto::{chacha20_xor, poly1305, AuthKey, NONCE_LEN};
 use pbcd_gkm::{AcvBgkm, MarkerGkm, SecureLockGkm, ShardedAcvBgkm, SimplisticGkm};
 use pbcd_group::{challenge, verify_batch, CyclicGroup, ModpGroup, P256Group, SigningKey};
 use pbcd_math::{FpCtx, Matrix};
+use rand::rngs::StdRng;
 use std::time::{Duration, Instant};
 
 struct Opts {
@@ -752,21 +753,78 @@ fn bench_net_json(opts: &Opts) {
     println!("wrote {path}\n");
 }
 
+/// `BENCH_group_ops.json` as it is recorded: the `ops_ns` entries and the
+/// `speedup_vs_naive` ratios, each list in recording order.
+struct GroupOps {
+    quick: bool,
+    ops: Vec<(String, f64)>,
+    speedups: Vec<(String, f64)>,
+}
+
+impl GroupOps {
+    /// The full or the `--quick` count of a `[full, quick]` pair.
+    fn rounds(&self, [full, quick]: [usize; 2]) -> usize {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// Records and prints one `ops_ns` entry; returns it in ns.
+    fn entry(&mut self, key: &str, d: Duration) -> f64 {
+        let ns = d.as_secs_f64() * 1e9;
+        println!("{key:<34}{ns:>14.0} ns");
+        self.ops.push((key.to_string(), ns));
+        ns
+    }
+
+    /// One optimised/naive pair. Each side runs once on its clone of one
+    /// seeded rng (building any lazy table before timing) and the results
+    /// must `agree`, or this panics with the keys; then each side is timed
+    /// over the `[full, quick]` round count, carrying its clone on, and
+    /// both keys and `naive / fast` under `label` are recorded.
+    fn twin<T>(
+        &mut self,
+        label: &str,
+        [fast_key, naive_key]: [&str; 2],
+        rounds: [usize; 2],
+        mut fast: impl FnMut(&mut StdRng) -> T,
+        mut naive: impl FnMut(&mut StdRng) -> T,
+        agree: impl Fn(&T, &T) -> bool,
+    ) {
+        let mut fast_rng = bench_rng();
+        let mut naive_rng = fast_rng.clone();
+        assert!(
+            agree(&fast(&mut fast_rng), &naive(&mut naive_rng)),
+            "{fast_key} disagrees with {naive_key}"
+        );
+        let rounds = self.rounds(rounds);
+        let f = self.entry(fast_key, time_avg(rounds, || fast(&mut fast_rng)));
+        let n = self.entry(naive_key, time_avg(rounds, || naive(&mut naive_rng)));
+        println!("{label:<34}{:>13.2}x", n / f);
+        self.speedups.push((label.to_string(), n / f));
+    }
+}
+
 /// Measures the group-arithmetic substrate and writes
 /// `BENCH_group_ops.json` — a flat `op → ns/iter` map with optimized and
-/// naive-baseline entries plus derived speedups. Naive baselines measure
-/// the dominant group operations of the pre-optimization code paths (the
-/// double-and-add ladders); sub-microsecond hashing around them is
-/// ignored.
+/// naive-baseline entries plus derived speedups, every pair through
+/// [`GroupOps::twin`]. Naive baselines measure the dominant group
+/// operations of the pre-optimization code paths (the double-and-add
+/// ladders); sub-microsecond hashing around them is ignored.
 fn bench_json(opts: &Opts) {
-    let rounds = if opts.quick { 3 } else { 100 };
-    println!("== bench-json: group arithmetic substrate (avg over {rounds} rounds) ==");
-    let mut ops: Vec<(String, f64)> = Vec::new();
-    let ns = |d: Duration| d.as_secs_f64() * 1e9;
-    let push = |ops: &mut Vec<(String, f64)>, name: &str, d: Duration| {
-        println!("{name:<34}{:>14.0} ns", ns(d));
-        ops.push((name.to_string(), ns(d)));
+    const ROUNDS: [usize; 2] = [100, 3];
+    const LIST_ROUNDS: [usize; 2] = [40, 1];
+    let mut g = GroupOps {
+        quick: opts.quick,
+        ops: Vec::new(),
+        speedups: Vec::new(),
     };
+    println!(
+        "== bench-json: group arithmetic substrate (avg over {} rounds) ==",
+        g.rounds(ROUNDS)
+    );
 
     {
         let p256 = P256Group::new();
@@ -776,63 +834,52 @@ fn bench_json(opts: &Opts) {
         let ku = k.to_uint();
         let gen = p256.generator();
         let base = p256.exp_g(&y);
-        p256.exp_g(&k); // warm the lazy tables before timing
-        p256.exp_h(&k);
-        push(
-            &mut ops,
-            "p256_exp_g_fixed",
-            time_avg(rounds, || p256.exp_g(&k)),
+        g.twin(
+            "p256_exp_g",
+            ["p256_exp_g_fixed", "p256_exp_g_naive"],
+            ROUNDS,
+            |_| p256.exp_g(&k),
+            |_| p256.exp_naive(&gen, &ku),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "p256_exp_g_naive",
-            time_avg(rounds, || p256.exp_naive(&gen, &ku)),
+        g.twin(
+            "p256_exp_var",
+            ["p256_exp_var_wnaf", "p256_exp_var_naive"],
+            ROUNDS,
+            |_| p256.exp(&base, &k),
+            |_| p256.exp_naive(&base, &ku),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "p256_exp_var_wnaf",
-            time_avg(rounds, || p256.exp(&base, &k)),
-        );
-        push(
-            &mut ops,
-            "p256_exp_var_naive",
-            time_avg(rounds, || p256.exp_naive(&base, &ku)),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "p256_pedersen_commit",
-            time_avg(rounds, || p256.pedersen_gh(&k, &y)),
-        );
-        push(
-            &mut ops,
-            "p256_pedersen_commit_naive",
-            time_avg(rounds, || {
+            ["p256_pedersen_commit", "p256_pedersen_commit_naive"],
+            ROUNDS,
+            |_| p256.pedersen_gh(&k, &y),
+            |_| {
                 p256.op(
                     &p256.exp_naive(&gen, &ku),
                     &p256.exp_naive(&p256.pedersen_h(), &y.to_uint()),
                 )
-            }),
+            },
+            PartialEq::eq,
         );
         let key = SigningKey::generate(&p256, &mut rng);
         let vk = key.verifying_key();
         let msg = b"identity token: nym=pn-1492 tag=age c=...";
         let sig = key.sign(&p256, &mut rng, msg);
-        assert!(vk.verify(&p256, msg, &sig));
-        push(
-            &mut ops,
+        g.twin(
             "p256_schnorr_verify",
-            time_avg(rounds, || vk.verify(&p256, msg, &sig)),
-        );
-        push(
-            &mut ops,
-            "p256_schnorr_verify_naive",
-            time_avg(rounds, || {
+            ["p256_schnorr_verify", "p256_schnorr_verify_naive"],
+            ROUNDS,
+            |_| vk.verify(&p256, msg, &sig),
+            |_| {
                 let e = challenge(&p256, &sig.big_r, msg);
                 p256.div(
                     &p256.exp_naive(&gen, &sig.s.to_uint()),
                     &p256.exp_naive(vk.element(), &e.to_uint()),
                 ) == sig.big_r
-            }),
+            },
+            |f, n| *f && *n,
         );
         // Pippenger MSM vs the per-element exp/op composition it replaces
         // (the `CyclicGroup::msm` trait default).
@@ -843,66 +890,54 @@ fn bench_json(opts: &Opts) {
                     (pt, p256.random_scalar(&mut rng))
                 })
                 .collect();
-            let per_element = || {
-                terms.iter().fold(p256.identity(), |acc, (b, k)| {
-                    p256.op(&acc, &p256.exp(b, k))
-                })
-            };
-            assert_eq!(p256.msm(&terms), per_element());
-            let msm_rounds = if opts.quick { 1 } else { (2048 / n).max(4) };
-            push(
-                &mut ops,
-                &format!("p256_msm_{n}"),
-                time_avg(msm_rounds, || p256.msm(&terms)),
-            );
-            push(
-                &mut ops,
-                &format!("p256_msm_{n}_naive"),
-                time_avg(msm_rounds, per_element),
+            let key = format!("p256_msm_{n}");
+            g.twin(
+                &key,
+                [&key, &format!("{key}_naive")],
+                [(2048 / n).max(4), 1],
+                |_| p256.msm(&terms),
+                |_| {
+                    terms.iter().fold(p256.identity(), |acc, (b, k)| {
+                        p256.op(&acc, &p256.exp(b, k))
+                    })
+                },
+                PartialEq::eq,
             );
         }
         // The list primitives behind bitwise OCBE at ℓ = 48, each beside
         // the per-element composition it replaces (the trait defaults).
-        {
-            let bases: Vec<_> = (0..48)
-                .map(|_| p256.exp_g(&p256.random_scalar(&mut rng)))
-                .collect();
-            let ks: Vec<_> = (0..48).map(|_| p256.random_scalar(&mut rng)).collect();
-            let list_rounds = if opts.quick { 1 } else { 40 };
-            push(
-                &mut ops,
+        let bases: Vec<_> = (0..48)
+            .map(|_| p256.exp_g(&p256.random_scalar(&mut rng)))
+            .collect();
+        let ks: Vec<_> = (0..48).map(|_| p256.random_scalar(&mut rng)).collect();
+        g.twin(
+            "p256_exp_shared_scalar_48",
+            [
                 "p256_exp_shared_scalar_48",
-                time_avg(list_rounds, || {
-                    p256.exp_shared_scalar_shifted(&bases, &k, &base)
-                }),
-            );
-            push(
-                &mut ops,
                 "p256_exp_shared_scalar_48_naive",
-                time_avg(list_rounds, || {
-                    bases
-                        .iter()
-                        .map(|b| {
-                            let p = p256.exp(b, &k);
-                            let shifted = p256.op(&p, &base);
-                            (p, shifted)
-                        })
-                        .collect::<Vec<_>>()
-                }),
-            );
-            push(
-                &mut ops,
-                "p256_exp_shared_base_48",
-                time_avg(list_rounds, || p256.exp_shared_base(&base, &ks)),
-            );
-            push(
-                &mut ops,
-                "p256_exp_shared_base_48_naive",
-                time_avg(list_rounds, || {
-                    ks.iter().map(|k| p256.exp(&base, k)).collect::<Vec<_>>()
-                }),
-            );
-        }
+            ],
+            LIST_ROUNDS,
+            |_| p256.exp_shared_scalar_shifted(&bases, &k, &base),
+            |_| {
+                bases
+                    .iter()
+                    .map(|b| {
+                        let p = p256.exp(b, &k);
+                        let shifted = p256.op(&p, &base);
+                        (p, shifted)
+                    })
+                    .collect()
+            },
+            PartialEq::eq,
+        );
+        g.twin(
+            "p256_exp_shared_base_48",
+            ["p256_exp_shared_base_48", "p256_exp_shared_base_48_naive"],
+            LIST_ROUNDS,
+            |_| p256.exp_shared_base(&base, &ks),
+            |_| ks.iter().map(|k| p256.exp(&base, k)).collect(),
+            PartialEq::eq,
+        );
         // Batch Schnorr verification in the production shape (a cohort of
         // tokens under the one IdMgr key: one RLC collapsed to one MSM of
         // width n + 2) vs n individual verifies against the prepared key.
@@ -916,19 +951,14 @@ fn bench_json(opts: &Opts) {
                 .zip(&sigs)
                 .map(|(m, s)| (&vk, m.as_slice(), s))
                 .collect();
-            assert!(verify_batch(&p256, &items));
-            let vb_rounds = if opts.quick { 1 } else { (1024 / n).max(4) };
-            push(
-                &mut ops,
-                &format!("p256_schnorr_verify_batch_{n}"),
-                time_avg(vb_rounds, || verify_batch(&p256, &items)),
-            );
-            push(
-                &mut ops,
-                &format!("p256_schnorr_verify_batch_{n}_naive"),
-                time_avg(vb_rounds, || {
-                    items.iter().all(|(vk, m, s)| vk.verify(&p256, m, s))
-                }),
+            let key = format!("p256_schnorr_verify_batch_{n}");
+            g.twin(
+                &format!("schnorr_verify_batch_{n}"),
+                [&key, &format!("{key}_naive")],
+                [(1024 / n).max(4), 1],
+                |_| verify_batch(&p256, &items),
+                |_| items.iter().all(|(vk, m, s)| vk.verify(&p256, m, s)),
+                |f, n| *f && *n,
             );
         }
     }
@@ -940,42 +970,34 @@ fn bench_json(opts: &Opts) {
         let ku = k.to_uint();
         let gen = modp.generator();
         let base = modp.exp_g(&y);
-        modp.exp_g(&k);
-        modp.exp_h(&k);
-        push(
-            &mut ops,
-            "modp_exp_g_fixed",
-            time_avg(rounds, || modp.exp_g(&k)),
+        g.twin(
+            "modp_exp_g",
+            ["modp_exp_g_fixed", "modp_exp_g_naive"],
+            ROUNDS,
+            |_| modp.exp_g(&k),
+            |_| modp.exp_naive(&gen, &ku),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "modp_exp_g_naive",
-            time_avg(rounds, || modp.exp_naive(&gen, &ku)),
+        g.twin(
+            "modp_exp_var",
+            ["modp_exp_var_window", "modp_exp_var_naive"],
+            ROUNDS,
+            |_| modp.exp(&base, &k),
+            |_| modp.exp_naive(&base, &ku),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "modp_exp_var_window",
-            time_avg(rounds, || modp.exp(&base, &k)),
-        );
-        push(
-            &mut ops,
-            "modp_exp_var_naive",
-            time_avg(rounds, || modp.exp_naive(&base, &ku)),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "modp_pedersen_commit",
-            time_avg(rounds, || modp.pedersen_gh(&k, &y)),
-        );
-        push(
-            &mut ops,
-            "modp_pedersen_commit_naive",
-            time_avg(rounds, || {
+            ["modp_pedersen_commit", "modp_pedersen_commit_naive"],
+            ROUNDS,
+            |_| modp.pedersen_gh(&k, &y),
+            |_| {
                 modp.op(
                     &modp.exp_naive(&gen, &ku),
                     &modp.exp_naive(&modp.pedersen_h(), &y.to_uint()),
                 )
-            }),
+            },
+            PartialEq::eq,
         );
     }
 
@@ -984,25 +1006,26 @@ fn bench_json(opts: &Opts) {
     {
         let mut rng = bench_rng();
         let round = ge_round(48, &mut rng);
-        let ocbe_rounds = if opts.quick { 1 } else { 40 };
+        let ocbe_rounds = g.rounds(LIST_ROUNDS) as u32;
         let (mut compose, mut open) = (Duration::ZERO, Duration::ZERO);
         for _ in 0..ocbe_rounds {
             let (_, c, o) = ge_steps(&round, b"a 128-bit conditional secret", &mut rng);
             compose += c;
             open += o;
         }
-        push(&mut ops, "ocbe_ge_l48_compose_ns", compose / ocbe_rounds);
-        push(&mut ops, "ocbe_ge_l48_open_ns", open / ocbe_rounds);
+        g.entry("ocbe_ge_l48_compose_ns", compose / ocbe_rounds);
+        g.entry("ocbe_ge_l48_open_ns", open / ocbe_rounds);
     }
 
     // ACV-BGKM rekey at the benchmark's wider configuration (96 rows, 97
-    // columns), each stage beside its twin from public primitives; the
-    // twins must produce the same bytes before they are timed.
+    // columns), each stage beside its twin from public primitives.
     {
         let mut rng = bench_rng();
         let w = gkm_workload(96, 100, 1, &mut rng);
         let naive = NaiveAcv {
             field: w.scheme.field().clone(),
+            tau_bytes: 2,
+            extra_slots: 0,
         };
         let (key, info) = w.scheme.rekey(&w.rows, &mut rng);
         let css = &w.rows[17].css_concat;
@@ -1010,228 +1033,91 @@ fn bench_json(opts: &Opts) {
             0 => naive.field.one(),
             _ => naive.field.random(&mut rng),
         });
-        assert_eq!(
-            w.scheme.extraction_vector(&info, css)[1..],
-            naive.hash_row(css, &info.zs)
-        );
-        assert_eq!(
-            a.random_null_vector(&mut rng.clone()),
-            naive.null_vector(&a, &mut rng.clone())
-        );
-        assert_eq!(w.scheme.derive_key(&info, css), key);
-        assert_eq!(naive.derive_key(&info, css).to_be_bytes()[6..], key);
-        let acv_rounds = if opts.quick { 1 } else { 40 };
-        push(
-            &mut ops,
+        g.twin(
             "acv_rekey_96",
-            time_avg(acv_rounds, || w.scheme.rekey(&w.rows, &mut rng)),
+            ["acv_rekey_96", "acv_rekey_96_naive"],
+            LIST_ROUNDS,
+            |rng| w.scheme.rekey(&w.rows, rng),
+            |rng| naive.rekey_batch(&w.rows, 1, rng).remove(0),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "acv_rekey_96_naive",
-            time_avg(acv_rounds, || naive.rekey(&w.rows, &info.zs, &mut rng)),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "acv_hash_row_96",
-            time_avg(rounds, || w.scheme.extraction_vector(&info, css)),
+            ["acv_hash_row_96", "acv_hash_row_96_naive"],
+            ROUNDS,
+            |_| w.scheme.extraction_vector(&info, css),
+            |_| naive.hash_row(css, &info.zs),
+            |f, n| f[1..] == n[..],
         );
-        push(
-            &mut ops,
-            "acv_hash_row_96_naive",
-            time_avg(rounds, || naive.hash_row(css, &info.zs)),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "linalg_null_vector_96x97",
-            time_avg(acv_rounds, || a.random_null_vector(&mut rng)),
+            ["linalg_null_vector_96x97", "linalg_null_vector_96x97_naive"],
+            LIST_ROUNDS,
+            |rng| a.random_null_vector(rng),
+            |rng| naive.null_vector(&a, rng),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "linalg_null_vector_96x97_naive",
-            time_avg(acv_rounds, || naive.null_vector(&a, &mut rng)),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "acv_derive_key_96",
-            time_avg(rounds, || w.scheme.derive_key(&info, css)),
-        );
-        push(
-            &mut ops,
-            "acv_derive_key_96_naive",
-            time_avg(rounds, || naive.derive_key(&info, css)),
+            ["acv_derive_key_96", "acv_derive_key_96_naive"],
+            ROUNDS,
+            |_| w.scheme.derive_key(&info, css),
+            |_| naive.derive_key(&info, css),
+            |f, n| f == n && *f == key,
         );
     }
 
     // The per-byte path's symmetric kernels at the benchmark's sizes (one
     // 16 KiB segment, one 256 KiB log record) and the 32-byte message OCBE
     // sends ~144 of per GE registration, each beside its twin written from
-    // the specification; the twins must produce the same bytes before they
-    // are timed.
+    // the specification.
     {
         let key = [7u8; 32];
         let nonce = [9u8; NONCE_LEN];
         let segment = vec![0xabu8; 16 * 1024];
         let record = vec![0xcdu8; 256 * 1024];
-        let chacha20 = |data: &[u8]| {
-            let mut out = data.to_vec();
-            chacha20_xor(&key, &nonce, 1, &mut out);
-            out
-        };
         let (auth, naive_auth) = (AuthKey::from_master(&key), NaiveAead::from_master(&key));
-        assert_eq!(
-            chacha20(&segment),
-            naive_chacha20(&key, 1, &nonce, &segment)
+        g.twin(
+            "chacha20_16k",
+            ["chacha20_16k", "chacha20_16k_naive"],
+            ROUNDS,
+            |_| {
+                let mut out = segment.clone();
+                chacha20_xor(&key, &nonce, 1, &mut out);
+                out
+            },
+            |_| naive_chacha20(&key, 1, &nonce, &segment),
+            PartialEq::eq,
         );
-        assert_eq!(poly1305(&key, &segment), naive_poly1305(&key, &segment));
-        for message in [&segment[..], &segment[..32]] {
-            assert_eq!(
-                auth.encrypt_with_nonce(&nonce, message),
-                naive_auth.encrypt_with_nonce(&nonce, message)
+        g.twin(
+            "poly1305_16k",
+            ["poly1305_16k", "poly1305_16k_naive"],
+            ROUNDS,
+            |_| poly1305(&key, &segment),
+            |_| naive_poly1305(&key, &segment),
+            PartialEq::eq,
+        );
+        for (label, len, rounds) in [
+            ("authenc_encrypt_16k", segment.len(), ROUNDS),
+            ("authenc_encrypt_32", 32, ROUNDS.map(|r| r * 100)),
+        ] {
+            g.twin(
+                label,
+                [label, &format!("{label}_naive")],
+                rounds,
+                |_| auth.encrypt_with_nonce(&nonce, &segment[..len]),
+                |_| naive_auth.encrypt_with_nonce(&nonce, &segment[..len]),
+                PartialEq::eq,
             );
         }
-        assert_eq!(pbcd_net::store::crc32(&record), naive_crc32(&record));
-        push(
-            &mut ops,
-            "chacha20_16k",
-            time_avg(rounds, || chacha20(&segment)),
-        );
-        push(
-            &mut ops,
-            "chacha20_16k_naive",
-            time_avg(rounds, || naive_chacha20(&key, 1, &nonce, &segment)),
-        );
-        push(
-            &mut ops,
-            "poly1305_16k",
-            time_avg(rounds, || poly1305(&key, &segment)),
-        );
-        push(
-            &mut ops,
-            "poly1305_16k_naive",
-            time_avg(rounds, || naive_poly1305(&key, &segment)),
-        );
-        push(
-            &mut ops,
-            "authenc_encrypt_16k",
-            time_avg(rounds, || auth.encrypt_with_nonce(&nonce, &segment)),
-        );
-        push(
-            &mut ops,
-            "authenc_encrypt_16k_naive",
-            time_avg(rounds, || naive_auth.encrypt_with_nonce(&nonce, &segment)),
-        );
-        push(
-            &mut ops,
-            "authenc_encrypt_32",
-            time_avg(rounds * 100, || {
-                auth.encrypt_with_nonce(&nonce, &segment[..32])
-            }),
-        );
-        push(
-            &mut ops,
-            "authenc_encrypt_32_naive",
-            time_avg(rounds * 100, || {
-                naive_auth.encrypt_with_nonce(&nonce, &segment[..32])
-            }),
-        );
-        push(
-            &mut ops,
+        g.twin(
             "crc32_256k",
-            time_avg(rounds, || pbcd_net::store::crc32(&record)),
+            ["crc32_256k", "crc32_256k_naive"],
+            ROUNDS,
+            |_| pbcd_net::store::crc32(&record),
+            |_| naive_crc32(&record),
+            PartialEq::eq,
         );
-        push(
-            &mut ops,
-            "crc32_256k_naive",
-            time_avg(rounds, || naive_crc32(&record)),
-        );
-    }
-
-    // Derived speedups: naive / optimized for each paired entry.
-    let lookup = |ops: &[(String, f64)], name: &str| -> Option<f64> {
-        ops.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    };
-    let pairs = [
-        ("p256_exp_g", "p256_exp_g_fixed", "p256_exp_g_naive"),
-        ("p256_exp_var", "p256_exp_var_wnaf", "p256_exp_var_naive"),
-        (
-            "p256_pedersen_commit",
-            "p256_pedersen_commit",
-            "p256_pedersen_commit_naive",
-        ),
-        (
-            "p256_schnorr_verify",
-            "p256_schnorr_verify",
-            "p256_schnorr_verify_naive",
-        ),
-        ("p256_msm_8", "p256_msm_8", "p256_msm_8_naive"),
-        ("p256_msm_64", "p256_msm_64", "p256_msm_64_naive"),
-        ("p256_msm_256", "p256_msm_256", "p256_msm_256_naive"),
-        (
-            "p256_exp_shared_scalar_48",
-            "p256_exp_shared_scalar_48",
-            "p256_exp_shared_scalar_48_naive",
-        ),
-        (
-            "p256_exp_shared_base_48",
-            "p256_exp_shared_base_48",
-            "p256_exp_shared_base_48_naive",
-        ),
-        (
-            "schnorr_verify_batch_16",
-            "p256_schnorr_verify_batch_16",
-            "p256_schnorr_verify_batch_16_naive",
-        ),
-        (
-            "schnorr_verify_batch_64",
-            "p256_schnorr_verify_batch_64",
-            "p256_schnorr_verify_batch_64_naive",
-        ),
-        ("modp_exp_g", "modp_exp_g_fixed", "modp_exp_g_naive"),
-        ("modp_exp_var", "modp_exp_var_window", "modp_exp_var_naive"),
-        (
-            "modp_pedersen_commit",
-            "modp_pedersen_commit",
-            "modp_pedersen_commit_naive",
-        ),
-        ("acv_rekey_96", "acv_rekey_96", "acv_rekey_96_naive"),
-        (
-            "acv_hash_row_96",
-            "acv_hash_row_96",
-            "acv_hash_row_96_naive",
-        ),
-        (
-            "linalg_null_vector_96x97",
-            "linalg_null_vector_96x97",
-            "linalg_null_vector_96x97_naive",
-        ),
-        (
-            "acv_derive_key_96",
-            "acv_derive_key_96",
-            "acv_derive_key_96_naive",
-        ),
-        ("chacha20_16k", "chacha20_16k", "chacha20_16k_naive"),
-        ("poly1305_16k", "poly1305_16k", "poly1305_16k_naive"),
-        (
-            "authenc_encrypt_16k",
-            "authenc_encrypt_16k",
-            "authenc_encrypt_16k_naive",
-        ),
-        (
-            "authenc_encrypt_32",
-            "authenc_encrypt_32",
-            "authenc_encrypt_32_naive",
-        ),
-        ("crc32_256k", "crc32_256k", "crc32_256k_naive"),
-    ];
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-    for (label, fast, naive) in pairs {
-        if let (Some(f), Some(n)) = (lookup(&ops, fast), lookup(&ops, naive)) {
-            if f > 0.0 {
-                println!("{label:<34}{:>13.2}x", n / f);
-                speedups.push((label.to_string(), n / f));
-            }
-        }
     }
 
     // Hand-rolled JSON (no serde in the workspace); numbers as integers
@@ -1243,13 +1129,13 @@ fn bench_json(opts: &Opts) {
         if opts.quick { "quick" } else { "full" }
     ));
     json.push_str("  \"ops_ns\": {\n");
-    for (i, (name, v)) in ops.iter().enumerate() {
-        let comma = if i + 1 == ops.len() { "" } else { "," };
+    for (i, (name, v)) in g.ops.iter().enumerate() {
+        let comma = if i + 1 == g.ops.len() { "" } else { "," };
         json.push_str(&format!("    \"{name}\": {}{comma}\n", v.round() as u64));
     }
     json.push_str("  },\n  \"speedup_vs_naive\": {\n");
-    for (i, (name, v)) in speedups.iter().enumerate() {
-        let comma = if i + 1 == speedups.len() { "" } else { "," };
+    for (i, (name, v)) in g.speedups.iter().enumerate() {
+        let comma = if i + 1 == g.speedups.len() { "" } else { "," };
         json.push_str(&format!(
             "    \"{name}\": {:.2}{comma}\n",
             (v * 100.0).round() / 100.0
@@ -1747,7 +1633,8 @@ fn ablation_batch(opts: &Opts) {
             format!("{:.2}", ms(cached) / k as f64),
         ],
     );
-    println!("expected: the batch amortizes the null-space computation and the");
-    println!("subscriber's KEV cache removes repeated row expansion (Sec VIII-D); unlike");
-    println!("the marker scheme, per-document keys stay independent (no leak).\n");
+    println!("expected: the batch shares the nonces, the row expansion and the matrix,");
+    println!("but solves the null space once per key; the subscriber's KEV cache removes");
+    println!("repeated row expansion (Sec VIII-D); unlike the marker scheme,");
+    println!("per-document keys stay independent (no leak).\n");
 }

@@ -14,7 +14,7 @@ use pbcd_crypto::NONCE_LEN;
 use pbcd_gkm::{AccessRow, AcvBgkm, AcvPublicInfo};
 use pbcd_group::CyclicGroup;
 use pbcd_group::P256Group;
-use pbcd_math::{Fp, FpCtx, Matrix, U128, U192, U256};
+use pbcd_math::{Fp, FpCtx, Matrix, U192, U256};
 use pbcd_ocbe::{BitProof, BitSecrets, Direction, OcbeSystem};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -97,18 +97,58 @@ pub fn gkm_workload(
 // ACV-BGKM from public primitives (the `acv_*_naive` twins of bench-json)
 // ---------------------------------------------------------------------------
 
-/// The ACV-BGKM procedure written against public primitives only: one
-/// allocated concatenation and one `sha256` per row for the row key, one
+/// ACV-BGKM written against public primitives only: one allocated
+/// concatenation and one `sha256` per row for the row key, one
 /// [`naive_chacha20_block`] and one wide-integer `rem` per matrix entry, a
-/// Gauss–Jordan null-space basis combined with drawn coefficients. It is
-/// the path `AcvBgkm` is measured beside, and — for one rng stream — the
-/// output it must reproduce to the byte.
+/// Gauss–Jordan [`Matrix::null_space_basis`] combined with coefficients
+/// drawn from the caller's rng. It is the row function and solve `AcvBgkm`
+/// documents, without its in-place expansion or its echelon-form stop, so
+/// for one rng stream the two agree to the byte and leave the rng in the
+/// same state: bench-json times `AcvBgkm` beside it, and
+/// `tests/acv_identity.rs` holds every entry point to it.
 pub struct NaiveAcv {
     /// The GKM field.
     pub field: std::sync::Arc<FpCtx<2>>,
+    /// The configured nonce width τ in bytes.
+    pub tau_bytes: usize,
+    /// Spare columns: `N = #rows + extra_slots`.
+    pub extra_slots: usize,
 }
 
 impl NaiveAcv {
+    /// The reference over the GKM field `q80`.
+    pub fn new(tau_bytes: usize, extra_slots: usize) -> Self {
+        Self {
+            field: FpCtx::new(pbcd_math::gkm_q80()),
+            tau_bytes,
+            extra_slots,
+        }
+    }
+
+    /// The scheme under test with the same parameters.
+    pub fn scheme(&self) -> AcvBgkm {
+        AcvBgkm::new(self.field.clone(), self.tau_bytes, self.extra_slots)
+    }
+
+    /// `N` pairwise distinct nonces, τ raised until `τ·N > 160` bits and
+    /// until `N` values fill at most half the nonce space.
+    fn nonces(&self, rows: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
+        let n = (rows + self.extra_slots).max(1);
+        let mut tau = self.tau_bytes.max(161usize.div_ceil(8 * n));
+        while 8 * tau < usize::BITS as usize && n > 1 << (8 * tau - 1) {
+            tau += 1;
+        }
+        let mut zs: Vec<Vec<u8>> = Vec::new();
+        while zs.len() < n {
+            let mut z = vec![0u8; tau];
+            rng.fill_bytes(&mut z);
+            if !zs.contains(&z) {
+                zs.push(z);
+            }
+        }
+        zs
+    }
+
     /// The tail `a₁…a_N` of a matrix row / key-extraction vector: `k =
     /// sha256(label ‖ u64 len(css) ‖ css ‖ u64 N ‖ z₁ ‖ … ‖ z_N)`, then `aⱼ`
     /// = half `(j−1) mod 2` of ChaCha20 block `⌊(j−1)/2⌋` under `k` with the
@@ -123,14 +163,24 @@ impl NaiveAcv {
         (0..zs.len())
             .map(|j| {
                 let block = naive_chacha20_block(&key, (j / 2) as u32, &[0; NONCE_LEN]);
-                let half = U256::from_be_bytes(&block[32 * (j % 2)..32 * (j % 2) + 32]);
-                let reduced = half
-                    .expect("32 bytes")
-                    .rem(&self.field.modulus().widen::<4>());
+                let half = U256::from_be_bytes(&block[32 * (j % 2)..][..32]).expect("32 bytes");
+                let reduced = half.rem(&self.field.modulus().widen::<4>());
                 self.field
                     .from_uint(&reduced.narrow::<2>().expect("below q"))
             })
             .collect()
+    }
+
+    /// Matrix `A`: one row `[1, a_{i,1}, …, a_{i,N}]` per access row.
+    fn matrix(&self, rows: &[AccessRow], zs: &[Vec<u8>]) -> Matrix<2> {
+        let tails: Vec<_> = rows
+            .iter()
+            .map(|r| self.hash_row(&r.css_concat, zs))
+            .collect();
+        Matrix::from_fn(&self.field, rows.len(), zs.len() + 1, |i, j| match j {
+            0 => self.field.one(),
+            _ => tails[i][j - 1].clone(),
+        })
     }
 
     /// `Σ cₖ·basisₖ` over [`Matrix::null_space_basis`], `cₖ` drawn in basis
@@ -150,39 +200,82 @@ impl NaiveAcv {
         out
     }
 
-    /// One rekey over the given nonces: matrix, key, ACV. Returns the key
-    /// and `X`.
-    pub fn rekey(
-        &self,
-        rows: &[AccessRow],
-        zs: &[Vec<u8>],
-        rng: &mut StdRng,
-    ) -> (Fp<2>, Vec<U128>) {
-        let tails: Vec<_> = rows
-            .iter()
-            .map(|r| self.hash_row(&r.css_concat, zs))
-            .collect();
-        let a = Matrix::from_fn(&self.field, rows.len(), zs.len() + 1, |i, j| match j {
-            0 => self.field.one(),
-            _ => tails[i][j - 1].clone(),
-        });
-        let key = self.field.random_nonzero(rng);
+    /// The public info for `key`; footnote 11: resample while the tail of
+    /// `X` is all zero.
+    fn acv(&self, a: &Matrix<2>, key: &Fp<2>, zs: &[Vec<u8>], rng: &mut StdRng) -> AcvPublicInfo {
         loop {
-            let mut x = self.null_vector(&a, rng);
-            x[0] = &x[0] + &key;
-            if rows.is_empty() || x[1..].iter().any(|e| !e.is_zero()) {
-                return (key, x.iter().map(Fp::to_uint).collect());
+            let mut x = self.null_vector(a, rng);
+            x[0] = &x[0] + key;
+            if a.rows() == 0 || x[1..].iter().any(|e| !e.is_zero()) {
+                return AcvPublicInfo {
+                    x: x.iter().map(Fp::to_uint).collect(),
+                    zs: zs.to_vec(),
+                };
             }
         }
     }
 
-    /// `K = ν·X`.
-    pub fn derive_key(&self, info: &AcvPublicInfo, css: &[u8]) -> U128 {
+    /// A field element as a derived key: its last `⌈bits(q)/8⌉` big-endian
+    /// bytes.
+    pub fn key_bytes(&self, key: &Fp<2>) -> Vec<u8> {
+        let len = (self.field.modulus_bits() as usize).div_ceil(8);
+        key.to_be_bytes()[16 - len..].to_vec()
+    }
+
+    /// `count` keys and public infos over one nonce set and one matrix.
+    pub fn rekey_batch(
+        &self,
+        rows: &[AccessRow],
+        count: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(Vec<u8>, AcvPublicInfo)> {
+        let zs = self.nonces(rows.len(), rng);
+        let a = self.matrix(rows, &zs);
+        (0..count)
+            .map(|_| {
+                let key = self.field.random_nonzero(rng);
+                (self.key_bytes(&key), self.acv(&a, &key, &zs, rng))
+            })
+            .collect()
+    }
+
+    /// One rekey under a caller-chosen key.
+    pub fn rekey_with_key(
+        &self,
+        rows: &[AccessRow],
+        key: &Fp<2>,
+        rng: &mut StdRng,
+    ) -> AcvPublicInfo {
+        let zs = self.nonces(rows.len(), rng);
+        self.acv(&self.matrix(rows, &zs), key, &zs, rng)
+    }
+
+    /// One key and public info per configuration, over one nonce set as
+    /// wide as the widest configuration.
+    pub fn rekey_configs(
+        &self,
+        configs: &[Vec<AccessRow>],
+        rng: &mut StdRng,
+    ) -> Vec<(Vec<u8>, AcvPublicInfo)> {
+        let widest = configs.iter().map(Vec::len).max().unwrap_or(0);
+        let zs = self.nonces(widest, rng);
+        configs
+            .iter()
+            .map(|rows| {
+                let a = self.matrix(rows, &zs);
+                let key = self.field.random_nonzero(rng);
+                (self.key_bytes(&key), self.acv(&a, &key, &zs, rng))
+            })
+            .collect()
+    }
+
+    /// `K = ν·X` with every term reduced before it is used.
+    pub fn derive_key(&self, info: &AcvPublicInfo, css: &[u8]) -> Vec<u8> {
         let mut k = self.field.from_uint(&info.x[0]);
         for (a, xj) in self.hash_row(css, &info.zs).iter().zip(&info.x[1..]) {
             k = &k + &(a * &self.field.from_uint(xj));
         }
-        k.to_uint()
+        self.key_bytes(&k)
     }
 }
 

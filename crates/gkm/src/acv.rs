@@ -142,10 +142,12 @@ impl AcvBgkm {
         out.pop().expect("batch of one")
     }
 
-    /// Publisher: the paper's §VIII-D batching advantage — one matrix and
-    /// one null-space computation amortized over `count` documents that
-    /// share a policy configuration (and hence the same `z` values), each
-    /// getting an independent key and an independent ACV. With `count > 1`
+    /// Publisher: the paper's §VIII-D batching — `count` documents that
+    /// share a policy configuration share one nonce draw, one row expansion
+    /// and one matrix (and hence the same `z` values), each getting an
+    /// independent key and an independent ACV. The null space is solved
+    /// once per key, not once per batch: every ACV runs its own
+    /// elimination ([`Matrix::random_null_vector`]). With `count > 1`
     /// this is reproduction surface (the §VIII-D ablation); production
     /// reaches it through [`Self::rekey`] only.
     pub fn rekey_batch<R: RngCore + ?Sized>(

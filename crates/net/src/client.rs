@@ -5,7 +5,6 @@
 //! land between a request and its response), every wait loop parks
 //! deliveries in a queue that [`BrokerClient::next_delivery`] drains first.
 
-use crate::backoff::{Backoff, BackoffConfig};
 use crate::error::NetError;
 use crate::frame::{
     publish_auth_message, publish_body, read_frame, signed_publish_body, write_body, write_frame,
@@ -68,34 +67,6 @@ impl BrokerClient {
             other => Err(NetError::protocol(format!(
                 "expected broker Hello, got {other:?}"
             ))),
-        }
-    }
-
-    /// Like [`Self::connect`], but retries failed attempts under the
-    /// shared jittered, capped exponential [`Backoff`] policy — the same
-    /// one relay links use — for up to `attempts` tries. Useful for edge
-    /// processes racing a broker restart: a clean protocol refusal (the
-    /// peer answered but said no) still fails fast; only connection-level
-    /// failures are retried.
-    pub fn connect_with_backoff(
-        addr: impl ToSocketAddrs + Clone,
-        role: PeerRole,
-        config: BackoffConfig,
-        attempts: u32,
-    ) -> Result<Self, NetError> {
-        let mut backoff = Backoff::new(config);
-        loop {
-            match Self::connect(addr.clone(), role) {
-                Ok(client) => return Ok(client),
-                // The broker spoke: retrying will not change its answer.
-                Err(e @ (NetError::Protocol(_) | NetError::Rejected { .. })) => return Err(e),
-                Err(e) => {
-                    if backoff.attempts() + 1 >= attempts.max(1) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(backoff.next_delay());
-                }
-            }
         }
     }
 

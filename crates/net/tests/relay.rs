@@ -8,7 +8,7 @@
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
 use pbcd_net::{
     read_frame, write_frame, Broker, BrokerClient, BrokerConfig, BrokerHandle, Frame, FsyncPolicy,
-    NetError, PeerRole, RejectReason, RelayConfig,
+    PeerRole, RejectReason, RelayConfig,
 };
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -443,32 +443,4 @@ fn overlay_frames_from_non_peers_reject_non_fatally() {
     assert_eq!(hub.stats().relays_accepted, 1);
     assert!(hub.stats().relays_suppressed >= 1);
     hub.shutdown();
-}
-
-/// The client-side face of the backoff satellite: `connect_with_backoff`
-/// rides out a broker that is not up yet, and still fails fast on a
-/// typed protocol refusal.
-#[test]
-fn client_connect_with_backoff_rides_out_a_slow_broker_start() {
-    let parked = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = parked.local_addr().unwrap();
-    drop(parked);
-
-    let starter = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(120));
-        Broker::bind_with(&addr.to_string(), BrokerConfig::default()).unwrap()
-    });
-    let backoff = pbcd_net::BackoffConfig {
-        base: Duration::from_millis(20),
-        cap: Duration::from_millis(100),
-    };
-    let client =
-        BrokerClient::connect_with_backoff(addr, PeerRole::Subscriber, backoff, 50).unwrap();
-    drop(client);
-    let broker = starter.join().unwrap();
-    broker.shutdown();
-
-    // Exhausted attempts surface the last connection error.
-    let gone = BrokerClient::connect_with_backoff(addr, PeerRole::Subscriber, backoff, 2);
-    assert!(matches!(gone, Err(NetError::Io { .. })));
 }

@@ -9,7 +9,7 @@
 use crate::acp::{AccessControlPolicy, AcpId};
 use crate::attrs::AttributeSet;
 use crate::condition::AttributeCondition;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A policy configuration: the (possibly empty) set of ACPs applying to a
 /// subdocument.
@@ -127,22 +127,6 @@ impl PolicySet {
                 .filter(|(_, p)| p.applies_to(subdocument))
                 .map(|(id, _)| id),
         )
-    }
-
-    /// Groups subdocuments by their policy configuration (the paper's
-    /// `Pc ↔ {subdocuments}` table in Example 4).
-    pub fn group_by_configuration<'a>(
-        &self,
-        subdocuments: impl IntoIterator<Item = &'a str>,
-    ) -> BTreeMap<PolicyConfiguration, Vec<String>> {
-        let mut groups: BTreeMap<PolicyConfiguration, Vec<String>> = BTreeMap::new();
-        for sub in subdocuments {
-            groups
-                .entry(self.configuration_of(sub))
-                .or_default()
-                .push(sub.to_string());
-        }
-        groups
     }
 
     /// The distinct attribute conditions across all policies — the columns
@@ -275,25 +259,6 @@ mod tests {
         );
         assert!(set.configuration_in("Other.xml", "BillingInfo").is_empty());
         assert!(set.configuration_of("ContactInfo").contains(other));
-    }
-
-    #[test]
-    fn grouping_collects_equal_configurations() {
-        let set = example4_policies();
-        let groups = set.group_by_configuration([
-            "ContactInfo",
-            "BillingInfo",
-            "Medication",
-            "PhysicalExams",
-            "Plan",
-            "LabRecords",
-        ]);
-        // PhysicalExams and Plan share {acp4} here, so they group together.
-        let pc_pe = set.configuration_of("PhysicalExams");
-        assert_eq!(
-            groups.get(&pc_pe).unwrap(),
-            &vec!["PhysicalExams".to_string(), "Plan".to_string()]
-        );
     }
 
     #[test]

@@ -98,33 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn grouping_partitions_subdocuments(tags in prop::collection::vec("[a-d]", 1..8)) {
-        // Policies over fixed objects; any tag multiset is partitioned
-        // without loss by group_by_configuration.
-        let mut set = PolicySet::new();
-        set.add(AccessControlPolicy::new(
-            vec![AttributeCondition::new("r", ComparisonOp::Eq, 1)],
-            &["a", "b"],
-            "d",
-        ));
-        set.add(AccessControlPolicy::new(
-            vec![AttributeCondition::new("r", ComparisonOp::Eq, 2)],
-            &["b", "c"],
-            "d",
-        ));
-        let tag_refs: Vec<&str> = tags.iter().map(String::as_str).collect();
-        let groups = set.group_by_configuration(tag_refs.iter().copied());
-        let total: usize = groups.values().map(Vec::len).sum();
-        prop_assert_eq!(total, tags.len());
-        // Every subdocument landed in the group of its own configuration.
-        for (pc, subs) in &groups {
-            for s in subs {
-                prop_assert_eq!(&set.configuration_of(s), pc);
-            }
-        }
-    }
-
-    #[test]
     fn satisfied_policies_grant_their_configurations(x in 0u64..100) {
         let mut set = PolicySet::new();
         let id = set.add(AccessControlPolicy::new(

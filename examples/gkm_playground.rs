@@ -45,9 +45,10 @@ fn main() {
     assert_ne!(scheme.derive_key(&info, &outsider), key);
     println!("all 200 members derive K; outsider CSS does not");
 
-    // §VIII-D: eight documents share one policy configuration — one matrix
-    // solve, eight independent keys, and the subscriber's KEV cache makes
-    // documents 2..8 nearly free to unlock.
+    // §VIII-D: eight documents share one policy configuration — one nonce
+    // set and one matrix, a null-space solve per key, eight independent
+    // keys, and the subscriber's KEV cache makes documents 2..8 nearly free
+    // to unlock.
     let t0 = Instant::now();
     let batch = scheme.rekey_batch(&members, 8, &mut rng);
     println!("\nbatch of 8 documents rekeyed in {:?}", t0.elapsed());
