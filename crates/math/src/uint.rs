@@ -212,18 +212,6 @@ impl<const L: usize> Uint<L> {
         self.mul_wide(rhs).0
     }
 
-    /// Multiplies by a single limb, returning `(lo, carry_limb)`.
-    pub fn mul_limb(&self, rhs: u64) -> (Self, u64) {
-        let mut out = [0u64; L];
-        let mut carry = 0u128;
-        for i in 0..L {
-            let t = self.limbs[i] as u128 * rhs as u128 + carry;
-            out[i] = t as u64;
-            carry = t >> 64;
-        }
-        (Self { limbs: out }, carry as u64)
-    }
-
     /// Logical left shift; bits shifted past the width are lost.
     pub fn shl(&self, n: u32) -> Self {
         if n >= Self::BITS {

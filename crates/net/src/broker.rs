@@ -75,18 +75,22 @@ use crate::frame::{
     signed_container_offset, ConfigSummary, Frame, PeerRole, CONTAINER_OFFSET,
 };
 use crate::io_pool::{FrameAccum, PoolJob, ReaderConn, ReaderPool, SlotKind, WriterPool};
-use crate::relay::{self, relay_verdict, RelayConfig, RelayVerdict};
+use crate::relay::{self, relay_verdict, RelayConfig, RelayVerdict, MAX_HOPS};
+use crate::server::Server;
 use crate::store::{FsyncPolicy, RecoveryReport, RetentionStore, StoreTelemetry};
 use pbcd_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot, TraceEvent, TraceKind};
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Log-size cap of a durable broker: once the retention log outgrows
+/// this, its live records are compacted into a fresh file.
+const MAX_LOG_BYTES: u64 = 1024 * 1024 * 1024;
 
 /// Broker tuning knobs.
 #[derive(Clone)]
@@ -134,10 +138,6 @@ pub struct BrokerConfig {
     /// How many epochs per document are retained for history replay
     /// (clamped to ≥ 1). Depth 1 is newest-epoch-wins retention.
     pub history_depth: usize,
-    /// Log-size cap: once the log outgrows this, live records are
-    /// compacted into a fresh file. Irrelevant without
-    /// [`Self::store_path`].
-    pub max_log_bytes: u64,
     /// Broker-overlay peering plane. `None` (the default) is a standalone
     /// broker: overlay frames draw a non-fatal `NotAPeer` refusal and
     /// nothing else changes. With a [`RelayConfig`], the broker
@@ -196,7 +196,6 @@ impl core::fmt::Debug for BrokerConfig {
             .field("store_path", &self.store_path)
             .field("fsync", &self.fsync)
             .field("history_depth", &self.history_depth)
-            .field("max_log_bytes", &self.max_log_bytes)
             .field("relay", &self.relay)
             .field("writer_pool_threads", &self.writer_pool_threads)
             .field("reader_pool_threads", &self.reader_pool_threads)
@@ -217,7 +216,6 @@ impl Default for BrokerConfig {
             store_path: None,
             fsync: FsyncPolicy::PerPublish,
             history_depth: 1,
-            max_log_bytes: 1024 * 1024 * 1024,
             relay: None,
             writer_pool_threads: 0,
             reader_pool_threads: 0,
@@ -485,15 +483,11 @@ pub(crate) struct State {
     pub(crate) store: RetentionStore,
     /// connection id → subscriber registration.
     subscribers: BTreeMap<u64, SubEntry>,
-    /// connection id → raw stream of every live connection (for shutdown).
-    pub(crate) connections: BTreeMap<u64, TcpStream>,
     /// link id → live outbound peer link (fed under this lock, exactly
     /// like subscriber queues, so relay order is retained-state order).
     pub(crate) relay_links: BTreeMap<u64, RelayLink>,
     /// document → overlay provenance of its newest retained epoch.
     pub(crate) relay_meta: BTreeMap<String, RelayMeta>,
-    /// Join handles of per-connection handler, writer *and* link threads.
-    pub(crate) threads: Vec<JoinHandle<()>>,
 }
 
 /// The broker's I/O plane: the sharded writer pool and reader pool,
@@ -506,15 +500,17 @@ pub(crate) struct IoPlanes {
 
 pub(crate) struct Shared {
     pub(crate) config: BrokerConfig,
-    pub(crate) shutdown: AtomicBool,
+    /// Connection table, cap and shutdown flag of every accepted
+    /// connection and outbound relay link. Lock order: [`Self::state`]
+    /// before the table.
+    pub(crate) server: Arc<Server>,
     pub(crate) state: Mutex<State>,
-    pub(crate) next_conn_id: AtomicU64,
     pub(crate) telemetry: BrokerTelemetry,
     pub(crate) io: OnceLock<IoPlanes>,
 }
 
 impl Shared {
-    /// The I/O plane; set in `bind_with` before the accept loop spawns.
+    /// The I/O plane; set in `bind_with` before the accept thread spawns.
     pub(crate) fn io(&self) -> &IoPlanes {
         self.io.get().expect("I/O planes installed at bind")
     }
@@ -567,33 +563,28 @@ impl Broker {
     pub fn bind_with(addr: &str, config: BrokerConfig) -> io::Result<BrokerHandle> {
         let telemetry = BrokerTelemetry::new();
         let mut store = match &config.store_path {
-            Some(path) => RetentionStore::open(
-                path,
-                config.history_depth,
-                config.max_log_bytes,
-                config.fsync,
-            )?,
+            Some(path) => {
+                RetentionStore::open(path, config.history_depth, MAX_LOG_BYTES, config.fsync)?
+            }
             None => RetentionStore::in_memory(config.history_depth),
         };
         store.attach_telemetry(StoreTelemetry::new(&telemetry.registry));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let refused = telemetry.connections_rejected.clone();
         let shared = Arc::new(Shared {
+            server: Server::new(config.max_connections, Some(refused)),
             config,
-            shutdown: AtomicBool::new(false),
             state: Mutex::new(State {
                 store,
                 subscribers: BTreeMap::new(),
-                connections: BTreeMap::new(),
                 relay_links: BTreeMap::new(),
                 relay_meta: BTreeMap::new(),
-                threads: Vec::new(),
             }),
-            next_conn_id: AtomicU64::new(0),
             telemetry,
             io: OnceLock::new(),
         });
-        // Spawn the I/O plane before the accept loop: every connection
+        // Spawn the I/O plane before the accept thread: every connection
         // thread may hand work to it, so it must exist first.
         let writer_threads = shared.config.resolved_writer_pool_threads();
         let reader_threads = shared.config.resolved_reader_pool_threads();
@@ -615,10 +606,12 @@ impl Broker {
             .reader_pool_threads
             .set(reader_threads as u64);
         let _ = shared.io.set(IoPlanes { writer, reader });
-        let accept_shared = Arc::clone(&shared);
-        let accept = std::thread::Builder::new()
-            .name("pbcd-broker-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))?;
+        let conn_shared = Arc::clone(&shared);
+        shared
+            .server
+            .listen(listener, "pbcd-broker", move |id, stream| {
+                handle_connection(&conn_shared, id, stream)
+            })?;
         // Dial the configured downstream peers. Each link thread owns its
         // connect/handshake/catch-up/forward lifecycle and reconnects with
         // capped jittered backoff, so an unreachable peer costs nothing
@@ -631,7 +624,6 @@ impl Broker {
         Ok(BrokerHandle {
             addr: local_addr,
             shared,
-            accept: Some(accept),
         })
     }
 }
@@ -640,7 +632,6 @@ impl Broker {
 pub struct BrokerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
 }
 
 impl BrokerHandle {
@@ -723,7 +714,7 @@ impl BrokerHandle {
 
     /// The `(writer, reader)` I/O-pool thread counts this broker is
     /// running — the exact set of threads [`Self::shutdown`] joins on
-    /// top of the accept loop and any transient handler threads.
+    /// top of the accept thread and any transient handler threads.
     pub fn io_thread_counts(&self) -> (usize, usize) {
         let io = self.shared.io();
         (io.writer.thread_count(), io.reader.thread_count())
@@ -754,120 +745,40 @@ impl BrokerHandle {
 
     /// Graceful shutdown: stops accepting, closes every connection, joins
     /// every thread. Idempotent; also runs on drop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    pub fn shutdown(self) {
+        self.stop();
     }
 
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock per-connection reads and drop every registration so no
-        // further work reaches the I/O plane.
-        {
-            let mut state = self.shared.state.lock().expect("broker state");
-            state.subscribers.clear();
-            // Dropping the link senders wakes link threads parked in
-            // `recv`; the shutdown flag (checked before every reconnect
-            // and backoff slice) stops them from dialing again.
-            state.relay_links.clear();
-            for stream in state.connections.values() {
-                let _ = stream.shutdown(Shutdown::Both);
+    fn stop(&self) {
+        let shared = &self.shared;
+        // With every socket already shut: drop every registration so no
+        // further work reaches the I/O plane, then stop the plane.
+        shared.server.stop(|| {
+            {
+                let mut state = shared.state.lock().expect("broker state");
+                state.subscribers.clear();
+                // Dropping the link senders wakes link threads parked in
+                // `recv`; the shutdown flag (checked before every
+                // reconnect and backoff slice) stops them dialing again.
+                state.relay_links.clear();
+                // Graceful shutdown loses nothing even under fsync-off.
+                let _ = state.store.sync();
             }
-            // Graceful shutdown loses nothing even under fsync-off.
-            let _ = state.store.sync();
-        }
-        // Stop the I/O plane: exactly M writer + R reader threads join
-        // here, independent of how many subscribers were attached.
-        if let Some(io) = self.shared.io.get() {
-            io.writer.shutdown();
-            io.reader.shutdown();
-            io.writer.join();
-            io.reader.join();
-        }
-        crate::direct::wake_and_join(self.addr, accept);
+            // Exactly M writer + R reader threads join here, independent
+            // of how many subscribers were attached.
+            if let Some(io) = shared.io.get() {
+                io.writer.shutdown();
+                io.reader.shutdown();
+                io.writer.join();
+                io.reader.join();
+            }
+        });
     }
 }
 
 impl Drop for BrokerHandle {
     fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Accept errors are transient (EMFILE, aborted handshake);
-            // keep serving unless we are shutting down — but back off so a
-            // persistent condition (fd exhaustion) doesn't busy-spin a core.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let Ok(raw) = stream.try_clone() else {
-            continue;
-        };
-        // Register under the state lock, re-checking the shutdown flag
-        // there: shutdown sets the flag *before* taking the lock for its
-        // close sweep, so either we see the flag and bail, or our stream is
-        // in the map when the sweep runs — no connection can slip through
-        // unclosed and leave its handler thread blocked forever.
-        {
-            let mut state = shared.state.lock().expect("broker state");
-            // Reap finished connection/writer threads so bookkeeping stays
-            // proportional to *live* connections, not total served.
-            let (done, running): (Vec<_>, Vec<_>) = std::mem::take(&mut state.threads)
-                .into_iter()
-                .partition(|t| t.is_finished());
-            state.threads = running;
-            for t in done {
-                let _ = t.join();
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            if state.connections.len() >= shared.config.max_connections {
-                shared.telemetry.connections_rejected.inc();
-                continue; // drops both handles, closing the socket
-            }
-            state.connections.insert(id, raw);
-        }
-        let conn_shared = Arc::clone(&shared);
-        let spawned = std::thread::Builder::new()
-            .name(format!("pbcd-broker-conn-{id}"))
-            .spawn(move || {
-                handle_connection(conn_shared, id, stream);
-            });
-        let mut state = shared.state.lock().expect("broker state");
-        match spawned {
-            Ok(handle) => state.threads.push(handle),
-            Err(_) => {
-                state.connections.remove(&id);
-            }
-        }
-    }
-    // Drain connection and writer threads so shutdown is a real join.
-    loop {
-        let threads = {
-            let mut state = shared.state.lock().expect("broker state");
-            std::mem::take(&mut state.threads)
-        };
-        if threads.is_empty() {
-            break;
-        }
-        // Handler threads may register *writer* threads while we join, so
-        // loop until the set is empty.
-        for t in threads {
-            let _ = t.join();
-        }
+        self.stop();
     }
 }
 
@@ -934,42 +845,33 @@ fn remove_subscriber(shared: &Shared, state: &mut State, id: u64, cause: Option<
     if was_registered {
         shared.telemetry.count_drop(cause, id);
     }
-    if let Some(conn) = state.connections.get(&id) {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
+    shared.server.shut(id);
 }
 
 /// Writer-pool callback: a slot's write failed or its frame deadline
 /// expired (the slot itself is already gone and its socket dup closed).
 /// Runs with no shard lock held.
 pub(crate) fn on_pool_write_failure(shared: &Shared, id: u64, kind: SlotKind) {
-    let mut state = shared.state.lock().expect("broker state");
     match kind {
         SlotKind::Subscriber => {
+            let mut state = shared.state.lock().expect("broker state");
             remove_subscriber(shared, &mut state, id, Some(DropCause::WriteFailed))
         }
-        SlotKind::RelayLink => {
-            // Close the link's registered socket so its (reader) thread
-            // observes the dead connection promptly and reconnects with
-            // backoff + log resync; `run_link_once` owns the rest of the
-            // cleanup.
-            if let Some(conn) = state.connections.get(&id) {
-                let _ = conn.shutdown(Shutdown::Both);
-            }
-        }
+        // Shut the link's tracked socket so its (reader) thread observes
+        // the dead connection promptly and reconnects with backoff + log
+        // resync; `run_link_once` owns the rest of the cleanup.
+        SlotKind::RelayLink => shared.server.shut(id),
     }
 }
 
 /// Connection teardown, shared by the handler thread and the reader pool
 /// (EOF, error or a fatal frame): deregistering the subscription and its
-/// pool slot stops further enqueues, and the socket is closed for every
-/// other holder of a dup.
+/// pool slot stops further enqueues, and the connection leaves the table
+/// with its socket closed for every other holder of a dup.
 pub(crate) fn close_connection(shared: &Shared, id: u64) {
     let mut state = shared.state.lock().expect("broker state");
     remove_subscriber(shared, &mut state, id, None);
-    if let Some(conn) = state.connections.remove(&id) {
-        let _ = conn.shutdown(Shutdown::Both);
-    }
+    shared.server.close(id);
 }
 
 /// What a served frame asks of the loop that read it. (A connection that
@@ -992,8 +894,7 @@ pub(crate) enum FrameFlow {
 /// pools — reads to a reader shard, writes to its writer-pool slot — and
 /// this thread exits. Both halves serve frames through the same
 /// [`dispatch_frame`].
-fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
-    let shared = &shared;
+fn handle_connection(shared: &Shared, id: u64, mut stream: TcpStream) {
     let mut writer = match stream.try_clone() {
         Ok(w) => ConnWriter::Direct(w),
         Err(_) => return close_connection(shared, id),
@@ -1014,7 +915,7 @@ fn handle_connection(shared: Arc<Shared>, id: u64, mut stream: TcpStream) {
         let body = match read_frame_body(&mut stream) {
             Ok(b) => b,
             Err(NetError::Closed) | Err(NetError::Io { .. }) => break,
-            Err(_) if shared.shutdown.load(Ordering::SeqCst) => break,
+            Err(_) if shared.server.is_stopping() => break,
             Err(e) => {
                 // Hostile length prefix: report, count, drop the peer.
                 writer.fatal(shared, id, format!("malformed frame: {e}"));
@@ -1069,7 +970,7 @@ pub(crate) fn dispatch_frame(
 ) -> Result<FrameFlow, NetError> {
     let frame = match Frame::decode(&body) {
         Ok(f) => f,
-        Err(e) if shared.shutdown.load(Ordering::SeqCst) => return Err(e.into()),
+        Err(e) if shared.server.is_stopping() => return Err(e.into()),
         // Malformed input: report, count, drop the peer.
         Err(e) => return Err(writer.fatal(shared, id, format!("malformed frame: {e}"))),
     };
@@ -1310,7 +1211,7 @@ fn admit(
                 origin,
                 hops,
                 container.epoch,
-                relay_config.max_hops,
+                MAX_HOPS,
             ) {
                 RelayVerdict::Loop => Some(RejectReason::RelayLoop),
                 RelayVerdict::Stale => Some(RejectReason::StaleHop),
@@ -1513,7 +1414,7 @@ fn handle_publish(
                 }
                 _ => (relay_config.broker_id.as_str(), 1),
             };
-            if !state.relay_links.is_empty() && hops_out <= relay_config.max_hops {
+            if !state.relay_links.is_empty() && hops_out <= MAX_HOPS {
                 let rbody = Arc::new(relay_body(origin, hops_out, &container_bytes));
                 let enqueued_ns = shared.telemetry.registry.now_ns();
                 let mut dead_links: Vec<u64> = Vec::new();
@@ -1541,9 +1442,7 @@ fn handle_publish(
                     state.relay_links.remove(&link_id);
                     io.writer.remove(link_id);
                     shared.telemetry.relay_links_dropped.inc();
-                    if let Some(conn) = state.connections.get(&link_id) {
-                        let _ = conn.shutdown(Shutdown::Both);
-                    }
+                    shared.server.shut(link_id);
                 }
             }
         }

@@ -5,9 +5,10 @@
 //! The server is a deliberately dumb byte pipe: it reads one
 //! length-prefixed request, hands the bytes to a caller-supplied handler,
 //! and writes the handler's bytes back. It knows nothing about tokens,
-//! proofs or envelopes — `pbcd_net` still depends on `pbcd_docs` alone, so
-//! the dependency graph keeps enforcing that *no broker-layer code can
-//! reach key material*; the typed protocol lives one layer up
+//! proofs or envelopes — `pbcd_net` depends on `pbcd_docs`, the
+//! verification-only surface of `pbcd_group` and `pbcd_telemetry`, so the
+//! dependency graph keeps enforcing that *no broker-layer code can reach
+//! key material*; the typed protocol lives one layer up
 //! (`pbcd_core::proto`) and plugs in as a `handle(bytes) -> bytes`
 //! closure.
 //!
@@ -25,17 +26,17 @@
 //! must serialize (an issuer's RNG, a publisher's policy set) it guards
 //! itself, so N connections wait on exactly the state they share and no
 //! more.
+//!
+//! Accepting, the connection cap and shutdown are the crate's one
+//! connection table (the crate-private `server` module), shared with the
+//! broker.
 
 use crate::error::NetError;
 use crate::frame::{read_body_bounded, write_body, MAX_FRAME_LEN};
+use crate::server::Server;
 use pbcd_telemetry::{Counter, Histogram, Registry, Snapshot};
-use std::collections::HashMap;
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`RegistrationServer`].
@@ -66,14 +67,11 @@ impl Default for DirectConfig {
     }
 }
 
-struct ServerShared {
-    shutdown: AtomicBool,
-    /// Live connection streams, for forced shutdown. Keyed by connection id.
-    connections: Mutex<HashMap<u64, TcpStream>>,
-    /// Transport-level metrics: request count and wall-clock handler
-    /// latency. The server cannot label by request kind (it is a byte
-    /// pipe by design); kind-level metrics live in the handler's own
-    /// registry one layer up.
+/// Transport-level metrics: request count and wall-clock handler
+/// latency. The server cannot label by request kind (it is a byte pipe by
+/// design); kind-level metrics live in the handler's own registry one
+/// layer up.
+struct DirectMetrics {
     registry: Registry,
     requests: Counter,
     request_ns: Histogram,
@@ -83,8 +81,8 @@ struct ServerShared {
 /// function.
 pub struct RegistrationServer {
     addr: SocketAddr,
-    shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<()>>,
+    server: Arc<Server>,
+    metrics: Arc<DirectMetrics>,
 }
 
 impl RegistrationServer {
@@ -110,29 +108,24 @@ impl RegistrationServer {
     where
         F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
     {
-        let handler: Handler = Arc::new(handler);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let registry = Registry::new();
-        let requests = registry.counter("direct_requests_total");
-        let request_ns = registry.histogram("direct_request_ns");
-        let shared = Arc::new(ServerShared {
-            shutdown: AtomicBool::new(false),
-            connections: Mutex::new(HashMap::new()),
+        let metrics = Arc::new(DirectMetrics {
+            requests: registry.counter("direct_requests_total"),
+            request_ns: registry.histogram("direct_request_ns"),
             registry,
-            requests,
-            request_ns,
         });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("pbcd-direct-accept".into())
-                .spawn(move || accept_loop(listener, shared, config, handler))?
-        };
+        let server = Server::new(config.max_connections, None);
+        let (conn_server, conn_metrics) = (Arc::clone(&server), Arc::clone(&metrics));
+        server.listen(listener, "pbcd-direct", move |id, stream| {
+            serve_connection(stream, &conn_metrics, &config, &handler);
+            conn_server.close(id);
+        })?;
         Ok(Self {
             addr,
-            shared,
-            accept: Some(accept),
+            server,
+            metrics,
         })
     }
 
@@ -144,13 +137,13 @@ impl RegistrationServer {
     /// Requests served so far (including ones answered with handler-level
     /// error bytes — the server cannot tell those apart, by design).
     pub fn requests_served(&self) -> u64 {
-        self.shared.requests.get()
+        self.metrics.requests.get()
     }
 
     /// Snapshot of the transport metrics: `direct_requests_total` and the
     /// `direct_request_ns` handler-latency histogram.
     pub fn metrics(&self) -> Snapshot {
-        self.shared.registry.snapshot()
+        self.metrics.registry.snapshot()
     }
 
     /// [`Self::metrics`] rendered in the text exposition format.
@@ -160,141 +153,22 @@ impl RegistrationServer {
 
     /// Stops accepting, disconnects every peer and joins the server
     /// threads. Also runs on drop.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        let Some(accept) = self.accept.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Unblock per-connection reads.
-        {
-            let conns = self
-                .shared
-                .connections
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-        wake_and_join(self.addr, accept);
-    }
-}
-
-/// Unblocks the accept loop listening on `addr` and joins it. An
-/// unspecified bind address (0.0.0.0 / ::) is not connectable everywhere,
-/// so the wake goes via loopback, bounded so shutdown can never hang on an
-/// unreachable listener: then the accept thread is leaked, not joined (the
-/// caller has already closed every connection).
-pub(crate) fn wake_and_join(mut addr: SocketAddr, accept: JoinHandle<()>) {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    if TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok() {
-        let _ = accept.join();
+    pub fn shutdown(self) {
+        self.server.stop(|| {});
     }
 }
 
 impl Drop for RegistrationServer {
     fn drop(&mut self) {
-        self.shutdown_inner();
+        self.server.stop(|| {});
     }
 }
 
-/// The handler, shared by every connection thread.
-type Handler = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ServerShared>,
-    config: DirectConfig,
-    handler: Handler,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_id: u64 = 0;
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                // Transient accept error: back off briefly and retry.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Reap finished workers so a long-lived server does not accumulate
-        // handles.
-        workers.retain(|w| !w.is_finished());
-
-        let id = next_id;
-        next_id += 1;
-        {
-            // Register under the lock, re-checking the shutdown flag inside
-            // the critical section so a racing shutdown cannot miss us.
-            let mut conns = shared
-                .connections
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if shared.shutdown.load(Ordering::SeqCst) || conns.len() >= config.max_connections {
-                let _ = stream.shutdown(Shutdown::Both);
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-            match stream.try_clone() {
-                Ok(clone) => {
-                    conns.insert(id, clone);
-                }
-                Err(_) => {
-                    let _ = stream.shutdown(Shutdown::Both);
-                    continue;
-                }
-            }
-        }
-        let shared_conn = Arc::clone(&shared);
-        let handler = Arc::clone(&handler);
-        let conn_config = config.clone();
-        let spawned = std::thread::Builder::new()
-            .name(format!("pbcd-direct-conn-{id}"))
-            .spawn(move || {
-                serve_connection(stream, &shared_conn, &conn_config, &*handler);
-                forget_connection(&shared_conn, id);
-            });
-        match spawned {
-            Ok(worker) => workers.push(worker),
-            // No thread to be had: the stream died with the closure; drop
-            // its registered clone too, so the peer sees the close.
-            Err(_) => forget_connection(&shared, id),
-        }
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-fn forget_connection(shared: &ServerShared, id: u64) {
-    shared
-        .connections
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .remove(&id);
-}
-
+/// Serves one connection's requests in order until it ends; the caller
+/// then closes it.
 fn serve_connection(
     mut stream: TcpStream,
-    shared: &ServerShared,
+    metrics: &DirectMetrics,
     config: &DirectConfig,
     handler: &(dyn Fn(&[u8]) -> Vec<u8> + Send + Sync),
 ) {
@@ -315,13 +189,12 @@ fn serve_connection(
         let Ok(response) = response else {
             break;
         };
-        shared.requests.inc();
-        shared.request_ns.record_since(start);
+        metrics.requests.inc();
+        metrics.request_ns.record_since(start);
         if write_body(&mut stream, &response).is_err() {
             break;
         }
     }
-    let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// Read timeout applied to every [`RegistrationClient`] call so an
@@ -368,7 +241,7 @@ impl RegistrationClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn echo_server() -> RegistrationServer {
         RegistrationServer::bind("127.0.0.1:0", |req: &[u8]| {
@@ -435,6 +308,7 @@ mod tests {
 
     #[test]
     fn max_connections_refuses_excess_peers() {
+        use std::io::Read;
         let server = RegistrationServer::bind_with(
             "127.0.0.1:0",
             DirectConfig {
@@ -453,6 +327,13 @@ mod tests {
         assert!(second.call(b"nope").is_err());
         // The first connection keeps working.
         assert_eq!(first.call(b"more").expect("call"), b"more");
+        // Once `first` hangs up and the server has torn it down (which
+        // reaches the client as EOF), its slot serves a new client.
+        first.stream.shutdown(Shutdown::Write).expect("half-close");
+        let mut eof = [0u8; 1];
+        assert_eq!(first.stream.read(&mut eof).expect("server closes"), 0);
+        let mut third = RegistrationClient::connect(server.addr()).expect("connect");
+        assert_eq!(third.call(b"back").expect("call"), b"back");
         server.shutdown();
     }
 

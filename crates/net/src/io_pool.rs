@@ -885,7 +885,7 @@ fn reader_shard_loop(shared: &Arc<Shared>, shard: &ReaderShard, fd_count: &Atomi
         }
     }
     // Shutdown: every adopted conn is also in the broker's connection
-    // map, whose close sweep owns the sockets; dropping our dups here
+    // table, whose shutdown sweep owns the sockets; dropping our dups here
     // releases the pool's fds.
     let drained = inner.conns.len() + inner.adopted.len();
     fd_count.fetch_sub(drained as u64, Ordering::Relaxed);
@@ -919,7 +919,7 @@ fn service_conn(shared: &Arc<Shared>, conn: &mut ReaderConn) -> ConnStatus {
                 // Mid-frame EOF, hostile length prefix or socket error:
                 // the same isolation as on a handler thread — this
                 // connection only.
-                if !shared.shutdown.load(Ordering::SeqCst) {
+                if !shared.server.is_stopping() {
                     shared.telemetry.count_rejected_connection();
                 }
                 return ConnStatus::Closed;
@@ -934,15 +934,21 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
+    /// A connected loopback pair: a blocking sender and a non-blocking
+    /// receiver.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let tx = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (rx, _) = listener.accept().expect("accept");
+        rx.set_nonblocking(true).expect("nonblocking");
+        (tx, rx)
+    }
+
     /// Feeds a frame through a real socket pair in dribs and asserts the
     /// accumulator reassembles it despite WouldBlock gaps.
     #[test]
     fn frame_accum_reassembles_partial_reads() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let mut tx = std::net::TcpStream::connect(addr).expect("connect");
-        let (mut rx, _) = listener.accept().expect("accept");
-        rx.set_nonblocking(true).expect("nonblocking");
+        let (mut tx, mut rx) = socket_pair();
 
         let body = vec![7u8; 10_000];
         let mut wire = (body.len() as u32).to_be_bytes().to_vec();
@@ -977,11 +983,7 @@ mod tests {
 
     #[test]
     fn frame_accum_rejects_hostile_length() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let mut tx = std::net::TcpStream::connect(addr).expect("connect");
-        let (mut rx, _) = listener.accept().expect("accept");
-        rx.set_nonblocking(true).expect("nonblocking");
+        let (mut tx, mut rx) = socket_pair();
 
         tx.write_all(&u32::MAX.to_be_bytes()).expect("write");
         tx.flush().expect("flush");
@@ -998,11 +1000,7 @@ mod tests {
 
     #[test]
     fn frame_accum_reports_clean_close_at_boundary() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let tx = std::net::TcpStream::connect(addr).expect("connect");
-        let (mut rx, _) = listener.accept().expect("accept");
-        rx.set_nonblocking(true).expect("nonblocking");
+        let (tx, mut rx) = socket_pair();
         drop(tx);
         let mut accum = FrameAccum::new();
         loop {

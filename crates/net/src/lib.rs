@@ -70,6 +70,7 @@ pub mod error;
 pub mod frame;
 pub(crate) mod io_pool;
 pub mod relay;
+pub(crate) mod server;
 pub mod store;
 
 pub use auth::{AuthOutcome, PublishAuth, PublisherDirectory};

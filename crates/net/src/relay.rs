@@ -54,8 +54,8 @@
 //!
 //! * **Origin id**: a container relayed back to the broker whose id it
 //!   carries as origin is refused (`RelayLoop`).
-//! * **Hop budget**: each forward advances the hop count; past
-//!   [`RelayConfig::max_hops`] the container is refused (`RelayLoop`).
+//! * **Hop budget**: each forward advances the hop count; past 8 hops
+//!   the container is refused (`RelayLoop`).
 //!   Senders also stop forwarding once the *outgoing* hop count would
 //!   exceed the budget, so a doomed frame is never even queued.
 //! * **Epoch monotonicity**: a relayed epoch not strictly newer than the
@@ -66,8 +66,8 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::atomic::AtomicU64;
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,6 +79,20 @@ use crate::broker::{RelayJob, RelayLink, Shared};
 use crate::error::RejectReason;
 use crate::frame::{read_frame, relay_body, write_frame, Frame, CONTAINER_OFFSET};
 use crate::io_pool::{FrameAccum, PoolJob, ReadProgress, SlotKind};
+
+/// Hop budget: a container whose hop count would exceed this is not
+/// forwarded, and one *arriving* past it is refused. Bounds how far a
+/// frame can travel even in a topology with undetected cycles.
+pub(crate) const MAX_HOPS: u8 = 8;
+
+/// Bound of each outbound link's live forward queue. A peer that cannot
+/// drain this fast is dropped and resynced from the log — slow-peer
+/// backpressure becomes reconnection, never publisher latency.
+const PEER_QUEUE: usize = 64;
+
+/// How long a link waits for the peer's `Ack`/`Reject` to one relay (and
+/// for each handshake frame) before declaring the link dead.
+const ACK_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Overlay knobs for one broker: its identity, who it forwards to, and
 /// whether it accepts inbound peer links. Setting
@@ -100,28 +114,13 @@ pub struct RelayConfig {
     /// Accept inbound peer links (`PeerHello`) on this broker. Leaf
     /// brokers that only dial upstream can leave this off.
     pub accept_peers: bool,
-    /// Hop budget: a container whose hop count would exceed this is not
-    /// forwarded, and one *arriving* past it is refused. Bounds how far
-    /// a frame can travel even in a topology with undetected cycles.
-    pub max_hops: u8,
-    /// Per-document depth of the catch-up stream sent to a newly
-    /// attached (or resyncing) peer. `0` means "use the broker's own
-    /// [`history_depth`](crate::BrokerConfig::history_depth)".
-    pub catch_up_depth: usize,
-    /// Bound of each outbound link's forward queue. A peer that cannot
-    /// drain this fast is dropped and resynced from the log — slow-peer
-    /// backpressure becomes reconnection, never publisher latency.
-    pub peer_queue: usize,
-    /// How long a link waits for the peer's `Ack`/`Reject` to one relay
-    /// (and for each handshake frame) before declaring the link dead.
-    pub ack_timeout: Duration,
     /// Reconnect backoff policy for the link threads.
     pub backoff: BackoffConfig,
 }
 
 impl RelayConfig {
     /// A relay plane with the given overlay id and default knobs:
-    /// no peers yet, inbound peering accepted, hop budget 8.
+    /// no peers yet, inbound peering accepted.
     pub fn new(broker_id: impl Into<String>) -> Self {
         Self {
             broker_id: broker_id.into(),
@@ -136,10 +135,6 @@ impl Default for RelayConfig {
             broker_id: "broker".into(),
             peers: Vec::new(),
             accept_peers: true,
-            max_hops: 8,
-            catch_up_depth: 0,
-            peer_queue: 64,
-            ack_timeout: Duration::from_secs(30),
             backoff: BackoffConfig::default(),
         }
     }
@@ -187,20 +182,15 @@ pub fn relay_verdict(
     RelayVerdict::Accept
 }
 
-/// Spawns the dedicated thread for one outbound peer link and registers
-/// its join handle with the broker (so shutdown joins it).
+/// Spawns the dedicated thread for one outbound peer link on the
+/// broker's server (so shutdown joins it).
 pub(crate) fn spawn_link(shared: &Arc<Shared>, peer: String) -> io::Result<()> {
     let thread_shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name(format!("pbcd-relay-link-{peer}"))
-        .spawn(move || link_loop(&thread_shared, &peer))?;
     shared
-        .state
-        .lock()
-        .expect("broker state")
-        .threads
-        .push(handle);
-    Ok(())
+        .server
+        .spawn(format!("pbcd-relay-link-{peer}"), move || {
+            link_loop(&thread_shared, &peer)
+        })
 }
 
 /// One document's worth of catch-up stream: re-stamped origin and hop
@@ -242,7 +232,7 @@ fn link_loop(shared: &Shared, peer: &str) {
         rejected: registry.counter(&format!("broker_relay_rejected_total{{peer=\"{peer}\"}}")),
     };
     let mut backoff = Backoff::new(relay_config.backoff);
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.server.is_stopping() {
         match run_link_once(shared, peer, &relay_config, &stats) {
             LinkExit::Shutdown => break,
             LinkExit::Established => backoff.reset(),
@@ -256,7 +246,7 @@ fn link_loop(shared: &Shared, peer: &str) {
 /// flagged — a link backing off must not stall broker shutdown.
 fn sleep_interruptibly(shared: &Shared, total: Duration) {
     let deadline = Instant::now() + total;
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.server.is_stopping() {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
             return;
@@ -266,7 +256,8 @@ fn sleep_interruptibly(shared: &Shared, total: Duration) {
 }
 
 /// One full link lifetime: connect, handshake, catch-up, live-forward,
-/// deregister. Every exit path removes the link from broker state.
+/// deregister. Every exit path removes the link from broker state and
+/// from the server's connection table.
 fn run_link_once(
     shared: &Shared,
     peer: &str,
@@ -275,7 +266,7 @@ fn run_link_once(
 ) -> LinkExit {
     // Resolve + connect with a bounded timeout so an unreachable peer
     // costs one timeout per attempt, not a hung thread.
-    let connect_timeout = relay_config.ack_timeout.min(Duration::from_secs(5));
+    let connect_timeout = ACK_TIMEOUT.min(Duration::from_secs(5));
     let Some(addr) = peer.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
         return LinkExit::NotEstablished;
     };
@@ -284,33 +275,23 @@ fn run_link_once(
     };
     let _ = stream.set_nodelay(true);
     // Handshake frames and per-relay verdicts share the ack timeout.
-    let _ = stream.set_read_timeout(Some(relay_config.ack_timeout));
+    let _ = stream.set_read_timeout(Some(ACK_TIMEOUT));
 
-    // Register the raw stream under a connection id so the shutdown
+    // Track the socket in the broker's connection table so shutdown's
     // sweep closes it (unblocking any read this thread is parked in).
-    let link_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    {
-        let Ok(raw) = stream.try_clone() else {
-            return LinkExit::NotEstablished;
-        };
-        let mut state = shared.state.lock().expect("broker state");
-        // Same race guard as the accept loop: if shutdown's close sweep
-        // already ran, registering now would leak an unclosed socket.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return LinkExit::Shutdown;
-        }
-        state.connections.insert(link_id, raw);
+    let link_id = shared.server.next_id();
+    if !shared.server.track(link_id, &stream) {
+        return LinkExit::NotEstablished;
     }
 
     let exit = drive_link(shared, &mut stream, link_id, relay_config, stats);
 
-    let _ = stream.shutdown(Shutdown::Both);
     let mut state = shared.state.lock().expect("broker state");
     state.relay_links.remove(&link_id);
     // Idempotent: the pool's write-failure path may already have dropped
     // the slot (state → writer-shard is the sanctioned lock order).
     shared.io().writer.remove(link_id);
-    state.connections.remove(&link_id);
+    shared.server.close(link_id);
     exit
 }
 
@@ -359,21 +340,16 @@ fn drive_link(
     // after them, and epochs grow under this same lock — so the two
     // streams cannot overlap and pool-write order equals ack-expectation
     // order (the FIFO matching invariant). The slot is sized to hold the
-    // whole catch-up set on top of the configured live window, exactly
-    // like a subscriber slot holds its replay.
-    let depth = if relay_config.catch_up_depth == 0 {
-        shared.config.history_depth
-    } else {
-        relay_config.catch_up_depth
-    };
+    // whole catch-up set (the broker's full history depth per document)
+    // on top of the live window, exactly like a subscriber slot holds its
+    // replay. A link that gets here during shutdown has a socket the
+    // sweep already shut: the pool refuses its slot, or its first poll
+    // below sees the flag.
     let receiver: Receiver<RelayJob> = {
         let mut state = shared.state.lock().expect("broker state");
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return LinkExit::Shutdown;
-        }
         let records: Vec<CatchUpRecord> = state
             .store
-            .catch_up(&known, depth)
+            .catch_up(&known, shared.config.history_depth)
             .into_iter()
             .filter_map(|(doc, epoch, deliver)| {
                 // Re-stamp provenance: relayed documents keep their
@@ -384,10 +360,10 @@ fn drive_link(
                     Some(meta) => (meta.origin.clone(), meta.hops.saturating_add(1)),
                     None => (relay_config.broker_id.clone(), 1),
                 };
-                (hops <= relay_config.max_hops).then_some((origin, hops, epoch, deliver))
+                (hops <= MAX_HOPS).then_some((origin, hops, epoch, deliver))
             })
             .collect();
-        let capacity = relay_config.peer_queue.max(1) + records.len();
+        let capacity = PEER_QUEUE + records.len();
         let io = shared.io();
         if !io.writer.register(
             link_id,
@@ -439,7 +415,7 @@ fn drive_link(
         // lives in broker state and is dropped by shutdown (and by the
         // overflow drop), which wakes this recv with `Disconnected`.
         match receiver.recv_timeout(Duration::from_millis(200)) {
-            Ok(job) => match read_verdict(shared, stream, &mut accum, relay_config.ack_timeout) {
+            Ok(job) => match read_verdict(shared, stream, &mut accum) {
                 Some(Frame::Ack { .. }) => {
                     stats.forwarded.inc();
                     shared.telemetry.relays_forwarded.inc();
@@ -471,12 +447,12 @@ fn drive_link(
                 _ => return LinkExit::Established,
             },
             Err(RecvTimeoutError::Timeout) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.server.is_stopping() {
                     return LinkExit::Shutdown;
                 }
             }
             Err(RecvTimeoutError::Disconnected) => {
-                return if shared.shutdown.load(Ordering::SeqCst) {
+                return if shared.server.is_stopping() {
                     LinkExit::Shutdown
                 } else {
                     // Overflow or write-failure drop: the broker removed
@@ -491,18 +467,13 @@ fn drive_link(
 /// Polls one verdict frame out of the (non-blocking) link socket,
 /// honoring the ack timeout. `None` means the link is dead — timed out,
 /// closed, or speaking garbage.
-fn read_verdict(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    accum: &mut FrameAccum,
-    ack_timeout: Duration,
-) -> Option<Frame> {
-    let deadline = Instant::now() + ack_timeout;
+fn read_verdict(shared: &Shared, stream: &mut TcpStream, accum: &mut FrameAccum) -> Option<Frame> {
+    let deadline = Instant::now() + ACK_TIMEOUT;
     loop {
         match accum.poll(stream) {
             Ok(ReadProgress::Frame(body)) => return Frame::decode(&body).ok(),
             Ok(ReadProgress::Pending) => {
-                if shared.shutdown.load(Ordering::SeqCst) || Instant::now() >= deadline {
+                if shared.server.is_stopping() || Instant::now() >= deadline {
                     return None;
                 }
                 std::thread::sleep(Duration::from_millis(1));
@@ -582,8 +553,8 @@ mod tests {
         assert_eq!(c.broker_id, "hub");
         assert!(c.peers.is_empty());
         assert!(c.accept_peers);
-        assert_eq!(c.max_hops, 8);
-        assert_eq!(c.catch_up_depth, 0);
-        assert!(c.peer_queue > 0);
+        assert_eq!(MAX_HOPS, 8);
+        assert_eq!(PEER_QUEUE, 64);
+        assert_eq!(ACK_TIMEOUT, Duration::from_secs(30));
     }
 }

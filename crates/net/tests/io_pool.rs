@@ -1,19 +1,22 @@
 //! Event-driven I/O plane tests: a 1 000-subscriber stress run proving an
 //! idle subscription costs a socket + queue slot (not two thread stacks)
-//! and that misbehaving consumers are isolated individually, plus a
-//! shutdown-accounting test proving the broker joins exactly its pool
-//! threads and releases every file descriptor. Both tests read
-//! `/proc/self/{task,fd}`, so they are Linux-specific — like the rest
-//! of the CI environment.
+//! and that misbehaving consumers are isolated individually, plus
+//! shutdown-accounting tests proving the broker joins exactly its pool
+//! threads, the registration endpoint joins every handler, and both
+//! release every file descriptor. All three read `/proc/self/{task,fd}`,
+//! so they are Linux-specific — like the rest of the CI environment.
 
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
-use pbcd_net::{Broker, BrokerClient, BrokerConfig, BrokerHandle, PeerRole};
+use pbcd_net::{
+    Broker, BrokerClient, BrokerConfig, BrokerHandle, PeerRole, RegistrationClient,
+    RegistrationServer,
+};
 use std::io::Read;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// `/proc/self/task` and `/proc/self/fd` are process-global, so the two
+/// `/proc/self/task` and `/proc/self/fd` are process-global, so the
 /// tests in this file must not overlap even when the harness runs tests
 /// in parallel.
 static PROC_SERIAL: Mutex<()> = Mutex::new(());
@@ -35,10 +38,10 @@ fn container(doc: &str, epoch: u64, payload: usize) -> BroadcastContainer {
     }
 }
 
-/// Live broker threads in this process, per the kernel's own accounting:
+/// Live `pbcd_net` threads in this process, per the kernel's own accounting:
 /// the tasks whose `comm` carries the `pbcd-` prefix the net crate gives
 /// every thread it spawns. Counting by name keeps libtest's own threads
-/// out — the other test's thread may start, and park on `PROC_SERIAL`,
+/// out — another test's thread may start, and park on `PROC_SERIAL`,
 /// at any point after a baseline was read.
 fn os_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
@@ -330,6 +333,59 @@ fn shutdown_joins_exact_pool_threads_and_releases_fds() {
 
     // Every fd goes too: listener, per-connection sockets, the writer
     // pool's dup'd streams and the reader pool's adopted ones.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    assert!(
+        wait_until(deadline, || open_fds() <= fds_before),
+        "{} fds outlive shutdown",
+        open_fds() - fds_before,
+    );
+}
+
+/// The registration endpoint's shutdown accounting: with sixteen clients
+/// each mid-session (one call served, the connection open and its handler
+/// thread parked reading the next request), `shutdown` disconnects every
+/// client and joins the accept thread and every handler, and the server's
+/// sockets all close.
+#[test]
+fn registration_shutdown_joins_every_handler_and_releases_fds() {
+    let _serial = PROC_SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const CLIENTS: usize = 16;
+
+    let threads_before = os_threads();
+    let fds_before = open_fds();
+
+    let server = RegistrationServer::bind("127.0.0.1:0", |req: &[u8]| req.to_vec()).unwrap();
+    let mut clients = Vec::with_capacity(CLIENTS);
+    for i in 0..CLIENTS {
+        let mut client = RegistrationClient::connect(server.addr()).unwrap();
+        assert_eq!(client.call(&[i as u8]).unwrap(), [i as u8]);
+        clients.push(client);
+    }
+    assert!(
+        os_threads() >= threads_before + 1 + CLIENTS,
+        "accept and handler threads not running"
+    );
+
+    // Every handler is parked in a read with a 60 s idle timeout: only the
+    // shutdown sweep, not the timeout, may end them in time.
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown waited {:?} for parked handlers",
+        started.elapsed(),
+    );
+    for client in &mut clients {
+        assert!(client.call(b"late").is_err(), "client outlived shutdown");
+    }
+    drop(clients);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    assert!(
+        wait_until(deadline, || os_threads() <= threads_before),
+        "{} threads outlive shutdown",
+        os_threads() - threads_before,
+    );
     let deadline = Instant::now() + Duration::from_secs(10);
     assert!(
         wait_until(deadline, || open_fds() <= fds_before),
