@@ -1633,8 +1633,8 @@ fn ablation_batch(opts: &Opts) {
             format!("{:.2}", ms(cached) / k as f64),
         ],
     );
-    println!("expected: the batch shares the nonces, the row expansion and the matrix,");
-    println!("but solves the null space once per key; the subscriber's KEV cache removes");
+    println!("expected: the batch shares the nonces, the row expansion and the eliminated");
+    println!("matrix, drawing one null vector per key; the subscriber's KEV cache removes");
     println!("repeated row expansion (Sec VIII-D); unlike the marker scheme,");
     println!("per-document keys stay independent (no leak).\n");
 }

@@ -60,24 +60,33 @@ impl BroadcastContainer {
     /// field exceeds [`crate::wire::MAX_FIELD_LEN`], so encoding a hostile
     /// container can never abort the encoding thread.
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = Vec::with_capacity(self.size_bytes());
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Appends the [`Self::encode`] bytes to `buf` — how a frame carries a
+    /// container without encoding it into a buffer of its own first. On
+    /// an error `buf` is left holding part of the encoding.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<(), WireError> {
+        buf.reserve(self.size_bytes());
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&VERSION.to_be_bytes());
         buf.extend_from_slice(&self.epoch.to_be_bytes());
-        put_str(&mut buf, &self.document_name)?;
-        put_str(&mut buf, &self.skeleton_xml)?;
+        put_str(buf, &self.document_name)?;
+        put_str(buf, &self.skeleton_xml)?;
         buf.extend_from_slice(&(self.groups.len() as u32).to_be_bytes());
         for g in &self.groups {
             buf.extend_from_slice(&g.config_id.to_be_bytes());
-            put_bytes(&mut buf, &g.key_info)?;
+            put_bytes(buf, &g.key_info)?;
             buf.extend_from_slice(&(g.segments.len() as u32).to_be_bytes());
             for s in &g.segments {
                 buf.extend_from_slice(&s.segment_id.to_be_bytes());
-                put_str(&mut buf, &s.tag)?;
-                put_bytes(&mut buf, &s.ciphertext)?;
+                put_str(buf, &s.tag)?;
+                put_bytes(buf, &s.ciphertext)?;
             }
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Parses and validates the wire format.

@@ -25,7 +25,7 @@
 use pbcd_crypto::chacha20::{chacha20_block, NONCE_LEN};
 use pbcd_crypto::Sha256;
 use pbcd_docs::wire;
-use pbcd_math::{Fp, FpCtx, Matrix, Uint, U128};
+use pbcd_math::{Echelon, Fp, FpCtx, Matrix, Uint, U128};
 use rand::RngCore;
 use std::sync::Arc;
 
@@ -145,11 +145,11 @@ impl AcvBgkm {
     /// Publisher: the paper's §VIII-D batching — `count` documents that
     /// share a policy configuration share one nonce draw, one row expansion
     /// and one matrix (and hence the same `z` values), each getting an
-    /// independent key and an independent ACV. The null space is solved
-    /// once per key, not once per batch: every ACV runs its own
-    /// elimination ([`Matrix::random_null_vector`]). With `count > 1`
-    /// this is reproduction surface (the §VIII-D ablation); production
-    /// reaches it through [`Self::rekey`] only.
+    /// independent key and an independent ACV. The matrix is eliminated
+    /// once ([`Matrix::into_echelon`]); then, key by key, a key is drawn
+    /// and its null vector is drawn from that echelon form. With
+    /// `count > 1` this is reproduction surface (the §VIII-D ablation);
+    /// production reaches it through [`Self::rekey`] only.
     pub fn rekey_batch<R: RngCore + ?Sized>(
         &self,
         rows: &[AccessRow],
@@ -158,7 +158,7 @@ impl AcvBgkm {
     ) -> Vec<(Vec<u8>, AcvPublicInfo)> {
         assert!(count >= 1, "need at least one key");
         let zs = self.fresh_nonces(rows.len(), rng);
-        let a = self.build_matrix(rows, &zs);
+        let a = self.build_matrix(rows, &zs).into_echelon();
         (0..count)
             .map(|_| {
                 let key = self.field.random_nonzero(rng);
@@ -178,7 +178,7 @@ impl AcvBgkm {
     ) -> AcvPublicInfo {
         assert!(!key.is_zero(), "group key must be nonzero");
         let zs = self.fresh_nonces(rows.len(), rng);
-        let a = self.build_matrix(rows, &zs);
+        let a = self.build_matrix(rows, &zs).into_echelon();
         self.acv_for(&a, rows.is_empty(), key, &zs, rng)
     }
 
@@ -216,7 +216,7 @@ impl AcvBgkm {
                     tail.copy_from_slice(hashes);
                 }
                 let key = self.field.random_nonzero(rng);
-                let info = self.acv_for(&a, rows.is_empty(), &key, &zs, rng);
+                let info = self.acv_for(&a.into_echelon(), rows.is_empty(), &key, &zs, rng);
                 (self.encode_key(&key.to_uint()), info)
             })
             .collect()
@@ -258,7 +258,7 @@ impl AcvBgkm {
     /// would be all zero (the key would leak to everyone).
     fn acv_for<R: RngCore + ?Sized>(
         &self,
-        a: &Matrix<2>,
+        a: &Echelon<2>,
         rows_empty: bool,
         key: &Fp<2>,
         zs: &[Vec<u8>],

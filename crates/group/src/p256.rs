@@ -6,21 +6,23 @@
 //!
 //! Scalar multiplication is **variable-time** (adequate for a research
 //! reproduction, noted as such — see `docs/ARCHITECTURE.md`, "Group
-//! arithmetic"):
+//! arithmetic"); the one field inversion under every normalisation is
+//! constant-time ([`crate::p256_field::inv`]):
 //!
 //! * variable bases use width-5 wNAF recoding with a batch-normalized
 //!   table of odd affine multiples and mixed (Jacobian + affine) addition;
-//! * the fixed bases `g` and `h` use lazily built radix-16 comb tables
-//!   (64 windows × 15 affine points ≈ 60 KiB per base), reducing `g^k` to
-//!   ~60 mixed additions with no doublings at all;
-//! * a verification key is prepared once into the same comb
-//!   ([`CyclicGroup::prepare`]), so `g^x · pk^y == R` is two table walks
-//!   into one accumulator and a projective compare, with neither doublings
-//!   nor an inversion;
+//! * the fixed bases `g` and `h` use signed-digit comb tables built once
+//!   per process (width 7: 37 windows × 64 affine points ≈ 148 KiB per
+//!   base), reducing `g^k` to ~37 mixed additions with no doublings at
+//!   all;
+//! * a verification key is prepared once into a signed comb of width 5
+//!   ([`CyclicGroup::prepare`]: 52 windows × 16 points ≈ 52 KiB), so
+//!   `g^x · pk^y == R` is two table walks into one accumulator and a
+//!   projective compare, with neither doublings nor an inversion;
 //! * lists share what they have in common: one wNAF recoding and one
 //!   table normalisation for many bases under one scalar, one one-off
-//!   comb for many scalars under one base, and a single inversion for
-//!   every list's results.
+//!   width-5 comb for many scalars under one base, and a single inversion
+//!   for every list's results.
 
 use crate::p256_field as pf;
 use crate::traits::{CyclicGroup, Scalar, ScalarCtx};
@@ -67,33 +69,65 @@ struct AffinePt {
 /// Window width of the wNAF recoding for variable-base multiplication
 /// (odd multiples `1P, 3P, …, 15P` — 8 table points).
 const WNAF_WINDOW: u32 = 5;
-/// Window width of the fixed-base comb tables for `g` and `h`.
-const COMB_WINDOW: u32 = 4;
+/// Digit width of the process-wide signed combs for `g` and `h`:
+/// 37 windows × 64 points ≈ 148 KiB per base, built in 2.3–3.5 ms.
+/// Measured against w = 6 and 8 (one CPU, 2-core host): w = 6 walks 43
+/// windows and ran `exp_g` about 15 % slower; w = 8 ran it about 8 %
+/// faster, but a 33rd, carry-only window and 128 points per row make it
+/// 264 KiB per base, twice the resident size for that margin.
+const FIXED_COMB_WIDTH: u32 = 7;
+/// Digit width of the signed combs built at run time, for prepared keys
+/// and for [`CyclicGroup::exp_shared_base`]: 52 windows × 16 points
+/// ≈ 52 KiB.
+const PREPARED_COMB_WIDTH: u32 = 5;
 
 /// Field multiplications (squarings included) in one Jacobian doubling.
 const DOUBLE_COST: usize = 8;
 /// Field multiplications (squarings included) in one general Jacobian
 /// addition.
 const ADD_COST: usize = 16;
+/// Field multiplications per point in a batched normalisation
+/// ([`P256Group::batch_to_affine`]), the shared inversion aside.
+const NORMALIZE_COST: usize = 7;
 /// Shortest scalar list for which [`CyclicGroup::exp_shared_base`] builds
 /// a one-off comb table; shorter lists run wNAF per scalar.
 ///
-/// Operation model: the table costs `2^w` general additions in each of
-/// its `⌈256/w⌉` windows. A comb lookup then makes about as many mixed
-/// additions as a wNAF run makes for its digits and its own table, so
-/// what the comb saves per scalar is the 256 doublings. The table pays
-/// off from `⌈64·16·16 / (256·8)⌉ = 8` scalars on, which is also where
-/// the two routes cross on the 2-vCPU reference host.
-const SHARED_BASE_TABLE_MIN: usize = ((256usize.div_ceil(COMB_WINDOW as usize) << COMB_WINDOW)
-    * ADD_COST)
-    .div_ceil(256 * DOUBLE_COST);
+/// Operation model: a width-`w` table has `⌈257/w⌉` windows of `2^(w−1)`
+/// points; per window, the even multiples and the next window's base
+/// are doublings, the odd multiples general additions
+/// ([`P256Group::build_comb`]), and every point is normalised. A comb
+/// lookup then makes about as many mixed additions as a wNAF run makes
+/// for its digits, so what the comb saves per scalar is the 256
+/// doublings and wNAF's own table of 8 odd multiples (one doubling,
+/// seven additions, eight normalisations). At w = 5 the table pays off
+/// from `⌈52·(9·8 + 7·16 + 16·7) / (256·8 + 8 + 7·16 + 8·7)⌉ = 7`
+/// scalars on; measured on one CPU of the 2-core host, the two routes
+/// cross between 6 and 7.
+const SHARED_BASE_TABLE_MIN: usize = {
+    let w = PREPARED_COMB_WIDTH as usize;
+    let half = 1 << (w - 1);
+    let per_window =
+        (half / 2 + 1) * DOUBLE_COST + (half / 2 - 1) * ADD_COST + half * NORMALIZE_COST;
+    let wnaf_table = DOUBLE_COST + 7 * ADD_COST + 8 * NORMALIZE_COST;
+    (257usize.div_ceil(w) * per_window).div_ceil(256 * DOUBLE_COST + wnaf_table)
+};
 
-/// Fixed-base comb: `tables[i][d − 1] = (d · 2^(w·i)) · B` as affine
-/// points, one row per `w`-bit window of the 256-bit scalar (≈ 60 KiB).
-/// It is also P-256's [`CyclicGroup::Prepared`] form of a verification key.
+/// Signed-digit fixed-base comb of width `w`: row `i` holds
+/// `d · 2^(w·i) · B` for `d = 1 ..= 2^(w−1)` as affine points, one row per
+/// window of the scalar's signed base-`2^w` recoding (`⌈257/w⌉` windows,
+/// room for the carry out of the top bit). A negative digit reads the
+/// row entry of its magnitude and negates `y`, so a row needs half the
+/// points of an unsigned one. It is also P-256's
+/// [`CyclicGroup::Prepared`] form of a verification key.
 pub struct CombTable {
-    tables: Vec<Vec<AffinePt>>,
+    width: u32,
+    points: Vec<AffinePt>,
 }
+
+/// The combs of `g` and `h`: curve constants, so each is built once per
+/// process, on first use or by [`CyclicGroup::warm_up`].
+static G_COMB: OnceLock<CombTable> = OnceLock::new();
+static H_COMB: OnceLock<CombTable> = OnceLock::new();
 
 /// The P-256 group backend.
 #[derive(Clone)]
@@ -109,10 +143,6 @@ struct P256Inner {
     three: U256, // Montgomery form of 3 (a = -3)
     gen: P256Point,
     h: P256Point,
-    /// Lazily built fixed-base tables, shared by every clone of the
-    /// group handle (they live behind the same `Arc`).
-    g_comb: OnceLock<CombTable>,
-    h_comb: OnceLock<CombTable>,
 }
 
 impl Default for P256Group {
@@ -145,8 +175,6 @@ impl P256Group {
                 three,
                 gen,
                 h: P256Point::Identity, // patched below
-                g_comb: OnceLock::new(),
-                h_comb: OnceLock::new(),
             }),
         };
         let h = group.hash_to_group("pbcd-p256-pedersen-h", b"v1");
@@ -189,7 +217,7 @@ impl P256Group {
         if p.z.is_zero() {
             return P256Point::Identity;
         }
-        let zinv = pf::inv_vartime(&p.z).expect("nonzero z");
+        let zinv = pf::inv(&p.z).expect("nonzero z");
         let zinv2 = pf::sqr(&zinv);
         let zinv3 = pf::mul(&zinv2, &zinv);
         P256Point::Affine {
@@ -409,7 +437,7 @@ impl P256Group {
             prefix.push(acc);
             acc = pf::mul(&acc, &p.z);
         }
-        let mut inv_acc = pf::inv_vartime(&acc).expect("table points are nonzero");
+        let mut inv_acc = pf::inv(&acc).expect("table points are nonzero");
         let mut out = vec![
             AffinePt {
                 x: pf::one(),
@@ -438,7 +466,7 @@ impl P256Group {
             prefix[i] = acc;
             acc = pf::mul(&acc, &p.z);
         }
-        let mut inv_acc = pf::inv_vartime(&acc).expect("table points are nonzero");
+        let mut inv_acc = pf::inv(&acc).expect("table points are nonzero");
         let mut out = [AffinePt {
             x: pf::one(),
             y: pf::one(),
@@ -581,61 +609,75 @@ impl P256Group {
         self.to_affine(&j)
     }
 
-    /// Builds the fixed-base comb for `base`: for every `w`-bit window
-    /// position, all 15 odd-and-even digit multiples as affine points,
-    /// normalized with a single batched inversion.
-    fn build_comb(&self, base: &P256Point) -> CombTable {
+    /// Builds the width-`w` signed comb for `base`, mostly by doubling:
+    /// in each window the even multiples are doublings of half their
+    /// size, the odd ones one general addition of the window base, and
+    /// the next window's base `2^w·B = 2·(2^(w−1)·B)` one more doubling.
+    /// Every point is normalized by one batched inversion.
+    fn build_comb(&self, base: &P256Point, width: u32) -> CombTable {
         let base = match base {
             P256Point::Affine { x, y } => AffinePt { x: *x, y: *y },
             P256Point::Identity => unreachable!("fixed bases are non-identity"),
         };
-        let windows = 256u32.div_ceil(COMB_WINDOW) as usize;
-        let row_len = (1usize << COMB_WINDOW) - 1;
-        let mut all = Vec::with_capacity(windows * row_len);
+        let windows = 257u32.div_ceil(width) as usize;
+        let half = 1usize << (width - 1);
+        let mut all = Vec::with_capacity(windows * half);
         let mut window_base = self.jac_from_affine(&base);
         for _ in 0..windows {
-            // d·B for d = 1..=15: repeated addition of B.
+            let row = all.len();
             all.push(window_base);
-            for _ in 1..row_len {
-                let next = self.jac_add(&all[all.len() - 1], &window_base);
+            for d in 2..=half {
+                let next = if d % 2 == 0 {
+                    self.jac_double(&all[row + d / 2 - 1])
+                } else {
+                    self.jac_add(&all[row + d - 2], &window_base)
+                };
                 all.push(next);
             }
-            // Next window base: 16·B = 15·B + B.
-            window_base = self.jac_add(&all[all.len() - 1], &window_base);
+            window_base = self.jac_double(&all[row + half - 1]);
         }
-        let affine = self.batch_to_affine(&all);
         CombTable {
-            tables: affine.chunks(row_len).map(<[AffinePt]>::to_vec).collect(),
+            width,
+            points: self.batch_to_affine(&all),
         }
     }
 
-    /// Fixed-base exponentiation from a comb table, added onto `acc`: one
-    /// mixed addition per nonzero window digit, no doublings. `k` must be
-    /// reduced.
+    /// Fixed-base exponentiation from a comb table, added onto `acc`: the
+    /// scalar is recoded window by window into signed digits in
+    /// `(−2^(w−1), 2^(w−1)]` (a window above half borrows `2^w` from the
+    /// next one), and each nonzero digit costs one mixed addition, with
+    /// no doublings. `k` must be reduced.
     fn comb_mul(&self, mut acc: Jacobian, comb: &CombTable, k: &U256) -> Jacobian {
-        for (i, row) in comb.tables.iter().enumerate() {
-            let base_bit = i as u32 * COMB_WINDOW;
-            let mut d = 0usize;
-            for b in (0..COMB_WINDOW).rev() {
-                d = (d << 1) | k.bit(base_bit + b) as usize;
-            }
+        let w = comb.width;
+        let half = 1u32 << (w - 1);
+        let mut carry = 0;
+        for (i, row) in comb.points.chunks_exact(half as usize).enumerate() {
+            let v = window_bits(k, i as u32 * w, w) + carry;
+            carry = u32::from(v > half);
+            let d = v as i32 - ((carry as i32) << w);
             if d != 0 {
-                acc = self.jac_add_affine(&acc, &row[d - 1]);
+                let entry = row[d.unsigned_abs() as usize - 1];
+                let entry = if d > 0 {
+                    entry
+                } else {
+                    AffinePt {
+                        x: entry.x,
+                        y: pf::neg(&entry.y),
+                    }
+                };
+                acc = self.jac_add_affine(&acc, &entry);
             }
         }
+        debug_assert_eq!(carry, 0, "the top window absorbs the last carry");
         acc
     }
 
-    fn g_comb(&self) -> &CombTable {
-        self.inner
-            .g_comb
-            .get_or_init(|| self.build_comb(&self.inner.gen))
+    fn g_comb(&self) -> &'static CombTable {
+        G_COMB.get_or_init(|| self.build_comb(&self.inner.gen, FIXED_COMB_WIDTH))
     }
 
-    fn h_comb(&self) -> &CombTable {
-        self.inner
-            .h_comb
-            .get_or_init(|| self.build_comb(&self.inner.h))
+    fn h_comb(&self) -> &'static CombTable {
+        H_COMB.get_or_init(|| self.build_comb(&self.inner.h, FIXED_COMB_WIDTH))
     }
 
     /// Pippenger's bucket method over affine points with canonical scalars.
@@ -712,6 +754,20 @@ impl P256Group {
         };
         Some(P256Point::Affine { x, y })
     }
+}
+
+/// The `w` bits of `k` from bit `pos` up (bits past 255 read as zero).
+fn window_bits(k: &U256, pos: u32, w: u32) -> u32 {
+    let limbs = k.limbs();
+    let (i, shift) = ((pos / 64) as usize, pos % 64);
+    if i >= 4 {
+        return 0;
+    }
+    let mut v = limbs[i] >> shift;
+    if shift + w > 64 && i + 1 < 4 {
+        v |= limbs[i + 1] << (64 - shift);
+    }
+    (v & ((1 << w) - 1)) as u32
 }
 
 impl CyclicGroup for P256Group {
@@ -791,7 +847,7 @@ impl CyclicGroup for P256Group {
     }
 
     fn prepare(&self, base: &P256Point) -> CombTable {
-        self.build_comb(base)
+        self.build_comb(base, PREPARED_COMB_WIDTH)
     }
 
     fn check(&self, x: &Scalar, base: &CombTable, y: &Scalar, expected: &P256Point) -> bool {
@@ -886,7 +942,7 @@ impl CyclicGroup for P256Group {
             let p = self.to_jacobian(base);
             ks.iter().map(|k| self.jac_mul(&p, &k.to_uint())).collect()
         } else {
-            let comb = self.build_comb(base);
+            let comb = self.build_comb(base, PREPARED_COMB_WIDTH);
             ks.iter()
                 .map(|k| self.comb_mul(self.jac_identity(), &comb, &k.to_uint()))
                 .collect()
@@ -1129,6 +1185,28 @@ mod tests {
         match p1 {
             P256Point::Affine { x, y } => assert!(grp.is_on_curve(&x, &y)),
             _ => panic!("hash output should not be identity"),
+        }
+    }
+
+    /// The process-wide combs are built once, so a comb built afresh for
+    /// `g` and `h` must walk to the same points as the statics.
+    #[test]
+    fn rebuilt_combs_walk_like_the_process_wide_ones() {
+        let grp = g();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(24);
+        let n_minus_1 = grp.order().wrapping_sub(&U256::one());
+        let mut ks = vec![U256::ZERO, U256::one(), n_minus_1];
+        ks.extend((0..8).map(|_| grp.random_scalar(&mut rng).to_uint()));
+        for (base, table) in [
+            (grp.generator(), grp.g_comb()),
+            (grp.pedersen_h(), grp.h_comb()),
+        ] {
+            let fresh = grp.build_comb(&base, FIXED_COMB_WIDTH);
+            for k in &ks {
+                let walk = |comb| grp.to_affine(&grp.comb_mul(grp.jac_identity(), comb, k));
+                assert_eq!(walk(&fresh), walk(table));
+                assert_eq!(walk(&fresh), grp.exp_naive(&base, k));
+            }
         }
     }
 

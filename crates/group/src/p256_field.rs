@@ -20,9 +20,11 @@
 //! the generic context interoperate freely on the same `U256` words and
 //! every result is bit-identical to the generic path (pinned by the
 //! equivalence suite and in-module proptests). `add`, `sub` and the final
-//! reduction select their correction by mask; `neg`, the inversions and
-//! everything built on them are variable-time, like the rest of the group
-//! layer (see `docs/ARCHITECTURE.md`).
+//! reduction select their correction by mask, and the one inversion
+//! ([`inv`], Bernstein–Yang safegcd) runs a fixed number of branch-free
+//! divsteps; `neg` and the scalar multiplications built on top are
+//! variable-time, like the rest of the group layer (see
+//! `docs/ARCHITECTURE.md`).
 
 use pbcd_math::U256;
 
@@ -255,8 +257,8 @@ fn sqr_n(a: &U256, n: u32) -> U256 {
     acc
 }
 
-/// `R³ mod p` — domain-fixup constant for [`inv_vartime`]. The binary xgcd
-/// inverts the raw words: given the Montgomery residue `a·R` it returns
+/// `R³ mod p` — domain-fixup constant for [`inv`]. The safegcd inverts
+/// the raw words: given the Montgomery residue `a·R` it returns
 /// `a⁻¹·R⁻¹ mod p`, and one Montgomery multiplication by `R³` restores the
 /// Montgomery domain: `(a⁻¹·R⁻¹)·R³·R⁻¹ = a⁻¹·R`.
 const R3: [u64; 4] = [
@@ -266,70 +268,190 @@ const R3: [u64; 4] = [
     0x0000_0018_0000_0001,
 ];
 
-/// Multiplicative inverse of a Montgomery residue via variable-time binary
-/// extended GCD; `None` for 0. Roughly 3–4× faster than the Fermat chain
-/// [`inv`] on hosts where the carry-serialized multiplier is slow, because
-/// it replaces ~300 field multiplications with word shifts and
-/// subtractions. Variable-time, like every other path in this module.
-pub fn inv_vartime(a: &U256) -> Option<U256> {
+/// A signed-62 integer `Σ v[i]·2^(62·i)`: limbs 0–3 in `[0, 2^62)` once
+/// normalised, the top limb signed.
+type Signed62 = [i64; 5];
+
+const M62: i64 = (u64::MAX >> 2) as i64;
+
+/// `U256` words to signed-62 limbs.
+const fn to_signed62(l: &[u64; 4]) -> Signed62 {
+    let m = M62 as u64;
+    [
+        (l[0] & m) as i64,
+        ((l[0] >> 62 | l[1] << 2) & m) as i64,
+        ((l[1] >> 60 | l[2] << 4) & m) as i64,
+        ((l[2] >> 58 | l[3] << 6) & m) as i64,
+        (l[3] >> 56) as i64,
+    ]
+}
+
+/// Normalised signed-62 limbs of a value in `[0, 2^256)` to `U256` words.
+fn from_signed62(v: &Signed62) -> U256 {
+    let v = v.map(|x| x as u64);
+    U256::from_limbs([
+        v[0] | v[1] << 62,
+        v[1] >> 2 | v[2] << 60,
+        v[2] >> 4 | v[3] << 58,
+        v[3] >> 6 | v[4] << 56,
+    ])
+}
+
+/// `p` in signed-62 limbs.
+const P62: Signed62 = to_signed62(&P);
+
+/// `p⁻¹ mod 2^62`: `p ≡ −1 (mod 2^64)`, so it is `−1` as well.
+const P_INV62: u64 = M62 as u64;
+
+/// The transition matrix `[[u, v], [q, r]]` of 59 divsteps, scaled by
+/// `2^62`.
+type Trans = [i64; 4];
+
+/// 59 branch-free divsteps on the low limbs of `f` and `g` (Bernstein and
+/// Yang, "Fast constant-time gcd computation and modular inversion", in
+/// the `ζ = −(δ + ½)` form). Every step runs the same operations; the
+/// conditional swap, negation and addition are selected by mask.
+fn divsteps_59(mut zeta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+    // The identity scaled by 2^3: 59 more doublings make it 2^62.
+    let (mut u, mut v, mut q, mut r) = (8u64, 0u64, 0u64, 8u64);
+    let (mut f, mut g) = (f0, g0);
+    for _ in 3..62 {
+        // c1: ζ < 0; c2: g odd.
+        let c1 = (zeta >> 63) as u64;
+        let c2 = (g & 1).wrapping_neg();
+        let x = (f ^ c1).wrapping_sub(c1);
+        let y = (u ^ c1).wrapping_sub(c1);
+        let z = (v ^ c1).wrapping_sub(c1);
+        g = g.wrapping_add(x & c2);
+        q = q.wrapping_add(y & c2);
+        r = r.wrapping_add(z & c2);
+        let c1 = c1 & c2;
+        zeta = (zeta ^ c1 as i64) - 1;
+        f = f.wrapping_add(g & c1);
+        u = u.wrapping_add(q & c1);
+        v = v.wrapping_add(r & c1);
+        g >>= 1;
+        u <<= 1;
+        v <<= 1;
+    }
+    (zeta, [u as i64, v as i64, q as i64, r as i64])
+}
+
+#[inline(always)]
+fn wide(a: i64, b: i64) -> i128 {
+    i128::from(a) * i128::from(b)
+}
+
+/// `(d, e) ← t·(d, e) / 2^62 mod p`, keeping both in `(−2p, p)`: a
+/// multiple of `p` chosen per value clears the low 62 bits before the
+/// shift.
+fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Trans) {
+    let [u, v, q, r] = *t;
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (u & sd) + (v & se);
+    let mut me = (q & sd) + (r & se);
+    let mut cd = wide(u, d[0]) + wide(v, e[0]);
+    let mut ce = wide(q, d[0]) + wide(r, e[0]);
+    md -= (P_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62 as u64) as i64;
+    me -= (P_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62 as u64) as i64;
+    cd += wide(P62[0], md);
+    ce += wide(P62[0], me);
+    debug_assert_eq!((cd as i64 & M62, ce as i64 & M62), (0, 0));
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += wide(u, d[i]) + wide(v, e[i]) + wide(P62[i], md);
+        ce += wide(q, d[i]) + wide(r, e[i]) + wide(P62[i], me);
+        d[i - 1] = cd as i64 & M62;
+        e[i - 1] = ce as i64 & M62;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g) / 2^62`; the divsteps made the low 62 bits zero.
+fn update_fg(f: &mut Signed62, g: &mut Signed62, t: &Trans) {
+    let [u, v, q, r] = *t;
+    let mut cf = wide(u, f[0]) + wide(v, g[0]);
+    let mut cg = wide(q, f[0]) + wide(r, g[0]);
+    debug_assert_eq!((cf as i64 & M62, cg as i64 & M62), (0, 0));
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..5 {
+        cf += wide(u, f[i]) + wide(v, g[i]);
+        cg += wide(q, f[i]) + wide(r, g[i]);
+        f[i - 1] = cf as i64 & M62;
+        g[i - 1] = cg as i64 & M62;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[4] = cf as i64;
+    g[4] = cg as i64;
+}
+
+/// Brings `d ∈ (−2p, p)` to `[0, p)`, negated when `sign < 0`, by masked
+/// additions of `p` and carry propagation.
+fn normalize(d: &mut Signed62, sign: i64) {
+    let propagate = |d: &mut Signed62| {
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62;
+        }
+    };
+    let add_p = d[4] >> 63;
+    for (d, p) in d.iter_mut().zip(P62) {
+        *d += p & add_p;
+    }
+    let negate = sign >> 63;
+    for d in d.iter_mut() {
+        *d = (*d ^ negate) - negate;
+    }
+    propagate(d);
+    let add_p = d[4] >> 63;
+    for (d, p) in d.iter_mut().zip(P62) {
+        *d += p & add_p;
+    }
+    propagate(d);
+}
+
+/// Multiplicative inverse of a Montgomery residue; `None` for 0 — the
+/// group layer's one field inversion.
+///
+/// Bernstein–Yang safegcd on signed 62-bit limbs: ten batches of 59
+/// divsteps (590, enough for any modulus below `2^256`), each batch's
+/// transition matrix applied to `(f, g)` and to the Bézout pair `(d, e)`
+/// in `i128`. The step count and every operation are the same for every
+/// nonzero input, so the running time does not depend on its value;
+/// only the zero test in front branches.
+pub fn inv(a: &U256) -> Option<U256> {
     if a.is_zero() {
         return None;
     }
-    let p = U256::from_limbs(P);
-    let mut u = *a;
-    let mut v = p;
-    let mut x1 = U256::one();
-    let mut x2 = U256::ZERO;
-    // Invariant: x1·a ≡ u and x2·a ≡ v (mod p); halving an odd x adds p
-    // first, propagating the dropped carry into bit 255 (p < 2^256 keeps
-    // the true sum below 2^257, so one bit suffices).
-    let one = U256::one();
-    let halve = |x: U256| {
-        if x.is_even() {
-            x.shr(1)
-        } else {
-            let (s, c) = x.overflowing_add(&p);
-            let mut h = s.shr(1);
-            if c {
-                h.set_bit(255, true);
-            }
-            h
-        }
-    };
-    while u != one && v != one {
-        while u.is_even() {
-            u = u.shr(1);
-            x1 = halve(x1);
-        }
-        while v.is_even() {
-            v = v.shr(1);
-            x2 = halve(x2);
-        }
-        if u >= v {
-            u = u.wrapping_sub(&v);
-            x1 = if x1 >= x2 {
-                x1.wrapping_sub(&x2)
-            } else {
-                x1.wrapping_add(&p).wrapping_sub(&x2)
-            };
-        } else {
-            v = v.wrapping_sub(&u);
-            x2 = if x2 >= x1 {
-                x2.wrapping_sub(&x1)
-            } else {
-                x2.wrapping_add(&p).wrapping_sub(&x1)
-            };
-        }
+    let (mut d, mut e): (Signed62, Signed62) = ([0; 5], [1, 0, 0, 0, 0]);
+    let (mut f, mut g) = (P62, to_signed62(a.limbs()));
+    let mut zeta = -1;
+    for _ in 0..10 {
+        let (z, t) = divsteps_59(zeta, f[0] as u64, g[0] as u64);
+        zeta = z;
+        update_de(&mut d, &mut e, &t);
+        update_fg(&mut f, &mut g, &t);
     }
-    let raw = if u == one { x1 } else { x2 };
-    Some(mul(&raw, &U256::from_limbs(R3)))
+    // g = 0 and f = ±gcd = ±1: d·a ≡ f (mod p).
+    debug_assert!(g == [0; 5]);
+    normalize(&mut d, f[4]);
+    Some(mul(&from_signed62(&d), &U256::from_limbs(R3)))
 }
 
 /// Multiplicative inverse via Fermat (`a^(p−2)`) on a fixed addition
 /// chain for the P-256 prime; `None` for 0. Exploits the run structure of
 /// `p − 2 = 2^256 − 2^224 + 2^192 + 2^96 − 3`: build `a^(2^k − 1)` blocks
 /// by ladder doubling, then stitch the exponent's bit runs together.
-pub fn inv(a: &U256) -> Option<U256> {
+///
+/// The reference the tests hold [`inv`] to; nothing in the group layer
+/// calls it.
+pub fn inv_fermat(a: &U256) -> Option<U256> {
     if a.is_zero() {
         return None;
     }
@@ -415,11 +537,15 @@ mod tests {
         }
 
         #[test]
-        fn inv_vartime_matches_fermat(a in arb_residue()) {
-            prop_assert_eq!(inv_vartime(&a), inv(&a));
+        fn inv_matches_fermat(a in arb_residue()) {
+            prop_assert_eq!(inv(&a), inv_fermat(&a));
         }
     }
 
+    /// The safegcd against the Fermat reference at the edges: 0 has no
+    /// inverse, and 1 and `p − 1` are their own, both as plain words and
+    /// as Montgomery residues. `p − 1` and the top limbs of the random
+    /// residues keep the signed-62 top limb busy.
     #[test]
     fn edge_values() {
         let f = ctx();
@@ -430,11 +556,42 @@ mod tests {
             assert_eq!(sqr(&m), f.mont_sqr(&m));
             assert_eq!(add(&m, &m), f.add(&m, &m));
             assert_eq!(neg(&m), f.neg(&m));
+            assert_eq!(inv(&m), inv_fermat(&m));
+            assert_eq!(inv(&v), inv_fermat(&v));
         }
         assert_eq!(inv(&U256::ZERO), None);
-        assert_eq!(inv_vartime(&U256::ZERO), None);
+        assert_eq!(inv_fermat(&U256::ZERO), None);
+        assert_eq!(inv(&one()), Some(one()));
         let m = f.to_mont(&p_minus_1);
-        assert_eq!(inv_vartime(&m), inv(&m));
-        assert_eq!(inv_vartime(&one()), Some(one()));
+        assert_eq!(inv(&m), Some(m));
+    }
+
+    /// A word whose gcd with `p` takes 535 divsteps (the most in a
+    /// search of 300 000 random words with a plain divstep counter), past
+    /// the 531 of nine batches: the inverse is right only if the tenth
+    /// batch runs.
+    #[test]
+    fn inv_needs_the_tenth_divstep_batch() {
+        let a = U256::from_hex("e548d032cd72a08e14e9562a94a6dd137b7cde6c8ffc33c65e0c3cb24eed5ff1")
+            .unwrap();
+        assert_eq!(inv(&a), inv_fermat(&a));
+    }
+
+    #[test]
+    fn signed62_round_trips_the_words() {
+        let p_minus_1 = U256::from_limbs(P).wrapping_sub(&U256::one());
+        for v in [U256::ZERO, U256::one(), p_minus_1, U256::from_limbs(R3)] {
+            assert_eq!(from_signed62(&to_signed62(v.limbs())), v);
+        }
+        assert_eq!(
+            P62,
+            [
+                0x3fff_ffff_ffff_ffff,
+                0x3_ffff_ffff,
+                0,
+                0x3fff_ffc0_0000_0040,
+                0xff
+            ]
+        );
     }
 }

@@ -137,6 +137,85 @@ fn modp_prepared_check_matches_naive_composition() {
     check_prepared(&ModpGroup::new(), 0xC4ED, 6);
 }
 
+/// Scalars on the edges of a signed base-`2^w` recoding, for every digit
+/// width `w` from 4 to 8 (so whatever widths a backend's combs use): 0,
+/// 1 and `q − 1`; every window holding `2^(w−1)` (the largest positive
+/// digit), `2^(w−1) + 1` (the first window that borrows, digit
+/// `−(2^(w−1) − 1)`), `2^(w−1) − 1` and `2^w − 1` (a borrow from every
+/// window). `2^255 − 1` carries from bit 0 up through every window into
+/// the top one, and `q − 1` (on P-256 its top 32 bits are set) carries
+/// out of the last full window. Patterns at or above `q` are reduced.
+fn recoding_edge_scalars<G: CyclicGroup>(group: &G) -> Vec<Scalar> {
+    let sc = group.scalar_ctx().clone();
+    let q = group.order();
+    let mut out = vec![
+        sc.zero(),
+        sc.one(),
+        sc.from_uint(&q.wrapping_sub(&U256::one())),
+    ];
+    let mut pattern = |bits: &dyn Fn(u32) -> bool| {
+        let mut k = U256::ZERO;
+        for i in 0..255 {
+            k.set_bit(i, bits(i));
+        }
+        out.push(sc.from_uint(&k.rem(q)));
+    };
+    for w in 4..=8u32 {
+        let half = 1u32 << (w - 1);
+        for window in [half, half + 1, half - 1, (1 << w) - 1] {
+            pattern(&|i| window >> (i % w) & 1 == 1);
+        }
+    }
+    pattern(&|_| true);
+    out
+}
+
+/// The fixed-base combs (`exp_g`, `exp_h`, `pedersen_gh`), a one-off
+/// comb (`exp_shared_base` over the whole list, past the table
+/// threshold) and the prepared-key `check` against the naive ladder at
+/// the recoding edges; `check` over their full cross-product, refusing
+/// each result shifted by `g`.
+fn check_recoding_edges<G: NaiveExp>(group: &G) {
+    let g = group.generator();
+    let h = group.pedersen_h();
+    let b = group.reference_exp(&h, &U256::from_u64(7));
+    let prepared = group.prepare(&b);
+    let cases = recoding_edge_scalars(group);
+    let gx: Vec<_> = cases
+        .iter()
+        .map(|x| group.reference_exp(&g, &x.to_uint()))
+        .collect();
+    let bx: Vec<_> = cases
+        .iter()
+        .map(|x| group.reference_exp(&b, &x.to_uint()))
+        .collect();
+    for (i, x) in cases.iter().enumerate() {
+        assert_eq!(group.exp_g(x), gx[i], "exp_g case {i}");
+        let hx = group.reference_exp(&h, &x.to_uint());
+        assert_eq!(group.exp_h(x), hx, "exp_h case {i}");
+        assert_eq!(group.pedersen_gh(x, x), group.op(&gx[i], &hx), "gh {i}");
+    }
+    assert_eq!(group.exp_shared_base(&b, &cases), bx, "exp_shared_base");
+    for (x, gx) in cases.iter().zip(&gx) {
+        for (y, by) in cases.iter().zip(&bx) {
+            let naive = group.op(gx, by);
+            assert!(group.check(x, &prepared, y, &naive), "accepts g^x·b^y");
+            let shifted = group.op(&naive, &g);
+            assert!(!group.check(x, &prepared, y, &shifted), "refuses ·g");
+        }
+    }
+}
+
+#[test]
+fn p256_signed_combs_match_naive_at_recoding_edges() {
+    check_recoding_edges(&P256Group::new());
+}
+
+#[test]
+fn modp_signed_combs_match_naive_at_recoding_edges() {
+    check_recoding_edges(&ModpGroup::new());
+}
+
 fn check_prod_pow2<G: NaiveExp>(group: &G, seed: u64) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     for len in [0usize, 1, 2, 7, 48] {
@@ -583,7 +662,7 @@ proptest! {
         prop_assert_eq!(fk::dbl(&a), ctx.double(&a));
         if a != U256::from_u64(0) {
             prop_assert_eq!(fk::inv(&a), ctx.inv(&a));
-            prop_assert_eq!(fk::inv_vartime(&a), ctx.inv(&a));
+            prop_assert_eq!(fk::inv_fermat(&a), ctx.inv(&a));
         }
         // Interpreting inputs as Montgomery forms: stripping the R factor
         // from the kernel product recovers the plain modular product.

@@ -30,7 +30,7 @@ pub mod prime;
 pub mod uint;
 
 pub use fp::{Fp, FpCtx};
-pub use linalg::{dot, Matrix};
+pub use linalg::{dot, Echelon, Matrix};
 pub use mont::MontCtx;
 pub use pow::FixedBaseTable;
 pub use prime::{gen_prime, gkm_q80, miller_rabin};

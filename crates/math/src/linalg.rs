@@ -6,7 +6,8 @@
 //! Montgomery-form limbs in a flat row-major buffer and eliminates with the
 //! raw [`MontCtx`](crate::MontCtx) API — no per-element `Arc` traffic.
 //! [`Matrix::random_null_vector`] is the production solve (echelon form plus
-//! back-substitution); [`Matrix::row_reduce`] and
+//! back-substitution; [`Matrix::into_echelon`] keeps the echelon form for
+//! several draws); [`Matrix::row_reduce`] and
 //! [`Matrix::null_space_basis`] are the Gauss–Jordan it is tested against.
 //!
 //! The production solve reduces once per matrix entry, not once per
@@ -284,54 +285,23 @@ impl<const L: usize> Matrix<L> {
         basis
     }
 
-    /// A uniformly random vector in the right null space. Returns the zero
-    /// vector only when the null space is trivial (never for the BGKM
+    /// A uniformly random vector in the right null space: one draw from
+    /// the echelon form of a copy ([`Self::into_echelon`]). Returns the
+    /// zero vector only when the null space is trivial (never for the BGKM
     /// shapes, which have more columns than rows).
-    ///
-    /// Forward elimination brings a copy to echelon form, the free
-    /// coordinates are drawn in ascending column order, and
-    /// back-substitution fixes the pivot coordinates. That is the vector
-    /// `Σ cₖ·basisₖ` over [`Self::null_space_basis`] for the same draws
-    /// `cₖ`: the pivot columns do not depend on how far the elimination
-    /// goes, and a null vector is determined by its free coordinates.
     pub fn random_null_vector<R: RngCore + ?Sized>(&self, rng: &mut R) -> Vec<Fp<L>> {
-        let mut echelon = self.clone();
-        let pivots = echelon.forward_eliminate();
-        let mont = self.ctx.mont();
-        let cols = self.cols;
-        if pivots.len() == cols {
-            return vec![self.ctx.zero(); cols];
+        self.clone().into_echelon().random_null_vector(rng)
+    }
+
+    /// Forward elimination, kept for any number of
+    /// [`Echelon::random_null_vector`] draws: a matrix that needs several
+    /// null vectors is eliminated once.
+    pub fn into_echelon(mut self) -> Echelon<L> {
+        let pivots = self.forward_eliminate();
+        Echelon {
+            reduced: self,
+            pivots,
         }
-        let mut is_free = vec![true; cols];
-        for &(col, _) in &pivots {
-            is_free[col] = false;
-        }
-        let mut x = vec![Uint::ZERO; cols];
-        // All free coordinates zero is the zero vector: draw again.
-        while x.iter().all(Uint::is_zero) {
-            for (v, free) in x.iter_mut().zip(&is_free) {
-                if *free {
-                    *v = *self.ctx.random(rng).mont_raw();
-                }
-            }
-        }
-        // Pivot row r reads `v·x[col] + Σ_{j>col} row[j]·x[j] = 0`, and
-        // every x[j] right of its pivot is known by the time it is reached.
-        // The sum is reduced once per `budget` terms: once per row at q80.
-        let budget = mont.lazy_budget();
-        for (r, &(col, inv)) in pivots.iter().enumerate().rev() {
-            let row = &echelon.data[r * cols + col + 1..(r + 1) * cols];
-            let mut sum = Uint::ZERO;
-            for (a, v) in row.chunks(budget).zip(x[col + 1..].chunks(budget)) {
-                let mut wide = Wide::ZERO;
-                for (a, v) in a.iter().zip(v) {
-                    wide.mul_acc(a, v);
-                }
-                sum = mont.add(&sum, &mont.redc_wide(&wide));
-            }
-            x[col] = mont.neg(&mont.mont_mul(&sum, &inv));
-        }
-        x.into_iter().map(|m| self.ctx.from_mont_raw(m)).collect()
     }
 
     /// In-place forward elimination to (unnormalized) row-echelon form.
@@ -411,6 +381,64 @@ impl<const L: usize> Matrix<L> {
 
     fn swap_rows(&mut self, a: usize, b: usize) {
         swap_row_slices(&mut self.data, self.cols, a, b);
+    }
+}
+
+/// A matrix in (unnormalized) row-echelon form, with each pivot row's
+/// column and the inverse of its pivot value ([`Matrix::into_echelon`]).
+pub struct Echelon<const L: usize> {
+    reduced: Matrix<L>,
+    pivots: Vec<(usize, Uint<L>)>,
+}
+
+impl<const L: usize> Echelon<L> {
+    /// A uniformly random vector in the right null space of the matrix
+    /// this was eliminated from. Returns the zero vector only when the
+    /// null space is trivial.
+    ///
+    /// The free coordinates are drawn in ascending column order, and
+    /// back-substitution fixes the pivot coordinates. That is the vector
+    /// `Σ cₖ·basisₖ` over [`Matrix::null_space_basis`] for the same draws
+    /// `cₖ`: the pivot columns do not depend on how far the elimination
+    /// goes, and a null vector is determined by its free coordinates.
+    pub fn random_null_vector<R: RngCore + ?Sized>(&self, rng: &mut R) -> Vec<Fp<L>> {
+        let echelon = &self.reduced;
+        let ctx = &echelon.ctx;
+        let mont = ctx.mont();
+        let cols = echelon.cols;
+        if self.pivots.len() == cols {
+            return vec![ctx.zero(); cols];
+        }
+        let mut is_free = vec![true; cols];
+        for &(col, _) in &self.pivots {
+            is_free[col] = false;
+        }
+        let mut x = vec![Uint::ZERO; cols];
+        // All free coordinates zero is the zero vector: draw again.
+        while x.iter().all(Uint::is_zero) {
+            for (v, free) in x.iter_mut().zip(&is_free) {
+                if *free {
+                    *v = *ctx.random(rng).mont_raw();
+                }
+            }
+        }
+        // Pivot row r reads `v·x[col] + Σ_{j>col} row[j]·x[j] = 0`, and
+        // every x[j] right of its pivot is known by the time it is reached.
+        // The sum is reduced once per `budget` terms: once per row at q80.
+        let budget = mont.lazy_budget();
+        for (r, &(col, inv)) in self.pivots.iter().enumerate().rev() {
+            let row = &echelon.data[r * cols + col + 1..(r + 1) * cols];
+            let mut sum = Uint::ZERO;
+            for (a, v) in row.chunks(budget).zip(x[col + 1..].chunks(budget)) {
+                let mut wide = Wide::ZERO;
+                for (a, v) in a.iter().zip(v) {
+                    wide.mul_acc(a, v);
+                }
+                sum = mont.add(&sum, &mont.redc_wide(&wide));
+            }
+            x[col] = mont.neg(&mont.mont_mul(&sum, &inv));
+        }
+        x.into_iter().map(|m| ctx.from_mont_raw(m)).collect()
     }
 }
 

@@ -7,11 +7,11 @@
 
 use crate::error::NetError;
 use crate::frame::{
-    publish_auth_message, publish_body, read_frame, signed_publish_body, write_body, write_frame,
-    ConfigSummary, Frame, PeerRole,
+    encode_publish, encode_signed_publish, publish_auth_prefix, read_frame, write_body,
+    write_frame, ConfigSummary, Frame, PeerRole,
 };
 use pbcd_docs::BroadcastContainer;
-use pbcd_group::{CyclicGroup, SigningKey};
+use pbcd_group::{CyclicGroup, Signature, SigningKey};
 use rand::RngCore;
 use std::collections::VecDeque;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -73,10 +73,10 @@ impl BrokerClient {
     /// Publishes a container unsigned; blocks until the broker
     /// acknowledges it. Admitted by an open-mode broker only: a keyed one
     /// answers [`NetError::Rejected`] (`AuthRequired`) and the connection
-    /// stays usable. Encodes the container in place — no deep copy on the
-    /// hot path.
+    /// stays usable. Encodes the container straight into the frame — no
+    /// deep copy on the hot path.
     pub fn publish(&mut self, container: &BroadcastContainer) -> Result<PublishReceipt, NetError> {
-        let body = publish_body(&container.encode()?);
+        let body = encode_publish(container)?;
         self.send_body(&body)?;
         self.await_publish_ack()
     }
@@ -95,10 +95,12 @@ impl BrokerClient {
         container: &BroadcastContainer,
         rng: &mut R,
     ) -> Result<PublishReceipt, NetError> {
-        let container_bytes = container.encode()?;
-        let msg = publish_auth_message(&container.document_name, container.epoch, &container_bytes);
-        let signature = key.sign(group, rng, &msg).to_bytes(group);
-        let body = signed_publish_body(key_id, &signature, &container_bytes);
+        let prefix = publish_auth_prefix(&container.document_name, container.epoch);
+        let body =
+            encode_signed_publish(key_id, Signature::encoded_len(group), container, |bytes| {
+                key.sign_parts(group, rng, &[&prefix, bytes])
+                    .to_bytes(group)
+            })?;
         self.send_body(&body)?;
         self.await_publish_ack()
     }

@@ -229,7 +229,7 @@ impl Frame {
             }
             Self::Publish(container) => {
                 buf.push(KIND_PUBLISH);
-                buf.extend_from_slice(&container.encode()?);
+                container.encode_into(&mut buf)?;
             }
             Self::Subscribe { documents, depth } => {
                 buf.push(KIND_SUBSCRIBE);
@@ -241,7 +241,7 @@ impl Frame {
             }
             Self::Deliver(container) => {
                 buf.push(KIND_DELIVER);
-                buf.extend_from_slice(&container.encode()?);
+                container.encode_into(&mut buf)?;
             }
             Self::ListConfigs => buf.push(KIND_LIST_CONFIGS),
             Self::Configs(entries) => {
@@ -279,7 +279,7 @@ impl Frame {
                 put_str(&mut buf, key_id)?;
                 buf.extend_from_slice(&(signature.len() as u16).to_be_bytes());
                 buf.extend_from_slice(signature);
-                buf.extend_from_slice(&container.encode()?);
+                container.encode_into(&mut buf)?;
             }
             Self::Reject { reason, message } => {
                 buf.push(KIND_REJECT);
@@ -303,7 +303,7 @@ impl Frame {
                 buf.push(KIND_RELAY);
                 put_str(&mut buf, origin)?;
                 buf.push(*hops);
-                buf.extend_from_slice(&container.encode()?);
+                container.encode_into(&mut buf)?;
             }
             Self::RelayCatchUp { known } => {
                 buf.push(KIND_RELAY_CATCH_UP);
@@ -465,22 +465,48 @@ fn body_with_header(kind: u8, body_len: usize) -> Vec<u8> {
     body
 }
 
-fn container_frame_body(kind: u8, container_bytes: &[u8]) -> Vec<u8> {
-    let mut body = body_with_header(kind, CONTAINER_OFFSET + container_bytes.len());
+/// Builds a `Deliver` frame body around already-encoded container bytes
+/// without re-decoding them — the broker's retention/replay hot path.
+pub fn deliver_body(container_bytes: &[u8]) -> Vec<u8> {
+    let mut body = body_with_header(KIND_DELIVER, CONTAINER_OFFSET + container_bytes.len());
     body.extend_from_slice(container_bytes);
     body
 }
 
-/// Builds a `Deliver` frame body around already-encoded container bytes
-/// without re-decoding them — the broker's retention/replay hot path.
-pub fn deliver_body(container_bytes: &[u8]) -> Vec<u8> {
-    container_frame_body(KIND_DELIVER, container_bytes)
+/// Builds a `Publish` frame body with the container encoded straight
+/// into it.
+pub fn encode_publish(container: &BroadcastContainer) -> Result<Vec<u8>, WireError> {
+    let mut body = body_with_header(KIND_PUBLISH, CONTAINER_OFFSET + container.size_bytes());
+    container.encode_into(&mut body)?;
+    Ok(body)
 }
 
-/// Builds a `Publish` frame body around already-encoded container bytes —
-/// lets a publisher ship a container without deep-cloning it into a frame.
-pub fn publish_body(container_bytes: &[u8]) -> Vec<u8> {
-    container_frame_body(KIND_PUBLISH, container_bytes)
+/// Builds a `PublishSigned` frame body with the container encoded
+/// straight into it. `sign` gets the container's bytes and returns the
+/// signature over [`publish_auth_message`] of them, which goes into the
+/// slot of `signature_len` bytes before them. A signature of another
+/// length moves the container once to fit; with a slot of
+/// [`pbcd_group::Signature::encoded_len`] bytes that never happens.
+pub fn encode_signed_publish(
+    key_id: &str,
+    signature_len: usize,
+    container: &BroadcastContainer,
+    sign: impl FnOnce(&[u8]) -> Vec<u8>,
+) -> Result<Vec<u8>, WireError> {
+    let offset = signed_container_offset(key_id, signature_len);
+    let mut body = body_with_header(KIND_PUBLISH_SIGNED, offset + container.size_bytes());
+    body.extend_from_slice(&(key_id.len() as u32).to_be_bytes());
+    body.extend_from_slice(key_id.as_bytes());
+    body.resize(offset, 0);
+    container.encode_into(&mut body)?;
+    let signature = sign(&body[offset..]);
+    if signature.is_empty() || signature.len() > MAX_PUBLISH_SIGNATURE_LEN {
+        return Err(WireError::InvalidValue);
+    }
+    let slot = offset - signature_len..offset;
+    body[slot.start - 2..slot.start].copy_from_slice(&(signature.len() as u16).to_be_bytes());
+    body.splice(slot, signature);
+    Ok(body)
 }
 
 /// Builds a `PublishSigned` frame body around already-encoded container
@@ -547,12 +573,19 @@ pub fn relay_container_offset(origin: &str) -> usize {
 /// `doc_name ‖ epoch ‖ container_bytes` with the variable-length name
 /// length-prefixed so field boundaries cannot be shifted.
 pub fn publish_auth_message(doc_name: &str, epoch: u64, container_bytes: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(27 + 4 + doc_name.len() + 8 + container_bytes.len());
+    let mut msg = publish_auth_prefix(doc_name, epoch);
+    msg.reserve_exact(container_bytes.len());
+    msg.extend_from_slice(container_bytes);
+    msg
+}
+
+/// [`publish_auth_message`] up to the container bytes.
+pub fn publish_auth_prefix(doc_name: &str, epoch: u64) -> Vec<u8> {
+    let mut msg = Vec::with_capacity(23 + 4 + doc_name.len() + 8);
     msg.extend_from_slice(b"pbcd-broker-publish-v2\0");
     msg.extend_from_slice(&(doc_name.len() as u32).to_be_bytes());
     msg.extend_from_slice(doc_name.as_bytes());
     msg.extend_from_slice(&epoch.to_be_bytes());
-    msg.extend_from_slice(container_bytes);
     msg
 }
 
@@ -817,5 +850,30 @@ mod tests {
             &via_helper[signed_container_offset("pub-1", 97)..],
             container_bytes.as_slice()
         );
+    }
+
+    /// The publish paths that encode the container straight into the
+    /// frame give the bytes of `Frame::encode`, and the signer sees
+    /// exactly the container's encoding — also when the reserved slot
+    /// does not fit the signature.
+    #[test]
+    fn frames_encoded_in_place_match_frame_encode() {
+        let container = sample_container();
+        let container_bytes = container.encode().unwrap();
+        assert_eq!(
+            encode_publish(&container).unwrap(),
+            Frame::Publish(container.clone()).encode().unwrap()
+        );
+        for (reserved, len) in [(97, 97), (97, 65), (0, 97), (97, 161)] {
+            let sig = vec![0x7E; len];
+            let body = encode_signed_publish("pub-1", reserved, &container, |bytes| {
+                assert_eq!(bytes, container_bytes.as_slice());
+                sig.clone()
+            })
+            .unwrap();
+            assert_eq!(body, signed_publish_body("pub-1", &sig, &container_bytes));
+        }
+        let refused = encode_signed_publish("pub-1", 97, &container, |_| Vec::new());
+        assert_eq!(refused, Err(WireError::InvalidValue));
     }
 }
