@@ -81,7 +81,9 @@ fn main() {
         },
     )
     .expect("bind broker");
-    let (writers, readers) = broker.io_thread_counts();
+    let pool = broker.metrics();
+    let writers = pool.gauge("broker_writer_pool_threads").unwrap_or(0);
+    let readers = pool.gauge("broker_reader_pool_threads").unwrap_or(0);
     println!(
         "broker up at {} — writer pool {writers}, reader pool {readers}",
         broker.addr()

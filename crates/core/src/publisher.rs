@@ -8,12 +8,13 @@
 //! single [`BroadcastContainer`].
 
 use crate::error::PbcdError;
-use crate::token::IdentityToken;
+use crate::proto::RegisterRequest;
+use crate::token::token_signing_payload;
 use pbcd_crypto::AuthKey;
 use pbcd_docs::{segment, BroadcastContainer, Element, EncryptedGroup, EncryptedSegment, Segment};
 use pbcd_gkm::{AccessRow, AcvBgkm, BroadcastGkm, CssTable, Nym, ShardedCssTable};
 use pbcd_group::{verify_batch, CyclicGroup, Signature, VerifyingKey};
-use pbcd_ocbe::{Envelope, OcbeSystem, ProofMessage};
+use pbcd_ocbe::{Envelope, OcbeSystem};
 use pbcd_policy::{AttributeCondition, PolicyConfiguration, PolicySet};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -140,7 +141,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
     /// A read-mostly handle carrying everything registration needs — the
     /// OCBE system, the IdMgr verification key, the current condition set
     /// and an [`Arc`] of the CSS table — detached from the publisher, so
-    /// any number of handler threads can serve [`Registrar::register`]
+    /// any number of handler threads can serve [`Registrar::register_batch`]
     /// concurrently while the publisher broadcasts. The condition snapshot
     /// goes stale on policy mutation: rebuild the registrar whenever the
     /// publisher is mutated (the same discipline as the conditions-response
@@ -158,18 +159,6 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
     /// holding a token with that id-tag registers for.
     pub fn conditions_for_attribute(&self, attribute: &str) -> Vec<AttributeCondition> {
         self.policies.conditions_on_attribute(attribute)
-    }
-
-    /// Registration (paper §V-B) against the current policy set — see
-    /// [`Registrar::register`], which this goes through.
-    pub fn register<R: RngCore + ?Sized>(
-        &self,
-        token: &IdentityToken<G>,
-        cond: &AttributeCondition,
-        proof: &ProofMessage<G>,
-        rng: &mut R,
-    ) -> Result<Envelope<G>, PbcdError> {
-        self.registrar().register(token, cond, proof, rng)
     }
 
     /// Credential revocation: deletes one `(nym, cond)` record. The next
@@ -316,7 +305,7 @@ fn draw<const N: usize>(rng: &mut (impl RngCore + ?Sized)) -> [u8; N] {
 /// The registration half of a [`Publisher`], detached for concurrency:
 /// token verification, condition lookup and OCBE envelope composition are
 /// read-only against materials captured at build time, and CSS issuance
-/// goes through the shared sharded table — so `register` takes `&self`
+/// goes through the shared sharded table — so `register_batch` takes `&self`
 /// and any number of threads can serve registrations at once, each
 /// contending only for its subscriber's table shard.
 ///
@@ -336,88 +325,65 @@ impl<G: CyclicGroup> Registrar<G> {
         &self.ocbe
     }
 
-    /// Registration (paper §V-B): verifies the token, generates a fresh
-    /// CSS for `(nym, cond)`, records it in `T`, and returns the OCBE
-    /// envelope that delivers the CSS iff the committed value satisfies
-    /// the condition. The publisher never learns whether it did.
-    pub fn register<R: RngCore + ?Sized>(
-        &self,
-        token: &IdentityToken<G>,
-        cond: &AttributeCondition,
-        proof: &ProofMessage<G>,
-        rng: &mut R,
-    ) -> Result<Envelope<G>, PbcdError> {
-        token.verify(self.ocbe.pedersen(), &self.idmgr_key)?;
-        self.register_verified(token, cond, proof, rng)
-    }
-
-    /// Registration *after* token authentication: the tag/condition checks,
-    /// CSS issuance and envelope composition. Split out so the batch path can
-    /// substitute one batched Schnorr check for per-item verification.
-    fn register_verified<R: RngCore + ?Sized>(
-        &self,
-        token: &IdentityToken<G>,
-        cond: &AttributeCondition,
-        proof: &ProofMessage<G>,
-        rng: &mut R,
-    ) -> Result<Envelope<G>, PbcdError> {
-        if token.id_tag != cond.attribute {
-            return Err(PbcdError::TagMismatch {
-                token_tag: token.id_tag.clone(),
-                condition_attribute: cond.attribute.clone(),
-            });
-        }
-        if !self.conditions.iter().any(|c| c == cond) {
-            return Err(PbcdError::UnknownCondition);
-        }
-        // Fresh CSS, recorded unconditionally: `T` over-approximates — only
-        // qualified subscribers can actually open the envelope.
-        let css = self.table.issue(&Nym::new(&token.nym), cond, rng);
-        let envelope =
-            self.ocbe
-                .sender_compose(&token.commitment, &cond.predicate(), proof, &css, rng)?;
-        Ok(envelope)
-    }
-
-    /// Cohort registration: authenticates every token of the batch with **one**
-    /// random-linear-combination Schnorr check ([`pbcd_group::verify_batch`], a
-    /// single multi-scalar multiplication of width `n + 2`: one `Rᵢ` term per
+    /// Registration (paper §V-B) of one request or a cohort, the one entry
+    /// point. Authenticates every token with **one** random-linear-
+    /// combination Schnorr check ([`pbcd_group::verify_batch`]: the plain
+    /// prepared-key check for a single item, otherwise a single
+    /// multi-scalar multiplication of width `n + 2`, one `Rᵢ` term per
     /// item, one term for the IdMgr key every token carries, whose
-    /// coefficients are summed, and the generator) before issuing CSSs and
-    /// composing envelopes per item. Outcomes are per item and independent: a
-    /// forged token in the cohort costs only that item (the combined check
-    /// fails, and per-item verification attributes the failure), the rest
-    /// register normally.
+    /// coefficients are summed, and the generator). Then, per item, it
+    /// generates a fresh CSS for `(nym, cond)`, records it in `T`, and
+    /// composes the OCBE envelope that delivers the CSS iff the committed
+    /// value satisfies the condition; the publisher never learns whether
+    /// it did. Outcomes are per item and independent: a forged token costs
+    /// only its own item (when the combined check fails, per-item
+    /// verification attributes the failure; a lone item's check already
+    /// was its own), and the rest register normally.
     pub fn register_batch<R: RngCore + ?Sized>(
         &self,
-        items: &[(IdentityToken<G>, AttributeCondition, ProofMessage<G>)],
+        items: &[RegisterRequest<G>],
         rng: &mut R,
     ) -> Vec<Result<Envelope<G>, PbcdError>> {
+        let group = self.ocbe.group();
         let pedersen = self.ocbe.pedersen();
         let payloads: Vec<Vec<u8>> = items
             .iter()
-            .map(|(token, _, _)| {
-                crate::token::token_signing_payload(
-                    pedersen,
-                    &token.nym,
-                    &token.id_tag,
-                    &token.commitment,
-                )
+            .map(|r| {
+                token_signing_payload(pedersen, &r.token.nym, &r.token.id_tag, &r.token.commitment)
             })
             .collect();
         let batch: Vec<(&VerifyingKey<G>, &[u8], &Signature<G>)> = items
             .iter()
             .zip(&payloads)
-            .map(|((token, _, _), payload)| (&self.idmgr_key, payload.as_slice(), &token.signature))
+            .map(|(r, payload)| (&self.idmgr_key, payload.as_slice(), &r.token.signature))
             .collect();
-        let all_valid = verify_batch(self.ocbe.group(), &batch);
+        let all_valid = verify_batch(group, &batch);
         items
             .iter()
-            .map(|(token, cond, proof)| {
-                if !all_valid {
-                    token.verify(pedersen, &self.idmgr_key)?;
+            .zip(&payloads)
+            .map(|(RegisterRequest { token, cond, proof }, payload)| {
+                let verify = || self.idmgr_key.verify(group, payload, &token.signature);
+                if !all_valid && (items.len() == 1 || !verify()) {
+                    return Err(PbcdError::BadTokenSignature);
                 }
-                self.register_verified(token, cond, proof, rng)
+                if token.id_tag != cond.attribute {
+                    return Err(PbcdError::TagMismatch {
+                        token_tag: token.id_tag.clone(),
+                        condition_attribute: cond.attribute.clone(),
+                    });
+                }
+                if !self.conditions.contains(cond) {
+                    return Err(PbcdError::UnknownCondition);
+                }
+                // Fresh CSS, recorded unconditionally: `T` over-approximates
+                // — only qualified subscribers can actually open the
+                // envelope.
+                let css = self.table.issue(&Nym::new(&token.nym), cond, rng);
+                let predicate = cond.predicate();
+                let envelope =
+                    self.ocbe
+                        .sender_compose(&token.commitment, &predicate, proof, &css, rng)?;
+                Ok(envelope)
             })
             .collect()
     }

@@ -27,6 +27,7 @@ use pbcd_ocbe::Envelope;
 use pbcd_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -253,31 +254,27 @@ fn registration_response<G: CyclicGroup, R: RngCore + ?Sized>(
         RegisterResponse { envelope }
     };
     let resp = match Request::decode(group, request) {
-        Ok(Request::Register(r)) => match registrar.register(&r.token, &r.cond, &r.proof, rng) {
-            Ok(envelope) => Response::Register(booked(envelope)),
-            Err(e) => return error_bytes(group, code_for(&e), &e.to_string()),
-        },
-        Ok(Request::RegisterBatch(items)) => {
-            let items: Vec<_> = items
-                .into_iter()
-                .map(|r| (r.token, r.cond, r.proof))
-                .collect();
-            Response::RegisterBatch(
-                registrar
-                    .register_batch(&items, rng)
-                    .into_iter()
-                    .map(|r| match r {
-                        Ok(envelope) => Ok(booked(envelope)),
-                        Err(e) => {
-                            if let Some(t) = telemetry {
-                                t.errors.inc();
-                            }
-                            Err(error_item(&e))
-                        }
-                    })
-                    .collect(),
-            )
+        Ok(Request::Register(r)) => {
+            match registrar.register_batch(slice::from_ref(&r), rng).remove(0) {
+                Ok(envelope) => Response::Register(booked(envelope)),
+                Err(e) => return error_bytes(group, code_for(&e), &e.to_string()),
+            }
         }
+        Ok(Request::RegisterBatch(items)) => Response::RegisterBatch(
+            registrar
+                .register_batch(&items, rng)
+                .into_iter()
+                .map(|r| match r {
+                    Ok(envelope) => Ok(booked(envelope)),
+                    Err(e) => {
+                        if let Some(t) = telemetry {
+                            t.errors.inc();
+                        }
+                        Err(error_item(&e))
+                    }
+                })
+                .collect(),
+        ),
         // Callers route here on `is_register_request`; stay total anyway.
         Ok(_) => return error_bytes(group, ErrorCode::Unsupported, "not a registration request"),
         Err(e) => return error_bytes(group, ErrorCode::Malformed, &e.to_string()),

@@ -1,11 +1,13 @@
 //! Publisher-side validation: registrations must be rejected for forged
 //! tokens, mismatched tags and conditions outside the policy set.
 
-use pbcd_core::{PbcdError, Publisher, PublisherConfig, SystemHarness};
+use pbcd_core::proto::RegisterRequest;
+use pbcd_core::{IdentityToken, PbcdError, Publisher, PublisherConfig, SystemHarness};
 use pbcd_group::{P256Group, SigningKey};
 use pbcd_ocbe::ProofMessage;
 use pbcd_policy::{AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet};
 use rand::SeedableRng;
+use std::slice;
 
 fn policies() -> PolicySet {
     let mut set = PolicySet::new();
@@ -21,6 +23,21 @@ fn harness() -> SystemHarness<P256Group> {
     SystemHarness::new_p256(policies(), 0xE221)
 }
 
+/// One registration through the publisher's registrar.
+fn register(
+    sys: &mut SystemHarness<P256Group>,
+    token: IdentityToken<P256Group>,
+    cond: AttributeCondition,
+    proof: ProofMessage<P256Group>,
+) -> Result<(), PbcdError> {
+    let request = RegisterRequest { token, cond, proof };
+    let registrar = sys.publisher.registrar();
+    registrar
+        .register_batch(slice::from_ref(&request), &mut sys.rng)
+        .remove(0)?;
+    Ok(())
+}
+
 #[test]
 fn forged_token_rejected() {
     let mut sys = harness();
@@ -33,10 +50,7 @@ fn forged_token_rejected() {
     let payload = b"wrong payload entirely";
     token.signature = rogue.sign(&group, &mut rng, payload);
     let cond = AttributeCondition::new("age", ComparisonOp::Ge, 18);
-    let err = sys
-        .publisher
-        .register(&token, &cond, &ProofMessage::Empty, &mut sys.rng)
-        .unwrap_err();
+    let err = register(&mut sys, token, cond, ProofMessage::Empty).unwrap_err();
     assert_eq!(err, PbcdError::BadTokenSignature);
 }
 
@@ -48,10 +62,7 @@ fn tag_mismatch_rejected() {
     // Use the age token against a condition on a different attribute that
     // exists in no policy either — tag check fires first.
     let cond = AttributeCondition::new("level", ComparisonOp::Ge, 1);
-    let err = sys
-        .publisher
-        .register(&token, &cond, &ProofMessage::Empty, &mut sys.rng)
-        .unwrap_err();
+    let err = register(&mut sys, token, cond, ProofMessage::Empty).unwrap_err();
     assert!(matches!(err, PbcdError::TagMismatch { .. }));
 }
 
@@ -65,10 +76,7 @@ fn unknown_condition_rejected() {
     let (proof, _secrets) = sub
         .prepare_registration(sys.publisher.ocbe(), &cond, &mut sys.rng)
         .unwrap();
-    let err = sys
-        .publisher
-        .register(&token, &cond, &proof, &mut sys.rng)
-        .unwrap_err();
+    let err = register(&mut sys, token, cond, proof).unwrap_err();
     assert_eq!(err, PbcdError::UnknownCondition);
 }
 
@@ -79,10 +87,7 @@ fn wrong_proof_shape_rejected() {
     let token = sub.token_for("age").unwrap().clone();
     // A GE condition needs digit commitments, not the empty EQ proof.
     let cond = AttributeCondition::new("age", ComparisonOp::Ge, 18);
-    let err = sys
-        .publisher
-        .register(&token, &cond, &ProofMessage::Empty, &mut sys.rng)
-        .unwrap_err();
+    let err = register(&mut sys, token, cond, ProofMessage::Empty).unwrap_err();
     assert_eq!(
         err,
         PbcdError::Ocbe(pbcd_ocbe::OcbeError::ProofShapeMismatch)

@@ -558,8 +558,11 @@ fn p256_field_kernel_pins() {
 }
 
 /// Clones share the lazily built tables through the same `Arc`; fresh
-/// instances rebuild them from scratch. Either way the results — and the
-/// canonical encodings — must be identical.
+/// modp instances rebuild them from scratch. Either way the results — and
+/// the canonical encodings — must be identical. P-256's `g`/`h` combs are
+/// process-wide statics, so there a fresh instance walks the very same
+/// tables; the rebuild itself is checked by the unit test
+/// `p256::tests::rebuilt_combs_walk_like_the_process_wide_ones`.
 #[test]
 fn tables_survive_clone_and_rebuild_identically() {
     fn check<G: NaiveExp>(mk: impl Fn() -> G) {
@@ -571,8 +574,9 @@ fn tables_survive_clone_and_rebuild_identically() {
         let clone = original.clone();
         assert_eq!(clone.exp_g(&k), via_original);
         assert_eq!(clone.exp_h(&k), original.exp_h(&k));
-        // A fresh instance rebuilds its own tables; same results, and the
-        // serialized forms agree byte-for-byte across instances.
+        // A fresh instance (modp: its own tables; P-256: the shared
+        // statics) gives the same results, and the serialized forms agree
+        // byte-for-byte across instances.
         let fresh = mk();
         let via_fresh = fresh.exp_g(&k);
         assert_eq!(via_fresh, via_original);

@@ -159,7 +159,7 @@ pub struct BrokerConfig {
 }
 
 impl BrokerConfig {
-    /// The writer-pool size [`Broker::bind_with`] will actually spawn:
+    /// The writer-pool size [`Broker::serve`] will actually spawn:
     /// the configured value, or the auto-sizing rule for `0`.
     pub fn resolved_writer_pool_threads(&self) -> usize {
         if self.writer_pool_threads > 0 {
@@ -171,7 +171,7 @@ impl BrokerConfig {
             .clamp(1, 8)
     }
 
-    /// The reader-pool size [`Broker::bind_with`] will actually spawn.
+    /// The reader-pool size [`Broker::serve`] will actually spawn.
     pub fn resolved_reader_pool_threads(&self) -> usize {
         if self.reader_pool_threads > 0 {
             return self.reader_pool_threads;
@@ -510,7 +510,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// The I/O plane; set in `bind_with` before the accept thread spawns.
+    /// The I/O plane; set in `serve` before the accept thread spawns.
     pub(crate) fn io(&self) -> &IoPlanes {
         self.io.get().expect("I/O planes installed at bind")
     }
@@ -556,11 +556,17 @@ impl Broker {
         Self::bind_with(addr, BrokerConfig::default())
     }
 
-    /// Binds with explicit configuration. With a
+    /// Binds with explicit configuration; see [`Self::serve`].
+    pub fn bind_with(addr: &str, config: BrokerConfig) -> io::Result<BrokerHandle> {
+        Self::serve(TcpListener::bind(addr)?, config)
+    }
+
+    /// Serves on a listener the caller has already bound, so the address
+    /// is held from before the broker starts. With a
     /// [`BrokerConfig::store_path`], this opens the log and recovers the
     /// retained set (longest valid prefix, torn tail truncated) before the
     /// first connection is accepted.
-    pub fn bind_with(addr: &str, config: BrokerConfig) -> io::Result<BrokerHandle> {
+    pub fn serve(listener: TcpListener, config: BrokerConfig) -> io::Result<BrokerHandle> {
         let telemetry = BrokerTelemetry::new();
         let mut store = match &config.store_path {
             Some(path) => {
@@ -569,7 +575,6 @@ impl Broker {
             None => RetentionStore::in_memory(config.history_depth),
         };
         store.attach_telemetry(StoreTelemetry::new(&telemetry.registry));
-        let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let refused = telemetry.connections_rejected.clone();
         let shared = Arc::new(Shared {
@@ -712,14 +717,6 @@ impl BrokerHandle {
             .recovery()
     }
 
-    /// The `(writer, reader)` I/O-pool thread counts this broker is
-    /// running — the exact set of threads [`Self::shutdown`] joins on
-    /// top of the accept thread and any transient handler threads.
-    pub fn io_thread_counts(&self) -> (usize, usize) {
-        let io = self.shared.io();
-        (io.writer.thread_count(), io.reader.thread_count())
-    }
-
     /// Number of currently registered subscribers.
     pub fn subscriber_count(&self) -> usize {
         self.shared
@@ -728,19 +725,6 @@ impl BrokerHandle {
             .expect("broker state")
             .subscribers
             .len()
-    }
-
-    /// The encoded bytes the broker retains for `document` — everything a
-    /// compromise of the broker would leak for it. Tests audit these for
-    /// plaintext.
-    pub fn retained_container(&self, document: &str) -> Option<Vec<u8>> {
-        self.shared
-            .state
-            .lock()
-            .expect("broker state")
-            .store
-            .newest_body(document)
-            .map(|body| body[CONTAINER_OFFSET..].to_vec())
     }
 
     /// Graceful shutdown: stops accepting, closes every connection, joins

@@ -13,10 +13,11 @@
 //! closure.
 //!
 //! Framing is the broker's own transport half (`len u32 ‖ body`, memory
-//! committed only as bytes arrive), but with a much tighter default size
-//! bound ([`DirectConfig::max_request_len`], 4 MiB): registration messages
-//! are a few KiB, so nothing on this socket ever needs the broker's
-//! 64 MiB container allowance. Each connection serves requests
+//! committed only as bytes arrive), but with a much tighter size bound
+//! (4 MiB): registration messages are a few KiB, so nothing on this
+//! socket ever needs the broker's 64 MiB container allowance. The limits
+//! are fixed, not configured: 4 MiB per request, a 60 s idle timeout and
+//! 256 concurrent connections. Each connection serves requests
 //! sequentially; connections are isolated — a peer that sends garbage
 //! framing, goes silent past the idle timeout, or even panics the handler
 //! loses its own connection and nothing else.
@@ -39,33 +40,20 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for a [`RegistrationServer`].
-#[derive(Debug, Clone)]
-pub struct DirectConfig {
-    /// Maximum concurrent connections; further peers are refused by
-    /// closing their socket immediately.
-    pub max_connections: usize,
-    /// Per-read idle timeout: a connected peer that sends nothing for this
-    /// long is dropped (`None` = wait forever).
-    pub read_timeout: Option<Duration>,
-    /// Maximum accepted request size. Registration/issuance messages are
-    /// a few KiB, so the default (4 MiB, matching the protocol layer's own
-    /// message bound) is generous — and far below the broker's 64 MiB
-    /// container frames, which have no business on this socket. A hostile
-    /// length prefix beyond this costs the peer its connection before any
-    /// memory is committed.
-    pub max_request_len: usize,
-}
+/// Most concurrent connections; further peers are refused by closing
+/// their socket at once.
+const MAX_CONNECTIONS: usize = 256;
 
-impl Default for DirectConfig {
-    fn default() -> Self {
-        Self {
-            max_connections: 256,
-            read_timeout: Some(Duration::from_secs(60)),
-            max_request_len: 4 * 1024 * 1024,
-        }
-    }
-}
+/// Per-read idle timeout: a connected peer that sends nothing for this
+/// long is dropped.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Largest accepted request. Registration and issuance messages are a few
+/// KiB, so 4 MiB (the protocol layer's own message bound) is generous,
+/// and far below the broker's 64 MiB container frames, which have no
+/// business on this socket. A hostile length prefix beyond this costs the
+/// peer its connection before any memory is committed.
+const MAX_REQUEST_LEN: usize = 4 * 1024 * 1024;
 
 /// Transport-level metrics: request count and wall-clock handler
 /// latency. The server cannot label by request kind (it is a byte pipe by
@@ -87,7 +75,7 @@ pub struct RegistrationServer {
 
 impl RegistrationServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts
-    /// serving `handler` with the default [`DirectConfig`].
+    /// serving `handler`.
     ///
     /// `handler` is called from every connection thread in parallel, with
     /// no server-side lock around it; it is responsible for its own
@@ -96,13 +84,13 @@ impl RegistrationServer {
     where
         F: Fn(&[u8]) -> Vec<u8> + Send + Sync + 'static,
     {
-        Self::bind_with(addr, DirectConfig::default(), handler)
+        Self::bind_capped(addr, MAX_CONNECTIONS, handler)
     }
 
-    /// [`Self::bind`] with explicit configuration.
-    pub fn bind_with<F>(
+    /// [`Self::bind`] with at most `max_connections` peers at once.
+    pub(crate) fn bind_capped<F>(
         addr: impl ToSocketAddrs,
-        config: DirectConfig,
+        max_connections: usize,
         handler: F,
     ) -> Result<Self, NetError>
     where
@@ -116,10 +104,10 @@ impl RegistrationServer {
             request_ns: registry.histogram("direct_request_ns"),
             registry,
         });
-        let server = Server::new(config.max_connections, None);
+        let server = Server::new(max_connections, None);
         let (conn_server, conn_metrics) = (Arc::clone(&server), Arc::clone(&metrics));
         server.listen(listener, "pbcd-direct", move |id, stream| {
-            serve_connection(stream, &conn_metrics, &config, &handler);
+            serve_connection(stream, &conn_metrics, &handler);
             conn_server.close(id);
         })?;
         Ok(Self {
@@ -132,12 +120,6 @@ impl RegistrationServer {
     /// The bound address (with the actual port for `:0` binds).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Requests served so far (including ones answered with handler-level
-    /// error bytes — the server cannot tell those apart, by design).
-    pub fn requests_served(&self) -> u64 {
-        self.metrics.requests.get()
     }
 
     /// Snapshot of the transport metrics: `direct_requests_total` and the
@@ -169,16 +151,15 @@ impl Drop for RegistrationServer {
 fn serve_connection(
     mut stream: TcpStream,
     metrics: &DirectMetrics,
-    config: &DirectConfig,
     handler: &(dyn Fn(&[u8]) -> Vec<u8> + Send + Sync),
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(config.read_timeout);
+    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     // Until clean close, garbage framing, oversize or idle timeout — any
     // of which ends this connection; nobody else is affected. Requests may
-    // be any length from empty up to the configured bound (the 4-byte
+    // be any length from empty up to MAX_REQUEST_LEN (the 4-byte
     // broker-frame minimum does not apply to this raw byte pipe).
-    while let Ok(request) = read_body_bounded(&mut stream, 0, config.max_request_len) {
+    while let Ok(request) = read_body_bounded(&mut stream, 0, MAX_REQUEST_LEN) {
         // A panicking handler costs the *triggering* connection its reply
         // and nothing else: the panic is contained here. What it does to
         // the handler's own locks is the handler's business — a
@@ -219,7 +200,7 @@ impl RegistrationClient {
     /// Sends one request and blocks for the response. Requests and
     /// responses may be any length (including empty) up to
     /// [`MAX_FRAME_LEN`] on the client side; the server enforces its own
-    /// [`DirectConfig::max_request_len`].
+    /// 4 MiB bound.
     pub fn call(&mut self, request: &[u8]) -> Result<Vec<u8>, NetError> {
         write_body(&mut self.stream, request)?;
         read_body_bounded(&mut self.stream, 0, MAX_FRAME_LEN)
@@ -260,7 +241,8 @@ mod tests {
             let resp = client.call(&[1, 2, 3, i]).expect("call");
             assert_eq!(resp, [b'e', b'c', b'h', b'o', b':', 1, 2, 3, i]);
         }
-        assert_eq!(server.requests_served(), 5);
+        let served = server.metrics().counter("direct_requests_total");
+        assert_eq!(served, Some(5));
         client.close().expect("close");
         server.shutdown();
     }
@@ -289,7 +271,8 @@ mod tests {
             t.join().expect("client thread");
         }
         assert_eq!(counter.load(Ordering::SeqCst), 32);
-        assert_eq!(server.requests_served(), 32);
+        let served = server.metrics().counter("direct_requests_total");
+        assert_eq!(served, Some(32));
         server.shutdown();
     }
 
@@ -309,16 +292,8 @@ mod tests {
     #[test]
     fn max_connections_refuses_excess_peers() {
         use std::io::Read;
-        let server = RegistrationServer::bind_with(
-            "127.0.0.1:0",
-            DirectConfig {
-                max_connections: 1,
-                read_timeout: Some(Duration::from_secs(5)),
-                ..DirectConfig::default()
-            },
-            |req: &[u8]| req.to_vec(),
-        )
-        .expect("bind");
+        let server = RegistrationServer::bind_capped("127.0.0.1:0", 1, |req: &[u8]| req.to_vec())
+            .expect("bind");
         let mut first = RegistrationClient::connect(server.addr()).expect("connect");
         assert_eq!(first.call(b"ok??").expect("call"), b"ok??");
         // The second connection is accepted by the OS but closed by the
@@ -356,19 +331,19 @@ mod tests {
 
     #[test]
     fn oversized_request_costs_only_that_connection() {
-        let server = RegistrationServer::bind_with(
-            "127.0.0.1:0",
-            DirectConfig {
-                max_request_len: 1024,
-                ..DirectConfig::default()
-            },
-            |req: &[u8]| req.to_vec(),
-        )
-        .expect("bind");
+        use std::io::{Read, Write};
+        let server =
+            RegistrationServer::bind("127.0.0.1:0", |req: &[u8]| req.to_vec()).expect("bind");
         // A length prefix beyond the bound is rejected before any payload
         // memory is committed; the connection dies, the server survives.
-        let mut hostile = RegistrationClient::connect(server.addr()).expect("connect");
-        assert!(hostile.call(&vec![0u8; 2048]).is_err());
+        let mut hostile = TcpStream::connect(server.addr()).expect("connect");
+        let announced = (MAX_REQUEST_LEN + 1) as u32;
+        hostile.write_all(&announced.to_be_bytes()).expect("write");
+        hostile
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut eof = [0u8; 1];
+        assert_eq!(hostile.read(&mut eof).expect("server closes"), 0);
         let mut good = RegistrationClient::connect(server.addr()).expect("connect");
         assert_eq!(good.call(b"fine").expect("call"), b"fine");
         server.shutdown();
@@ -419,7 +394,8 @@ mod tests {
         for t in threads {
             assert_eq!(t.join().expect("client").len(), 1);
         }
-        assert_eq!(server.requests_served(), 2);
+        let served = server.metrics().counter("direct_requests_total");
+        assert_eq!(served, Some(2));
         server.shutdown();
     }
 

@@ -12,11 +12,16 @@
 //! [`Frame::Relay`] and [`Frame::Deliver`] in their own wire format
 //! ([`BroadcastContainer::encode`]), always as the tail of the body, so
 //! the broker retains and forwards the bytes it received without
-//! re-encoding them and without ever holding a decryption key.
+//! re-encoding them and without ever holding a decryption key. Each of
+//! these kinds has one writer for the bytes before its container, shared
+//! by [`Frame::encode`] and the builders that frame a container in place
+//! ([`encode_publish`], [`encode_signed_publish`]) or around encoded bytes
+//! ([`deliver_body`], [`signed_publish_body`], [`relay_body`]).
 
 use crate::error::{NetError, RejectReason};
 use pbcd_docs::wire::{
     get_fixed, get_slice, get_str, get_u16, get_u32, get_u64, get_u8, put_str, WireError,
+    MAX_FIELD_LEN,
 };
 use pbcd_docs::BroadcastContainer;
 use std::io::{Read, Write};
@@ -227,10 +232,7 @@ impl Frame {
                 buf.push(KIND_HELLO);
                 buf.push(role.code());
             }
-            Self::Publish(container) => {
-                buf.push(KIND_PUBLISH);
-                container.encode_into(&mut buf)?;
-            }
+            Self::Publish(container) => return encode_publish(container),
             Self::Subscribe { documents, depth } => {
                 buf.push(KIND_SUBSCRIBE);
                 buf.extend_from_slice(&depth.to_be_bytes());
@@ -240,8 +242,9 @@ impl Frame {
                 }
             }
             Self::Deliver(container) => {
-                buf.push(KIND_DELIVER);
-                container.encode_into(&mut buf)?;
+                let body =
+                    body_with_header(KIND_DELIVER, CONTAINER_OFFSET + container.size_bytes());
+                return with_container(body, container);
             }
             Self::ListConfigs => buf.push(KIND_LIST_CONFIGS),
             Self::Configs(entries) => {
@@ -275,11 +278,9 @@ impl Frame {
                 if signature.is_empty() || signature.len() > MAX_PUBLISH_SIGNATURE_LEN {
                     return Err(WireError::InvalidValue);
                 }
-                buf.push(KIND_PUBLISH_SIGNED);
-                put_str(&mut buf, key_id)?;
-                buf.extend_from_slice(&(signature.len() as u16).to_be_bytes());
-                buf.extend_from_slice(signature);
-                container.encode_into(&mut buf)?;
+                let key_id = checked_field(key_id)?;
+                let body = signed_publish_prefix(key_id, signature, container.size_bytes());
+                return with_container(body, container);
             }
             Self::Reject { reason, message } => {
                 buf.push(KIND_REJECT);
@@ -300,10 +301,8 @@ impl Frame {
                 hops,
                 container,
             } => {
-                buf.push(KIND_RELAY);
-                put_str(&mut buf, origin)?;
-                buf.push(*hops);
-                container.encode_into(&mut buf)?;
+                let body = relay_prefix(checked_field(origin)?, *hops, container.size_bytes());
+                return with_container(body, container);
             }
             Self::RelayCatchUp { known } => {
                 buf.push(KIND_RELAY_CATCH_UP);
@@ -455,14 +454,51 @@ impl Frame {
     }
 }
 
-/// Starts a pre-framed body of `body_len` bytes in all with its
-/// `magic ‖ version ‖ kind` header.
+/// Starts a frame body of `body_len` bytes in all with its
+/// `magic ‖ version ‖ kind` header — the whole prefix of a `Publish` or
+/// `Deliver` body.
 fn body_with_header(kind: u8, body_len: usize) -> Vec<u8> {
     let mut body = Vec::with_capacity(body_len);
     body.extend_from_slice(FRAME_MAGIC);
     body.push(PROTOCOL_VERSION);
     body.push(kind);
     body
+}
+
+/// A `PublishSigned` body up to its container (header ‖ len-prefixed key
+/// id ‖ len-prefixed signature), with room for `container_len` more bytes.
+fn signed_publish_prefix(key_id: &str, signature: &[u8], container_len: usize) -> Vec<u8> {
+    let offset = signed_container_offset(key_id, signature.len());
+    let mut body = body_with_header(KIND_PUBLISH_SIGNED, offset + container_len);
+    body.extend_from_slice(&(key_id.len() as u32).to_be_bytes());
+    body.extend_from_slice(key_id.as_bytes());
+    body.extend_from_slice(&(signature.len() as u16).to_be_bytes());
+    body.extend_from_slice(signature);
+    body
+}
+
+/// A `Relay` body up to its container (header ‖ len-prefixed origin ‖
+/// hops), with room for `container_len` more bytes.
+fn relay_prefix(origin: &str, hops: u8, container_len: usize) -> Vec<u8> {
+    let mut body = body_with_header(KIND_RELAY, relay_container_offset(origin) + container_len);
+    body.extend_from_slice(&(origin.len() as u32).to_be_bytes());
+    body.extend_from_slice(origin.as_bytes());
+    body.push(hops);
+    body
+}
+
+/// Refuses a string field that the decoder would refuse.
+fn checked_field(field: &str) -> Result<&str, WireError> {
+    if field.len() > MAX_FIELD_LEN {
+        return Err(WireError::FieldTooLong(field.len()));
+    }
+    Ok(field)
+}
+
+/// Appends `container`'s encoding to a frame prefix.
+fn with_container(mut body: Vec<u8>, container: &BroadcastContainer) -> Result<Vec<u8>, WireError> {
+    container.encode_into(&mut body)?;
+    Ok(body)
 }
 
 /// Builds a `Deliver` frame body around already-encoded container bytes
@@ -476,34 +512,33 @@ pub fn deliver_body(container_bytes: &[u8]) -> Vec<u8> {
 /// Builds a `Publish` frame body with the container encoded straight
 /// into it.
 pub fn encode_publish(container: &BroadcastContainer) -> Result<Vec<u8>, WireError> {
-    let mut body = body_with_header(KIND_PUBLISH, CONTAINER_OFFSET + container.size_bytes());
-    container.encode_into(&mut body)?;
-    Ok(body)
+    let body = body_with_header(KIND_PUBLISH, CONTAINER_OFFSET + container.size_bytes());
+    with_container(body, container)
 }
 
 /// Builds a `PublishSigned` frame body with the container encoded
 /// straight into it. `sign` gets the container's bytes and returns the
 /// signature over [`publish_auth_message`] of them, which goes into the
-/// slot of `signature_len` bytes before them. A signature of another
-/// length moves the container once to fit; with a slot of
-/// [`pbcd_group::Signature::encoded_len`] bytes that never happens.
+/// slot of `signature_len` bytes (at most [`MAX_PUBLISH_SIGNATURE_LEN`])
+/// before them. A signature of another length moves the container once
+/// to fit; with a slot of [`pbcd_group::Signature::encoded_len`] bytes
+/// that never happens.
 pub fn encode_signed_publish(
     key_id: &str,
     signature_len: usize,
     container: &BroadcastContainer,
     sign: impl FnOnce(&[u8]) -> Vec<u8>,
 ) -> Result<Vec<u8>, WireError> {
-    let offset = signed_container_offset(key_id, signature_len);
-    let mut body = body_with_header(KIND_PUBLISH_SIGNED, offset + container.size_bytes());
-    body.extend_from_slice(&(key_id.len() as u32).to_be_bytes());
-    body.extend_from_slice(key_id.as_bytes());
-    body.resize(offset, 0);
-    container.encode_into(&mut body)?;
+    let zeros = [0; MAX_PUBLISH_SIGNATURE_LEN];
+    let reserved = &zeros[..signature_len.min(MAX_PUBLISH_SIGNATURE_LEN)];
+    let prefix = signed_publish_prefix(key_id, reserved, container.size_bytes());
+    let offset = prefix.len();
+    let mut body = with_container(prefix, container)?;
     let signature = sign(&body[offset..]);
     if signature.is_empty() || signature.len() > MAX_PUBLISH_SIGNATURE_LEN {
         return Err(WireError::InvalidValue);
     }
-    let slot = offset - signature_len..offset;
+    let slot = offset - reserved.len()..offset;
     body[slot.start - 2..slot.start].copy_from_slice(&(signature.len() as u16).to_be_bytes());
     body.splice(slot, signature);
     Ok(body)
@@ -518,14 +553,7 @@ pub fn encode_signed_publish(
 /// the same `container_bytes`.
 pub fn signed_publish_body(key_id: &str, signature: &[u8], container_bytes: &[u8]) -> Vec<u8> {
     debug_assert!(!signature.is_empty() && signature.len() <= MAX_PUBLISH_SIGNATURE_LEN);
-    let mut body = body_with_header(
-        KIND_PUBLISH_SIGNED,
-        signed_container_offset(key_id, signature.len()) + container_bytes.len(),
-    );
-    body.extend_from_slice(&(key_id.len() as u32).to_be_bytes());
-    body.extend_from_slice(key_id.as_bytes());
-    body.extend_from_slice(&(signature.len() as u16).to_be_bytes());
-    body.extend_from_slice(signature);
+    let mut body = signed_publish_prefix(key_id, signature, container_bytes.len());
     body.extend_from_slice(container_bytes);
     body
 }
@@ -548,13 +576,7 @@ pub fn signed_container_offset(key_id: &str, signature_len: usize) -> usize {
 /// verbatim, never re-encoding (that is what keeps subscriber-visible
 /// bytes identical at every tier).
 pub fn relay_body(origin: &str, hops: u8, container_bytes: &[u8]) -> Vec<u8> {
-    let mut body = body_with_header(
-        KIND_RELAY,
-        relay_container_offset(origin) + container_bytes.len(),
-    );
-    body.extend_from_slice(&(origin.len() as u32).to_be_bytes());
-    body.extend_from_slice(origin.as_bytes());
-    body.push(hops);
+    let mut body = relay_prefix(origin, hops, container_bytes.len());
     body.extend_from_slice(container_bytes);
     body
 }
@@ -811,51 +833,11 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(NetError::Protocol(_))));
     }
 
-    #[test]
-    fn relay_body_matches_frame_encode() {
-        let container = sample_container();
-        let container_bytes = container.encode().unwrap();
-        let via_helper = relay_body("origin-1", 3, &container_bytes);
-        let via_frame = Frame::Relay {
-            origin: "origin-1".into(),
-            hops: 3,
-            container,
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(via_helper, via_frame);
-        // The advertised offset really lands on the container bytes.
-        assert_eq!(
-            &via_helper[relay_container_offset("origin-1")..],
-            container_bytes.as_slice()
-        );
-    }
-
-    #[test]
-    fn signed_publish_body_matches_frame_encode() {
-        let container = sample_container();
-        let container_bytes = container.encode().unwrap();
-        let sig = vec![0x7E; 97];
-        let via_helper = signed_publish_body("pub-1", &sig, &container_bytes);
-        let via_frame = Frame::PublishSigned {
-            key_id: "pub-1".into(),
-            signature: sig,
-            container,
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(via_helper, via_frame);
-        // The advertised offset really lands on the container bytes.
-        assert_eq!(
-            &via_helper[signed_container_offset("pub-1", 97)..],
-            container_bytes.as_slice()
-        );
-    }
-
     /// The publish paths that encode the container straight into the
-    /// frame give the bytes of `Frame::encode`, and the signer sees
-    /// exactly the container's encoding — also when the reserved slot
-    /// does not fit the signature.
+    /// frame give the bytes of `Frame::encode`, the signer sees exactly
+    /// the container's encoding — also when the reserved slot does not
+    /// fit the signature — and the advertised offsets of the signed and
+    /// relay bodies land on the container bytes.
     #[test]
     fn frames_encoded_in_place_match_frame_encode() {
         let container = sample_container();
@@ -872,8 +854,13 @@ mod tests {
             })
             .unwrap();
             assert_eq!(body, signed_publish_body("pub-1", &sig, &container_bytes));
+            let offset = signed_container_offset("pub-1", len);
+            assert_eq!(&body[offset..], container_bytes.as_slice());
         }
         let refused = encode_signed_publish("pub-1", 97, &container, |_| Vec::new());
         assert_eq!(refused, Err(WireError::InvalidValue));
+        let relay = relay_body("origin-1", 3, &container_bytes);
+        let offset = relay_container_offset("origin-1");
+        assert_eq!(&relay[offset..], container_bytes.as_slice());
     }
 }

@@ -225,11 +225,6 @@ impl WriterPool {
         })
     }
 
-    /// Number of shard threads (the M in "joins exactly M+R threads").
-    pub(crate) fn thread_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, id: u64) -> &Arc<WriterShard> {
         &self.shards[(id % self.shards.len() as u64) as usize]
     }
@@ -787,11 +782,6 @@ impl ReaderPool {
             next_shard: AtomicUsize::new(0),
             fd_count,
         })
-    }
-
-    /// Number of shard threads (the R in "joins exactly M+R threads").
-    pub(crate) fn thread_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Connections currently multiplexed by the pool.

@@ -77,7 +77,7 @@ pub use auth::{AuthOutcome, PublishAuth, PublisherDirectory};
 pub use backoff::{Backoff, BackoffConfig};
 pub use broker::{Broker, BrokerConfig, BrokerHandle, BrokerStats};
 pub use client::{BrokerClient, PublishReceipt};
-pub use direct::{DirectConfig, RegistrationClient, RegistrationServer};
+pub use direct::{RegistrationClient, RegistrationServer};
 pub use error::{NetError, RejectReason};
 pub use frame::{
     read_frame, write_frame, ConfigSummary, Frame, PeerRole, MAX_FRAME_LEN, PROTOCOL_VERSION,

@@ -469,14 +469,6 @@ impl RetentionStore {
             .map(|(e, _)| *e)
     }
 
-    /// The newest retained `Deliver` body for `document`.
-    pub fn newest_body(&self, document: &str) -> Option<&Arc<Vec<u8>>> {
-        self.docs
-            .get(document)
-            .and_then(|d| d.epochs.back())
-            .map(|(_, b)| b)
-    }
-
     /// The newest `depth` retained bodies for `document`, **oldest
     /// first** — exactly the order a history replay must be delivered in
     /// so epoch-monotonic subscribers accept every one.

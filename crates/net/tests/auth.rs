@@ -146,8 +146,9 @@ fn tampered_container_fails_verification() {
         Ok(Frame::Reject { reason, .. }) => assert_eq!(reason, RejectReason::BadSignature),
         other => panic!("expected BadSignature reject, got {other:?}"),
     }
-    assert!(
-        broker.retained_container("doc.xml").is_none(),
+    assert_eq!(
+        broker.stats().retained_documents,
+        0,
         "tampered container must not be retained"
     );
     broker.shutdown();
@@ -291,8 +292,9 @@ fn pipelined_signed_publishes_get_per_frame_verdicts_in_order() {
     assert!(matches!(replies[2], Frame::Ack { epoch: 7, .. }));
     assert!(matches!(replies[3], Frame::Ack { epoch: 8, .. }));
     assert_eq!(broker.stats().publishes_rejected, 1);
-    assert!(
-        broker.retained_container("doc.xml").is_some(),
+    assert_eq!(
+        broker.stats().retained_documents,
+        1,
         "honest members of the pipeline landed"
     );
     broker.shutdown();

@@ -323,7 +323,6 @@ fn retained_document_cap_bounds_broker_memory() {
         }
         other => panic!("expected cap rejection, got {other:?}"),
     }
-    assert!(broker.retained_container("c.xml").is_none());
     // The gauge reflects the refusal: the retained set did not grow.
     assert_eq!(broker.stats().retained_documents, 2);
     // Updates to already-retained documents still pass.

@@ -59,6 +59,17 @@ fn open_fds() -> usize {
         .count()
 }
 
+/// The `(writer, reader)` I/O-pool thread counts the broker reports in
+/// its `broker_{writer,reader}_pool_threads` gauges.
+fn io_threads(broker: &BrokerHandle) -> (usize, usize) {
+    let snap = broker.metrics();
+    let gauge = |name| snap.gauge(name).expect("pool gauge") as usize;
+    (
+        gauge("broker_writer_pool_threads"),
+        gauge("broker_reader_pool_threads"),
+    )
+}
+
 fn wait_until(deadline: Instant, mut done: impl FnMut() -> bool) -> bool {
     while !done() {
         if Instant::now() >= deadline {
@@ -108,7 +119,7 @@ fn thousand_subscribers_pool_threads_and_misbehaving_peer_isolation() {
     )
     .unwrap();
     let addr = broker.addr();
-    let (writers, readers) = broker.io_thread_counts();
+    let (writers, readers) = io_threads(&broker);
     let threads_before_herd = os_threads();
 
     // A thousand subscribers on a topic nothing publishes to. Under
@@ -295,7 +306,7 @@ fn shutdown_joins_exact_pool_threads_and_releases_fds() {
         },
     )
     .unwrap();
-    assert_eq!(broker.io_thread_counts(), (3, 2));
+    assert_eq!(io_threads(&broker), (3, 2));
     let addr = broker.addr();
 
     let mut subs = Vec::new();

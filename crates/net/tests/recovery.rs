@@ -13,6 +13,7 @@ use pbcd_net::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A collision-free scratch path (no tempfile crate in the workspace):
 /// pid + per-process counter under the system temp dir, cleaned by the
@@ -144,7 +145,7 @@ fn a_log_record_written_by_the_previous_release_still_recovers() {
     assert_eq!(store.recovery().records_recovered, 1);
     assert_eq!(store.recovery().truncated_bytes, 0);
     assert_eq!(store.newest_epoch("a.xml"), Some(7));
-    assert_eq!(**store.newest_body("a.xml").unwrap(), body);
+    assert_eq!(store.history("a.xml", 1), [Arc::new(body)]);
 }
 
 /// Corruption mid-log bounds recovery at the corrupt record: the valid

@@ -190,6 +190,15 @@ fn relay_cycle_is_suppressed_at_the_origin() {
     a.add_peer(b.addr().to_string()).unwrap();
     b.add_peer(c.addr().to_string()).unwrap();
     c.add_peer(a.addr().to_string()).unwrap();
+    // A link that registers after its upstream retained the container
+    // starts from the peer's catch-up, which (rightly) skips what the
+    // peer holds, so the container would never come back round to a:
+    // publish only once the whole ring is up.
+    wait_until("ring links up", 30, || {
+        [&a, &b, &c]
+            .iter()
+            .all(|broker| broker.stats().relay_links == 1)
+    });
 
     let mut publisher = BrokerClient::connect(a.addr(), PeerRole::Publisher).unwrap();
     let bytes = {
@@ -295,16 +304,22 @@ fn late_edge_cold_starts_from_the_retention_log() {
     edge.shutdown();
 }
 
-/// A link dialing an address where nothing listens yet keeps retrying
-/// under backoff and cold-starts the moment the peer appears — the
-/// partition-recovery path, compressed (the "partition" is the peer not
-/// existing yet).
+/// A link whose peer refuses it keeps retrying under backoff and
+/// cold-starts the moment the peer appears — the partition-recovery path,
+/// compressed (the "partition" is the peer not existing yet).
 #[test]
 fn link_retries_under_backoff_until_the_peer_appears() {
-    // Reserve an address, then free it: the origin dials into the void.
-    let parked = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = parked.local_addr().unwrap();
-    drop(parked);
+    // The edge's address is held for the whole test. Until the edge
+    // exists, a placeholder accepts each of the origin's dials and hangs
+    // up at once, so every attempt fails its handshake.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let placeholder = std::thread::spawn(move || {
+        for _ in 0..2 {
+            drop(listener.accept().unwrap());
+        }
+        listener
+    });
 
     let origin = broker_with(
         RelayConfig {
@@ -315,12 +330,12 @@ fn link_retries_under_backoff_until_the_peer_appears() {
     );
     let mut publisher = BrokerClient::connect(origin.addr(), PeerRole::Publisher).unwrap();
     publisher.publish(&container("late.xml", 1)).unwrap();
-    // Let several connect attempts fail before the peer materializes.
-    std::thread::sleep(Duration::from_millis(150));
+    // Two refused attempts, and the link is still down: it retried.
+    let listener = placeholder.join().unwrap();
     assert_eq!(origin.stats().relay_links, 0);
 
-    let edge = Broker::bind_with(
-        &addr.to_string(),
+    let edge = Broker::serve(
+        listener,
         BrokerConfig {
             relay: Some(relay("appears")),
             ..BrokerConfig::default()

@@ -7,10 +7,11 @@
 use pbcd::core::{NetPublisher, NetSubscriber, SystemHarness};
 use pbcd::docs::{BroadcastContainer, Element};
 use pbcd::group::P256Group;
-use pbcd::net::Broker;
+use pbcd::net::{Broker, BrokerClient, PeerRole};
 use pbcd::policy::{
     AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet,
 };
+use std::net::SocketAddr;
 
 const DIAGNOSIS: &str = "metastatic carcinoma, stage IV, immediate treatment";
 const BILLING: &str = "invoice total 12408 USD, insurer Aetna-X";
@@ -40,6 +41,20 @@ fn ward_report() -> Element {
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
+}
+
+/// The container bytes the broker retains for `document`, as a fresh
+/// subscriber's replay delivers them: everything a compromise of the
+/// broker would leak for it. Frame decoding is strict and the encoding
+/// canonical, so these are the bytes that crossed the wire.
+fn delivered_to_auditor(broker: SocketAddr, document: &str) -> Vec<u8> {
+    let mut auditor = BrokerClient::connect(broker, PeerRole::Subscriber).expect("auditor");
+    auditor.subscribe(&[document]).expect("auditor subscribes");
+    let container = auditor
+        .next_delivery()
+        .expect("replay of the retained container");
+    auditor.bye().expect("auditor leaves");
+    container.encode().expect("container encodes")
 }
 
 /// The acceptance-criteria scenario: 1 publisher, 3 subscribers over TCP,
@@ -127,9 +142,7 @@ fn loopback_dissemination_with_privacy_audit() {
 
     // Privacy audit: everything the broker retains for this document is
     // ciphertext + public metadata. No plaintext segment content anywhere.
-    let retained = broker
-        .retained_container("ward.xml")
-        .expect("broker retains the latest container");
+    let retained = delivered_to_auditor(addr, "ward.xml");
     assert!(
         !contains(&retained, DIAGNOSIS.as_bytes()),
         "diagnosis plaintext must not reach the broker"

@@ -20,12 +20,13 @@ use pbcd::core::{
     Publisher, PublisherService, Subscriber,
 };
 use pbcd::group::P256Group;
-use pbcd::net::{Broker, RegistrationClient, RegistrationServer};
+use pbcd::net::{Broker, BrokerClient, PeerRole, RegistrationClient, RegistrationServer};
 use pbcd::policy::{
     AccessControlPolicy, AttributeCondition, AttributeSet, ComparisonOp, PolicySet,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::net::SocketAddr;
 
 const DIAGNOSIS: &str = "metastatic carcinoma, stage IV, immediate treatment";
 const BILLING: &str = "invoice total 12408 USD, insurer Aetna-X";
@@ -54,6 +55,20 @@ fn ward_report() -> pbcd::docs::Element {
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     haystack.windows(needle.len()).any(|w| w == needle)
+}
+
+/// The container bytes the broker retains for `document`, as a fresh
+/// subscriber's replay delivers them: everything a compromise of the
+/// broker would leak for it. Frame decoding is strict and the encoding
+/// canonical, so these are the bytes that crossed the wire.
+fn delivered_to_auditor(broker: SocketAddr, document: &str) -> Vec<u8> {
+    let mut auditor = BrokerClient::connect(broker, PeerRole::Subscriber).expect("auditor");
+    auditor.subscribe(&[document]).expect("auditor subscribes");
+    let container = auditor
+        .next_delivery()
+        .expect("replay of the retained container");
+    auditor.bye().expect("auditor leaves");
+    container.encode().expect("container encodes")
 }
 
 /// One subscriber whose entire onboarding crosses sockets: issuance over
@@ -175,7 +190,7 @@ fn full_paper_flow_every_leg_over_loopback_tcp() {
 
     // The broker retains ciphertext only — and never saw registration at
     // all (its transport carries no such frames; different socket).
-    let retained = broker.retained_container("ward.xml").expect("retained");
+    let retained = delivered_to_auditor(broker.addr(), "ward.xml");
     for fragment in [DIAGNOSIS, BILLING, "carcinoma", "12408"] {
         assert!(
             !contains(&retained, fragment.as_bytes()),
