@@ -243,17 +243,6 @@ pub fn valid_ell(ell: u32) -> bool {
     (1..=63).contains(&ell)
 }
 
-fn expect_conditions<G: CyclicGroup>(
-    group: &G,
-    response: &[u8],
-) -> Result<ConditionsInfo, PbcdError> {
-    match Response::decode(group, response)? {
-        Response::Conditions(info) => Ok(info),
-        Response::Error(e) => Err(peer_error(e)),
-        _ => Err(PbcdError::UnexpectedResponse),
-    }
-}
-
 /// Queries a publisher endpoint for its deployment parameters and
 /// registrable conditions.
 pub fn fetch_conditions<G: CyclicGroup>(
@@ -261,8 +250,11 @@ pub fn fetch_conditions<G: CyclicGroup>(
     client: &mut RegistrationClient,
 ) -> Result<ConditionsInfo, PbcdError> {
     let request = Request::<G>::ConditionsQuery { attribute: None }.encode(group)?;
-    let response = client.call(&request)?;
-    let info = expect_conditions(group, &response)?;
+    let info = match Response::decode(group, &client.call(&request)?)? {
+        Response::Conditions(info) => info,
+        Response::Error(e) => return Err(peer_error(e)),
+        _ => return Err(PbcdError::UnexpectedResponse),
+    };
     if !valid_ell(info.ell) {
         return Err(PbcdError::Wire(pbcd_docs::WireError::InvalidValue));
     }

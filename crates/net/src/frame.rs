@@ -25,6 +25,7 @@ use pbcd_docs::wire::{
 };
 use pbcd_docs::BroadcastContainer;
 use std::io::{Read, Write};
+use std::mem::take;
 
 /// Leading bytes of every frame body.
 pub const FRAME_MAGIC: &[u8; 2] = b"PN";
@@ -329,11 +330,7 @@ impl Frame {
             KIND_HELLO => Self::Hello {
                 role: PeerRole::from_code(get_u8(&mut buf)?)?,
             },
-            KIND_PUBLISH => {
-                let container = BroadcastContainer::decode(buf)?;
-                buf = &[];
-                Self::Publish(container)
-            }
+            KIND_PUBLISH => Self::Publish(BroadcastContainer::decode(take(&mut buf))?),
             KIND_SUBSCRIBE => {
                 let depth = get_u32(&mut buf)?;
                 let count = get_u32(&mut buf)? as usize;
@@ -347,11 +344,7 @@ impl Frame {
                 }
                 Self::Subscribe { documents, depth }
             }
-            KIND_DELIVER => {
-                let container = BroadcastContainer::decode(buf)?;
-                buf = &[];
-                Self::Deliver(container)
-            }
+            KIND_DELIVER => Self::Deliver(BroadcastContainer::decode(take(&mut buf))?),
             KIND_LIST_CONFIGS => Self::ListConfigs,
             KIND_CONFIGS => {
                 let count = get_u32(&mut buf)? as usize;
@@ -397,12 +390,10 @@ impl Frame {
                     return Err(WireError::InvalidValue);
                 }
                 let signature = get_slice(&mut buf, sig_len)?.to_vec();
-                let container = BroadcastContainer::decode(buf)?;
-                buf = &[];
                 Self::PublishSigned {
                     key_id,
                     signature,
-                    container,
+                    container: BroadcastContainer::decode(take(&mut buf))?,
                 }
             }
             KIND_REJECT => {
@@ -423,12 +414,10 @@ impl Frame {
             KIND_RELAY => {
                 let origin = get_str(&mut buf)?;
                 let hops = get_u8(&mut buf)?;
-                let container = BroadcastContainer::decode(buf)?;
-                buf = &[];
                 Self::Relay {
                     origin,
                     hops,
-                    container,
+                    container: BroadcastContainer::decode(take(&mut buf))?,
                 }
             }
             KIND_RELAY_CATCH_UP => {
@@ -833,11 +822,41 @@ mod tests {
         assert!(matches!(read_frame(&mut r), Err(NetError::Protocol(_))));
     }
 
+    #[test]
+    fn relay_body_matches_frame_encode() {
+        let container_bytes = sample_container().encode().unwrap();
+        for frame in samples() {
+            if let Frame::Relay { origin, hops, .. } = &frame {
+                let body = relay_body(origin, *hops, &container_bytes);
+                assert_eq!(body, frame.encode().unwrap());
+                // The advertised offset really lands on the container bytes.
+                let offset = relay_container_offset(origin);
+                assert_eq!(&body[offset..], container_bytes.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn signed_publish_body_matches_frame_encode() {
+        let container_bytes = sample_container().encode().unwrap();
+        for frame in samples() {
+            if let Frame::PublishSigned {
+                key_id, signature, ..
+            } = &frame
+            {
+                let via_helper = signed_publish_body(key_id, signature, &container_bytes);
+                assert_eq!(via_helper, frame.encode().unwrap());
+                // The advertised offset really lands on the container bytes.
+                let offset = signed_container_offset(key_id, signature.len());
+                assert_eq!(&via_helper[offset..], container_bytes.as_slice());
+            }
+        }
+    }
+
     /// The publish paths that encode the container straight into the
-    /// frame give the bytes of `Frame::encode`, the signer sees exactly
-    /// the container's encoding — also when the reserved slot does not
-    /// fit the signature — and the advertised offsets of the signed and
-    /// relay bodies land on the container bytes.
+    /// frame give the bytes of `Frame::encode`, and the signer sees
+    /// exactly the container's encoding — also when the reserved slot
+    /// does not fit the signature.
     #[test]
     fn frames_encoded_in_place_match_frame_encode() {
         let container = sample_container();
@@ -854,13 +873,8 @@ mod tests {
             })
             .unwrap();
             assert_eq!(body, signed_publish_body("pub-1", &sig, &container_bytes));
-            let offset = signed_container_offset("pub-1", len);
-            assert_eq!(&body[offset..], container_bytes.as_slice());
         }
         let refused = encode_signed_publish("pub-1", 97, &container, |_| Vec::new());
         assert_eq!(refused, Err(WireError::InvalidValue));
-        let relay = relay_body("origin-1", 3, &container_bytes);
-        let offset = relay_container_offset("origin-1");
-        assert_eq!(&relay[offset..], container_bytes.as_slice());
     }
 }

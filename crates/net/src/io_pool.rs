@@ -166,6 +166,27 @@ struct ShardInner {
     notified_at_ns: Option<u64>,
 }
 
+impl ShardInner {
+    /// Queues `job` on slot `id`; `false` if the slot is gone or full.
+    /// An idle slot becomes ready; one already ready, retrying, or
+    /// mid-frame keeps its place (FIFO per slot is structural).
+    fn push(&mut self, id: u64, job: PoolJob) -> bool {
+        let Some(slot) = self.slots.get_mut(&id) else {
+            return false;
+        };
+        if slot.pending() >= slot.capacity {
+            return false;
+        }
+        slot.queue.push_back(job);
+        slot.depth.fetch_add(1, Ordering::Relaxed);
+        if !slot.in_ready && slot.retry_at.is_none() {
+            slot.in_ready = true;
+            self.ready.push_back(id);
+        }
+        true
+    }
+}
+
 struct WriterShard {
     inner: Mutex<ShardInner>,
     cv: Condvar,
@@ -269,23 +290,8 @@ impl WriterPool {
         }
         let shard = self.shard_for(id);
         let mut inner = shard.inner.lock().expect("writer shard");
-        if inner.shutdown {
+        if inner.shutdown || !inner.push(id, job) {
             return false;
-        }
-        let Some(slot) = inner.slots.get_mut(&id) else {
-            return false;
-        };
-        if slot.pending() >= slot.capacity {
-            return false;
-        }
-        slot.queue.push_back(job);
-        slot.depth.fetch_add(1, Ordering::Relaxed);
-        // An idle slot becomes ready; one already ready, retrying, or
-        // mid-frame keeps its place (FIFO per slot is structural).
-        let make_ready = !slot.in_ready && slot.retry_at.is_none();
-        if make_ready {
-            slot.in_ready = true;
-            inner.ready.push_back(id);
         }
         if inner.parked && inner.notified_at_ns.is_none() {
             inner.notified_at_ns = Some(shared.telemetry.registry.now_ns());
@@ -333,26 +339,17 @@ impl WriterPool {
             }
             let mut pushed_any = false;
             for id in ids {
-                let Some(slot) = inner.slots.get_mut(&id) else {
-                    overflowed.push(id);
-                    continue;
-                };
-                if slot.pending() >= slot.capacity {
-                    overflowed.push(id);
-                    continue;
-                }
-                slot.queue.push_back(PoolJob::Deliver {
+                let job = PoolJob::Deliver {
                     body: Arc::clone(body),
                     epoch,
                     enqueued_ns,
-                });
-                slot.depth.fetch_add(1, Ordering::Relaxed);
-                if !slot.in_ready && slot.retry_at.is_none() {
-                    slot.in_ready = true;
-                    inner.ready.push_back(id);
+                };
+                if inner.push(id, job) {
+                    fanout += 1;
+                    pushed_any = true;
+                } else {
+                    overflowed.push(id);
                 }
-                fanout += 1;
-                pushed_any = true;
             }
             if pushed_any {
                 if inner.parked && inner.notified_at_ns.is_none() {
@@ -590,22 +587,19 @@ enum Pump {
 /// Advances the slot's write cursor as far as the socket accepts.
 fn pump_cursor(slot: &mut Slot) -> Pump {
     let cursor = slot.cursor.as_mut().expect("pump without cursor");
-    while cursor.head_sent < cursor.head.len() {
-        match (&slot.stream).write(&cursor.head[cursor.head_sent..]) {
-            Ok(0) => return Pump::Failed,
-            Ok(n) => cursor.head_sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Pump::WouldBlock,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Pump::Failed,
-        }
-    }
-    while cursor.body_sent < cursor.body.len() {
-        match (&slot.stream).write(&cursor.body[cursor.body_sent..]) {
-            Ok(0) => return Pump::Failed,
-            Ok(n) => cursor.body_sent += n,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Pump::WouldBlock,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Pump::Failed,
+    let parts = [
+        (&cursor.head[..], &mut cursor.head_sent),
+        (&cursor.body[..], &mut cursor.body_sent),
+    ];
+    for (bytes, sent) in parts {
+        while *sent < bytes.len() {
+            match (&slot.stream).write(&bytes[*sent..]) {
+                Ok(0) => return Pump::Failed,
+                Ok(n) => *sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Pump::WouldBlock,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return Pump::Failed,
+            }
         }
     }
     Pump::Done
