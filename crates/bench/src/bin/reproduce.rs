@@ -917,16 +917,16 @@ fn bench_json(opts: &Opts) {
                 "p256_exp_shared_scalar_48_naive",
             ],
             LIST_ROUNDS,
-            |_| p256.exp_shared_scalar_shifted(&bases, &k, &base),
+            |_| p256.exp_shared_scalar_stepped(&bases, &k, &base, 1),
             |_| {
                 bases
                     .iter()
-                    .map(|b| {
+                    .flat_map(|b| {
                         let p = p256.exp(b, &k);
                         let shifted = p256.op(&p, &base);
-                        (p, shifted)
+                        [p, shifted]
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
             },
             PartialEq::eq,
         );
@@ -1185,8 +1185,8 @@ fn fig2(opts: &Opts) {
     } else {
         vec![5, 10, 15, 20, 25, 30, 35, 40]
     };
-    let mut rng = bench_rng();
-    println!("== Figure 2: GE-OCBE average time over {rounds} rounds (ms) ==");
+    let (mut rng, w) = (bench_rng(), pbcd_ocbe::bitwise::DIGIT_BITS);
+    println!("== Figure 2: GE-OCBE average time over {rounds} rounds (ms), {w}-bit digits ==");
     print_row(
         "l",
         &[
@@ -1212,7 +1212,7 @@ fn fig2(opts: &Opts) {
                 .collect::<Vec<_>>(),
         );
     }
-    println!("paper shape: all three series linear in l; compose largest;");
+    println!("paper shape: all three series linear in ceil(l/{w}) digits (the paper's bitwise form is w = 1); compose largest;");
     println!("paper magnitudes at l=40 (2009 HW, genus-2): ~900/~420/~430 ms.\n");
 }
 

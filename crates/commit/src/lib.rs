@@ -6,14 +6,19 @@
 //! where `g, h` are group generators with unknown relative discrete
 //! logarithm. The scheme is unconditionally hiding and computationally
 //! binding under the DL assumption. OCBE relies on the homomorphic
-//! operations exposed here (`c · g^{−x₀}`, products of bit commitments
-//! weighted by powers of two).
+//! operations exposed here (`c · g^{−x₀}`, products of digit commitments
+//! weighted by powers of eight).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pbcd_group::{CyclicGroup, Scalar};
 use rand::RngCore;
+
+/// Bits per digit of the GE/LE-OCBE difference decomposition: digit
+/// commitments are weighted by powers of `2^DIGIT_BITS` in
+/// [`Pedersen::weighted_product`].
+pub const DIGIT_BITS: u32 = 3;
 
 /// A Pedersen commitment: a single group element.
 pub struct Commitment<G: CyclicGroup> {
@@ -165,14 +170,15 @@ impl<G: CyclicGroup> Pedersen<G> {
         }
     }
 
-    /// `Π cᵢ^{2^i}` — the weighted product the GE/LE-OCBE sender uses to
-    /// check bit decompositions, evaluated Horner-style (msb first) by
-    /// the backend ([`CyclicGroup::prod_pow2`] — projective backends run
-    /// the whole chain with one final normalization).
+    /// `Π cᵢ^{8ⁱ}` (radix `2^DIGIT_BITS`) — the weighted product the GE/LE
+    /// OCBE sender uses to check digit decompositions, evaluated
+    /// Horner-style (msb first) by the backend ([`CyclicGroup::prod_horner`]
+    /// — projective backends run the whole chain with one final
+    /// normalization).
     pub fn weighted_product(&self, commitments: &[Commitment<G>]) -> Commitment<G> {
         let elems: Vec<G::Elem> = commitments.iter().map(|c| c.elem.clone()).collect();
         Commitment {
-            elem: self.group.prod_pow2(&elems),
+            elem: self.group.prod_horner(&elems, DIGIT_BITS),
         }
     }
 
@@ -308,23 +314,22 @@ mod tests {
 
     #[test]
     fn weighted_product_matches_bit_decomposition() {
-        // Commit bitwise to d = Σ 2^i d_i with r = Σ 2^i r_i and check
-        // Π c_i^{2^i} = g^d h^r — the exact GE-OCBE sender check.
+        // Commit digitwise to d = Σ 8^i d_i with r = Σ 8^i r_i and check
+        // Π c_i^{8^i} = g^d h^r — the exact GE-OCBE sender check.
         let group = P256Group::new();
         let ped = Pedersen::new(group.clone());
         let sc = group.scalar_ctx().clone();
         let mut r = rng();
-        let d: u64 = 0b1011_0110;
-        let ell = 8u32;
+        let d: u64 = 0o7_6543_2107;
         let mut commitments = Vec::new();
         let mut r_total = sc.zero();
         let mut weight = sc.one();
-        let two = sc.from_u64(2);
-        for i in 0..ell {
-            let bit = (d >> i) & 1;
-            let (c, o) = ped.commit_u64(bit, &mut r);
+        let radix = sc.from_u64(1 << DIGIT_BITS);
+        for i in 0..10 {
+            let digit = (d >> (DIGIT_BITS * i)) & 7;
+            let (c, o) = ped.commit_u64(digit, &mut r);
             r_total = &r_total + &(&weight * &o.randomness);
-            weight = &weight * &two;
+            weight = &weight * &radix;
             commitments.push(c);
         }
         let prod = ped.weighted_product(&commitments);

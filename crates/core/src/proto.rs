@@ -430,9 +430,8 @@ fn put_bitwise_envelope<G: CyclicGroup>(
 ) -> Result<(), WireError> {
     put_elem(buf, group, &env.eta)?;
     buf.extend_from_slice(&(env.shares.len() as u32).to_be_bytes());
-    for [s0, s1] in &env.shares {
-        buf.extend_from_slice(s0);
-        buf.extend_from_slice(s1);
+    for share in &env.shares {
+        buf.extend_from_slice(share);
     }
     wire::put_bytes(buf, &env.ciphertext)
 }
@@ -443,16 +442,13 @@ fn get_bitwise_envelope<G: CyclicGroup>(
 ) -> Result<BitwiseEnvelope<G>, WireError> {
     let eta = get_elem(buf, group)?;
     let count = wire::get_u32(buf)? as usize;
-    // Each share is exactly 64 bytes on the wire.
-    if count > buf.len() / 64 + 1 {
+    // Each share is exactly 32 bytes on the wire.
+    if count > buf.len() / 32 {
         return Err(WireError::Truncated);
     }
-    let mut shares = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let s0 = wire::get_fixed::<32>(buf)?;
-        let s1 = wire::get_fixed::<32>(buf)?;
-        shares.push([s0, s1]);
-    }
+    let shares = (0..count)
+        .map(|_| wire::get_fixed::<32>(buf))
+        .collect::<Result<_, _>>()?;
     let ciphertext = wire::get_bytes(buf)?;
     Ok(BitwiseEnvelope {
         eta,

@@ -167,14 +167,14 @@ const REQUEST_PINS: [&str; 12] = [
     "b72acf1d97bb1a931595707a39881b37b358cdcdf979f76d0fb1f602bc9167e7",
     "903bef8756b05da93a252b81842aa7556b7d86cc68cd2cac12987bb442c1ebd4",
     "61bd3d716dab3667b1a8f39a26b1d812a1e3bcc6b76ad5b2f622f13ab63867c1",
-    "d02812e732b48cec2aaf3085965e341200418ed0dda17f6cf173ed00392d13c0",
-    "3a29d4f58808d8bbc790edb3997f84c51a75d31ee6d4dc66e4be01b7b6cfe97e",
-    "e2818867bac7467e33d05b45bddf35972187706fd255694186e952364d3b28cf",
-    "278ab293fcd61bed2ee51a5145a324b700e0a68f70e49fe4dba7038892b4d9ef",
-    "7c83ddc4584069ef793321856756dffdda2776c4a2156ee02e9639505baab1b8",
-    "ef275828f149f246aee2100a88b10d885bbc89a92af7f47302532270883bb526",
-    "40cda7ce3497c554c14aa57698e9a91e0956bd8eb36795067b41a5bbb18af441",
-    "bb139b9d09de8da78dc97882977881ef5356625ae23c92c8abf0d36dfeaaba81",
+    "389a9bedad8b2f7cc2de5c37a83c5821cdc2166c30576fc30ec0349537514b18",
+    "4f04fcbaf4b81296ffe428b7e7fb095be75c8557e185bb6fa8c8ecbea323906a",
+    "60dd22249ae7712c064c50e8bed0bd35b9d6d43cc68ae4c9d05a4da9df67e1f3",
+    "c48d03ff45807d635ece33d5d17d4b930d96fd773219473dd6d51c8bd9bc3399",
+    "173692235ff010351bc6712a5f0bc9b7c4dca334b71ee0eec272e89e5858b5a2",
+    "681b07a279596fc5ecc7dfc2bf7aa5c20b4cd8302fe5cf9ba4fc41fc37dba5a1",
+    "0adbc4d98e9d40b6ac60931d41f9929ab2b6bf0c8f427a982496e3a11b668f7f",
+    "ecf735ce63b71f72292b26de4229de1be5e0d1dc2bc71996fb1d96ad3a7f15ad",
 ];
 
 /// SHA-256 of each response encoding of [`sample_messages`], in order.
@@ -183,14 +183,14 @@ const RESPONSE_PINS: [&str; 12] = [
     "6047567057197ebb23f0b8368149f3f6989bdca2c30ae79d867d21d57d4ec4dd",
     "8569bd3fb6300bcedef22286bf145e1ae7caa0ae34d857c4a7637d368339e75d",
     "dc936701a9ac820686b768c7ac4eccff6f360fbd9acf222c15e3565ad29d8254",
-    "34ca6401733c46efd6a3d13d4260a14bdcbb562ee9fd6538f0435c86cd4ffea0",
-    "b1dda6d6f9f935b034893412a90cf4fbb0fb8af4891d03b3e25348df1630f161",
-    "b7eca58ea7015f88cb169dc26821ba097b6f48852c09cbeaa77497a5166960dc",
-    "d2723e8bbe10514a6286876262e2b0e11b1e1e17d1daf200a23bb60a0bd9cb10",
-    "ed2ecca0e8ff55cb6154acf69183a923c7dce1edfd570361951110313dae54db",
-    "0b1ccb6e09a12892d85ed785a7ae75eb541d31fb5ede510e6fbbacb8d0c25cc4",
-    "10060f7f50603dfab25d57475e5c4db5b9a00ff7270a47ecdb1473d1394b0374",
-    "6739526222dbfadf9a115efc4a5c4448c1be2a020c0704ec4e3066779f21e766",
+    "d0c7be978c3c096f9bd6ffbe03dbeb463d5c1c765efa2f237fdf27318767149a",
+    "c84f700cb77d35a645644c0d26e9e656208f1fc5156c4a885c1763632e204ea7",
+    "4c82ea9453d2e08315fc50ff1955c5195162a13155235dd7582f61c7861b9ac8",
+    "f8b2237d1c2fb5b5cc244a31a511b5f3a4beb719c3ed4ed71597cb9ba4db6a7d",
+    "da747cd86172c6ad04aaeb5746980a29a414ee3aefb9b62b4fad32269010e460",
+    "6b85e9a9cd677e8dce2db56d1921856ea723d7597bdafed958591267e499e913",
+    "27ad64fa8f85e6d832e8fd9ac95d1929a812357c2bb3727686b63cc2b2c3ad18",
+    "a1e18e1373acea35bd542b247d0900c6bdbccffc9ee7361722c41ae4c6518d05",
 ];
 
 /// The SHA-256 of every request and every response encoding above: a

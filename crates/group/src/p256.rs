@@ -317,7 +317,8 @@ impl P256Group {
     }
 
     /// Mixed addition `p + q` with affine `q` (madd-2007-bl, `Z2 = 1`):
-    /// 7M + 4S versus 11M + 5S for the general addition. Kernel field ops.
+    /// 8M + 3S (`z3 = 2·z1·h` in place of madd's squaring) versus 11M + 5S
+    /// for the general addition. Kernel field ops.
     fn jac_add_affine(&self, p: &Jacobian, q: &AffinePt) -> Jacobian {
         if p.z.is_zero() {
             return self.jac_from_affine(q);
@@ -343,7 +344,9 @@ impl P256Group {
             &pf::mul(&r, &pf::sub(&v, &x3)),
             &pf::dbl(&pf::mul(&p.y, &j)),
         );
-        let z3 = pf::sub(&pf::sub(&pf::sqr(&pf::add(&p.z, &h)), &z1z1), &hh);
+        // z3 = 2·z1·h — the textbook (z1 + h)² − z1z1 − hh by one multiply
+        // and one doubling, as in `jac_double`.
+        let z3 = pf::dbl(&pf::mul(&p.z, &h));
         Jacobian {
             x: x3,
             y: y3,
@@ -888,12 +891,13 @@ impl CyclicGroup for P256Group {
         self.batch_to_points(&sums)
     }
 
-    fn exp_shared_scalar_shifted(
+    fn exp_shared_scalar_stepped(
         &self,
         bases: &[P256Point],
         k: &Scalar,
         shift: &P256Point,
-    ) -> Vec<(P256Point, P256Point)> {
+        steps: usize,
+    ) -> Vec<P256Point> {
         const TABLE_LEN: usize = 1 << (WNAF_WINDOW - 2);
         crate::ops::count_exp(bases.len() as u64);
         let mut digits = [0i8; 257];
@@ -921,16 +925,23 @@ impl CyclicGroup for P256Group {
                 }
             }
         }
-        let mut both = Vec::with_capacity(2 * accs.len());
-        for acc in &accs {
-            both.push(*acc);
-            both.push(match shift {
-                P256Point::Identity => *acc,
-                P256Point::Affine { x, y } => self.jac_add_affine(acc, &AffinePt { x: *x, y: *y }),
-            });
+        // Each row's steps are mixed additions of the affine shift; the
+        // whole grid is normalised by one more inversion.
+        let shift = match shift {
+            P256Point::Affine { x, y } => Some(AffinePt { x: *x, y: *y }),
+            P256Point::Identity => None,
+        };
+        let mut grid = Vec::with_capacity(accs.len() * (steps + 1));
+        for mut acc in accs {
+            grid.push(acc);
+            for _ in 0..steps {
+                if let Some(s) = &shift {
+                    acc = self.jac_add_affine(&acc, s);
+                }
+                grid.push(acc);
+            }
         }
-        let mut points = self.batch_to_points(&both).into_iter();
-        std::iter::from_fn(|| Some((points.next()?, points.next()?))).collect()
+        self.batch_to_points(&grid)
     }
 
     fn exp_shared_base(&self, base: &P256Point, ks: &[Scalar]) -> Vec<P256Point> {
@@ -971,15 +982,14 @@ impl CyclicGroup for P256Group {
         self.to_affine(&self.pippenger(&pts, &scalars))
     }
 
-    fn prod_pow2(&self, elems: &[P256Point]) -> P256Point {
+    fn prod_horner(&self, elems: &[P256Point], w: u32) -> P256Point {
         let mut acc = self.jac_identity();
         for e in elems.iter().rev() {
-            acc = self.jac_double(&acc);
-            match e {
-                P256Point::Identity => {}
-                P256Point::Affine { x, y } => {
-                    acc = self.jac_add_affine(&acc, &AffinePt { x: *x, y: *y });
-                }
+            for _ in 0..w {
+                acc = self.jac_double(&acc);
+            }
+            if let P256Point::Affine { x, y } = e {
+                acc = self.jac_add_affine(&acc, &AffinePt { x: *x, y: *y });
             }
         }
         self.to_affine(&acc)

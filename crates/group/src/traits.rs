@@ -119,40 +119,45 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
 
     /// [`CyclicGroup::pedersen_gh`] over a list of `(m, r)` pairs.
     ///
-    /// The bitwise OCBE receiver commits to ℓ digits at once; projective
+    /// The GE/LE-OCBE receiver commits to all its digits at once; projective
     /// backends override this to normalise the whole list with one shared
     /// inversion. Counts as two exponentiations per pair either way.
     fn pedersen_gh_many(&self, pairs: &[(Scalar, Scalar)]) -> Vec<Self::Elem> {
         pairs.iter().map(|(m, r)| self.pedersen_gh(m, r)).collect()
     }
 
-    /// `(bᵢ^k, bᵢ^k · shift)` for every base `bᵢ` under one shared scalar.
+    /// `bᵢ^k · shift^j` for every base `bᵢ` under one shared scalar and
+    /// every step `j = 0..=steps`, flat and base-major: row `i` is
+    /// `[bᵢ^k, bᵢ^k · shift, …, bᵢ^k · shift^steps]`.
     ///
-    /// The bitwise OCBE sender masks two key shares per digit commitment
-    /// with `cᵢ^y` and `(cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}`: one exponentiation and
-    /// one group operation per digit instead of two exponentiations.
-    /// Backends override this to recode `k` once and normalise every
-    /// result together; the default composes [`CyclicGroup::exp`] and
-    /// [`CyclicGroup::op`].
-    fn exp_shared_scalar_shifted(
+    /// The GE/LE-OCBE sender masks the `2^w` key shares of each radix-`2^w`
+    /// digit commitment with `(cᵢ·g^{−j})^y = cᵢ^y · g^{−jy}`: one
+    /// exponentiation per digit and one group operation per further step
+    /// instead of one exponentiation per share. Backends override this to
+    /// recode `k` once and normalise every result together; the default
+    /// composes [`CyclicGroup::exp`] and [`CyclicGroup::op`].
+    fn exp_shared_scalar_stepped(
         &self,
         bases: &[Self::Elem],
         k: &Scalar,
         shift: &Self::Elem,
-    ) -> Vec<(Self::Elem, Self::Elem)> {
-        bases
-            .iter()
-            .map(|b| {
-                let p = self.exp(b, k);
-                let shifted = self.op(&p, shift);
-                (p, shifted)
-            })
-            .collect()
+        steps: usize,
+    ) -> Vec<Self::Elem> {
+        let mut out = Vec::with_capacity(bases.len() * (steps + 1));
+        for b in bases {
+            let mut p = self.exp(b, k);
+            out.push(p.clone());
+            for _ in 0..steps {
+                p = self.op(&p, shift);
+                out.push(p.clone());
+            }
+        }
+        out
     }
 
     /// `base^{kᵢ}` for every scalar `kᵢ` under one shared base.
     ///
-    /// The bitwise OCBE receiver raises the envelope's `η` to each digit's
+    /// The GE/LE-OCBE receiver raises the envelope's `η` to each digit's
     /// randomness. Backends override this to build one fixed-base table
     /// for `base` and serve every scalar from it; the default composes
     /// [`CyclicGroup::exp`].
@@ -184,17 +189,20 @@ pub trait CyclicGroup: Clone + Send + Sync + 'static {
     /// for backends without precomputation.
     fn warm_up(&self) {}
 
-    /// `Π elemsᵢ^(2^i)` — the power-of-two weighted product the bitwise
+    /// `Π elemsᵢ^(2^(w·i))` — the radix-`2^w` weighted product the GE/LE
     /// OCBE sender uses to reassemble digit commitments, evaluated
-    /// Horner-style (msb first).
+    /// Horner-style (msb first, `w` squarings per element).
     ///
     /// Backends with expensive per-`op` normalization (projective curves)
     /// override this to run the whole chain in projective coordinates
     /// with a single final normalization.
-    fn prod_pow2(&self, elems: &[Self::Elem]) -> Self::Elem {
+    fn prod_horner(&self, elems: &[Self::Elem], w: u32) -> Self::Elem {
         let mut acc = self.identity();
         for e in elems.iter().rev() {
-            acc = self.op(&self.op(&acc, &acc), e);
+            for _ in 0..w {
+                acc = self.op(&acc, &acc);
+            }
+            acc = self.op(&acc, e);
         }
         acc
     }

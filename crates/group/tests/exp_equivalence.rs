@@ -1,7 +1,7 @@
 //! Equivalence suite for the fast exponentiation paths: every optimized
 //! route (sliding-window/wNAF `exp`, fixed-base `exp_g`/`exp_h`,
-//! `pedersen_gh`, `prod_pow2`, and the list primitives
-//! `exp_shared_scalar_shifted`, `exp_shared_base`, `pedersen_gh_many`)
+//! `pedersen_gh`, `prod_horner`, and the list primitives
+//! `exp_shared_scalar_stepped`, `exp_shared_base`, `pedersen_gh_many`)
 //! must agree **bit-identically** with
 //! the naive double-and-add reference ladder, on both backends, for
 //! random scalars and the edge exponents `0, 1, 2, q−1`, and the prepared
@@ -228,12 +228,15 @@ fn check_prod_pow2<G: NaiveExp>(group: &G, seed: u64) {
                 }
             })
             .collect();
-        // Naive Horner fold with plain ops.
-        let mut expect = group.identity();
-        for e in elems.iter().rev() {
-            expect = group.op(&group.op(&expect, &expect), e);
+        // Naive fold with plain ops: Π eᵢ^(2^(w·i)).
+        for w in [1u32, 3] {
+            let mut expect = group.identity();
+            for (i, e) in elems.iter().enumerate() {
+                let weight = U256::one().shl(w * i as u32);
+                expect = group.op(&expect, &group.reference_exp(e, &weight));
+            }
+            assert_eq!(group.prod_horner(&elems, w), expect, "len={len} w={w}");
         }
-        assert_eq!(group.prod_pow2(&elems), expect, "len={len}");
     }
 }
 
@@ -285,9 +288,9 @@ fn modp_msm_matches_naive_composition() {
 
 /// The shared-scalar, shared-base and batched-commitment primitives
 /// against per-element `exp`/`op`: scalars `0, 1, 2, q−1` and random, an
-/// identity base mid-list, `shift` ∈ {identity, `g`}, a base whose shifted
-/// power is the identity, and list lengths on both sides of the backends'
-/// table fall-back threshold.
+/// identity base mid-list, `shift` ∈ {identity, `g`}, 0, 1 and 7 steps, a
+/// base whose stepped power meets the identity mid-row, and list lengths
+/// on both sides of the backends' table fall-back threshold.
 fn check_shared_paths<G: NaiveExp>(group: &G, seed: u64) {
     let sc = group.scalar_ctx().clone();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -301,26 +304,41 @@ fn check_shared_paths<G: NaiveExp>(group: &G, seed: u64) {
             })
             .collect();
         for k in &cases {
-            for shift in [group.identity(), g.clone()] {
-                let mut bases = bases.clone();
+            let powers: Vec<_> = bases
+                .iter()
+                .map(|b| group.reference_exp(b, &k.to_uint()))
+                .collect();
+            for (shift, steps) in [
+                (group.identity(), 7),
+                (g.clone(), 0),
+                (g.clone(), 1),
+                (g.clone(), 7),
+            ] {
+                let (mut bases, mut powers) = (bases.clone(), powers.clone());
                 if len > 3 && !k.is_zero() {
-                    // b₃^k = shift⁻¹, so the shifted half is the identity.
+                    // b₃^k = shift⁻¹, so step 1 is the identity; with
+                    // `shift = g` step 2 is `g` again, an addition that
+                    // starts from the identity.
                     let k_inv = k.inv().expect("nonzero scalar");
                     bases[3] = group.exp(&group.inv(&shift), &k_inv);
+                    powers[3] = group.reference_exp(&bases[3], &k.to_uint());
                 }
-                let expect: Vec<_> = bases
-                    .iter()
-                    .map(|b| {
-                        let p = group.reference_exp(b, &k.to_uint());
-                        let shifted = group.op(&p, &shift);
-                        (p, shifted)
-                    })
-                    .collect();
-                if len > 3 && !k.is_zero() {
-                    assert_eq!(expect[3].1, group.identity());
+                let mut expect = Vec::new();
+                for mut p in powers {
+                    expect.push(p.clone());
+                    for _ in 0..steps {
+                        p = group.op(&p, &shift);
+                        expect.push(p.clone());
+                    }
                 }
-                let got = group.exp_shared_scalar_shifted(&bases, k, &shift);
-                assert_eq!(got, expect, "exp_shared_scalar_shifted len={len}");
+                if len > 3 && !k.is_zero() && steps > 0 {
+                    assert_eq!(expect[3 * (steps + 1) + 1], group.identity());
+                }
+                let got = group.exp_shared_scalar_stepped(&bases, k, &shift, steps);
+                assert_eq!(
+                    got, expect,
+                    "exp_shared_scalar_stepped len={len} steps={steps}"
+                );
             }
         }
         // `len` scalars drawn from the edge cases and fresh random ones.

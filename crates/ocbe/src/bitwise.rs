@@ -1,21 +1,27 @@
-//! GE-/LE-OCBE (paper §IV-C): bitwise oblivious envelopes for inequality
-//! predicates over ℓ-bit attribute values.
+//! GE-/LE-OCBE (paper §IV-C): oblivious envelopes for inequality
+//! predicates over ℓ-bit attribute values, on radix-8 digits.
 //!
-//! The receiver decomposes the difference `d` into ℓ digit commitments
-//! `cᵢ = g^{dᵢ} h^{rᵢ}`; the sender checks they reassemble to the
-//! difference commitment, then publishes per-digit masked key shares
-//! `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` for `j ∈ {0,1}` plus `η = h^y` and the
-//! payload encrypted under `k = H(k₀‖…‖k_{ℓ−1})`. A receiver whose digits
-//! are all bits recovers every `kᵢ`; an unqualified receiver's digit `d₀`
-//! is a non-bit field element and its share cannot be unmasked.
+//! The receiver decomposes the difference `d` into `D = ⌈ℓ/3⌉` digit
+//! commitments `cᵢ = g^{dᵢ} h^{rᵢ}` with `dᵢ ∈ [0, 2^{wᵢ})`, where `wᵢ` is
+//! [`DIGIT_BITS`] except for the top digit, which gets what remains of ℓ:
+//! exactly the ℓ-bit differences decompose. The sender checks the digits
+//! reassemble to the difference commitment (`Π cᵢ^{8ⁱ}`), then publishes
+//! per-digit masked key shares `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` for every
+//! `j ∈ [0, 2^{wᵢ})`, plus `η = h^y` and the payload encrypted under
+//! `k = H(k₀‖…‖k_{D−1})`. A receiver whose digits are all in range
+//! recovers every `kᵢ`; an unqualified receiver's digit `d₀` is an
+//! out-of-range field element and has no share to unmask. The paper's
+//! bitwise form is the width-1 case (`docs/ARCHITECTURE.md`, "GE/LE-OCBE
+//! on radix-8 digits").
 //!
 //! Each stage is one list operation of the group backend: the receiver
-//! commits to its ℓ digits together, the sender raises the ℓ commitments
-//! to the one `y` and gets the `j = 1` twins from the one shift `g^{−y}`
-//! (`(cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}`), and the receiver raises the one `η` to
-//! its ℓ digit randomnesses.
+//! commits to its D digits together, the sender raises the D commitments
+//! to the one `y` and steps each through its `2^{wᵢ}` shares by the one
+//! shift `g^{−y}` (`(cᵢ·g^{−j})^y = cᵢ^y · g^{−jy}`), and the receiver
+//! raises the one `η` to its D digit randomnesses.
 
 use crate::error::OcbeError;
+pub use pbcd_commit::DIGIT_BITS;
 use pbcd_commit::{Commitment, Opening, Pedersen};
 use pbcd_crypto::{sha256, AuthKey};
 use pbcd_group::{CyclicGroup, Scalar};
@@ -40,9 +46,9 @@ impl Direction {
     }
 }
 
-/// The receiver's public proof message: ℓ digit commitments.
+/// The receiver's public proof message: D digit commitments.
 pub struct BitProof<G: CyclicGroup> {
-    /// Digit commitments `c₀, …, c_{ℓ−1}` (least-significant first).
+    /// Digit commitments `c₀, …, c_{D−1}` (least-significant first).
     pub commitments: Vec<Commitment<G>>,
 }
 
@@ -57,10 +63,12 @@ impl<G: CyclicGroup> Clone for BitProof<G> {
 /// The receiver's private opening material for a [`BitProof`].
 #[derive(Clone)]
 pub struct BitSecrets {
-    /// Digit value as a bit when it is one (all digits for qualified
-    /// receivers; `None` marks the non-bit digit of unqualified receivers).
-    digit_bits: Vec<Option<u8>>,
-    /// Digit randomness `r₀, …, r_{ℓ−1}`.
+    /// ℓ, which fixes the digit widths and the envelope's share count.
+    ell: u32,
+    /// Digit values when in range (all digits for qualified receivers;
+    /// `None` marks the out-of-range digit of unqualified receivers).
+    digits: Vec<Option<u8>>,
+    /// Digit randomness `r₀, …, r_{D−1}`.
     randomness: Vec<Scalar>,
 }
 
@@ -68,8 +76,9 @@ pub struct BitSecrets {
 pub struct BitwiseEnvelope<G: CyclicGroup> {
     /// `η = h^y`.
     pub eta: G::Elem,
-    /// Masked key shares `Cᵢʲ`, indexed `[digit][j]`.
-    pub shares: Vec<[[u8; 32]; 2]>,
+    /// Masked key shares `Cᵢʲ`, digit-major: digit `i`'s `2^{wᵢ}` shares in
+    /// order of `j`, then digit `i + 1`'s.
+    pub shares: Vec<[u8; 32]>,
     /// Authenticated ciphertext of the payload under `k`.
     pub ciphertext: Vec<u8>,
 }
@@ -88,15 +97,21 @@ impl<G: CyclicGroup> core::fmt::Debug for BitwiseEnvelope<G> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "BitwiseEnvelope(ℓ={}, |C|={})",
+            "BitwiseEnvelope(shares={}, |C|={})",
             self.shares.len(),
             self.ciphertext.len()
         )
     }
 }
 
+/// The digit widths `w₀, …, w_{D−1}` for ℓ, least-significant first:
+/// [`DIGIT_BITS`] each, the top digit taking what remains of ℓ.
+fn digit_widths(ell: u32) -> impl Iterator<Item = u32> {
+    (0..ell.div_ceil(DIGIT_BITS)).map(move |i| DIGIT_BITS.min(ell - DIGIT_BITS * i))
+}
+
 /// Receiver step "create extra commitments": decomposes the difference into
-/// ℓ digit commitments. Works for both qualified and unqualified values —
+/// D digit commitments. Works for both qualified and unqualified values —
 /// the proof message is indistinguishable to the sender either way.
 pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
     ped: &Pedersen<G>,
@@ -111,7 +126,8 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
         return Err(OcbeError::InvalidParameters);
     }
     let sc = ped.group().scalar_ctx().clone();
-    let ell = ell as usize;
+    let widths: Vec<u32> = digit_widths(ell).collect();
+    let radix = sc.from_u64(1 << DIGIT_BITS);
     // Out-of-range committed values (e.g. the §VI-A decoy tokens, which
     // commit far above 2^ℓ) can never satisfy an in-range inequality: the
     // difference has no ℓ-bit decomposition. Run the unsatisfied path.
@@ -126,50 +142,46 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
         Direction::Le => (&sc.from_u64(x0) - &sc.from_u64(x), -&opening.randomness),
     };
 
-    // Randomness split: r₀ = base_r − Σ_{i≥1} 2ⁱ rᵢ so Σ 2ⁱ rᵢ = base_r.
-    let mut randomness = Vec::with_capacity(ell);
-    randomness.push(sc.zero()); // placeholder for r₀
-    let mut acc = sc.zero();
-    let mut weight = &sc.one() + &sc.one(); // 2^1
-    let two = weight.clone();
-    for _ in 1..ell {
-        let ri = sc.random(rng);
-        acc = &acc + &(&weight * &ri);
-        weight = &weight * &two;
-        randomness.push(ri);
-    }
-    randomness[0] = &base_r - &acc;
+    // Σ_{i≥1} 8ⁱ vᵢ, Horner-style: what digit 0 has to make up for.
+    let high = |v: &[Scalar]| {
+        v[1..]
+            .iter()
+            .rev()
+            .fold(sc.zero(), |acc, vi| &(&acc + vi) * &radix)
+    };
 
-    // Digit split: bits of |d| when satisfied; otherwise random high bits
-    // with the non-bit remainder folded into digit 0.
-    let mut digit_scalars = Vec::with_capacity(ell);
-    let mut digit_bits = Vec::with_capacity(ell);
-    if satisfied {
+    // Randomness split: r₀ = base_r − Σ_{i≥1} 8ⁱ rᵢ so Σ 8ⁱ rᵢ = base_r.
+    let mut randomness: Vec<Scalar> = std::iter::once(sc.zero()) // placeholder for r₀
+        .chain((1..widths.len()).map(|_| sc.random(rng)))
+        .collect();
+    randomness[0] = &base_r - &high(&randomness);
+
+    // Digit split: the radix-8 digits of |d| when satisfied; otherwise
+    // random in-range high digits with the out-of-range remainder folded
+    // into digit 0.
+    let digits: Vec<Option<u8>> = if satisfied {
         let d_int = match dir {
             Direction::Ge => x - x0,
             Direction::Le => x0 - x,
         };
-        debug_assert!(d_int < (1u64 << ell));
-        for i in 0..ell {
-            let bit = ((d_int >> i) & 1) as u8;
-            digit_scalars.push(sc.from_u64(bit as u64));
-            digit_bits.push(Some(bit));
-        }
+        (0..)
+            .zip(&widths)
+            .map(|(i, w)| Some(((d_int >> (DIGIT_BITS * i)) & ((1 << w) - 1)) as u8))
+            .collect()
     } else {
-        digit_scalars.push(sc.zero()); // placeholder for d₀
-        digit_bits.push(None);
-        let mut acc = sc.zero();
-        let mut weight = two.clone();
-        for _ in 1..ell {
-            let bit = (rng.next_u32() & 1) as u8;
-            acc = &acc + &(&weight * &sc.from_u64(bit as u64));
-            weight = &weight * &two;
-            digit_scalars.push(sc.from_u64(bit as u64));
-            digit_bits.push(Some(bit));
-        }
-        digit_scalars[0] = &d_scalar - &acc;
-        // d₀ lands in {0,1} only with negligible probability; treat that
-        // as the non-bit it almost surely is.
+        // d₀ lands in range only with negligible probability; treat it as
+        // the out-of-range digit it almost surely is.
+        let upper = widths[1..]
+            .iter()
+            .map(|w| Some((rng.next_u32() & ((1 << w) - 1)) as u8));
+        std::iter::once(None).chain(upper).collect()
+    };
+    let mut digit_scalars: Vec<Scalar> = digits
+        .iter()
+        .map(|d| sc.from_u64(d.unwrap_or(0).into()))
+        .collect();
+    if !satisfied {
+        digit_scalars[0] = &d_scalar - &high(&digit_scalars);
     }
 
     let pairs: Vec<(Scalar, Scalar)> = digit_scalars
@@ -180,7 +192,8 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
     Ok((
         BitProof { commitments },
         BitSecrets {
-            digit_bits,
+            ell,
+            digits,
             randomness,
         },
     ))
@@ -202,13 +215,13 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
     if !(1..=63).contains(&ell) || x0 >= (1u64 << ell) {
         return Err(OcbeError::InvalidParameters);
     }
-    let ell = ell as usize;
-    if proof.commitments.len() != ell {
+    let widths: Vec<u32> = digit_widths(ell).collect();
+    if proof.commitments.len() != widths.len() {
         return Err(OcbeError::ProofShapeMismatch);
     }
     let group = ped.group();
     let sc = group.scalar_ctx().clone();
-    // Consistency: Π cᵢ^{2^i} must equal the difference commitment.
+    // Consistency: Π cᵢ^{8ⁱ} must equal the difference commitment.
     let target = match dir {
         Direction::Ge => ped.shift_value(c, &sc.from_u64(x0)),
         Direction::Le => ped.shift_value_reversed(c, &sc.from_u64(x0)),
@@ -218,31 +231,34 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
     }
 
     // Per-digit random key shares and the combined payload key.
-    let mut key_shares = Vec::with_capacity(ell);
-    let mut concat = Vec::with_capacity(32 * ell);
-    for _ in 0..ell {
-        let mut k = [0u8; 32];
-        rng.fill_bytes(&mut k);
-        concat.extend_from_slice(&k);
-        key_shares.push(k);
-    }
-    let master = sha256(&concat);
+    let key_shares: Vec<[u8; 32]> = widths
+        .iter()
+        .map(|_| {
+            let mut k = [0u8; 32];
+            rng.fill_bytes(&mut k);
+            k
+        })
+        .collect();
+    let master = sha256(&key_shares.concat());
 
     let y = group.random_nonzero_scalar(rng);
     let eta = group.exp_h(&y);
-    // (cᵢ·g⁻¹)^y = cᵢ^y · g^{−y}: one exponentiation per digit and one
-    // fixed-base shift for the whole envelope.
+    // (cᵢ·g^{−j})^y = cᵢ^y · g^{−jy}: one exponentiation per digit, one
+    // fixed-base shift for the whole envelope, and one group operation
+    // per further share. The lowest digit is the widest.
     let g_neg_y = group.exp_g(&-&y);
     let digits: Vec<G::Elem> = proof
         .commitments
         .iter()
         .map(|c| c.element().clone())
         .collect();
-    let shares = group
-        .exp_shared_scalar_shifted(&digits, &y, &g_neg_y)
-        .iter()
+    let steps = (1 << widths[0]) - 1;
+    let sigmas = group.exp_shared_scalar_stepped(&digits, &y, &g_neg_y, steps);
+    let shares = sigmas
+        .chunks_exact(steps + 1)
+        .zip(&widths)
         .zip(&key_shares)
-        .map(|((sigma0, sigma1), ki)| [mask(group, sigma0, ki), mask(group, sigma1, ki)])
+        .flat_map(|((row, w), ki)| row[..1 << w].iter().map(|sigma| mask(group, sigma, ki)))
         .collect();
     let ciphertext = AuthKey::from_master(&master).encrypt(rng, payload);
     Ok(BitwiseEnvelope {
@@ -253,28 +269,32 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
 }
 
 /// Receiver step "open envelope": recovers the per-digit key shares with
-/// the stored digit bits and randomness, reassembles the payload key, and
-/// decrypts. `None` when the receiver's value did not satisfy the predicate.
+/// the stored digits and randomness, reassembles the payload key, and
+/// decrypts. `None` when the receiver's value did not satisfy the
+/// predicate, or when the envelope does not carry `Σ 2^{wᵢ}` shares.
 pub fn open<G: CyclicGroup>(
     group: &G,
     env: &BitwiseEnvelope<G>,
     secrets: &BitSecrets,
 ) -> Option<Vec<u8>> {
-    if env.shares.len() != secrets.digit_bits.len() {
+    let widths: Vec<u32> = digit_widths(secrets.ell).collect();
+    if env.shares.len() != widths.iter().map(|w| 1usize << w).sum::<usize>() {
         return None;
     }
-    // A digit that is not a bit has no share to unmask: an unqualified
+    // An out-of-range digit has no share to unmask: an unqualified
     // receiver stops here, before any exponentiation.
-    let bits: Vec<usize> = secrets
-        .digit_bits
+    let digits: Vec<usize> = secrets
+        .digits
         .iter()
-        .map(|bit| bit.map(usize::from))
+        .map(|d| d.map(usize::from))
         .collect::<Option<_>>()?;
-    // σᵢ = η^{rᵢ}: ℓ scalars under the one base η.
+    // σᵢ = η^{rᵢ}: D scalars under the one base η.
     let sigmas = group.exp_shared_base(&env.eta, &secrets.randomness);
-    let mut concat = Vec::with_capacity(32 * env.shares.len());
-    for ((share, j), sigma) in env.shares.iter().zip(bits).zip(&sigmas) {
-        concat.extend_from_slice(&mask(group, sigma, &share[j]));
+    let mut concat = Vec::with_capacity(32 * digits.len());
+    let mut row = 0;
+    for ((w, d), sigma) in widths.iter().zip(digits).zip(&sigmas) {
+        concat.extend_from_slice(&mask(group, sigma, &env.shares[row + d]));
+        row += 1 << w;
     }
     let master = sha256(&concat);
     AuthKey::from_master(&master).decrypt(&env.ciphertext).ok()

@@ -3,8 +3,8 @@
 /// Errors raised by OCBE senders and receivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OcbeError {
-    /// The receiver's bit commitments do not reassemble to the difference
-    /// commitment (`c·g^{−x₀} ≠ Π cᵢ^{2^i}`): a malformed or malicious proof.
+    /// The receiver's digit commitments do not reassemble to the difference
+    /// commitment (`c·g^{−x₀} ≠ Π cᵢ^{8ⁱ}`): a malformed or malicious proof.
     InconsistentCommitments,
     /// The proof message shape does not match the predicate (e.g. an EQ
     /// proof supplied for a GE predicate, or a wrong commitment count).
@@ -20,7 +20,10 @@ impl core::fmt::Display for OcbeError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             Self::InconsistentCommitments => {
-                write!(f, "bit commitments inconsistent with attribute commitment")
+                write!(
+                    f,
+                    "digit commitments inconsistent with attribute commitment"
+                )
             }
             Self::ProofShapeMismatch => write!(f, "proof message does not match predicate"),
             Self::UnsatisfiablePredicate => write!(f, "predicate is unsatisfiable"),

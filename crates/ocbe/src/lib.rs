@@ -5,7 +5,7 @@
 //! subscription secrets:
 //!
 //! * [`eq`] — EQ-OCBE for equality predicates,
-//! * [`bitwise`] — GE-/LE-OCBE bitwise envelopes for inequalities,
+//! * [`bitwise`] — GE-/LE-OCBE envelopes over radix-8 digits for inequalities,
 //! * [`session`] — one API over all six comparison operators
 //!   (`=, ≠, >, ≥, <, ≤`), with `>`/`<`/`≠` derived exactly as the paper
 //!   prescribes,

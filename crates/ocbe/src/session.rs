@@ -127,12 +127,12 @@ impl<G: CyclicGroup> Envelope<G> {
         let elem = group.serialize(&group.generator()).len();
         match self {
             Envelope::Eq(e) => elem + e.ciphertext.len(),
-            Envelope::Ge(e) | Envelope::Le(e) => elem + e.shares.len() * 64 + e.ciphertext.len(),
+            Envelope::Ge(e) | Envelope::Le(e) => elem + e.shares.len() * 32 + e.ciphertext.len(),
             Envelope::Dual { ge, le } => {
                 ge.as_ref()
-                    .map_or(0, |e| elem + e.shares.len() * 64 + e.ciphertext.len())
+                    .map_or(0, |e| elem + e.shares.len() * 32 + e.ciphertext.len())
                     + le.as_ref()
-                        .map_or(0, |e| elem + e.shares.len() * 64 + e.ciphertext.len())
+                        .map_or(0, |e| elem + e.shares.len() * 32 + e.ciphertext.len())
             }
         }
     }

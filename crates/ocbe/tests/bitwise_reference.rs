@@ -1,20 +1,22 @@
-//! The bitwise OCBE sender and receiver against a per-digit reference.
+//! The GE/LE-OCBE sender and receiver against a per-share reference.
 //!
 //! `bitwise::{compose, open}` run on the group's batched primitives (one
-//! exponentiation and one `g^{−y}` shift per digit, one table for `η`).
-//! The reference below is the textbook loop of paper §IV-C — two
-//! exponentiations per digit to compose, one `η^{rᵢ}` per digit to open —
-//! and must produce the same bytes from the same seed, on both backends,
-//! including on proofs and envelopes a hostile peer would send. Two
-//! SHA-256 pins, taken from the per-digit implementation before it was
-//! replaced, keep the envelope format itself from drifting. They moved
-//! once since, when the envelope's AEAD became ChaCha20-Poly1305 (its
-//! 16-byte tag replaced HMAC-SHA-256's 32).
+//! exponentiation per radix-8 digit, stepped through its shares by one
+//! `g^{−y}` shift, and one table for `η`). The reference below is the
+//! textbook loop of paper §IV-C over the same digits — one exponentiation
+//! per share to compose, one `η^{rᵢ}` per digit to open — and must produce
+//! the same bytes from the same seed, on both backends, including on
+//! proofs and envelopes a hostile peer would send. Two SHA-256 pins keep
+//! the envelope format itself from drifting. They were taken from the
+//! per-digit implementation before it was replaced, and moved twice
+//! since: when the envelope's AEAD became ChaCha20-Poly1305 (its 16-byte
+//! tag replaced HMAC-SHA-256's 32), and when the digits went from bits to
+//! radix 8 (`⌈ℓ/3⌉` commitments of `2^{wᵢ}` shares each).
 
 use pbcd_commit::{Commitment, Opening, Pedersen};
 use pbcd_crypto::{sha256, AuthKey};
 use pbcd_group::{CyclicGroup, ModpGroup, P256Group, Scalar};
-use pbcd_ocbe::bitwise::{compose, open, prepare};
+use pbcd_ocbe::bitwise::{compose, open, prepare, DIGIT_BITS};
 use pbcd_ocbe::{BitProof, BitwiseEnvelope, Direction, OcbeError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -25,22 +27,36 @@ fn xor32(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
     std::array::from_fn(|i| a[i] ^ b[i])
 }
 
-/// The per-digit sender: `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` computed as written.
+/// The digit widths for ℓ, least-significant first: ℓ's bits cut into
+/// runs of three from the bottom, the top run taking what is left.
+fn widths(ell: u32) -> Vec<u32> {
+    let mut out = Vec::new();
+    let mut left = ell;
+    while left > 0 {
+        out.push(left.min(DIGIT_BITS));
+        left -= left.min(DIGIT_BITS);
+    }
+    out
+}
+
+/// The per-share sender: `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` computed as
+/// written, for `j < 2^{wᵢ}`.
 #[allow(clippy::too_many_arguments)] // mirrors `bitwise::compose`
 fn reference_compose<G: CyclicGroup>(
     ped: &Pedersen<G>,
     c: &Commitment<G>,
     x0: u64,
+    ell: u32,
     dir: Direction,
     proof: &BitProof<G>,
     payload: &[u8],
     rng: &mut StdRng,
 ) -> Result<BitwiseEnvelope<G>, OcbeError> {
     let group = ped.group();
-    let x0 = group.scalar_ctx().from_u64(x0);
+    let sc = group.scalar_ctx();
     let target = match dir {
-        Direction::Ge => ped.shift_value(c, &x0),
-        Direction::Le => ped.shift_value_reversed(c, &x0),
+        Direction::Ge => ped.shift_value(c, &sc.from_u64(x0)),
+        Direction::Le => ped.shift_value_reversed(c, &sc.from_u64(x0)),
     };
     if ped.weighted_product(&proof.commitments) != target {
         return Err(OcbeError::InconsistentCommitments);
@@ -57,20 +73,14 @@ fn reference_compose<G: CyclicGroup>(
     let master = sha256(&key_shares.concat());
     let y = group.random_nonzero_scalar(rng);
     let eta = group.exp_h(&y);
-    let g_inv = group.inv(&group.generator());
-    let shares = proof
-        .commitments
-        .iter()
-        .zip(&key_shares)
-        .map(|(ci, ki)| {
-            let sigma0 = group.exp(ci.element(), &y);
-            let sigma1 = group.exp(&group.op(ci.element(), &g_inv), &y);
-            [
-                xor32(&sha256(&group.serialize(&sigma0)), ki),
-                xor32(&sha256(&group.serialize(&sigma1)), ki),
-            ]
-        })
-        .collect();
+    let mut shares = Vec::new();
+    for ((ci, ki), w) in proof.commitments.iter().zip(&key_shares).zip(widths(ell)) {
+        for j in 0..1u64 << w {
+            let shifted = group.div(ci.element(), &group.exp_g(&sc.from_u64(j)));
+            let sigma = group.exp(&shifted, &y);
+            shares.push(xor32(&sha256(&group.serialize(&sigma)), ki));
+        }
+    }
     let ciphertext = AuthKey::from_master(&master).encrypt(rng, payload);
     Ok(BitwiseEnvelope {
         eta,
@@ -80,29 +90,31 @@ fn reference_compose<G: CyclicGroup>(
 }
 
 /// The per-digit receiver: `kᵢ = H(η^{rᵢ}) ⊕ Cᵢ^{dᵢ}`, one exponentiation
-/// per digit.
+/// per digit, reading digit `i`'s shares after the `2^{wₘ}` of every
+/// lower digit `m`.
 fn reference_open<G: CyclicGroup>(
     group: &G,
     env: &BitwiseEnvelope<G>,
-    bits: &[u8],
+    ell: u32,
+    digits: &[u64],
     randomness: &[Scalar],
 ) -> Option<Vec<u8>> {
     let mut concat = Vec::new();
-    for ((share, bit), r) in env.shares.iter().zip(bits).zip(randomness) {
+    let mut first = 0;
+    for ((w, d), r) in widths(ell).into_iter().zip(digits).zip(randomness) {
         let sigma = group.exp(&env.eta, r);
-        concat.extend_from_slice(&xor32(
-            &sha256(&group.serialize(&sigma)),
-            &share[*bit as usize],
-        ));
+        let share = env.shares.get(first + *d as usize)?;
+        concat.extend_from_slice(&xor32(&sha256(&group.serialize(&sigma)), share));
+        first += 1 << w;
     }
     AuthKey::from_master(&sha256(&concat))
         .decrypt(&env.ciphertext)
         .ok()
 }
 
-/// A qualified receiver's digit bits and digit randomness, rebuilt outside
-/// `prepare` from a copy of the RNG it is about to consume: `rᵢ` drawn in
-/// order for `i ≥ 1`, and `r₀ = ±r − Σ 2ⁱ rᵢ`.
+/// A qualified receiver's radix-8 digits and digit randomness, rebuilt
+/// outside `prepare` from a copy of the RNG it is about to consume: `rᵢ`
+/// drawn in order for `i ≥ 1`, and `r₀ = ±r − Σ 8ⁱ rᵢ`.
 fn qualified_secrets<G: CyclicGroup>(
     group: &G,
     d: u64,
@@ -110,15 +122,15 @@ fn qualified_secrets<G: CyclicGroup>(
     dir: Direction,
     opening: &Opening,
     mut rng: StdRng,
-) -> (Vec<u8>, Vec<Scalar>) {
+) -> (Vec<u64>, Vec<Scalar>) {
     let sc = group.scalar_ctx();
-    let two = sc.from_u64(2);
-    let (mut acc, mut weight) = (sc.zero(), two.clone());
+    let eight = sc.from_u64(8);
+    let (mut acc, mut weight) = (sc.zero(), eight.clone());
     let mut randomness = vec![sc.zero()];
-    for _ in 1..ell {
+    for _ in 1..widths(ell).len() {
         let r = sc.random(&mut rng);
         acc = &acc + &(&weight * &r);
-        weight = &weight * &two;
+        weight = &weight * &eight;
         randomness.push(r);
     }
     let base = match dir {
@@ -126,16 +138,13 @@ fn qualified_secrets<G: CyclicGroup>(
         Direction::Le => -&opening.randomness,
     };
     randomness[0] = &base - &acc;
-    let bits = (0..ell).map(|i| ((d >> i) & 1) as u8).collect();
-    (bits, randomness)
+    let digits = (0..widths(ell).len()).map(|i| (d >> (3 * i)) & 7).collect();
+    (digits, randomness)
 }
 
 fn envelope_bytes<G: CyclicGroup>(group: &G, env: &BitwiseEnvelope<G>) -> Vec<u8> {
     let mut out = group.serialize(&env.eta);
-    for share in &env.shares {
-        out.extend_from_slice(&share[0]);
-        out.extend_from_slice(&share[1]);
-    }
+    out.extend_from_slice(&env.shares.concat());
     out.extend_from_slice(&env.ciphertext);
     out
 }
@@ -161,13 +170,13 @@ fn seeded_round<G: CyclicGroup>(
         Direction::Ge => x - x0,
         Direction::Le => x0 - x,
     };
-    let (bits, randomness) = qualified_secrets(&group, d, ell, dir, &opening, rng.clone());
+    let (digits, randomness) = qualified_secrets(&group, d, ell, dir, &opening, rng.clone());
     let (proof, secrets) = prepare(&ped, x, &opening, x0, ell, dir, &mut rng).unwrap();
 
     let mut reference_rng = rng.clone();
     let env = compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut rng).unwrap();
     let reference =
-        reference_compose(&ped, &c, x0, dir, &proof, PAYLOAD, &mut reference_rng).unwrap();
+        reference_compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut reference_rng).unwrap();
     let bytes = envelope_bytes(&group, &env);
     assert_eq!(
         bytes,
@@ -180,7 +189,7 @@ fn seeded_round<G: CyclicGroup>(
 
     assert_eq!(open(&group, &env, &secrets).as_deref(), Some(PAYLOAD));
     assert_eq!(
-        reference_open(&group, &env, &bits, &randomness).as_deref(),
+        reference_open(&group, &env, ell, &digits, &randomness).as_deref(),
         Some(PAYLOAD)
     );
     hex(&sha256(&bytes))
@@ -192,11 +201,11 @@ fn seeded_envelopes_are_byte_identical_to_the_reference() {
     // produced these envelopes before it was replaced.
     assert_eq!(
         seeded_round(P256Group::new(), 0x0CBE_0048, 9, 5, 48, Direction::Ge),
-        "3d98bb5bdca69c6ee3652657022e4235f6c208a41526f4b8401d83e2b85c8670"
+        "237282a58c96fbe024cfa9d11db5f75ff158a58a12603521d4f2c6191bcaf5a2"
     );
     assert_eq!(
         seeded_round(ModpGroup::new(), 0x0CBE_0008, 77, 200, 8, Direction::Le),
-        "10bd1384758a55783da3407d03263442ae9902a7b1fd732082be215761baeae0"
+        "afb39489312445a5569c02aa7c7118e0b546fdaecbaec2020071f358b33b2f81"
     );
     seeded_round(P256Group::new(), 0x0CBE_1008, 3, 3, 8, Direction::Le);
     seeded_round(
@@ -228,7 +237,7 @@ fn hostile_proof<G: CyclicGroup>(
     elems[1] = group.identity();
     elems[2] = group.generator();
     let target = ped.shift_value(c, &group.scalar_ctx().from_u64(x0));
-    elems[0] = group.div(target.element(), &group.prod_pow2(&elems));
+    elems[0] = group.div(target.element(), &group.prod_horner(&elems, DIGIT_BITS));
     BitProof {
         commitments: elems.into_iter().map(Commitment::from_element).collect(),
     }
@@ -239,7 +248,7 @@ fn check_hostile_inputs<G: CyclicGroup>(group: G, seed: u64) {
     let ped = Pedersen::new(group.clone());
     let mut rng = StdRng::seed_from_u64(seed);
     let (c, opening) = ped.commit_u64(x, &mut rng);
-    let (bits, randomness) = qualified_secrets(&group, x - x0, ell, dir, &opening, rng.clone());
+    let (digits, randomness) = qualified_secrets(&group, x - x0, ell, dir, &opening, rng.clone());
     let (honest, secrets) = prepare(&ped, x, &opening, x0, ell, dir, &mut rng).unwrap();
 
     // Sender side: degenerate digit commitments.
@@ -247,7 +256,7 @@ fn check_hostile_inputs<G: CyclicGroup>(group: G, seed: u64) {
     let mut reference_rng = rng.clone();
     let env = compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut rng).unwrap();
     let reference =
-        reference_compose(&ped, &c, x0, dir, &proof, PAYLOAD, &mut reference_rng).unwrap();
+        reference_compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut reference_rng).unwrap();
     assert_eq!(
         envelope_bytes(&group, &env),
         envelope_bytes(&group, &reference),
@@ -263,7 +272,10 @@ fn check_hostile_inputs<G: CyclicGroup>(group: G, seed: u64) {
             ..honest_env.clone()
         };
         assert_eq!(open(&group, &env, &secrets), None);
-        assert_eq!(reference_open(&group, &env, &bits, &randomness), None);
+        assert_eq!(
+            reference_open(&group, &env, ell, &digits, &randomness),
+            None
+        );
     }
 }
 
@@ -271,4 +283,60 @@ fn check_hostile_inputs<G: CyclicGroup>(group: G, seed: u64) {
 fn hostile_inputs_match_the_reference_without_panicking() {
     check_hostile_inputs(P256Group::new(), 0xBAD_5EED);
     check_hostile_inputs(ModpGroup::new(), 0xBAD_5EEE);
+}
+
+/// A receiver at `x = 2^ℓ + 5`, above every ℓ-bit value, that writes its
+/// top digit one past the top digit's width (`8^{D−1}·2^{w_{D−1}} = 2^ℓ`)
+/// and 5 in digit 0. The sender's check only sees `Π cᵢ^{8ⁱ}`, so the
+/// proof passes and `compose` matches the reference byte for byte; but the
+/// top digit has no share at that index, and none of the shares it does
+/// have opens the envelope.
+fn check_wide_top_digit<G: CyclicGroup>(group: G, ell: u32, seed: u64) {
+    let ped = Pedersen::new(group.clone());
+    let sc = group.scalar_ctx();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (x, x0, dir) = ((1u64 << ell) + 5, 0, Direction::Ge);
+    let (c, opening) = ped.commit_u64(x, &mut rng);
+    let top = widths(ell).len() - 1;
+    let mut digits = vec![0u64; top + 1];
+    digits[0] = 5;
+    digits[top] = 1 << widths(ell)[top];
+    let (_, randomness) = qualified_secrets(&group, 0, ell, dir, &opening, rng.clone());
+    let pairs: Vec<(Scalar, Scalar)> = digits
+        .iter()
+        .map(|d| sc.from_u64(*d))
+        .zip(randomness.iter().cloned())
+        .collect();
+    let proof = BitProof {
+        commitments: ped.commit_many_with(&pairs),
+    };
+
+    let mut reference_rng = rng.clone();
+    let env = compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut rng)
+        .expect("the wide top digit passes the sender's check");
+    let reference =
+        reference_compose(&ped, &c, x0, ell, dir, &proof, PAYLOAD, &mut reference_rng).unwrap();
+    assert_eq!(
+        envelope_bytes(&group, &env),
+        envelope_bytes(&group, &reference)
+    );
+    assert_eq!(
+        reference_open(&group, &env, ell, &digits, &randomness),
+        None
+    );
+    for j in 0..1 << widths(ell)[top] {
+        digits[top] = j;
+        assert_eq!(
+            reference_open(&group, &env, ell, &digits, &randomness),
+            None,
+            "ℓ={ell} top share {j}"
+        );
+    }
+}
+
+#[test]
+fn a_top_digit_wider_than_its_width_opens_nothing() {
+    check_wide_top_digit(P256Group::new(), 4, 0x71DE_0004);
+    check_wide_top_digit(P256Group::new(), 62, 0x71DE_0062);
+    check_wide_top_digit(ModpGroup::new(), 4, 0x71DE_1004);
 }

@@ -10,7 +10,7 @@ use std::path::Path;
 
 /// `cat crates/core/src/*.rs crates/net/src/*.rs | wc -l` may not exceed
 /// this. ROADMAP item 6 takes the pair down to 8 482.
-const CORE_NET_MAX_LINES: usize = 9992;
+const CORE_NET_MAX_LINES: usize = 9988;
 
 /// `cat crates/bench/src/lib.rs crates/bench/src/bin/reproduce.rs | wc -l`
 /// may not exceed this: every optimised/naive pair of bench-json is one
