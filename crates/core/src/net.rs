@@ -48,20 +48,24 @@ pub struct NetPublisher<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
 }
 
 impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
-    /// Wraps `publisher` and connects it to the broker at `addr`. The
-    /// registration endpoint is off until [`Self::serve_registration`].
+    /// Wraps `publisher` and connects it to the broker at `addr` as
+    /// [`Self::connect_service`] does. The registration endpoint is off
+    /// until [`Self::serve_registration`].
     pub fn connect(publisher: Publisher<G, K>, addr: impl ToSocketAddrs) -> Result<Self, NetError> {
         Self::connect_service(PublisherService::new(publisher, 0), addr)
     }
 
     /// Wraps an existing [`PublisherService`] (e.g. with a chosen RNG
-    /// seed) and connects it to the broker at `addr`.
+    /// seed) and connects it to the broker at `addr`, raising its epoch to
+    /// the highest the broker retains (a restarted publisher starts at 0).
     pub fn connect_service(
         service: PublisherService<G, K>,
         addr: impl ToSocketAddrs,
     ) -> Result<Self, NetError> {
         let group = service.with_publisher(|p| p.ocbe().group().clone());
-        let client = BrokerClient::connect(addr, PeerRole::Publisher)?;
+        let mut client = BrokerClient::connect(addr, PeerRole::Publisher)?;
+        let floor = client.list_configs()?.iter().map(|c| c.epoch).max();
+        service.with_publisher_broadcast(|p| p.raise_epoch_floor(floor.unwrap_or(0)));
         Ok(Self {
             service: Arc::new(service),
             group,
@@ -168,12 +172,10 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
         let container = self
             .service
             .with_publisher_broadcast(|p| p.broadcast(doc, doc_name, rng));
+        let client = &mut self.client;
         let receipt = match &self.signing {
-            Some((key_id, key)) => {
-                self.client
-                    .publish_signed(&self.group, key_id, key, &container, rng)
-            }
-            None => self.client.publish(&container),
+            Some((id, key)) => client.publish_signed(&self.group, id, key, &container, rng),
+            None => client.publish(&container),
         };
         receipt.map_err(PbcdError::from)
     }

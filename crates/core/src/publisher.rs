@@ -125,6 +125,12 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         self.epoch
     }
 
+    /// Raises the rekey epoch to at least `floor`, so the next broadcast
+    /// goes out above it (a restarted publisher's counter starts at 0).
+    pub(crate) fn raise_epoch_floor(&mut self, floor: u64) {
+        self.epoch = self.epoch.max(floor);
+    }
+
     /// A point-in-time copy of the CSS table (exposed for audits and the
     /// Table-I example). The live table is sharded and shared — see
     /// [`Self::shared_css_table`].

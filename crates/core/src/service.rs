@@ -483,8 +483,8 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
     }
 
     /// Exclusive publisher access *without* invalidation — solely for
-    /// broadcast, which bumps the epoch and rekeys but cannot change the
-    /// conditions or registration material.
+    /// broadcast and the epoch floor, which move the epoch and rekey but
+    /// cannot change the conditions or registration material.
     pub(crate) fn with_publisher_broadcast<T>(
         &self,
         f: impl FnOnce(&mut Publisher<G, K>) -> T,

@@ -5,6 +5,8 @@
 //!
 //! * [`sha256`](mod@sha256) — the FIPS 180-4 hash function (the paper's
 //!   random oracle `H(·)`),
+//! * [`blake2b`] — the RFC 7693 hash at a 32-byte output, unkeyed: the
+//!   digest of the container a signed publish signs,
 //! * [`hmac`](mod@hmac) — RFC 2104 MAC over SHA-256,
 //! * [`chacha20`](mod@chacha20) / [`ctr`] — the RFC 8439 stream cipher:
 //!   one constant-time ARX block per call, run in counter mode,
@@ -19,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod authenc;
+pub mod blake2b;
 pub mod chacha20;
 pub mod ct;
 pub mod ctr;

@@ -86,6 +86,12 @@ pub struct AcvBgkm {
 }
 
 impl Default for AcvBgkm {
+    /// The paper's parameters: `F_q` with `q = 2^80 − 65`
+    /// ([`pbcd_math::gkm_q80`]) and 2-byte nonces. A group key is an
+    /// element of that field, so every subdocument key carries at most 80
+    /// bits of entropy: below the 128-bit level of every other primitive
+    /// in the workspace (P-256, ChaCha20-Poly1305, SHA-256, BLAKE2b-256).
+    /// ROADMAP item 20 tracks the move to a wider field.
     fn default() -> Self {
         Self::new(FpCtx::new(pbcd_math::gkm_q80()), 2, 0)
     }
@@ -467,6 +473,14 @@ mod tests {
 
     fn scheme() -> AcvBgkm {
         AcvBgkm::default()
+    }
+
+    /// The default field has the strength `AcvBgkm::default`'s rustdoc
+    /// states, 80 bits: a change of field moves this test and that doc
+    /// together.
+    #[test]
+    fn default_field_strength_is_stated() {
+        assert_eq!(scheme().field().modulus_bits(), 80);
     }
 
     fn random_rows<R: Rng>(r: &mut R, count: usize, css_len: usize) -> Vec<AccessRow> {

@@ -9,7 +9,10 @@
 //! * [`modp::ModpGroup`] — RFC 5114 1024/160 modp Schnorr group,
 //!
 //! plus [`schnorr_sig`] — Schnorr signatures used by the Identity Manager
-//! to certify identity tokens.
+//! to certify identity tokens and by publishers to sign broker publishes —
+//! and [`blake2b_256`], the digest a signed publish carries in place of its
+//! container (re-exported here so the broker reaches it through its one
+//! `pbcd_group` dependency).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,5 +26,6 @@ pub mod traits;
 
 pub use modp::{ModpElem, ModpGroup};
 pub use p256::{P256Group, P256Point};
+pub use pbcd_crypto::blake2b::blake2b_256;
 pub use schnorr_sig::{challenge, verify_batch, Signature, SigningKey, VerifyingKey};
 pub use traits::{CyclicGroup, Scalar, ScalarCtx};

@@ -112,20 +112,9 @@ impl<G: CyclicGroup> SigningKey<G> {
 
     /// Signs a message.
     pub fn sign<R: RngCore + ?Sized>(&self, group: &G, rng: &mut R, msg: &[u8]) -> Signature<G> {
-        self.sign_parts(group, rng, &[msg])
-    }
-
-    /// Signs the concatenation of `parts` without building it: the same
-    /// signature [`Self::sign`] makes over the joined bytes.
-    pub fn sign_parts<R: RngCore + ?Sized>(
-        &self,
-        group: &G,
-        rng: &mut R,
-        parts: &[&[u8]],
-    ) -> Signature<G> {
         let k = group.random_nonzero_scalar(rng);
         let big_r = group.exp_g(&k);
-        let e = challenge_parts(group, &big_r, parts);
+        let e = challenge(group, &big_r, msg);
         let s = &k + &(&e * &self.sk);
         Signature { big_r, s }
     }
@@ -171,18 +160,11 @@ impl<G: CyclicGroup> VerifyingKey<G> {
 /// the scalar field. Public so that batch callers and tests can recompute
 /// the per-item challenges a verifier would derive.
 pub fn challenge<G: CyclicGroup>(group: &G, big_r: &G::Elem, msg: &[u8]) -> Scalar {
-    challenge_parts(group, big_r, &[msg])
-}
-
-/// [`challenge`] over the concatenation of `parts`.
-fn challenge_parts<G: CyclicGroup>(group: &G, big_r: &G::Elem, parts: &[&[u8]]) -> Scalar {
     let mut h = Sha256::new();
     h.update(b"pbcd-schnorr-v1:");
     h.update(group.name().as_bytes());
     h.update(&group.serialize(big_r));
-    for part in parts {
-        h.update(part);
-    }
+    h.update(msg);
     group.scalar_ctx().from_be_bytes_reduced(&h.finalize())
 }
 
@@ -328,14 +310,6 @@ mod tests {
         // Serialization roundtrip.
         let enc = sig.to_bytes(&group);
         assert_eq!(enc.len(), Signature::encoded_len(&group));
-        // Signing the message in parts is signing the joined message.
-        let mut a = rand::rngs::StdRng::seed_from_u64(56);
-        let mut b = a.clone();
-        let (head, tail) = msg.split_at(9);
-        assert_eq!(
-            key.sign_parts(&group, &mut a, &[head, &[], tail]),
-            key.sign(&group, &mut b, msg)
-        );
         let dec = Signature::from_bytes(&group, &enc).unwrap();
         assert!(vk.verify(&group, msg, &dec));
         assert_eq!(Signature::from_bytes(&group, &enc[..enc.len() - 1]), None);

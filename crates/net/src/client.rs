@@ -7,7 +7,7 @@
 
 use crate::error::NetError;
 use crate::frame::{
-    encode_publish, encode_signed_publish, publish_auth_prefix, read_frame, write_body,
+    encode_publish, encode_signed_publish, publish_auth_message, read_frame, write_body,
     write_frame, ConfigSummary, Frame, PeerRole,
 };
 use pbcd_docs::BroadcastContainer;
@@ -82,7 +82,7 @@ impl BrokerClient {
     }
 
     /// Publishes a container with a Schnorr signature over
-    /// `doc_name ‖ epoch ‖ container_bytes` under `key` (registered with
+    /// [`publish_auth_message`] under `key` (registered with
     /// the broker as `key_id`). Required against a keyed broker; accepted
     /// (signature unchecked) by an open-mode one. A typed broker refusal
     /// surfaces as [`NetError::Rejected`] and leaves the connection
@@ -95,11 +95,10 @@ impl BrokerClient {
         container: &BroadcastContainer,
         rng: &mut R,
     ) -> Result<PublishReceipt, NetError> {
-        let prefix = publish_auth_prefix(&container.document_name, container.epoch);
         let body =
             encode_signed_publish(key_id, Signature::encoded_len(group), container, |bytes| {
-                key.sign_parts(group, rng, &[&prefix, bytes])
-                    .to_bytes(group)
+                let msg = publish_auth_message(&container.document_name, container.epoch, bytes);
+                key.sign(group, rng, &msg).to_bytes(group)
             })?;
         self.send_body(&body)?;
         self.await_publish_ack()

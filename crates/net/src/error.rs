@@ -16,7 +16,7 @@ pub enum RejectReason {
     AuthRequired,
     /// The claimed key id is not in the broker's authorized-publisher map.
     UnknownPublisher,
-    /// The signature did not verify over `doc_name ‖ epoch ‖ container`.
+    /// The signature did not verify over [`crate::frame::publish_auth_message`].
     BadSignature,
     /// The epoch is not newer than the retained one (replay or stale).
     StaleEpoch,

@@ -580,23 +580,16 @@ pub fn relay_container_offset(origin: &str) -> usize {
 }
 
 /// The canonical byte string a publisher signs and the broker verifies
-/// for an authenticated publish: a domain tag, then
-/// `doc_name ‖ epoch ‖ container_bytes` with the variable-length name
-/// length-prefixed so field boundaries cannot be shifted.
+/// for an authenticated publish: a domain tag, the length-prefixed
+/// `doc_name` (so field boundaries cannot shift), the epoch, and the
+/// BLAKE2b-256 digest of `container_bytes`, which binds every byte.
 pub fn publish_auth_message(doc_name: &str, epoch: u64, container_bytes: &[u8]) -> Vec<u8> {
-    let mut msg = publish_auth_prefix(doc_name, epoch);
-    msg.reserve_exact(container_bytes.len());
-    msg.extend_from_slice(container_bytes);
-    msg
-}
-
-/// [`publish_auth_message`] up to the container bytes.
-pub fn publish_auth_prefix(doc_name: &str, epoch: u64) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(23 + 4 + doc_name.len() + 8);
-    msg.extend_from_slice(b"pbcd-broker-publish-v2\0");
+    let mut msg = Vec::with_capacity(23 + 4 + doc_name.len() + 8 + 32);
+    msg.extend_from_slice(b"pbcd-broker-publish-v3\0");
     msg.extend_from_slice(&(doc_name.len() as u32).to_be_bytes());
     msg.extend_from_slice(doc_name.as_bytes());
     msg.extend_from_slice(&epoch.to_be_bytes());
+    msg.extend_from_slice(&pbcd_group::blake2b_256(container_bytes));
     msg
 }
 

@@ -5,12 +5,13 @@
 //! peer can no longer wedge a document name at epoch `u64::MAX` or burn
 //! the retention caps, because it holds no authorized key.
 
+use pbcd_crypto::AuthKey;
 use pbcd_docs::{BroadcastContainer, EncryptedGroup, EncryptedSegment};
 use pbcd_group::{P256Group, SigningKey};
 use pbcd_net::frame::{publish_auth_message, signed_publish_body};
 use pbcd_net::{
-    read_frame, Broker, BrokerClient, BrokerConfig, BrokerHandle, Frame, NetError, PeerRole,
-    PublisherDirectory, RejectReason,
+    read_frame, AuthOutcome, Broker, BrokerClient, BrokerConfig, BrokerHandle, Frame, NetError,
+    PeerRole, PublishAuth, PublisherDirectory, RejectReason,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -152,6 +153,58 @@ fn tampered_container_fails_verification() {
         "tampered container must not be retained"
     );
     broker.shutdown();
+}
+
+/// The signature binds every byte of the container, not only the parts a
+/// key holder cannot change unnoticed. The container has two groups, so
+/// its encoding holds a skeleton, key infos, segment ids, tag strings and
+/// real ChaCha20-Poly1305 messages (nonce, ciphertext body, tag); one bit
+/// flipped anywhere in it, a changed document name or a neighbouring
+/// epoch must each fail the check. No sockets: the broker's `admit` runs
+/// exactly this check.
+#[test]
+fn every_container_byte_is_bound_by_the_signature() {
+    let group = P256Group::new();
+    let mut rng = StdRng::seed_from_u64(0xA0C);
+    let key = SigningKey::generate(&group, &mut rng);
+    let directory = PublisherDirectory::new(group.clone()).with_key("pub-1", key.verifying_key());
+    let groups = (0..2u8)
+        .map(|g| EncryptedGroup {
+            config_id: u32::from(g) + 7,
+            key_info: vec![0xA0 + g; 24],
+            segments: vec![EncryptedSegment {
+                segment_id: u32::from(g),
+                tag: format!("Section{g}"),
+                ciphertext: AuthKey::from_master(&[g; 10]).encrypt(&mut rng, &[g; 40]),
+            }],
+        })
+        .collect();
+    let c = BroadcastContainer {
+        epoch: 9,
+        document_name: "ward.xml".into(),
+        skeleton_xml: "<r><pbcd-segment id=\"0\"/><pbcd-segment id=\"1\"/></r>".into(),
+        groups,
+    };
+    let bytes = c.encode().unwrap();
+    let msg = publish_auth_message(&c.document_name, c.epoch, &bytes);
+    let sig = key.sign(&group, &mut rng, &msg).to_bytes(&group);
+    let accepted = |doc: &str, epoch: u64, bytes: &[u8]| {
+        directory.check("pub-1", &publish_auth_message(doc, epoch, bytes), &sig)
+            == AuthOutcome::Accepted
+    };
+    assert!(accepted("ward.xml", 9, &bytes));
+    for at in 0..bytes.len() {
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 1 << (at % 8);
+        assert!(
+            !accepted("ward.xml", 9, &flipped),
+            "byte {at} of {} is not bound",
+            bytes.len()
+        );
+    }
+    assert!(!accepted("ward.xmm", 9, &bytes));
+    assert!(!accepted("ward.xml", 8, &bytes));
+    assert!(!accepted("ward.xml", 10, &bytes));
 }
 
 #[test]

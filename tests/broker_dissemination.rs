@@ -230,6 +230,55 @@ fn revocation_takes_effect_on_next_networked_broadcast() {
     broker.shutdown();
 }
 
+/// A publisher restarted against a durable broker: its fresh counter
+/// starts at 0, below the epochs the broker recovered from its log, but
+/// connecting raises it to the highest retained epoch, so its first
+/// signed publish is acknowledged at 4 rather than refused as stale.
+#[test]
+fn restarted_publisher_resumes_above_the_retained_epoch() {
+    use pbcd::group::SigningKey;
+    use pbcd::net::{BrokerConfig, PublisherDirectory};
+    use std::sync::Arc;
+
+    let store_path =
+        std::env::temp_dir().join(format!("pbcd-publisher-restart-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&store_path);
+    let SystemHarness {
+        publisher, mut rng, ..
+    } = SystemHarness::new_p256(policies(), 0xB42);
+    let group = P256Group::new();
+    let key = SigningKey::generate(&group, &mut rng);
+    let directory = PublisherDirectory::new(group).with_key("pub-1", key.verifying_key());
+    let config = BrokerConfig {
+        store_path: Some(store_path.clone()),
+        publisher_auth: Some(Arc::new(directory)),
+        ..BrokerConfig::default()
+    };
+
+    let broker = Broker::bind_with("127.0.0.1:0", config.clone()).expect("bind");
+    let mut net_pub = NetPublisher::connect(publisher, broker.addr())
+        .expect("connect")
+        .with_signing_key("pub-1", key.clone());
+    for epoch in 1..=3 {
+        let receipt = net_pub.broadcast(&ward_report(), "ward.xml", &mut rng);
+        assert_eq!(receipt.expect("broadcast").epoch, epoch);
+    }
+    drop(net_pub);
+    broker.shutdown();
+
+    // Both come back: the broker from its log, the publisher from scratch.
+    let broker = Broker::bind_with("127.0.0.1:0", config).expect("rebind");
+    let fresh = SystemHarness::new_p256(policies(), 0xB43).publisher;
+    assert_eq!(fresh.epoch(), 0);
+    let mut net_pub = NetPublisher::connect(fresh, broker.addr())
+        .expect("reconnect")
+        .with_signing_key("pub-1", key);
+    let receipt = net_pub.broadcast(&ward_report(), "ward.xml", &mut rng);
+    assert_eq!(receipt.expect("first publish after the restart").epoch, 4);
+    broker.shutdown();
+    let _ = std::fs::remove_file(&store_path);
+}
+
 /// The `BroadcastGkm` seam and the broker compose: swap ACV-BGKM for the
 /// marker baseline and the whole networked flow still works, because the
 /// broker treats key info as opaque bytes.

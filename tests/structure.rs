@@ -159,8 +159,9 @@ fn one_accept_loop() {
 }
 
 /// Two harnesses, not three (`benchmark/` times the system, `reproduce`
-/// the paper), one hash family and one byte codec: neither the criterion
-/// stand-in, nor SHA-1, nor the `bytes` stand-in may come back.
+/// the paper), no SHA-1 and one byte codec: neither the criterion
+/// stand-in, nor a `sha1.rs` in `pbcd_crypto`, nor the `bytes` stand-in may
+/// come back, and no manifest may name criterion or a `bytes` crate.
 #[test]
 fn no_criterion_sha1_or_bytes_crate() {
     let guard = "no criterion harness, no SHA-1, no bytes crate";
@@ -236,4 +237,51 @@ fn one_aead() {
     assert_absent(guard, &["crates/crypto/src/aes.rs"]);
     let files = ["crates/crypto/src/authenc.rs".to_string()];
     assert_none(guard, hits(&files, false, |l| l.contains("Hmac")));
+}
+
+/// One bulk digest: BLAKE2b is the container digest of a signed publish
+/// and nothing else, so a second hash does not spread without a decision.
+/// Outside test modules, the only lines that name it are its module
+/// (`crates/crypto/src/blake2b.rs` and its `pub mod`), the one re-export
+/// in `pbcd_group` and the one call, in `frame::publish_auth_message`.
+#[test]
+fn one_bulk_digest() {
+    let mut files = rust_files("src");
+    files.extend(rust_files("examples"));
+    for entry in fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("crates")).unwrap() {
+        let dir = format!(
+            "crates/{}/src",
+            entry.unwrap().file_name().to_string_lossy()
+        );
+        if exists(&dir) {
+            files.extend(rust_files(&dir));
+        }
+    }
+    files.retain(|f| f != "crates/crypto/src/blake2b.rs");
+    let mut found = Vec::new();
+    for file in &files {
+        let mut in_fn = "";
+        for (n, line) in read(file).lines().enumerate() {
+            let code = line.trim();
+            if line.starts_with("#[cfg(test)]") {
+                break;
+            }
+            if code.starts_with("//") {
+                continue;
+            }
+            if let Some(at) = code.find("fn ") {
+                in_fn = &code[at + 3..];
+            }
+            let allowed = match file.as_str() {
+                "crates/crypto/src/lib.rs" => code == "pub mod blake2b;",
+                "crates/group/src/lib.rs" => code == "pub use pbcd_crypto::blake2b::blake2b_256;",
+                "crates/net/src/frame.rs" => in_fn.starts_with("publish_auth_message("),
+                _ => false,
+            };
+            if code.to_lowercase().contains("blake2") && !allowed {
+                found.push(format!("{file}:{}: {code}", n + 1));
+            }
+        }
+    }
+    assert_none("one bulk digest", found);
 }
