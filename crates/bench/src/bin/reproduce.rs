@@ -1493,7 +1493,7 @@ fn ablation_shard(opts: &Opts) {
         let t = t0.elapsed();
         assert_eq!(
             sharded.derive_key(&info, &w.rows[0].nym, &w.rows[0].css_concat),
-            key
+            Some(key)
         );
         print_row(
             &cap.to_string(),

@@ -91,7 +91,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> NetPublisher<G, K> {
     ///
     /// Connection handlers call [`PublisherService::handle`] in parallel:
     /// the full conditions query is served from pre-encoded bytes and
-    /// registrations run against the `Arc`-shared registrar + sharded CSS
+    /// registrations run against the `Arc`-shared registrar + shared CSS
     /// table, so neither waits on the publisher lock (a broadcast, an
     /// audit). Full conditions queries served that way are counted in
     /// [`ServiceStats::conditions_cache_hits`] (also exposed by

@@ -12,7 +12,7 @@ use crate::proto::RegisterRequest;
 use crate::token::token_signing_payload;
 use pbcd_crypto::AuthKey;
 use pbcd_docs::{segment, BroadcastContainer, Element, EncryptedGroup, EncryptedSegment, Segment};
-use pbcd_gkm::{AccessRow, AcvBgkm, BroadcastGkm, CssTable, Nym, ShardedCssTable};
+use pbcd_gkm::{AccessRow, AcvBgkm, BroadcastGkm, CssTable, Nym};
 use pbcd_group::{verify_batch, CyclicGroup, Signature, VerifyingKey};
 use pbcd_ocbe::{Envelope, OcbeSystem};
 use pbcd_policy::{AttributeCondition, PolicyConfiguration, PolicySet};
@@ -48,10 +48,10 @@ pub struct Publisher<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
     ocbe: OcbeSystem<G>,
     idmgr_key: VerifyingKey<G>,
     policies: PolicySet,
-    /// The CSS table `T`, sharded and shared: registration handlers hold
-    /// their own [`Arc`] (via [`Publisher::registrar`]) and issue CSSs
-    /// concurrently without going through the publisher at all.
-    table: Arc<ShardedCssTable>,
+    /// The CSS table `T`, shared: registration handlers hold their own
+    /// [`Arc`] (via [`Publisher::registrar`]) and issue CSSs without going
+    /// through the publisher at all.
+    table: Arc<CssTable>,
     gkm: K,
     epoch: u64,
 }
@@ -89,7 +89,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
             ocbe: OcbeSystem::new(group, config.ell),
             idmgr_key,
             policies,
-            table: Arc::new(ShardedCssTable::new(config.kappa_bits)),
+            table: Arc::new(CssTable::new(config.kappa_bits)),
             gkm,
             epoch: 0,
         }
@@ -131,16 +131,9 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         self.epoch = self.epoch.max(floor);
     }
 
-    /// A point-in-time copy of the CSS table (exposed for audits and the
-    /// Table-I example). The live table is sharded and shared — see
-    /// [`Self::shared_css_table`].
-    pub fn css_table(&self) -> CssTable {
-        self.table.snapshot()
-    }
-
-    /// The live, sharded CSS table. Registration handlers write to it
-    /// through their own [`Arc`]; broadcast reads it shard by shard.
-    pub fn shared_css_table(&self) -> &Arc<ShardedCssTable> {
+    /// The live CSS table (audits, the Table-I example). Registration
+    /// handlers write to it through their own [`Arc`].
+    pub fn shared_css_table(&self) -> &Arc<CssTable> {
         &self.table
     }
 
@@ -174,7 +167,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
         self.table.remove_credential(&Nym::new(nym), cond)
     }
 
-    // (revocations keep `&mut self` although the sharded table would allow
+    // (revocations keep `&mut self` although the table would allow
     // `&self`: mutating publisher state through a shared reference would
     // silently bypass the snapshot-invalidation gateways built on top.)
 
@@ -192,7 +185,7 @@ impl<G: CyclicGroup, K: BroadcastGkm> Publisher<G, K> {
                 continue;
             };
             for nym in self.table.nyms_with_all(&acp.conditions) {
-                // A concurrent credential revocation between the two shard
+                // A concurrent credential revocation between the two table
                 // reads can legitimately remove coverage; skip the row —
                 // the next broadcast (a full rekey) settles it either way.
                 let Some(css_concat) = self.table.css_concat(&nym, &acp.conditions) else {
@@ -311,9 +304,9 @@ fn draw<const N: usize>(rng: &mut (impl RngCore + ?Sized)) -> [u8; N] {
 /// The registration half of a [`Publisher`], detached for concurrency:
 /// token verification, condition lookup and OCBE envelope composition are
 /// read-only against materials captured at build time, and CSS issuance
-/// goes through the shared sharded table — so `register_batch` takes `&self`
-/// and any number of threads can serve registrations at once, each
-/// contending only for its subscriber's table shard.
+/// goes through the shared table — so `register_batch` takes `&self` and
+/// any number of threads can serve registrations at once, contending only
+/// for the table's write lock, held for one insert.
 ///
 /// Obtain via [`Publisher::registrar`]; rebuild after any publisher
 /// mutation (the captured condition list is a snapshot).
@@ -321,7 +314,7 @@ pub struct Registrar<G: CyclicGroup> {
     pub(crate) ocbe: OcbeSystem<G>,
     pub(crate) idmgr_key: VerifyingKey<G>,
     pub(crate) conditions: Vec<AttributeCondition>,
-    pub(crate) table: Arc<ShardedCssTable>,
+    pub(crate) table: Arc<CssTable>,
 }
 
 impl<G: CyclicGroup> Registrar<G> {

@@ -28,7 +28,6 @@ use pbcd_telemetry::{Counter, Gauge, Histogram, Registry, Snapshot};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::slice;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -299,9 +298,9 @@ fn unpoisoned<T>(guard: Result<T, std::sync::PoisonError<T>>) -> T {
 /// * **Full conditions query** → pre-encoded response bytes, no lock
 ///   beyond a read of the slot holding them;
 /// * **Registration** → an `Arc`-shared read-mostly [`Registrar`] (OCBE
-///   parameters, IdMgr key, condition list) plus the sharded CSS table —
-///   concurrent registrations contend only on their subscriber's table
-///   shard, never on the publisher;
+///   parameters, IdMgr key, condition list) plus the shared CSS table —
+///   concurrent registrations contend only on the table's lock, held for
+///   one insert, never on the publisher;
 /// * **everything else** (filtered conditions queries, unsupported kinds,
 ///   malformed bytes) → the publisher mutex, which is also the gateway for
 ///   every publisher mutation, broadcast and audit.
@@ -318,13 +317,9 @@ pub struct PublisherService<G: CyclicGroup, K: BroadcastGkm = AcvBgkm> {
     registrar: RwLock<Option<Arc<Registrar<G>>>>,
     /// The encoded answer to the full conditions query; `None` = stale.
     conditions: RwLock<Option<Vec<u8>>>,
-    /// Seed source for the per-thread request RNGs: held only long enough
-    /// to draw 8 bytes, never across an envelope composition.
+    /// Seed source for the request RNGs: held only long enough to draw
+    /// one 32-byte seed, never across an envelope composition.
     rng: Mutex<StdRng>,
-    /// Identity of this service instance for the thread-local RNG cache.
-    serial: u64,
-    /// Bumped by [`Self::reseed`]; invalidates every cached per-thread RNG.
-    rng_epoch: AtomicU64,
     telemetry: ServiceTelemetry,
 }
 
@@ -332,26 +327,23 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
     /// Wraps `publisher`; every CSS the service issues derives from `seed`
     /// (matching the repository-wide reproducibility convention).
     pub fn new(publisher: Publisher<G, K>, seed: u64) -> Self {
-        static SERIAL: AtomicU64 = AtomicU64::new(0);
         Self {
             group: publisher.ocbe().group().clone(),
             publisher: Mutex::new(publisher),
             registrar: RwLock::new(None),
             conditions: RwLock::new(None),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            serial: SERIAL.fetch_add(1, Ordering::Relaxed),
-            rng_epoch: AtomicU64::new(0),
             telemetry: ServiceTelemetry::new(),
         }
     }
 
-    /// Reseeds the request RNGs (e.g. before exposing the service on a
-    /// socket), and eagerly (re)builds the conditions bytes and the
-    /// registrar so the first requests already take the fast paths.
+    /// Reseeds the request RNGs' seed source (e.g. before exposing the
+    /// service on a socket), and eagerly (re)builds the conditions bytes
+    /// and the registrar so the first requests already take the fast
+    /// paths.
     pub fn reseed(&self, seed: u64) {
         let publisher = self.lock_publisher();
         *unpoisoned(self.rng.lock()) = StdRng::seed_from_u64(seed);
-        self.rng_epoch.fetch_add(1, Ordering::Release);
         self.install_conditions(conditions_response(&publisher, None));
         *unpoisoned(self.registrar.write()) = Some(Arc::new(publisher.registrar()));
     }
@@ -380,14 +372,13 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
         self.telemetry.requests.inc();
         let response = if proto::is_register_request(request) {
             let registrar = self.registrar_handle();
-            self.with_request_rng(|rng| {
-                registration_response(&registrar, request, rng, Some(&self.telemetry))
-            })
+            let mut rng = self.request_rng();
+            registration_response(&registrar, request, &mut rng, Some(&self.telemetry))
         } else if proto::is_stats_query(request) {
             self.stats_response()
         } else {
             let publisher = self.lock_publisher();
-            let response = self.with_request_rng(|rng| dispatch(&publisher, request, rng));
+            let response = dispatch(&publisher, request, &mut self.request_rng());
             // A missed full conditions query repopulates the slot *under
             // the publisher lock*, so a concurrent `with_publisher_mut`
             // (which clears it under the same lock) cannot interleave and
@@ -420,29 +411,12 @@ impl<G: CyclicGroup, K: BroadcastGkm> PublisherService<G, K> {
         .unwrap_or_else(|e| error_bytes(&self.group, ErrorCode::Internal, &e.to_string()))
     }
 
-    /// Runs `f` with this thread's cached request RNG, seeding it from the
-    /// shared seed source on first use (and again after every
-    /// [`Self::reseed`], which bumps the epoch). Steady-state requests
-    /// therefore touch no RNG lock and construct no RNG.
-    fn with_request_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        thread_local! {
-            /// One cached `(service serial, reseed epoch, rng)` slot per
-            /// thread; a thread bouncing between services reseeds on each
-            /// switch, which is correct just slower.
-            static REQUEST_RNG: std::cell::RefCell<Option<(u64, u64, StdRng)>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        let epoch = self.rng_epoch.load(Ordering::Acquire);
-        REQUEST_RNG.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let stale = !matches!(&*slot, Some((s, e, _)) if *s == self.serial && *e == epoch);
-            if stale {
-                let seed = unpoisoned(self.rng.lock()).next_u64();
-                *slot = Some((self.serial, epoch, StdRng::seed_from_u64(seed)));
-            }
-            let (_, _, rng) = slot.as_mut().expect("slot just populated");
-            f(rng)
-        })
+    /// A generator for one request: `StdRng::from_seed` of a full 32-byte
+    /// seed drawn from the seed source under its lock.
+    fn request_rng(&self) -> StdRng {
+        let mut seed = [0u8; 32];
+        unpoisoned(self.rng.lock()).fill_bytes(&mut seed);
+        StdRng::from_seed(seed)
     }
 
     /// The current registrar, rebuilt under the publisher lock on

@@ -128,11 +128,11 @@ fn registration_is_idempotent_with_fresh_css() {
     let mut sub = sys.onboard("alice", AttributeSet::new().with("age", 30));
     let extracted_first = sys.register_all(&mut sub);
     assert_eq!(extracted_first, 1);
-    let table_size = sys.publisher.css_table().record_count();
+    let table_size = sys.publisher.shared_css_table().record_count();
     let extracted_again = sys.register_all(&mut sub);
     assert_eq!(extracted_again, 1);
     assert_eq!(
-        sys.publisher.css_table().record_count(),
+        sys.publisher.shared_css_table().record_count(),
         table_size,
         "override, not append"
     );
@@ -149,5 +149,5 @@ fn custom_config_is_respected() {
     let idmgr_key = SigningKey::generate(&group, &mut rng).verifying_key();
     let publisher = Publisher::with_config(group, idmgr_key, policies(), config);
     assert_eq!(publisher.ocbe().ell(), 16);
-    assert_eq!(publisher.css_table().kappa_bits(), 64);
+    assert_eq!(publisher.shared_css_table().kappa_bits(), 64);
 }

@@ -173,7 +173,7 @@ fn replayed_register_request_reissues_without_growing_the_table() {
     assert!(!proto::is_error_response(&first));
     assert!(!proto::is_error_response(&replay));
     assert_eq!(
-        service.with_publisher(|p| p.css_table().record_count()),
+        service.with_publisher(|p| p.shared_css_table().record_count()),
         1,
         "replay overrides (credential-update semantics), it does not append"
     );

@@ -107,4 +107,29 @@ mod tests {
         );
         assert_eq!(chacha20_block(&key, 1, &nonce)[..], expected[..]);
     }
+
+    /// The workspace's `StdRng` is this block function in counter order,
+    /// keyed by the seed, under the all-zero nonce.
+    #[test]
+    fn std_rng_is_the_chacha20_keystream() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut seeds = vec![[0u8; 32], [0xff; 32], core::array::from_fn(|i| i as u8)];
+        let mut expand = StdRng::seed_from_u64(1);
+        for _ in 0..5 {
+            let mut seed = [0u8; 32];
+            expand.fill_bytes(&mut seed);
+            seeds.push(seed);
+        }
+        for seed in seeds {
+            let mut stream = [0u8; 4 * BLOCK_LEN];
+            StdRng::from_seed(seed).fill_bytes(&mut stream);
+            for (counter, block) in stream.chunks_exact(BLOCK_LEN).enumerate() {
+                assert_eq!(
+                    block,
+                    chacha20_block(&seed, counter as u32, &[0; NONCE_LEN])
+                );
+            }
+        }
+    }
 }

@@ -29,7 +29,7 @@ pub mod simplistic;
 pub mod traits;
 
 pub use acv::{AccessRow, AcvBgkm, AcvPublicInfo, KevCache};
-pub use css::{Css, CssTable, Nym, ShardedCssTable, DEFAULT_CSS_SHARDS};
+pub use css::{Css, CssTable, Nym};
 pub use lkh::{LkhMember, LkhPublisher, RekeyMessage};
 pub use marker::{MarkerGkm, MarkerPublicInfo};
 pub use secure_lock::{LockPublicInfo, SecureLockGkm};

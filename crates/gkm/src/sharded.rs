@@ -79,10 +79,16 @@ impl ShardedAcvBgkm {
     }
 
     /// Subscriber: locates its shard by pseudonym and derives from that
-    /// shard's ACV only.
-    pub fn derive_key(&self, info: &ShardedPublicInfo, nym: &str, css_concat: &[u8]) -> Vec<u8> {
+    /// shard's ACV only. `None` when `info` holds no ACV at that index
+    /// (hostile info may disagree with its own `num_shards`).
+    pub fn derive_key(
+        &self,
+        info: &ShardedPublicInfo,
+        nym: &str,
+        css_concat: &[u8],
+    ) -> Option<Vec<u8>> {
         let shard = Self::shard_of(nym, info.num_shards) as usize;
-        self.inner.derive_key(&info.shards[shard], css_concat)
+        Some(self.inner.derive_key(info.shards.get(shard)?, css_concat))
     }
 
     /// Total broadcast size across shards (compressed field elements).
@@ -164,7 +170,10 @@ mod tests {
         let (key, info) = s.rekey(&rows, &mut r);
         assert_eq!(info.num_shards, 4); // ceil(30/8)
         for row in &rows {
-            assert_eq!(s.derive_key(&info, &row.nym, &row.css_concat), key);
+            assert_eq!(
+                s.derive_key(&info, &row.nym, &row.css_concat),
+                Some(key.clone())
+            );
         }
     }
 
@@ -176,7 +185,10 @@ mod tests {
         let (key, info) = s.rekey(&rows, &mut r);
         assert_eq!(info.num_shards, 1);
         for row in &rows {
-            assert_eq!(s.derive_key(&info, &row.nym, &row.css_concat), key);
+            assert_eq!(
+                s.derive_key(&info, &row.nym, &row.css_concat),
+                Some(key.clone())
+            );
         }
     }
 
@@ -188,7 +200,10 @@ mod tests {
         let (key, info) = s.rekey(&rows, &mut r);
         let mut outsider = vec![0u8; 16];
         r.fill_bytes(&mut outsider);
-        assert_ne!(s.derive_key(&info, "pn-xxxxx", &outsider), key);
+        assert_ne!(
+            s.derive_key(&info, "pn-xxxxx", &outsider),
+            Some(key.clone())
+        );
         // Right CSS in the *wrong* shard also fails.
         let wrong_shard_nym = "completely-different";
         if ShardedAcvBgkm::shard_of(wrong_shard_nym, info.num_shards)
@@ -196,7 +211,7 @@ mod tests {
         {
             assert_ne!(
                 s.derive_key(&info, wrong_shard_nym, &rows[0].css_concat),
-                key
+                Some(key)
             );
         }
     }
@@ -220,6 +235,22 @@ mod tests {
         let mut r = rng();
         let (key, info) = s.rekey(&[], &mut r);
         assert_eq!(info.num_shards, 1);
-        assert_ne!(s.derive_key(&info, "anyone", b"anything"), key);
+        assert_ne!(s.derive_key(&info, "anyone", b"anything"), Some(key));
+    }
+
+    #[test]
+    fn info_with_fewer_shards_than_it_names_derives_nothing() {
+        let s = ShardedAcvBgkm::new(AcvBgkm::default(), 4);
+        let mut r = rng();
+        let rows = rows(&mut r, 12);
+        let (_, mut info) = s.rekey(&rows, &mut r);
+        info.shards.truncate(1);
+        let lost = rows
+            .iter()
+            .find(|row| ShardedAcvBgkm::shard_of(&row.nym, info.num_shards) > 0)
+            .expect("some member hashes past shard 0");
+        assert_eq!(s.derive_key(&info, &lost.nym, &lost.css_concat), None);
+        info.shards.clear();
+        assert_eq!(s.derive_key(&info, &rows[0].nym, &rows[0].css_concat), None);
     }
 }

@@ -125,10 +125,7 @@ impl BroadcastGkm for ShardedAcvBgkm {
     }
 
     fn derive_key(&self, info: &Self::PublicInfo, nym: &str, css_concat: &[u8]) -> Option<Vec<u8>> {
-        // Guard the shard index: hostile info may disagree with num_shards.
-        let shard = Self::shard_of(nym, info.num_shards) as usize;
-        let acv = info.shards.get(shard)?;
-        Some(self.inner().derive_key(acv, css_concat))
+        ShardedAcvBgkm::derive_key(self, info, nym, css_concat)
     }
 
     fn encode_info(&self, info: &Self::PublicInfo) -> Vec<u8> {

@@ -198,14 +198,16 @@ fn seeded_round<G: CyclicGroup>(
 #[test]
 fn seeded_envelopes_are_byte_identical_to_the_reference() {
     // Golden pins: the per-digit `compose` this file keeps as the reference
-    // produced these envelopes before it was replaced.
+    // produced these envelopes before it was replaced. Both moved once
+    // since, when the seeded `StdRng` became the ChaCha20 keystream in
+    // place of xoshiro256** (new openings, key shares and nonces).
     assert_eq!(
         seeded_round(P256Group::new(), 0x0CBE_0048, 9, 5, 48, Direction::Ge),
-        "237282a58c96fbe024cfa9d11db5f75ff158a58a12603521d4f2c6191bcaf5a2"
+        "5d325ee215df2af1e3d98f66a90bd6877fbec1ab8caa0955dbbae2ce32f6a5ae"
     );
     assert_eq!(
         seeded_round(ModpGroup::new(), 0x0CBE_0008, 77, 200, 8, Direction::Le),
-        "afb39489312445a5569c02aa7c7118e0b546fdaecbaec2020071f358b33b2f81"
+        "94060505f85f3b93a3941363c3bd4657a9b5786a674d685d0abdbebe957e8dc3"
     );
     seeded_round(P256Group::new(), 0x0CBE_1008, 3, 3, 8, Direction::Le);
     seeded_round(

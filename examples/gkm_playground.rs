@@ -81,7 +81,7 @@ fn main() {
     );
     assert!(members
         .iter()
-        .all(|m| sharded.derive_key(&sinfo, &m.nym, &m.css_concat) == skey));
+        .all(|m| sharded.derive_key(&sinfo, &m.nym, &m.css_concat).as_ref() == Some(&skey)));
     println!("all members derive the uniform key from their own shard");
 
     // Transparent revocation: drop ten members, rekey — the others derive

@@ -67,14 +67,13 @@ fn main() {
 
     let conds = sys.publisher.policies().distinct_conditions();
     println!("== The publisher's CSS table T (cf. paper Table I) ==\n");
-    println!("{}", sys.publisher.css_table().render(&conds));
+    println!("{}", sys.publisher.shared_css_table().render(&conds));
 
     println!("Mutually exclusive conditions both carry records:");
     let yos_ge = AttributeCondition::new("YoS", ComparisonOp::Ge, 5);
     let yos_lt = AttributeCondition::new("YoS", ComparisonOp::Lt, 5);
     assert!(yos_ge.mutually_exclusive(&yos_lt));
-    // One table snapshot for the whole audit loop (css_table() copies).
-    let table = sys.publisher.css_table();
+    let table = sys.publisher.shared_css_table();
     for sub in [&b, &c] {
         let nym = Nym::new(sub.nym().unwrap());
         let both = table.get(&nym, &yos_ge).is_some() && table.get(&nym, &yos_lt).is_some();

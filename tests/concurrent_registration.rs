@@ -83,10 +83,10 @@ fn onboard_all(
 /// `(nym, condition)` records (CSS values are random, but *which* records
 /// exist must not depend on scheduling).
 fn record_set(publisher: &Publisher<P256Group>) -> BTreeSet<(String, String)> {
-    let table = publisher.css_table();
+    let table = publisher.shared_css_table();
     let conds = publisher.policies().distinct_conditions();
     let mut set = BTreeSet::new();
-    for nym in table.nyms() {
+    for nym in &table.nyms() {
         for cond in &conds {
             if table.get(nym, cond).is_some() {
                 set.insert((nym.as_str().to_string(), cond.to_string()));

@@ -168,7 +168,7 @@ fn unqualified_registration_yields_no_css_but_publisher_cannot_tell() {
     // composed envelopes for — it cannot distinguish carl from a doctor by
     // registration shape.
     let nym = cleaner.nym().unwrap();
-    let table = sys.publisher.css_table();
+    let table = sys.publisher.shared_css_table();
     let conds = sys.publisher.policies().distinct_conditions();
     let covered = conds
         .iter()
@@ -188,7 +188,7 @@ fn publisher_state_contains_no_attribute_values() {
     let mut sys = SystemHarness::new_p256(policies(), 6);
     let doctor = sys.subscribe("dora", AttributeSet::new().with_str("role", "doctor"));
     let cleaner = sys.subscribe("carl", AttributeSet::new().with_str("role", "cleaner"));
-    let table = sys.publisher.css_table();
+    let table = sys.publisher.shared_css_table();
     let role_conds: Vec<_> = sys.publisher.policies().conditions_on_attribute("role");
     for cond in &role_conds {
         let d = table.get(&pbcd::gkm::Nym::new(doctor.nym().unwrap()), cond);
@@ -235,7 +235,7 @@ fn decoy_tokens_hide_attribute_possession_without_granting_access() {
         &["role", "level"],
     );
     // Registered for all three conditions via decoys…
-    let table = sys.publisher.css_table();
+    let table = sys.publisher.shared_css_table();
     let nym = pbcd::gkm::Nym::new(cleaner.nym().unwrap());
     let covered = sys
         .publisher
@@ -259,8 +259,7 @@ fn decoy_tokens_hide_attribute_possession_without_granting_access() {
         &["level"],
     );
     let d_nym = pbcd::gkm::Nym::new(doctor.nym().unwrap());
-    // One table snapshot, probed in the loop (css_table() copies).
-    let d_table = sys.publisher.css_table();
+    let d_table = sys.publisher.shared_css_table();
     let d_covered = sys
         .publisher
         .policies()
@@ -325,4 +324,341 @@ fn a_policy_on_one_document_grants_nothing_in_another() {
         !reads(&doctor, &b),
         "a.xml's policy must not open b.xml's Note"
     );
+}
+
+/// The public bytes of containers must not determine their keys. This
+/// runs, against whatever `StdRng` is, the recoveries that break a linear
+/// generator. xoshiro256** keeps a 256-bit state that each step maps
+/// linearly over GF(2) and outputs `r = rotl(s1·5, 7)·9`, so the low `k`
+/// bits of an output fix bits `0..k−7` of `s1` and a full output fixes
+/// all of it. An observer who models the generator so tries two things:
+///
+/// * **From the ACV nonces of one container.** Each configuration rekeys
+///   on `StdRng::from_seed`; the first outputs of that stream are the
+///   public nonces `zᵢ` (2 bytes, 9 known bits each, at 40 and 96 rows)
+///   and the next ones are the group key.
+/// * **From the AEAD nonces of three broadcasts.** A broadcast draws one
+///   32-byte seed per configuration and then one 12-byte nonce per segment
+///   from the caller's stream: 64 + 25 known bits per one-segment
+///   broadcast, 267 over three, which also give every later broadcast's
+///   seeds.
+///
+/// Over a xoshiro256** `StdRng` both decrypted every container tried
+/// here: 20 of 20 at 40 rows and at 96 rows, and 4 of 4 (three seen,
+/// one predicted) at 4 and at 16 rows. Over the ChaCha20 keystream
+/// neither recovers anything.
+#[test]
+fn public_nonces_do_not_reveal_the_keys() {
+    let mut decrypted = Vec::new();
+    for (rows, broadcasts) in [(40, 20), (96, 20)] {
+        let containers = linear_attack::broadcasts(rows, broadcasts);
+        let opened: usize = containers.iter().map(linear_attack::from_acv_nonces).sum();
+        decrypted.push(format!("ACV nonces, {rows} rows: {opened} of {broadcasts}"));
+    }
+    for rows in [4, 16] {
+        let containers = linear_attack::broadcasts(rows, 4);
+        let opened = linear_attack::from_aead_nonces(&containers, 3);
+        decrypted.push(format!("AEAD nonces, {rows} rows: {opened} of 4"));
+    }
+    assert!(
+        decrypted.iter().all(|line| line.contains(": 0 of")),
+        "an observer decrypted containers from their public bytes:\n{}",
+        decrypted.join("\n")
+    );
+}
+
+/// The observer of [`public_nonces_do_not_reveal_the_keys`]: a GF(2)
+/// model of xoshiro256** and the two recoveries built on it. It uses
+/// container bytes and public APIs only.
+mod linear_attack {
+    use super::doc;
+    use pbcd::core::SystemHarness;
+    use pbcd::crypto::AuthKey;
+    use pbcd::docs::BroadcastContainer;
+    use pbcd::gkm::{AccessRow, AcvBgkm, AcvPublicInfo, Nym};
+    use pbcd::policy::{AccessControlPolicy, AttributeCondition, PolicySet};
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// `count` one-segment broadcasts of a configuration with `rows`
+    /// access rows, all drawn from one caller stream, as the bytes an
+    /// observer receives.
+    pub fn broadcasts(rows: usize, count: usize) -> Vec<BroadcastContainer> {
+        let cond = AttributeCondition::eq_str("role", "doctor");
+        let mut set = PolicySet::new();
+        set.add(AccessControlPolicy::new(
+            vec![cond.clone()],
+            &["Secret"],
+            "doc.xml",
+        ));
+        let mut sys = SystemHarness::new_p256(set, rows as u64);
+        let table = sys.publisher.shared_css_table();
+        for i in 0..rows {
+            table.issue(&Nym::new(&format!("pn-{i:03}")), &cond, &mut sys.rng);
+        }
+        let mut caller = StdRng::seed_from_u64(0xB0AD_CA57 + rows as u64);
+        (0..count)
+            .map(|_| {
+                let bc = sys.publisher.broadcast(&doc(), "doc.xml", &mut caller);
+                BroadcastContainer::decode(&bc.encode().expect("encodes")).expect("decodes")
+            })
+            .collect()
+    }
+
+    /// Segments of `bc` opened with keys solved from each configuration's
+    /// public nonces alone.
+    pub fn from_acv_nonces(bc: &BroadcastContainer) -> usize {
+        let mut opened = 0;
+        for group in &bc.groups {
+            let Some(info) = AcvPublicInfo::decode(&group.key_info) else {
+                continue;
+            };
+            let mut model = Model::new();
+            for z in &info.zs {
+                model.observe(z);
+                if model.rank == 256 {
+                    break;
+                }
+            }
+            let Some(state) = model.solve() else {
+                continue;
+            };
+            if let Some(key) = config_key(&mut Xoshiro(state), &info) {
+                opened += open(&key, &group.segments);
+            }
+        }
+        usize::from(opened > 0)
+    }
+
+    /// Containers of `bcs` opened with keys solved from the AEAD nonces of
+    /// the first `seen` of them; the rest are predicted.
+    pub fn from_aead_nonces(bcs: &[BroadcastContainer], seen: usize) -> usize {
+        let mut model = Model::new();
+        for bc in &bcs[..seen] {
+            for _ in &bc.groups {
+                model.skip(32);
+            }
+            for segment in bc.groups.iter().flat_map(|g| &g.segments) {
+                model.observe(&segment.ciphertext[..12]);
+            }
+        }
+        let Some(state) = model.solve() else {
+            return 0;
+        };
+        let mut caller = Xoshiro(state);
+        let mut opened = 0;
+        for bc in bcs {
+            let seeds: Vec<[u8; 32]> = bc
+                .groups
+                .iter()
+                .map(|_| {
+                    let mut seed = [0u8; 32];
+                    caller.fill_bytes(&mut seed);
+                    seed
+                })
+                .collect();
+            for _ in bc.groups.iter().flat_map(|g| &g.segments) {
+                caller.fill_bytes(&mut [0u8; 12]);
+            }
+            let mut any = false;
+            for (group, seed) in bc.groups.iter().zip(seeds) {
+                let Some(info) = AcvPublicInfo::decode(&group.key_info) else {
+                    continue;
+                };
+                if let Some(key) = config_key(&mut Xoshiro::from_seed(seed), &info) {
+                    any |= open(&key, &group.segments) > 0;
+                }
+            }
+            opened += usize::from(any);
+        }
+        opened
+    }
+
+    /// Replays a configuration's rekey on `rng` with stand-in rows of the
+    /// published count: the nonces come out first and the key next, so
+    /// the key is right whenever the replayed nonces match the published
+    /// ones.
+    fn config_key(rng: &mut Xoshiro, info: &AcvPublicInfo) -> Option<AuthKey> {
+        let rows: Vec<AccessRow> = (0..info.zs.len())
+            .map(|i| AccessRow {
+                nym: format!("guess-{i}"),
+                css_concat: (i as u32).to_be_bytes().repeat(4),
+            })
+            .collect();
+        let (key, replayed) = AcvBgkm::default().rekey(&rows, rng);
+        (replayed.zs == info.zs).then(|| AuthKey::from_master(&key))
+    }
+
+    fn open(key: &AuthKey, segments: &[pbcd::docs::EncryptedSegment]) -> usize {
+        segments
+            .iter()
+            .filter(|s| key.decrypt(&s.ciphertext).is_ok())
+            .count()
+    }
+
+    /// xoshiro256** exactly: the generator the observer assumes.
+    struct Xoshiro([u64; 4]);
+
+    impl Xoshiro {
+        fn from_seed(seed: [u8; 32]) -> Self {
+            Self(std::array::from_fn(|i| {
+                u64::from_le_bytes(seed[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+            }))
+        }
+    }
+
+    impl RngCore for Xoshiro {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let s = &mut self.0;
+            let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                let bytes = self.next_u64().to_le_bytes();
+                chunk.copy_from_slice(&bytes[..chunk.len()]);
+            }
+        }
+    }
+
+    /// A linear form over the 256 unknown bits of a starting state.
+    type Lin = [u64; 4];
+
+    /// xoshiro256** run over symbols from an unknown starting state, with
+    /// the equations its observed outputs give, kept in echelon form:
+    /// `pivots[p]` has lowest set bit `p`.
+    struct Model {
+        s: [[Lin; 64]; 4],
+        pivots: Vec<Option<(Lin, bool)>>,
+        rank: usize,
+        inconsistent: bool,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            let mut s = [[[0u64; 4]; 64]; 4];
+            for (limb, bits) in s.iter_mut().enumerate() {
+                for (bit, lin) in bits.iter_mut().enumerate() {
+                    lin[limb] = 1 << bit;
+                }
+            }
+            Self {
+                s,
+                pivots: vec![None; 256],
+                rank: 0,
+                inconsistent: false,
+            }
+        }
+
+        /// One step; returns the symbolic `s1` the output is made of.
+        fn step(&mut self) -> [Lin; 64] {
+            let xor = |a: &mut [Lin; 64], b: &[Lin; 64]| {
+                for (x, y) in a.iter_mut().zip(b) {
+                    for (u, v) in x.iter_mut().zip(y) {
+                        *u ^= v;
+                    }
+                }
+            };
+            let [s0, s1, s2, s3] = &mut self.s;
+            let out = *s1;
+            let mut t = [[0u64; 4]; 64];
+            t[17..].copy_from_slice(&s1[..47]);
+            xor(s2, s0);
+            xor(s3, s1);
+            xor(s1, s2);
+            xor(s0, s3);
+            xor(s2, &t);
+            s3.rotate_right(45);
+            out
+        }
+
+        /// Advances past one unobserved `fill_bytes` of `len` bytes.
+        fn skip(&mut self, len: usize) {
+            for _ in 0..len.div_ceil(8) {
+                self.step();
+            }
+        }
+
+        /// Takes the equations of one observed `fill_bytes` output.
+        fn observe(&mut self, bytes: &[u8]) {
+            const INV9: u64 = inverse(9);
+            const INV5: u64 = inverse(5);
+            for chunk in bytes.chunks(8) {
+                let s1 = self.step();
+                let mut r = [0u8; 8];
+                r[..chunk.len()].copy_from_slice(chunk);
+                let r = u64::from_le_bytes(r).wrapping_mul(INV9);
+                let (known, m) = match chunk.len() {
+                    8 => (64, r.rotate_right(7)),
+                    n => ((8 * n).saturating_sub(7), r >> 7),
+                };
+                let value = m.wrapping_mul(INV5);
+                for (bit, lin) in s1.iter().enumerate().take(known) {
+                    self.add(*lin, (value >> bit) & 1 == 1);
+                }
+            }
+        }
+
+        fn add(&mut self, mut lin: Lin, mut rhs: bool) {
+            loop {
+                let Some(p) = (0..256).find(|&b| lin[b / 64] >> (b % 64) & 1 == 1) else {
+                    self.inconsistent |= rhs;
+                    return;
+                };
+                match &self.pivots[p] {
+                    Some((row, bit)) => {
+                        for (u, v) in lin.iter_mut().zip(row) {
+                            *u ^= v;
+                        }
+                        rhs ^= bit;
+                    }
+                    None => {
+                        self.pivots[p] = Some((lin, rhs));
+                        self.rank += 1;
+                        return;
+                    }
+                }
+            }
+        }
+
+        /// The starting state, if the equations fix it.
+        fn solve(&self) -> Option<[u64; 4]> {
+            if self.inconsistent || self.rank < 256 {
+                return None;
+            }
+            let mut x = [0u64; 4];
+            for p in (0..256).rev() {
+                let (row, rhs) = self.pivots[p].as_ref()?;
+                let mut bit = *rhs;
+                for q in p + 1..256 {
+                    bit ^= (row[q / 64] >> (q % 64)) & (x[q / 64] >> (q % 64)) & 1 == 1;
+                }
+                x[p / 64] |= u64::from(bit) << (p % 64);
+            }
+            Some(x)
+        }
+    }
+
+    /// The inverse of odd `x` modulo 2⁶⁴ (Newton's iteration).
+    const fn inverse(x: u64) -> u64 {
+        let mut y = x;
+        let mut i = 0;
+        while i < 6 {
+            y = y.wrapping_mul(2u64.wrapping_sub(x.wrapping_mul(y)));
+            i += 1;
+        }
+        y
+    }
 }

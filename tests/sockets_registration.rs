@@ -148,7 +148,7 @@ fn full_paper_flow_every_leg_over_loopback_tcp() {
     // qualified and the non-qualified registrant identically — one CSS
     // record per registered condition for each, no errors, no distinction.
     net_pub.with_publisher(|p| {
-        let table = p.css_table();
+        let table = p.shared_css_table();
         let conds = p.policies().distinct_conditions();
         assert_eq!(table.record_count(), 4, "2 conditions × 2 registrants");
         for cond in &conds {
