@@ -7,7 +7,7 @@
 //! logarithm. The scheme is unconditionally hiding and computationally
 //! binding under the DL assumption. OCBE relies on the homomorphic
 //! operations exposed here (`c · g^{−x₀}`, products of digit commitments
-//! weighted by powers of eight).
+//! weighted by powers of sixteen).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,9 +16,9 @@ use pbcd_group::{CyclicGroup, Scalar};
 use rand::RngCore;
 
 /// Bits per digit of the GE/LE-OCBE difference decomposition: digit
-/// commitments are weighted by powers of `2^DIGIT_BITS` in
-/// [`Pedersen::weighted_product`].
-pub const DIGIT_BITS: u32 = 3;
+/// commitments are weighted by powers of `2^DIGIT_BITS = 16` in
+/// [`Pedersen::weighted_product`], so an ℓ = 48 difference has 12 digits.
+pub const DIGIT_BITS: u32 = 4;
 
 /// A Pedersen commitment: a single group element.
 pub struct Commitment<G: CyclicGroup> {
@@ -170,7 +170,7 @@ impl<G: CyclicGroup> Pedersen<G> {
         }
     }
 
-    /// `Π cᵢ^{8ⁱ}` (radix `2^DIGIT_BITS`) — the weighted product the GE/LE
+    /// `Π cᵢ^{16ⁱ}` (radix `2^DIGIT_BITS`) — the weighted product the GE/LE
     /// OCBE sender uses to check digit decompositions, evaluated
     /// Horner-style (msb first) by the backend ([`CyclicGroup::prod_horner`]
     /// — projective backends run the whole chain with one final
@@ -314,8 +314,9 @@ mod tests {
 
     #[test]
     fn weighted_product_matches_bit_decomposition() {
-        // Commit digitwise to d = Σ 8^i d_i with r = Σ 8^i r_i and check
-        // Π c_i^{8^i} = g^d h^r — the exact GE-OCBE sender check.
+        // Commit digitwise to d = Σ B^i d_i with r = Σ B^i r_i, where
+        // B = 2^DIGIT_BITS, and check Π c_i^{B^i} = g^d h^r — the exact
+        // GE-OCBE sender check.
         let group = P256Group::new();
         let ped = Pedersen::new(group.clone());
         let sc = group.scalar_ctx().clone();
@@ -326,7 +327,7 @@ mod tests {
         let mut weight = sc.one();
         let radix = sc.from_u64(1 << DIGIT_BITS);
         for i in 0..10 {
-            let digit = (d >> (DIGIT_BITS * i)) & 7;
+            let digit = (d >> (DIGIT_BITS * i)) & ((1 << DIGIT_BITS) - 1);
             let (c, o) = ped.commit_u64(digit, &mut r);
             r_total = &r_total + &(&weight * &o.randomness);
             weight = &weight * &radix;

@@ -23,7 +23,7 @@ use crate::token::IdentityToken;
 use pbcd_commit::{Commitment, Opening};
 use pbcd_docs::wire::{self, WireError};
 use pbcd_group::{CyclicGroup, Scalar, Signature};
-use pbcd_ocbe::{BitProof, BitwiseEnvelope, Envelope, EqEnvelope, ProofMessage};
+use pbcd_ocbe::{BitProof, BitwiseEnvelope, Envelope, EqEnvelope, ProofMessage, SHARE_LEN};
 use pbcd_policy::{AttributeCondition, ComparisonOp};
 
 /// Leading bytes of every protocol message.
@@ -442,12 +442,12 @@ fn get_bitwise_envelope<G: CyclicGroup>(
 ) -> Result<BitwiseEnvelope<G>, WireError> {
     let eta = get_elem(buf, group)?;
     let count = wire::get_u32(buf)? as usize;
-    // Each share is exactly 32 bytes on the wire.
-    if count > buf.len() / 32 {
+    // Each share is exactly `SHARE_LEN` bytes on the wire.
+    if count > buf.len() / SHARE_LEN {
         return Err(WireError::Truncated);
     }
     let shares = (0..count)
-        .map(|_| wire::get_fixed::<32>(buf))
+        .map(|_| wire::get_fixed::<SHARE_LEN>(buf))
         .collect::<Result<_, _>>()?;
     let ciphertext = wire::get_bytes(buf)?;
     Ok(BitwiseEnvelope {

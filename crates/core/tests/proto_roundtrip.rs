@@ -167,14 +167,14 @@ const REQUEST_PINS: [&str; 12] = [
     "b72acf1d97bb1a931595707a39881b37b358cdcdf979f76d0fb1f602bc9167e7",
     "903bef8756b05da93a252b81842aa7556b7d86cc68cd2cac12987bb442c1ebd4",
     "3b398ee4442894914d1018ec29ab2a00f1e05909516d9c4de58f1d0234dbbbf8",
-    "883ddd42337a1b0a56186a2c60aedd55ab014ea68791b59511081a53b756db80",
-    "927a6c410617d74269a5e88d9b904385b9f6db52baab4d8be0e8971bdfc4bee5",
-    "b3276c1da201b6f6a0e7124b6859cba63555a56664fa1facacb3d7ba435aa01b",
-    "43b48e3ed6de8c967c8675950ec58875bfe96d91aed9b14a389831bd819c92f9",
-    "65c37f69f93360f6adf984f2ac7a2b38c0a683b72484575b9433957ccf025cb7",
-    "a0ffcea1fe130b55abfc1cd58c023cc2bfa04c16e298db8c7f7183646805158a",
-    "e0d2b75251b67020cb27fdfb95f6ff3e66f0686167a7aa767b42d129158efb97",
-    "c940031aa7a776a309171a07404e4620bdb91182ec60fbed5acd849833f725e9",
+    "b0674583fd8e497dde35ae503933067f6e6767090f4b8ae2cda3c31c101843a8",
+    "71d1304e5ef42ae06ff857562d56874ff1c5eb692d2c6e5b993326153bdd1724",
+    "922d5e5ced842ee01ee6c3ab5517b1e0c8b0b826ccb89ec96649869bf6f39f0a",
+    "0223241dac8f05603590c98f54b73060a7d2057e061c3a64d58b8f90889fb299",
+    "f69ae0b15e429ddef0045441491788bbfcdb6b736d45a71e60af7d289ab0565d",
+    "c2bfbbba7c6f33081c79de6f27a5e1466f4a9c367b1d0a78897efb0a4c729d01",
+    "6735b00557142099edf07be2ce2e0ee22b75f6e2032ed47860b0a6e04959df31",
+    "87847ac4b441594e35f7d02c72b462eb758e511ebe2d10db2166cb79d4c94e66",
 ];
 
 /// SHA-256 of each response encoding of [`sample_messages`], in order.
@@ -183,14 +183,14 @@ const RESPONSE_PINS: [&str; 12] = [
     "6aac1d270607992620ba987835b9ab0a11f396103b11392b30ae5f27b08fd490",
     "8569bd3fb6300bcedef22286bf145e1ae7caa0ae34d857c4a7637d368339e75d",
     "0af15a1b579567b837cf7a454da2cff13768357feb0d1af5a7eb22661bc25ce3",
-    "f83f8e22fa532aa7c61e27d57a180f78cb5bdd466644287c5a09e5d94c84c373",
-    "575b49d75a6a9b7a230a302141ab22ededc8b5826f96e2dfee5e9289f3d96e37",
-    "6f4c83db3e730efec2caa1d8ba5f128a091d597439a3e33c4cd39aa998c2591e",
-    "c57b2e2150a9405a8da1d6b5e2aa68eeab48b0c591a08be088b6db382af29906",
-    "caeaf5068c8af16ada22f42aa802907b4ee88f4868348ff2ae5b69088d1e27bf",
-    "bef17b2943e9b18e20364836485c763cdc1734ca6a04b3e7f43b9b54f7c67ad9",
-    "d513278fa77066af12f6074f2265a34a98c28320a21a4a070f10ac1d396a6998",
-    "6f1e3e6edd81bb67d28d05dfe80e9a5cdbf7adb21858ddef99246e09b39205e8",
+    "6a3080ca8bb8cb62cf96dc90f25351bd20c16cff29627d7fc53ef27e13b7fe69",
+    "ba309e8c066703be90ca39560eb459874641c1c9a117851a1c3e790e3040c31b",
+    "8ee1c96d9f8ab96d710d0bae02596da314c7dfb577780072f37f5d98c9946d5a",
+    "3cfdc8c24ea25e8bf43dc32a7705a7969e12f3c8f82591912c327b3e5bf5e498",
+    "aea1b5f0b41a28250e349e594766332c09d3f86420d9cf552c816ae46c78eb5e",
+    "b6f3d9eaf949c8d8851371fdbd97fc1b69f759a70f8b304ef58137bc0da04c34",
+    "f9a9e34602d8de5b6c98555195d1f2c5b129d3acb96f04a4b161011a9f4c191f",
+    "b1e344ee9dbff085cc3b320b95c50dcf470de13463ff14fcab3e59d19189d80c",
 ];
 
 /// The SHA-256 of every request and every response encoding above: a
@@ -200,7 +200,10 @@ const RESPONSE_PINS: [&str; 12] = [
 /// response pins 1 and 3–11: the token, its opening, the proofs and the
 /// envelopes) moved once, when the workspace `StdRng` became the ChaCha20
 /// keystream in place of xoshiro256**. The pins of messages built from
-/// fixed inputs (request pins 0–2, response pins 0 and 2) did not.
+/// fixed inputs (request pins 0–2, response pins 0 and 2) did not. The
+/// pins of the messages that carry a GE/LE proof or envelope (request and
+/// response pins 4–11) moved once more, when the digits went to radix 16
+/// with 16-byte key shares; the EQ pair (pins 3) held.
 #[test]
 fn every_encoding_is_pinned() {
     let (requests, responses) = sample_messages();

@@ -403,6 +403,12 @@ fn row_key(css_concat: &[u8], zs: &[Vec<u8>]) -> [u8; 32] {
 }
 
 impl AcvPublicInfo {
+    /// Whether `x` has one entry more than there are nonces, the shape
+    /// [`AcvBgkm::derive_key`] requires and [`Self::decode`] enforces.
+    pub(crate) fn is_well_formed(&self) -> bool {
+        self.x.len() == self.zs.len() + 1
+    }
+
     /// Wire encoding: `fq_len u8 ‖ x_count u32 ‖ x… ‖ z_count u32 ‖
     /// tau u8 ‖ z…` (big-endian, fixed-width fields).
     pub fn encode(&self) -> Vec<u8> {

@@ -79,8 +79,9 @@ impl ShardedAcvBgkm {
     }
 
     /// Subscriber: locates its shard by pseudonym and derives from that
-    /// shard's ACV only. `None` when `info` holds no ACV at that index
-    /// (hostile info may disagree with its own `num_shards`).
+    /// shard's ACV only. `None` when `info` holds no well-formed ACV at
+    /// that index (hostile info may disagree with its own `num_shards`, or
+    /// carry a shard whose `x` does not have one entry per nonce plus one).
     pub fn derive_key(
         &self,
         info: &ShardedPublicInfo,
@@ -88,7 +89,8 @@ impl ShardedAcvBgkm {
         css_concat: &[u8],
     ) -> Option<Vec<u8>> {
         let shard = Self::shard_of(nym, info.num_shards) as usize;
-        Some(self.inner.derive_key(info.shards.get(shard)?, css_concat))
+        let acv = info.shards.get(shard).filter(|acv| acv.is_well_formed())?;
+        Some(self.inner.derive_key(acv, css_concat))
     }
 
     /// Total broadcast size across shards (compressed field elements).

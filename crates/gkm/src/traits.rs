@@ -92,8 +92,10 @@ impl BroadcastGkm for AcvBgkm {
         css_concat: &[u8],
     ) -> Option<Vec<u8>> {
         // ACV-BGKM cannot signal non-membership; the candidate is checked
-        // by authenticated decryption above.
-        Some(AcvBgkm::derive_key(self, info, css_concat))
+        // by authenticated decryption above. A hand-built info of the wrong
+        // shape has no candidate.
+        info.is_well_formed()
+            .then(|| AcvBgkm::derive_key(self, info, css_concat))
     }
 
     fn encode_info(&self, info: &Self::PublicInfo) -> Vec<u8> {
@@ -315,6 +317,30 @@ mod tests {
     #[test]
     fn sharded_acv_satisfies_the_contract() {
         exercise(&ShardedAcvBgkm::new(AcvBgkm::default(), 3));
+    }
+
+    /// A hand-built ACV info whose `x` is not one entry longer than its
+    /// nonces derives nothing, alone or as a shard, instead of panicking.
+    #[test]
+    fn malformed_acv_info_derives_nothing() {
+        let malformed = crate::AcvPublicInfo {
+            x: vec![],
+            zs: vec![vec![7u8; 16]],
+        };
+        let acv = AcvBgkm::default();
+        assert_eq!(
+            BroadcastGkm::derive_key(&acv, &malformed, "pn-000", b"css"),
+            None
+        );
+        let sharded = ShardedAcvBgkm::new(acv, 3);
+        let info = crate::sharded::ShardedPublicInfo {
+            num_shards: 1,
+            shards: vec![malformed],
+        };
+        assert_eq!(
+            BroadcastGkm::derive_key(&sharded, &info, "pn-000", b"css"),
+            None
+        );
     }
 
     #[test]

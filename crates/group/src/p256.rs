@@ -21,8 +21,9 @@
 //!   projective compare, with neither doublings nor an inversion;
 //! * lists share what they have in common: one wNAF recoding and one
 //!   table normalisation for many bases under one scalar, one one-off
-//!   width-5 comb for many scalars under one base, and a single inversion
-//!   for every list's results.
+//!   comb for many scalars under one base (its width picked by an
+//!   operation model, `shared_base_width`), and a single inversion for
+//!   every list's results.
 
 use crate::p256_field as pf;
 use crate::traits::{CyclicGroup, Scalar, ScalarCtx};
@@ -76,9 +77,8 @@ const WNAF_WINDOW: u32 = 5;
 /// faster, but a 33rd, carry-only window and 128 points per row make it
 /// 264 KiB per base, twice the resident size for that margin.
 const FIXED_COMB_WIDTH: u32 = 7;
-/// Digit width of the signed combs built at run time, for prepared keys
-/// and for [`CyclicGroup::exp_shared_base`]: 52 windows × 16 points
-/// ≈ 52 KiB.
+/// Digit width of the signed combs of prepared verification keys
+/// ([`CyclicGroup::prepare`]): 52 windows × 16 points ≈ 52 KiB.
 const PREPARED_COMB_WIDTH: u32 = 5;
 
 /// Field multiplications (squarings included) in one Jacobian doubling.
@@ -86,31 +86,48 @@ const DOUBLE_COST: usize = 8;
 /// Field multiplications (squarings included) in one general Jacobian
 /// addition.
 const ADD_COST: usize = 16;
+/// Field multiplications (squarings included) in one mixed addition
+/// ([`P256Group::jac_add_affine`]).
+const MIXED_ADD_COST: usize = 11;
 /// Field multiplications per point in a batched normalisation
 /// ([`P256Group::batch_to_affine`]), the shared inversion aside.
 const NORMALIZE_COST: usize = 7;
-/// Shortest scalar list for which [`CyclicGroup::exp_shared_base`] builds
-/// a one-off comb table; shorter lists run wNAF per scalar.
-///
-/// Operation model: a width-`w` table has `⌈257/w⌉` windows of `2^(w−1)`
-/// points; per window, the even multiples and the next window's base
-/// are doublings, the odd multiples general additions
-/// ([`P256Group::build_comb`]), and every point is normalised. A comb
-/// lookup then makes about as many mixed additions as a wNAF run makes
-/// for its digits, so what the comb saves per scalar is the 256
-/// doublings and wNAF's own table of 8 odd multiples (one doubling,
-/// seven additions, eight normalisations). At w = 5 the table pays off
-/// from `⌈52·(9·8 + 7·16 + 16·7) / (256·8 + 8 + 7·16 + 8·7)⌉ = 7`
-/// scalars on; measured on one CPU of the 2-core host, the two routes
-/// cross between 6 and 7.
-const SHARED_BASE_TABLE_MIN: usize = {
-    let w = PREPARED_COMB_WIDTH as usize;
+
+/// Operation model of one wNAF run ([`P256Group::jac_mul`]): 256
+/// doublings, its table of 8 odd multiples (one doubling, seven
+/// additions, eight normalisations) and one mixed addition per nonzero
+/// digit, of which a width-`w` recoding has about `256/(w + 1)`.
+const WNAF_RUN_COST: usize = 256 * DOUBLE_COST
+    + DOUBLE_COST
+    + 7 * ADD_COST
+    + 8 * NORMALIZE_COST
+    + 256 / (WNAF_WINDOW as usize + 1) * MIXED_ADD_COST;
+
+/// Operation model of a one-off width-`w` comb serving `n` scalars: the
+/// table has `⌈257/w⌉` windows of `2^(w−1)` points; per window, the even
+/// multiples and the next window's base are doublings, the odd multiples
+/// general additions ([`P256Group::build_comb`]), and every point is
+/// normalised. Each scalar's walk then costs at most one mixed addition
+/// per window.
+fn comb_cost(w: u32, n: usize) -> usize {
+    let windows = 257usize.div_ceil(w as usize);
     let half = 1 << (w - 1);
     let per_window =
         (half / 2 + 1) * DOUBLE_COST + (half / 2 - 1) * ADD_COST + half * NORMALIZE_COST;
-    let wnaf_table = DOUBLE_COST + 7 * ADD_COST + 8 * NORMALIZE_COST;
-    (257usize.div_ceil(w) * per_window).div_ceil(256 * DOUBLE_COST + wnaf_table)
-};
+    windows * per_window + n * windows * MIXED_ADD_COST
+}
+
+/// The comb width for [`CyclicGroup::exp_shared_base`] over `n` scalars:
+/// the `w ∈ 2..=7` of least [`comb_cost`], or `None` where `n` wNAF runs
+/// cost less. The model picks wNAF for up to 3 scalars, w = 2 at 4, w = 3
+/// from 5 to 15 (17.2k field multiplications at 12, against 22.3k at
+/// w = 5 and 32.2k for wNAF), w = 4 from 16 to 42 and w = 5 from 43 to
+/// 105 (42.8k at 48, against 43.7k at w = 4).
+fn shared_base_width(n: usize) -> Option<u32> {
+    (2..=7u32)
+        .min_by_key(|&w| comb_cost(w, n))
+        .filter(|&w| comb_cost(w, n) < n * WNAF_RUN_COST)
+}
 
 /// Signed-digit fixed-base comb of width `w`: row `i` holds
 /// `d · 2^(w·i) · B` for `d = 1 ..= 2^(w−1)` as affine points, one row per
@@ -949,14 +966,17 @@ impl CyclicGroup for P256Group {
         if *base == P256Point::Identity {
             return vec![P256Point::Identity; ks.len()];
         }
-        let powers: Vec<Jacobian> = if ks.len() < SHARED_BASE_TABLE_MIN {
-            let p = self.to_jacobian(base);
-            ks.iter().map(|k| self.jac_mul(&p, &k.to_uint())).collect()
-        } else {
-            let comb = self.build_comb(base, PREPARED_COMB_WIDTH);
-            ks.iter()
-                .map(|k| self.comb_mul(self.jac_identity(), &comb, &k.to_uint()))
-                .collect()
+        let powers: Vec<Jacobian> = match shared_base_width(ks.len()) {
+            None => {
+                let p = self.to_jacobian(base);
+                ks.iter().map(|k| self.jac_mul(&p, &k.to_uint())).collect()
+            }
+            Some(w) => {
+                let comb = self.build_comb(base, w);
+                ks.iter()
+                    .map(|k| self.comb_mul(self.jac_identity(), &comb, &k.to_uint()))
+                    .collect()
+            }
         };
         self.batch_to_points(&powers)
     }
@@ -1218,6 +1238,18 @@ mod tests {
                 assert_eq!(walk(&fresh), grp.exp_naive(&base, k));
             }
         }
+    }
+
+    #[test]
+    fn shared_base_width_follows_the_operation_model() {
+        // wNAF below the first crossover, w = 3 for a 12-digit envelope's
+        // η, w = 5 for the 48-scalar bench list.
+        for n in 0..=3 {
+            assert_eq!(shared_base_width(n), None, "n = {n}");
+        }
+        assert_eq!(shared_base_width(4), Some(2));
+        assert_eq!(shared_base_width(12), Some(3));
+        assert_eq!(shared_base_width(48), Some(5));
     }
 
     #[test]

@@ -288,9 +288,10 @@ fn modp_msm_matches_naive_composition() {
 
 /// The shared-scalar, shared-base and batched-commitment primitives
 /// against per-element `exp`/`op`: scalars `0, 1, 2, q−1` and random, an
-/// identity base mid-list, `shift` ∈ {identity, `g`}, 0, 1 and 7 steps, a
-/// base whose stepped power meets the identity mid-row, and list lengths
-/// on both sides of the backends' table fall-back threshold.
+/// identity base mid-list, `shift` ∈ {identity, `g`}, 0, 1, 7 and 15
+/// steps (15: a radix-16 digit's 16 shares), a base whose stepped power
+/// meets the identity mid-row, and list lengths on both sides of the
+/// backends' table fall-back threshold.
 fn check_shared_paths<G: NaiveExp>(group: &G, seed: u64) {
     let sc = group.scalar_ctx().clone();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -313,6 +314,7 @@ fn check_shared_paths<G: NaiveExp>(group: &G, seed: u64) {
                 (g.clone(), 0),
                 (g.clone(), 1),
                 (g.clone(), 7),
+                (g.clone(), 15),
             ] {
                 let (mut bases, mut powers) = (bases.clone(), powers.clone());
                 if len > 3 && !k.is_zero() {
@@ -380,6 +382,39 @@ fn p256_shared_paths_match_per_element() {
 #[test]
 fn modp_shared_paths_match_per_element() {
     check_shared_paths(&ModpGroup::new(), 0x5A4F);
+}
+
+/// `exp_shared_base` against the naive ladder at every list length from 1
+/// to 64, which crosses every comb width P-256's operation model picks
+/// (and wNAF below them) and each crossover between them; the list is a
+/// prefix of one run of edge and random scalars.
+fn check_shared_base_every_length<G: NaiveExp>(group: &G, seed: u64) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut ks = scalar_cases(group, seed, 0);
+    ks.extend((ks.len()..64).map(|_| group.random_scalar(&mut rng)));
+    let base = group.reference_exp(&group.pedersen_h(), &U256::from_u64(5));
+    let expect: Vec<_> = ks
+        .iter()
+        .map(|k| group.reference_exp(&base, &k.to_uint()))
+        .collect();
+    for n in 1..=ks.len() {
+        assert_eq!(
+            group.exp_shared_base(&base, &ks[..n]),
+            expect[..n],
+            "{} n={n}",
+            group.name()
+        );
+    }
+}
+
+#[test]
+fn p256_shared_base_matches_naive_at_every_length() {
+    check_shared_base_every_length(&P256Group::new(), 0x5B64);
+}
+
+#[test]
+fn modp_shared_base_matches_naive_at_every_length() {
+    check_shared_base_every_length(&ModpGroup::new(), 0x5B65);
 }
 
 /// Batch Schnorr verification: all-valid accepts, one forged member

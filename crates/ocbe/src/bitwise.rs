@@ -1,18 +1,19 @@
 //! GE-/LE-OCBE (paper §IV-C): oblivious envelopes for inequality
-//! predicates over ℓ-bit attribute values, on radix-8 digits.
+//! predicates over ℓ-bit attribute values, on radix-16 digits.
 //!
-//! The receiver decomposes the difference `d` into `D = ⌈ℓ/3⌉` digit
+//! The receiver decomposes the difference `d` into `D = ⌈ℓ/4⌉` digit
 //! commitments `cᵢ = g^{dᵢ} h^{rᵢ}` with `dᵢ ∈ [0, 2^{wᵢ})`, where `wᵢ` is
 //! [`DIGIT_BITS`] except for the top digit, which gets what remains of ℓ:
 //! exactly the ℓ-bit differences decompose. The sender checks the digits
-//! reassemble to the difference commitment (`Π cᵢ^{8ⁱ}`), then publishes
-//! per-digit masked key shares `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` for every
-//! `j ∈ [0, 2^{wᵢ})`, plus `η = h^y` and the payload encrypted under
-//! `k = H(k₀‖…‖k_{D−1})`. A receiver whose digits are all in range
-//! recovers every `kᵢ`; an unqualified receiver's digit `d₀` is an
-//! out-of-range field element and has no share to unmask. The paper's
-//! bitwise form is the width-1 case (`docs/ARCHITECTURE.md`, "GE/LE-OCBE
-//! on radix-8 digits").
+//! reassemble to the difference commitment (`Π cᵢ^{16ⁱ}`), then publishes
+//! per-digit masked key shares `Cᵢʲ = H((cᵢ·g^{−j})^y)[..16] ⊕ kᵢ` for
+//! every `j ∈ [0, 2^{wᵢ})`, with [`SHARE_LEN`]-byte keys `kᵢ`, plus
+//! `η = h^y` and the payload encrypted under `k = H(k₀‖…‖k_{D−1})`. A
+//! receiver whose digits are all in range recovers every `kᵢ`; an
+//! unqualified receiver's digit `d₀` is an out-of-range field element and
+//! has no share to unmask, so `k` keeps the 128 bits of `k₀` it cannot
+//! learn. The paper's bitwise form is the width-1 case
+//! (`docs/ARCHITECTURE.md`, "GE/LE-OCBE on radix-16 digits").
 //!
 //! Each stage is one list operation of the group backend: the receiver
 //! commits to its D digits together, the sender raises the D commitments
@@ -26,6 +27,10 @@ use pbcd_commit::{Commitment, Opening, Pedersen};
 use pbcd_crypto::{sha256, AuthKey};
 use pbcd_group::{CyclicGroup, Scalar};
 use rand::RngCore;
+
+/// Bytes in a per-digit key `kᵢ` and in each masked share `Cᵢʲ`: 128-bit
+/// keys, the security level of P-256 and of every other primitive here.
+pub const SHARE_LEN: usize = 16;
 
 /// Direction of the inequality: which side of the threshold qualifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +83,7 @@ pub struct BitwiseEnvelope<G: CyclicGroup> {
     pub eta: G::Elem,
     /// Masked key shares `Cᵢʲ`, digit-major: digit `i`'s `2^{wᵢ}` shares in
     /// order of `j`, then digit `i + 1`'s.
-    pub shares: Vec<[u8; 32]>,
+    pub shares: Vec<[u8; SHARE_LEN]>,
     /// Authenticated ciphertext of the payload under `k`.
     pub ciphertext: Vec<u8>,
 }
@@ -142,7 +147,7 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
         Direction::Le => (&sc.from_u64(x0) - &sc.from_u64(x), -&opening.randomness),
     };
 
-    // Σ_{i≥1} 8ⁱ vᵢ, Horner-style: what digit 0 has to make up for.
+    // Σ_{i≥1} 16ⁱ vᵢ, Horner-style: what digit 0 has to make up for.
     let high = |v: &[Scalar]| {
         v[1..]
             .iter()
@@ -150,13 +155,13 @@ pub fn prepare<G: CyclicGroup, R: RngCore + ?Sized>(
             .fold(sc.zero(), |acc, vi| &(&acc + vi) * &radix)
     };
 
-    // Randomness split: r₀ = base_r − Σ_{i≥1} 8ⁱ rᵢ so Σ 8ⁱ rᵢ = base_r.
+    // Randomness split: r₀ = base_r − Σ_{i≥1} 16ⁱ rᵢ so Σ 16ⁱ rᵢ = base_r.
     let mut randomness: Vec<Scalar> = std::iter::once(sc.zero()) // placeholder for r₀
         .chain((1..widths.len()).map(|_| sc.random(rng)))
         .collect();
     randomness[0] = &base_r - &high(&randomness);
 
-    // Digit split: the radix-8 digits of |d| when satisfied; otherwise
+    // Digit split: the radix-16 digits of |d| when satisfied; otherwise
     // random in-range high digits with the out-of-range remainder folded
     // into digit 0.
     let digits: Vec<Option<u8>> = if satisfied {
@@ -221,7 +226,7 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
     }
     let group = ped.group();
     let sc = group.scalar_ctx().clone();
-    // Consistency: Π cᵢ^{8ⁱ} must equal the difference commitment.
+    // Consistency: Π cᵢ^{16ⁱ} must equal the difference commitment.
     let target = match dir {
         Direction::Ge => ped.shift_value(c, &sc.from_u64(x0)),
         Direction::Le => ped.shift_value_reversed(c, &sc.from_u64(x0)),
@@ -231,10 +236,10 @@ pub fn compose<G: CyclicGroup, R: RngCore + ?Sized>(
     }
 
     // Per-digit random key shares and the combined payload key.
-    let key_shares: Vec<[u8; 32]> = widths
+    let key_shares: Vec<[u8; SHARE_LEN]> = widths
         .iter()
         .map(|_| {
-            let mut k = [0u8; 32];
+            let mut k = [0u8; SHARE_LEN];
             rng.fill_bytes(&mut k);
             k
         })
@@ -290,7 +295,7 @@ pub fn open<G: CyclicGroup>(
         .collect::<Option<_>>()?;
     // σᵢ = η^{rᵢ}: D scalars under the one base η.
     let sigmas = group.exp_shared_base(&env.eta, &secrets.randomness);
-    let mut concat = Vec::with_capacity(32 * digits.len());
+    let mut concat = Vec::with_capacity(SHARE_LEN * digits.len());
     let mut row = 0;
     for ((w, d), sigma) in widths.iter().zip(digits).zip(&sigmas) {
         concat.extend_from_slice(&mask(group, sigma, &env.shares[row + d]));
@@ -300,13 +305,10 @@ pub fn open<G: CyclicGroup>(
     AuthKey::from_master(&master).decrypt(&env.ciphertext).ok()
 }
 
-/// `H(σ) ⊕ k`: masks a key share under `σ`, or unmasks it again.
-fn mask<G: CyclicGroup>(group: &G, sigma: &G::Elem, k: &[u8; 32]) -> [u8; 32] {
-    let mut out = sha256(&group.serialize(sigma));
-    for (o, b) in out.iter_mut().zip(k) {
-        *o ^= b;
-    }
-    out
+/// `H(σ)[..16] ⊕ k`: masks a key share under `σ`, or unmasks it again.
+fn mask<G: CyclicGroup>(group: &G, sigma: &G::Elem, k: &[u8; SHARE_LEN]) -> [u8; SHARE_LEN] {
+    let h = sha256(&group.serialize(sigma));
+    std::array::from_fn(|i| h[i] ^ k[i])
 }
 
 #[cfg(test)]

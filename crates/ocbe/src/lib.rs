@@ -5,7 +5,7 @@
 //! subscription secrets:
 //!
 //! * [`eq`] — EQ-OCBE for equality predicates,
-//! * [`bitwise`] — GE-/LE-OCBE envelopes over radix-8 digits for inequalities,
+//! * [`bitwise`] — GE-/LE-OCBE envelopes over radix-16 digits for inequalities,
 //! * [`session`] — one API over all six comparison operators
 //!   (`=, ≠, >, ≥, <, ≤`), with `>`/`<`/`≠` derived exactly as the paper
 //!   prescribes,
@@ -26,7 +26,7 @@ pub mod session;
 /// Re-export of the predicate language from `pbcd-policy`.
 pub use pbcd_policy::predicate;
 
-pub use bitwise::{BitProof, BitSecrets, BitwiseEnvelope, Direction};
+pub use bitwise::{BitProof, BitSecrets, BitwiseEnvelope, Direction, SHARE_LEN};
 pub use eq::EqEnvelope;
 pub use error::OcbeError;
 pub use predicate::{max_value, ComparisonOp, Predicate};

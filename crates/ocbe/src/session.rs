@@ -8,7 +8,7 @@
 //! * `≠ x₀`  ⇒ dual envelope: GE(`x₀+1`) and LE(`x₀−1`) carrying the same
 //!   payload; the receiver opens whichever side its value satisfies.
 
-use crate::bitwise::{self, BitProof, BitSecrets, BitwiseEnvelope, Direction};
+use crate::bitwise::{self, BitProof, BitSecrets, BitwiseEnvelope, Direction, SHARE_LEN};
 use crate::eq::{self, EqEnvelope};
 use crate::error::OcbeError;
 use crate::predicate::{max_value, ComparisonOp, Predicate};
@@ -127,12 +127,15 @@ impl<G: CyclicGroup> Envelope<G> {
         let elem = group.serialize(&group.generator()).len();
         match self {
             Envelope::Eq(e) => elem + e.ciphertext.len(),
-            Envelope::Ge(e) | Envelope::Le(e) => elem + e.shares.len() * 32 + e.ciphertext.len(),
+            Envelope::Ge(e) | Envelope::Le(e) => {
+                elem + e.shares.len() * SHARE_LEN + e.ciphertext.len()
+            }
             Envelope::Dual { ge, le } => {
-                ge.as_ref()
-                    .map_or(0, |e| elem + e.shares.len() * 32 + e.ciphertext.len())
-                    + le.as_ref()
-                        .map_or(0, |e| elem + e.shares.len() * 32 + e.ciphertext.len())
+                ge.as_ref().map_or(0, |e| {
+                    elem + e.shares.len() * SHARE_LEN + e.ciphertext.len()
+                }) + le.as_ref().map_or(0, |e| {
+                    elem + e.shares.len() * SHARE_LEN + e.ciphertext.len()
+                })
             }
         }
     }

@@ -1,34 +1,39 @@
 //! The GE/LE-OCBE sender and receiver against a per-share reference.
 //!
 //! `bitwise::{compose, open}` run on the group's batched primitives (one
-//! exponentiation per radix-8 digit, stepped through its shares by one
+//! exponentiation per radix-16 digit, stepped through its shares by one
 //! `g^{−y}` shift, and one table for `η`). The reference below is the
 //! textbook loop of paper §IV-C over the same digits — one exponentiation
 //! per share to compose, one `η^{rᵢ}` per digit to open — and must produce
 //! the same bytes from the same seed, on both backends, including on
 //! proofs and envelopes a hostile peer would send. Two SHA-256 pins keep
 //! the envelope format itself from drifting. They were taken from the
-//! per-digit implementation before it was replaced, and moved twice
+//! per-digit implementation before it was replaced, and moved four times
 //! since: when the envelope's AEAD became ChaCha20-Poly1305 (its 16-byte
-//! tag replaced HMAC-SHA-256's 32), and when the digits went from bits to
-//! radix 8 (`⌈ℓ/3⌉` commitments of `2^{wᵢ}` shares each).
+//! tag replaced HMAC-SHA-256's 32), when the digits went from bits to
+//! radix 8 (`⌈ℓ/3⌉` commitments of `2^{wᵢ}` shares each), when the seeded
+//! `StdRng` became the ChaCha20 keystream, and when the digits went to
+//! radix 16 with 16-byte keys and shares (`⌈ℓ/4⌉` commitments,
+//! `Cᵢʲ = H(σ)[..16] ⊕ kᵢ`).
 
 use pbcd_commit::{Commitment, Opening, Pedersen};
 use pbcd_crypto::{sha256, AuthKey};
 use pbcd_group::{CyclicGroup, ModpGroup, P256Group, Scalar};
-use pbcd_ocbe::bitwise::{compose, open, prepare, DIGIT_BITS};
+use pbcd_ocbe::bitwise::{compose, open, prepare, DIGIT_BITS, SHARE_LEN};
 use pbcd_ocbe::{BitProof, BitwiseEnvelope, Direction, OcbeError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 const PAYLOAD: &[u8] = b"conditional subscription secret";
 
-fn xor32(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
-    std::array::from_fn(|i| a[i] ^ b[i])
+/// `H(σ)[..SHARE_LEN] ⊕ k`.
+fn mask<G: CyclicGroup>(group: &G, sigma: &G::Elem, k: &[u8; SHARE_LEN]) -> [u8; SHARE_LEN] {
+    let h = sha256(&group.serialize(sigma));
+    std::array::from_fn(|i| h[i] ^ k[i])
 }
 
 /// The digit widths for ℓ, least-significant first: ℓ's bits cut into
-/// runs of three from the bottom, the top run taking what is left.
+/// runs of `DIGIT_BITS` from the bottom, the top run taking what is left.
 fn widths(ell: u32) -> Vec<u32> {
     let mut out = Vec::new();
     let mut left = ell;
@@ -39,7 +44,7 @@ fn widths(ell: u32) -> Vec<u32> {
     out
 }
 
-/// The per-share sender: `Cᵢʲ = H((cᵢ·g^{−j})^y) ⊕ kᵢ` computed as
+/// The per-share sender: `Cᵢʲ = H((cᵢ·g^{−j})^y)[..16] ⊕ kᵢ` computed as
 /// written, for `j < 2^{wᵢ}`.
 #[allow(clippy::too_many_arguments)] // mirrors `bitwise::compose`
 fn reference_compose<G: CyclicGroup>(
@@ -61,11 +66,11 @@ fn reference_compose<G: CyclicGroup>(
     if ped.weighted_product(&proof.commitments) != target {
         return Err(OcbeError::InconsistentCommitments);
     }
-    let key_shares: Vec<[u8; 32]> = proof
+    let key_shares: Vec<[u8; SHARE_LEN]> = proof
         .commitments
         .iter()
         .map(|_| {
-            let mut k = [0u8; 32];
+            let mut k = [0u8; SHARE_LEN];
             rng.fill_bytes(&mut k);
             k
         })
@@ -78,7 +83,7 @@ fn reference_compose<G: CyclicGroup>(
         for j in 0..1u64 << w {
             let shifted = group.div(ci.element(), &group.exp_g(&sc.from_u64(j)));
             let sigma = group.exp(&shifted, &y);
-            shares.push(xor32(&sha256(&group.serialize(&sigma)), ki));
+            shares.push(mask(group, &sigma, ki));
         }
     }
     let ciphertext = AuthKey::from_master(&master).encrypt(rng, payload);
@@ -89,7 +94,7 @@ fn reference_compose<G: CyclicGroup>(
     })
 }
 
-/// The per-digit receiver: `kᵢ = H(η^{rᵢ}) ⊕ Cᵢ^{dᵢ}`, one exponentiation
+/// The per-digit receiver: `kᵢ = H(η^{rᵢ})[..16] ⊕ Cᵢ^{dᵢ}`, one exponentiation
 /// per digit, reading digit `i`'s shares after the `2^{wₘ}` of every
 /// lower digit `m`.
 fn reference_open<G: CyclicGroup>(
@@ -104,7 +109,7 @@ fn reference_open<G: CyclicGroup>(
     for ((w, d), r) in widths(ell).into_iter().zip(digits).zip(randomness) {
         let sigma = group.exp(&env.eta, r);
         let share = env.shares.get(first + *d as usize)?;
-        concat.extend_from_slice(&xor32(&sha256(&group.serialize(&sigma)), share));
+        concat.extend_from_slice(&mask(group, &sigma, share));
         first += 1 << w;
     }
     AuthKey::from_master(&sha256(&concat))
@@ -112,9 +117,9 @@ fn reference_open<G: CyclicGroup>(
         .ok()
 }
 
-/// A qualified receiver's radix-8 digits and digit randomness, rebuilt
+/// A qualified receiver's radix-16 digits and digit randomness, rebuilt
 /// outside `prepare` from a copy of the RNG it is about to consume: `rᵢ`
-/// drawn in order for `i ≥ 1`, and `r₀ = ±r − Σ 8ⁱ rᵢ`.
+/// drawn in order for `i ≥ 1`, and `r₀ = ±r − Σ 16ⁱ rᵢ`.
 fn qualified_secrets<G: CyclicGroup>(
     group: &G,
     d: u64,
@@ -124,13 +129,13 @@ fn qualified_secrets<G: CyclicGroup>(
     mut rng: StdRng,
 ) -> (Vec<u64>, Vec<Scalar>) {
     let sc = group.scalar_ctx();
-    let eight = sc.from_u64(8);
-    let (mut acc, mut weight) = (sc.zero(), eight.clone());
+    let radix = sc.from_u64(1 << DIGIT_BITS);
+    let (mut acc, mut weight) = (sc.zero(), radix.clone());
     let mut randomness = vec![sc.zero()];
     for _ in 1..widths(ell).len() {
         let r = sc.random(&mut rng);
         acc = &acc + &(&weight * &r);
-        weight = &weight * &eight;
+        weight = &weight * &radix;
         randomness.push(r);
     }
     let base = match dir {
@@ -138,7 +143,9 @@ fn qualified_secrets<G: CyclicGroup>(
         Direction::Le => -&opening.randomness,
     };
     randomness[0] = &base - &acc;
-    let digits = (0..widths(ell).len()).map(|i| (d >> (3 * i)) & 7).collect();
+    let digits = (0..widths(ell).len() as u32)
+        .map(|i| (d >> (DIGIT_BITS * i)) & ((1 << DIGIT_BITS) - 1))
+        .collect();
     (digits, randomness)
 }
 
@@ -198,16 +205,17 @@ fn seeded_round<G: CyclicGroup>(
 #[test]
 fn seeded_envelopes_are_byte_identical_to_the_reference() {
     // Golden pins: the per-digit `compose` this file keeps as the reference
-    // produced these envelopes before it was replaced. Both moved once
-    // since, when the seeded `StdRng` became the ChaCha20 keystream in
-    // place of xoshiro256** (new openings, key shares and nonces).
+    // produced these envelopes before it was replaced. Both moved twice
+    // since: when the seeded `StdRng` became the ChaCha20 keystream in
+    // place of xoshiro256** (new openings, key shares and nonces), and
+    // when the digits went to radix 16 with 16-byte keys and shares.
     assert_eq!(
         seeded_round(P256Group::new(), 0x0CBE_0048, 9, 5, 48, Direction::Ge),
-        "5d325ee215df2af1e3d98f66a90bd6877fbec1ab8caa0955dbbae2ce32f6a5ae"
+        "aa5317235e89f5fb4d57905b368a2d91db4022b6805717d61b3f7e02fb5737b0"
     );
     assert_eq!(
         seeded_round(ModpGroup::new(), 0x0CBE_0008, 77, 200, 8, Direction::Le),
-        "94060505f85f3b93a3941363c3bd4657a9b5786a674d685d0abdbebe957e8dc3"
+        "b75bd8d13faf569fb2a0c203c61340bacc3981550b8983e4601bfefc8a02f10e"
     );
     seeded_round(P256Group::new(), 0x0CBE_1008, 3, 3, 8, Direction::Le);
     seeded_round(
@@ -246,7 +254,8 @@ fn hostile_proof<G: CyclicGroup>(
 }
 
 fn check_hostile_inputs<G: CyclicGroup>(group: G, seed: u64) {
-    let (x, x0, ell, dir) = (200, 100, 8, Direction::Ge);
+    // Three digits, so the hostile proof has a digit 2 to set.
+    let (x, x0, ell, dir) = (200, 100, 12, Direction::Ge);
     let ped = Pedersen::new(group.clone());
     let mut rng = StdRng::seed_from_u64(seed);
     let (c, opening) = ped.commit_u64(x, &mut rng);
@@ -288,8 +297,8 @@ fn hostile_inputs_match_the_reference_without_panicking() {
 }
 
 /// A receiver at `x = 2^ℓ + 5`, above every ℓ-bit value, that writes its
-/// top digit one past the top digit's width (`8^{D−1}·2^{w_{D−1}} = 2^ℓ`)
-/// and 5 in digit 0. The sender's check only sees `Π cᵢ^{8ⁱ}`, so the
+/// top digit one past the top digit's width (`16^{D−1}·2^{w_{D−1}} = 2^ℓ`)
+/// and 5 in digit 0. The sender's check only sees `Π cᵢ^{16ⁱ}`, so the
 /// proof passes and `compose` matches the reference byte for byte; but the
 /// top digit has no share at that index, and none of the shares it does
 /// have opens the envelope.
@@ -338,7 +347,8 @@ fn check_wide_top_digit<G: CyclicGroup>(group: G, ell: u32, seed: u64) {
 
 #[test]
 fn a_top_digit_wider_than_its_width_opens_nothing() {
-    check_wide_top_digit(P256Group::new(), 4, 0x71DE_0004);
+    // ℓ = 5 is the narrowest two-digit width (a 1-bit top digit).
+    check_wide_top_digit(P256Group::new(), 5, 0x71DE_0004);
     check_wide_top_digit(P256Group::new(), 62, 0x71DE_0062);
-    check_wide_top_digit(ModpGroup::new(), 4, 0x71DE_1004);
+    check_wide_top_digit(ModpGroup::new(), 5, 0x71DE_1004);
 }

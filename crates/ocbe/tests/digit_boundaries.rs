@@ -1,5 +1,5 @@
-//! GE/LE-OCBE at the radix-8 digit boundaries: widths ℓ whose top digit
-//! has 1, 2 or 3 bits, thresholds at both ends of the ℓ-bit range, values
+//! GE/LE-OCBE at the radix-16 digit boundaries: widths ℓ whose top digit
+//! has 1, 2, 3 or 4 bits (ℓ mod 4 = 1, 2, 3, 0), thresholds at both ends of the ℓ-bit range, values
 //! on either side of them, just above `2^ℓ` and at the decoy's `2^63 − 1`.
 //! The envelope opens iff the inequality holds and `x < 2^ℓ`.
 
@@ -57,11 +57,16 @@ fn check_grid<G: CyclicGroup>(group: G, ells: &[u32], seed: u64) {
     }
 }
 
-/// Top digits of width 1, 2 and 3 at both ends of the ℓ range: 1–6 and
-/// 47/48 here, 62/63 in a test of their own, so the two share the CPUs.
+/// Top digits of width 1, 2, 3 and 4 at both ends of the ℓ range: the
+/// one- and two-digit widths 1–8 and 45–48 here, 62/63 in a test of
+/// their own, so the two share the CPUs.
 #[test]
 fn p256_opens_iff_the_inequality_holds_in_range() {
-    check_grid(P256Group::new(), &[1, 2, 3, 4, 5, 6, 47, 48], 0xD161_0256);
+    check_grid(
+        P256Group::new(),
+        &[1, 2, 3, 4, 5, 6, 7, 8, 45, 46, 47, 48],
+        0xD161_0256,
+    );
 }
 
 #[test]
@@ -70,19 +75,21 @@ fn p256_opens_iff_the_inequality_holds_in_range_at_the_widest_values() {
 }
 
 /// modp exponentiations cost several times P-256's, so its grid keeps to
-/// the first two-digit widths, whose top digits have 1, 2 and 3 bits.
+/// the first two-digit widths, whose top digits have 1, 2, 3 and 4 bits.
 #[test]
 fn modp_opens_iff_the_inequality_holds_in_range() {
-    check_grid(ModpGroup::new(), &[4, 5, 6], 0xD161_5114);
+    check_grid(ModpGroup::new(), &[5, 6, 7, 8], 0xD161_5114);
 }
 
-/// `d = 0o76543210`: one digit of every value `0..=7`, in both directions.
+/// `d = 0x76543210` and `0xfedcba98`: one digit of every value `0..=15`
+/// between them, in both directions.
 fn check_every_digit_value<G: CyclicGroup>(group: G, seed: u64) {
     let ped = Pedersen::new(group);
     let mut rng = StdRng::seed_from_u64(seed);
-    let d = 0o7654_3210;
-    assert!(opens(&ped, 1000 + d, 1000, 24, Direction::Ge, &mut rng));
-    assert!(opens(&ped, 1000, 1000 + d, 24, Direction::Le, &mut rng));
+    for d in [0x7654_3210, 0xfedc_ba98] {
+        assert!(opens(&ped, 1000 + d, 1000, 40, Direction::Ge, &mut rng));
+        assert!(opens(&ped, 1000, 1000 + d, 40, Direction::Le, &mut rng));
+    }
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! Exponentiations per GE/LE-OCBE stage (paper Fig 2's three series),
-//! asserted exactly for `D = ⌈ℓ/3⌉` digits: `prepare` 2D (a `g`/`h` comb
+//! asserted exactly for `D = ⌈ℓ/4⌉` digits: `prepare` 2D (a `g`/`h` comb
 //! pair per digit commitment), `compose` D + 3 (one `cᵢ^y` per digit, plus
 //! `η = h^y`, the shift `g^{−y}` and the difference commitment's
 //! `g^{∓x₀}`) and `open` D (`η^{rᵢ}` per digit; none for an unqualified
@@ -37,7 +37,7 @@ fn stage_counts<G: CyclicGroup>(group: G, x: u64, x0: u64, ell: u32, dir: Direct
 
 #[test]
 fn exponentiations_per_stage_follow_the_digit_count() {
-    for (ell, d) in [(3u32, 1u64), (5, 2), (48, 16), (63, 21)] {
+    for (ell, d) in [(3u32, 1u64), (4, 1), (5, 2), (48, 12), (63, 16)] {
         let qualified = [2 * d, d + 3, d];
         let unqualified = [2 * d, d + 3, 0];
         let x0 = 1 << (ell - 1);
@@ -61,9 +61,11 @@ fn exponentiations_per_stage_follow_the_digit_count() {
             }
         }
     }
-    // One GE registration at the deployed ℓ = 48: 32 + 19 + 16.
-    let total: u64 = stage_counts(P256Group::new(), 9, 5, 48, Direction::Ge)
-        .iter()
-        .sum();
-    assert_eq!(total, 67);
+    // One GE registration, 4⌈ℓ/4⌉ + 3 in all: 51 at the deployed ℓ = 48
+    // (24 + 15 + 12).
+    for (ell, total) in [(4u32, 7u64), (5, 11), (47, 51), (48, 51)] {
+        let counts = stage_counts(P256Group::new(), 9, 5, ell, Direction::Ge);
+        assert_eq!(counts.iter().sum::<u64>(), total, "ℓ={ell}");
+        assert_eq!(total, 4 * u64::from(ell.div_ceil(4)) + 3);
+    }
 }
